@@ -39,7 +39,6 @@ from .targets import (
 )
 from .tangent import (
     ChainConfig,
-    GaussianProposal,
     HessianNotNegativeDefinite,
     StepRecord,
     build_proposal,
@@ -47,9 +46,9 @@ from .tangent import (
     run_chain,
     tangent_step,
 )
-from .trace import ChainTrace
+from .trace import ChainTrace, run_sweeps
 from .slicer import SliceConfig, SliceError, slice_gibbs_chain, slice_step_1d
-from .gibbs import BlockPartition, ConditionalTarget, block_sweep, conditional_target, run_block_chain
+from .gibbs import BlockPartition, block_sweep, run_block_chain
 from .hb import HbConfig, HbModelSpec, HbTrace, hb_gibbs, simulate_hb
 from .diagnostics import (
     CalibrationProfile,

@@ -194,37 +194,52 @@ def _outdir(args, verb: str) -> Path:
 def _build_target(cfg: dict):
     name = cfg["target"]
     data_files = []
-    if name == "poisson":
-        counts = _as_list(cfg.get("counts", [2]))
-        target = poisson_lograte_target(np.asarray(counts, dtype=int))
-    elif name == "replicated-poisson":
-        target = replicated_poisson_target(int(cfg.get("obs", 1)), int(cfg.get("n_obs", 1)))
-    elif name == "gaussian":
-        dim = int(cfg.get("dim", 2))
-        prec = float(cfg.get("precision", 1.0))
-        target = gaussian_prior(np.zeros(dim), prec * np.eye(dim))
-    elif name == "logistic":
-        path = cfg.get("data")
-        if not path:
-            raise ConfigError("logistic target needs 'data = <csv file>'")
-        X, y = _load_logistic_csv(path)
-        target = logistic_target(X, y)
-        data_files.append(path)
-    else:
-        raise ConfigError(f"unknown target {name!r}")
+    try:
+        if name == "poisson":
+            counts = _as_list(cfg.get("counts", [2]))
+            target = poisson_lograte_target(np.asarray(counts, dtype=int))
+        elif name == "replicated-poisson":
+            target = replicated_poisson_target(int(cfg.get("obs", 1)), int(cfg.get("n_obs", 1)))
+        elif name == "gaussian":
+            dim = int(cfg.get("dim", 2))
+            prec = float(cfg.get("precision", 1.0))
+            target = gaussian_prior(np.zeros(dim), prec * np.eye(dim))
+        elif name == "logistic":
+            path = cfg.get("data")
+            if not path:
+                raise ConfigError("logistic target needs 'data = <csv file>'")
+            X, y = _load_logistic_csv(path)
+            target = logistic_target(X, y)
+            data_files.append(path)
+        else:
+            raise ConfigError(f"unknown target {name!r}")
+    except ValueError as err:
+        raise ConfigError(f"target {name!r}: {err}") from err
+    if name in ("poisson", "replicated-poisson") and target.total_count == 0:
+        raise ConfigError("poisson counts are all zero: the posterior is improper")
     return target, data_files
 
 
 def _load_logistic_csv(path):
     """Headered CSV with columns y, x1..xK."""
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "y":
-        raise ConfigError(f"{path}:1: expected header starting with 'y'")
     try:
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
-    except ValueError as err:
-        raise ConfigError(f"{path}: non-numeric cell: {err}") from err
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror}") from err
+    if not rows or len(rows[0]) < 2 or rows[0][0] != "y":
+        raise ConfigError(f"{path}:1: expected header 'y,x1,...,xK'")
+    if len(rows) == 1:
+        raise ConfigError(f"{path}: no data rows after the header")
+    data = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ConfigError(f"{path}:{lineno}: {len(row)} cells, the header has {len(rows[0])}")
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as err:
+            raise ConfigError(f"{path}:{lineno}: non-numeric cell: {err}") from err
+    data = np.array(data)
     return data[:, 1:], data[:, 0]
 
 
@@ -248,31 +263,37 @@ def cmd_chain(args) -> int:
     cfg = _merge_config(args, CHAIN_DEFAULTS, CHAIN_KEYS)
     if cfg["quick"]:
         cfg["n_burnin"], cfg["n_samples"] = 50, 200
-    out = _outdir(args, "chain")
+    if cfg["sampler"] not in ("tangent", "slice"):
+        raise ConfigError(f"unknown sampler {cfg['sampler']!r}")
     target, data_files = _build_target(cfg)
-    run_hash = content_hash(cfg, data_files)
-
-    x0 = np.full(target.dim, float(cfg["x0"])) if np.isscalar(cfg["x0"]) else np.asarray(cfg["x0"], dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    if cfg["sampler"] == "tangent":
+    try:
+        x0 = np.full(target.dim, float(cfg["x0"])) if np.isscalar(cfg["x0"]) else np.asarray(cfg["x0"], dtype=float)
+        # the iteration plan is validated for either sampler
         chain_cfg = ChainConfig(
             n_burnin=int(cfg["n_burnin"]),
             n_samples=int(cfg["n_samples"]),
             n_newton=int(cfg["n_newton"]) if "n_newton" in cfg else None,
             seed=cfg["seed"],
         )
-        trace = run_chain(target, x0, chain_cfg, rng)
-    elif cfg["sampler"] == "slice":
         slice_cfg = SliceConfig(
             width=float(cfg.get("width", 1.0)),
             max_stepout=int(cfg.get("max_stepout", 10)),
             seed=cfg["seed"],
         )
-        trace = slice_gibbs_chain(
-            target, x0, int(cfg["n_burnin"]), int(cfg["n_samples"]), slice_cfg, rng
-        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    if x0.shape != (target.dim,):
+        raise ConfigError(f"x0 has {x0.size} entries; the target has dimension {target.dim}")
+    out = _outdir(args, "chain")
+    run_hash = content_hash(cfg, data_files)
+
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
+    if cfg["sampler"] == "tangent":
+        trace = run_chain(target, x0, chain_cfg, rng)
     else:
-        raise ConfigError(f"unknown sampler {cfg['sampler']!r}")
+        trace = slice_gibbs_chain(
+            target, x0, chain_cfg.n_burnin, chain_cfg.n_samples, slice_cfg, rng
+        )
 
     dim = trace.dim
     write_csv(

@@ -8,19 +8,16 @@ quadratically with block size.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import DifferentiableTarget, EvalCost, EvalResult, SymMatrix
+from .targets import DifferentiableTarget, EvalCost
 from .tangent import ChainConfig, _fit_proposal, tangent_step
-from .trace import ChainTrace
+from .trace import ChainTrace, run_sweeps
 
 __all__ = [
     "BlockPartition",
-    "ConditionalTarget",
-    "conditional_target",
     "SweepRecord",
     "block_sweep",
     "run_block_chain",
@@ -65,49 +62,6 @@ class BlockPartition:
         return cls([np.arange(dim)])
 
 
-class ConditionalTarget(DifferentiableTarget):
-    """Parent target restricted to a block, remaining coordinates frozen.
-
-    Evaluating at ``b`` equals evaluating the parent at the spliced full
-    vector exactly; the gradient is the block sub-gradient and the Hessian
-    the principal submatrix.  Each call therefore costs a full parent
-    evaluation.
-    """
-
-    def __init__(self, parent: DifferentiableTarget, block, frozen_full):
-        self._parent = parent
-        self._block = np.asarray(block, dtype=int)
-        self._full = np.array(frozen_full, dtype=float)
-        if self._full.shape[0] != parent.dim:
-            raise ValueError("frozen vector must have the parent's dimension")
-
-    @property
-    def dim(self) -> int:
-        return self._block.size
-
-    @property
-    def block(self) -> np.ndarray:
-        return self._block
-
-    def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
-        b = self._check_point(x)
-        full = self._full.copy()
-        full[self._block] = b
-        res = self._parent.evaluate(full, gradient=gradient, hessian=hessian)
-        grad = res.gradient[self._block] if gradient else None
-        hess = (
-            SymMatrix(res.hessian.a[np.ix_(self._block, self._block)])
-            if hessian
-            else None
-        )
-        return EvalResult(res.value, grad, hess, res.cost)
-
-
-def conditional_target(parent, block, current_full) -> ConditionalTarget:
-    """Exact splice-based conditional of ``parent`` on ``block``."""
-    return ConditionalTarget(parent, block, current_full)
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """Per-block outcomes of one Gibbs sweep."""
@@ -142,7 +96,7 @@ def block_sweep(
         cond = parent.restrict(block, x)
         if newton:
             res = cond.evaluate(x[block], gradient=True, hessian=True)
-            x[block] = _fit_proposal(x[block], res).dist.mean
+            x[block] = _fit_proposal(x[block], res).mean
             cost = cost + res.cost
             accepted[i] = True
             continue
@@ -168,61 +122,12 @@ def run_block_chain(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    t0 = time.perf_counter()
 
-    totals = EvalCost()
-    failures = 0
-    acc_records = []
-    for sweep in range(cfg.n_burnin):
-        x, rec = block_sweep(
-            target, partition, x, rng, newton=sweep < cfg.newton_iterations
-        )
-        totals = totals + rec.cost
-        failures += rec.hessian_failures
+    def sweep(x, newton):
+        x, rec = block_sweep(target, partition, x, rng, newton=newton)
+        return x, int(np.count_nonzero(rec.accepted)), rec.cost, rec.hessian_failures
 
-    n = cfg.n_samples
-    samples = np.empty((n, x.shape[0]))
-    accepted = np.empty(n, dtype=bool)
-    n_value = np.empty(n, dtype=np.int64)
-    n_gradient = np.empty(n, dtype=np.int64)
-    n_hessian = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        x, rec = block_sweep(target, partition, x, rng)
-        totals = totals + rec.cost
-        failures += rec.hessian_failures
-        acc_records.append(rec.accepted)
-        samples[i] = x
-        accepted[i] = bool(np.all(rec.accepted))
-        n_value[i] = totals.n_value
-        n_gradient[i] = totals.n_gradient
-        n_hessian[i] = totals.n_hessian
-
-    meta = {
-        "sampler": "tangent-mh-blocked",
-        "seed": cfg.seed,
-        "config": {
-            "n_burnin": cfg.n_burnin,
-            "n_samples": cfg.n_samples,
-            "n_newton": cfg.newton_iterations,
-            "block_sizes": [int(b.size) for b in partition.blocks],
-        },
-        "hessian_failures": failures,
-        "block_acceptance_rate": (
-            float(np.mean(np.array(acc_records))) if acc_records else float("nan")
-        ),
-        "final_cost": {
-            "n_value": totals.n_value,
-            "n_gradient": totals.n_gradient,
-            "n_hessian": totals.n_hessian,
-        },
-    }
-    return ChainTrace(
-        samples if n else np.empty((0, x.shape[0])),
-        accepted,
-        n_value,
-        n_gradient,
-        n_hessian,
-        time.perf_counter() - t0,
-        meta,
+    return run_sweeps(
+        sweep, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_iterations, "tangent-mh-blocked",
+        cfg.seed, partition.n_blocks, block_sizes=[int(b.size) for b in partition.blocks],
     )

@@ -16,7 +16,6 @@ are counted.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ from .gibbs import BlockPartition, block_sweep
 from .linalg import MvnDistribution, SymMatrix, cholesky, mvn_sample
 from .slicer import SliceConfig, slice_sweep
 from .targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget
+from .trace import run_sweeps
 
 __all__ = [
     "HbModelSpec",
@@ -225,26 +225,22 @@ def hb_gibbs(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    J, K = spec.n_groups, spec.n_coeffs
-    beta = np.zeros((J, K))
-    gamma = np.zeros((K, spec.n_upper))
-    tau = np.ones(K)
+    J, K, L = spec.n_groups, spec.n_coeffs, spec.n_upper
     partition = BlockPartition.contiguous(K, cfg.block_size)
+    tangent = cfg.beta_sampler == "tangent"
+    # the chain state packs beta (J*K), gamma (K*L) and tau (K)
+    splits = [J * K, J * K + K * L]
+    n_cycles = 0
 
-    t0 = time.perf_counter()
-    n = cfg.n_samples
-    out_beta = np.empty((n, J, K))
-    out_gamma = np.empty((n, K, spec.n_upper))
-    out_tau = np.empty((n, K))
-    totals = EvalCost()
-    failures = 0
-    n_block_steps = 0
-    n_block_accepts = 0
-
-    for cycle in range(cfg.n_burnin + n):
-        newton = cycle < cfg.newton_cycles
+    def cycle(x, newton):
+        nonlocal n_cycles
+        beta, gamma, tau = np.split(x, splits)
+        beta = beta.reshape(J, K).copy()
+        gamma = gamma.reshape(K, L)
         prior_means = spec.upper_design @ gamma.T
         prior_prec = SymMatrix(np.diag(tau))
+        cost = EvalCost()
+        n_accepted = failures = 0
         for j in range(J):
             target = AdditiveTarget(
                 [
@@ -252,47 +248,30 @@ def hb_gibbs(
                     GaussianPriorTarget(prior_means[j], prior_prec),
                 ]
             )
-            if cfg.beta_sampler == "tangent":
-                beta_j, rec = block_sweep(
-                    target, partition, beta[j], rng, newton=newton
-                )
-                totals = totals + rec.cost
+            if tangent:
+                beta[j], rec = block_sweep(target, partition, beta[j], rng, newton=newton)
+                used = rec.cost
+                n_accepted += int(np.count_nonzero(rec.accepted))
                 failures += rec.hessian_failures
-                if not newton:
-                    n_block_steps += rec.accepted.size
-                    n_block_accepts += int(np.sum(rec.accepted))
             else:
-                beta_j, used = slice_sweep(target, beta[j], cfg.slice_cfg, rng)
-                totals = totals + used
-            beta[j] = beta_j
+                beta[j], used = slice_sweep(target, beta[j], cfg.slice_cfg, rng)
+            cost = cost + used
         gamma = draw_upper_coeffs(spec, beta, tau, rng)
         tau = draw_precisions(spec, beta, gamma, rng)
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(tau))):
-            raise FloatingPointError(f"non-finite conjugate draw at cycle {cycle}")
-        if cycle >= cfg.n_burnin:
-            i = cycle - cfg.n_burnin
-            out_beta[i] = beta
-            out_gamma[i] = gamma
-            out_tau[i] = tau
+            raise FloatingPointError(f"non-finite conjugate draw at cycle {n_cycles}")
+        n_cycles += 1
+        x = np.concatenate([beta.ravel(), gamma.ravel(), tau])
+        return x, n_accepted if tangent else 1, cost, failures
 
-    meta = {
-        "sampler": f"hb-gibbs/{cfg.beta_sampler}",
-        "seed": cfg.seed,
-        "config": {
-            "n_burnin": cfg.n_burnin,
-            "n_samples": n,
-            "n_newton": cfg.newton_cycles,
-            "block_size": cfg.block_size,
-            "beta_sampler": cfg.beta_sampler,
-        },
-        "hessian_failures": failures,
-        "block_acceptance_rate": (
-            n_block_accepts / n_block_steps if n_block_steps else float("nan")
-        ),
-        "final_cost": {
-            "n_value": totals.n_value,
-            "n_gradient": totals.n_gradient,
-            "n_hessian": totals.n_hessian,
-        },
-    }
-    return HbTrace(out_beta, out_gamma, out_tau, time.perf_counter() - t0, meta)
+    x0 = np.concatenate([np.zeros(J * K + K * L), np.ones(K)])
+    tr = run_sweeps(
+        cycle, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_cycles, f"hb-gibbs/{cfg.beta_sampler}",
+        cfg.seed, J * partition.n_blocks if tangent else None,
+        block_size=cfg.block_size, beta_sampler=cfg.beta_sampler,
+    )
+    n = tr.n_steps
+    beta, gamma, tau = np.split(tr.samples, splits, axis=1)
+    return HbTrace(
+        beta.reshape(n, J, K).copy(), gamma.reshape(n, K, L).copy(), tau.copy(), tr.wall_time, tr.meta
+    )

@@ -173,12 +173,6 @@ class MvnDistribution:
     def dim(self) -> int:
         return self.factor.dim
 
-    def logpdf(self, x: np.ndarray) -> float:
-        return mvn_logpdf(self, x)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return mvn_sample(self, rng)
-
 
 def mvn_logpdf(d: MvnDistribution, x: np.ndarray) -> float:
     """Log-density of ``d`` at ``x``.

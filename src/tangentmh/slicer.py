@@ -8,13 +8,12 @@ counters.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .targets import DifferentiableTarget, EvalCost
-from .trace import ChainTrace
+from .trace import ChainTrace, run_sweeps
 
 __all__ = ["SliceConfig", "SliceError", "slice_step_1d", "slice_sweep", "slice_gibbs_chain"]
 
@@ -134,40 +133,12 @@ def slice_gibbs_chain(
     """Coordinate-wise slice sampling chain; one recorded row per sweep."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    t0 = time.perf_counter()
 
-    totals = EvalCost()
-    for _ in range(n_burnin):
-        x, used = slice_sweep(target, x, cfg, rng)
-        totals = totals + used
+    def sweep(x, newton):
+        x, cost = slice_sweep(target, x, cfg, rng)
+        return x, 1, cost, 0
 
-    samples = np.empty((n_samples, x.shape[0]))
-    n_value = np.empty(n_samples, dtype=np.int64)
-    for i in range(n_samples):
-        x, used = slice_sweep(target, x, cfg, rng)
-        totals = totals + used
-        samples[i] = x
-        n_value[i] = totals.n_value
-
-    zeros = np.zeros(n_samples, dtype=np.int64)
-    meta = {
-        "sampler": "slice",
-        "seed": cfg.seed,
-        "config": {
-            "width": cfg.width,
-            "max_stepout": cfg.max_stepout,
-            "n_burnin": n_burnin,
-            "n_samples": n_samples,
-        },
-        "final_cost": {"n_value": totals.n_value, "n_gradient": 0, "n_hessian": 0},
-    }
-    return ChainTrace(
-        samples if n_samples else np.empty((0, x.shape[0])),
-        np.ones(n_samples, dtype=bool),
-        n_value,
-        zeros,
-        zeros.copy(),
-        time.perf_counter() - t0,
-        meta,
+    return run_sweeps(
+        sweep, x0, n_burnin, n_samples, 0, "slice", cfg.seed,
+        width=cfg.width, max_stepout=cfg.max_stepout,
     )

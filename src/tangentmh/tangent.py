@@ -11,18 +11,16 @@ accept/reject step is plain Newton iteration, which is how burn-in starts.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import MvnDistribution, NotPositiveDefinite, cholesky, mvn_logpdf, mvn_sample
 from .targets import DifferentiableTarget, EvalCost, EvalResult
-from .trace import ChainTrace
+from .trace import ChainTrace, run_sweeps
 
 __all__ = [
     "HessianNotNegativeDefinite",
-    "GaussianProposal",
     "ChainConfig",
     "StepRecord",
     "StepCache",
@@ -48,19 +46,8 @@ class HessianNotNegativeDefinite(Exception):
         )
 
 
-@dataclass(frozen=True)
-class GaussianProposal:
-    """Tangent Gaussian fitted at ``origin``: mean is the Newton step from
-    there, precision the negated Hessian."""
-
-    origin: np.ndarray
-    dist: MvnDistribution
-
-    def log_q_at(self, point: np.ndarray) -> float:
-        return mvn_logpdf(self.dist, point)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return mvn_sample(self.dist, rng)
+class _NonFiniteNewtonMean(ValueError):
+    """The Newton step from a point is not finite (e.g. an infinite gradient)."""
 
 
 @dataclass(frozen=True)
@@ -107,27 +94,32 @@ class StepCache:
     between steps so each transition evaluates only the proposed point."""
 
     value: float
-    proposal: GaussianProposal
+    proposal: MvnDistribution
 
 
-def _fit_proposal(x: np.ndarray, res: EvalResult) -> GaussianProposal:
+def _fit_proposal(x: np.ndarray, res: EvalResult) -> MvnDistribution:
     try:
         factor = cholesky(-res.hessian)
     except NotPositiveDefinite as err:
         raise HessianNotNegativeDefinite(x, err.pivot) from err
     # Newton step: mean = x + (-H)^{-1} g, solved against the factor
     mean = x + factor.solve(res.gradient)
-    return GaussianProposal(x, MvnDistribution(mean, factor))
+    if not np.isfinite(mean).all():
+        raise _NonFiniteNewtonMean(f"Newton step from {x} is not finite")
+    return MvnDistribution(mean, factor)
 
 
-def build_proposal(target: DifferentiableTarget, x) -> GaussianProposal:
-    """Fit the tangent Gaussian at ``x``.
+def build_proposal(target: DifferentiableTarget, x) -> MvnDistribution:
+    """Fit the tangent Gaussian at ``x``: mean the Newton step from ``x``,
+    precision the negated Hessian.
 
     Raises
     ------
     HessianNotNegativeDefinite
         If the negated Hessian at ``x`` has no Cholesky factor, i.e. the
         target is not verifiably log-concave there.
+    ValueError
+        If the Newton step is not finite, e.g. at an infinite gradient.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     res = target.evaluate(x, gradient=True, hessian=True)
@@ -136,7 +128,7 @@ def build_proposal(target: DifferentiableTarget, x) -> GaussianProposal:
 
 def newton_step(target: DifferentiableTarget, x) -> np.ndarray:
     """One full Newton step (the tangent proposal mean); no randomness."""
-    return build_proposal(target, x).dist.mean
+    return build_proposal(target, x).mean
 
 
 def tangent_step(
@@ -154,9 +146,10 @@ def tangent_step(
     space and a ratio >= 1 short-circuits before the uniform deviate is
     drawn, keeping the random stream layout reproducible.
 
-    A Hessian failure at the *proposed* point rejects the proposal and
-    flags the record (log_ratio -inf); a failure at the current point is
-    fatal, since the chain cannot continue from unverifiable ground.
+    A Hessian failure or a non-finite Newton step at the *proposed* point
+    rejects the proposal and flags the record as a Hessian failure
+    (log_ratio -inf); either at the current point is fatal, since the chain
+    cannot continue from unverifiable ground.
     """
     x_old = np.atleast_1d(np.asarray(x_old, dtype=float))
     cost = EvalCost()
@@ -169,19 +162,19 @@ def tangent_step(
         f_old = cached_old.value
         prop_old = cached_old.proposal
 
-    x_prop = prop_old.sample(rng)
-    log_q_prop = prop_old.log_q_at(x_prop)
+    x_prop = mvn_sample(prop_old, rng)
+    log_q_prop = mvn_logpdf(prop_old, x_prop)
 
     try:
         res_prop = target.evaluate(x_prop, gradient=True, hessian=True)
         cost = cost + res_prop.cost
         prop_prop = _fit_proposal(x_prop, res_prop)
-    except HessianNotNegativeDefinite:
+    except (HessianNotNegativeDefinite, _NonFiniteNewtonMean):
         # proposal landed outside the verifiably log-concave region
         record = StepRecord(x_prop, False, -math.inf, cost, hessian_failure=True)
         return x_old, record, StepCache(f_old, prop_old)
 
-    log_q_old = prop_prop.log_q_at(x_old)
+    log_q_old = mvn_logpdf(prop_prop, x_old)
     log_ratio = (res_prop.value - f_old) + (log_q_old - log_q_prop)
 
     if log_ratio >= 0.0:
@@ -204,64 +197,22 @@ def run_chain(
     """Run Newton burn-in, MH burn-in, then record ``cfg.n_samples`` steps.
 
     The Newton phase has no reject-and-stay escape: a Hessian failure
-    there propagates.  Counters are cumulative from the start of the run,
-    burn-in included.
+    there propagates.  The MH steps carry the current point's evaluation
+    in a ``StepCache``.  Counters and Hessian failures are totalled from
+    the start of the run, burn-in included.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    t0 = time.perf_counter()
-
-    totals = EvalCost()
-    for _ in range(cfg.newton_iterations):
-        res = target.evaluate(x, gradient=True, hessian=True)
-        totals = totals + res.cost
-        x = _fit_proposal(x, res).dist.mean
-
     cache: StepCache | None = None
-    n_mh_burnin = cfg.n_burnin - cfg.newton_iterations
-    for _ in range(n_mh_burnin):
-        x, rec, cache = tangent_step(target, x, cache, rng)
-        totals = totals + rec.cost
 
-    n = cfg.n_samples
-    samples = np.empty((n, x.shape[0]))
-    accepted = np.empty(n, dtype=bool)
-    n_value = np.empty(n, dtype=np.int64)
-    n_gradient = np.empty(n, dtype=np.int64)
-    n_hessian = np.empty(n, dtype=np.int64)
-    failures = 0
-    for i in range(n):
+    def step(x, newton):
+        nonlocal cache
+        if newton:
+            res = target.evaluate(x, gradient=True, hessian=True)
+            return _fit_proposal(x, res).mean, 1, res.cost, 0
         x, rec, cache = tangent_step(target, x, cache, rng)
-        totals = totals + rec.cost
-        samples[i] = x
-        accepted[i] = rec.accepted
-        failures += int(rec.hessian_failure)
-        n_value[i] = totals.n_value
-        n_gradient[i] = totals.n_gradient
-        n_hessian[i] = totals.n_hessian
+        return x, rec.accepted, rec.cost, rec.hessian_failure
 
-    meta = {
-        "sampler": "tangent-mh",
-        "seed": cfg.seed,
-        "config": {
-            "n_burnin": cfg.n_burnin,
-            "n_samples": cfg.n_samples,
-            "n_newton": cfg.newton_iterations,
-        },
-        "hessian_failures": failures,
-        "final_cost": {
-            "n_value": totals.n_value,
-            "n_gradient": totals.n_gradient,
-            "n_hessian": totals.n_hessian,
-        },
-    }
-    return ChainTrace(
-        samples.reshape(n, -1) if n else np.empty((0, x.shape[0])),
-        accepted,
-        n_value,
-        n_gradient,
-        n_hessian,
-        time.perf_counter() - t0,
-        meta,
+    return run_sweeps(
+        step, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_iterations, "tangent-mh", cfg.seed
     )

@@ -88,19 +88,47 @@ class DifferentiableTarget(ABC):
         """Target over the ``block`` coordinates with the rest frozen at ``full``.
 
         The default implementation splices the block into a copy of ``full``
-        and evaluates the parent, so each call costs a full parent
+        and evaluates the parent: values equal the parent's at the spliced
+        vector exactly, the gradient is the block sub-gradient and the
+        Hessian the principal submatrix, and each call costs a full parent
         evaluation.  Subclasses override this when the conditional admits a
         cheaper equivalent form (possibly shifted by an additive constant).
         """
-        from .gibbs import conditional_target
-
-        return conditional_target(self, block, full)
+        return _Spliced(self, block, full)
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape[0] != self.dim:
             raise ValueError(f"point has length {x.shape[0]}, expected {self.dim}")
         return x
+
+
+class _Spliced(DifferentiableTarget):
+    """``parent`` over the ``block`` coordinates, the rest frozen at ``full``."""
+
+    def __init__(self, parent: DifferentiableTarget, block, full):
+        self._parent = parent
+        self._block = np.asarray(block, dtype=int)
+        self._full = np.array(full, dtype=float)
+        if self._full.shape[0] != parent.dim:
+            raise ValueError("frozen vector must have the parent's dimension")
+
+    @property
+    def dim(self) -> int:
+        return self._block.size
+
+    def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
+        b = self._check_point(x)
+        full = self._full.copy()
+        full[self._block] = b
+        res = self._parent.evaluate(full, gradient=gradient, hessian=hessian)
+        grad = res.gradient[self._block] if gradient else None
+        hess = (
+            SymMatrix(res.hessian.a[np.ix_(self._block, self._block)])
+            if hessian
+            else None
+        )
+        return EvalResult(res.value, grad, hess, res.cost)
 
 
 class LogisticTarget(DifferentiableTarget):
@@ -250,7 +278,7 @@ class GaussianPriorTarget(DifferentiableTarget):
         prec = precision if isinstance(precision, SymMatrix) else SymMatrix(precision)
         if prec.dim != self._mean.shape[0]:
             raise ValueError("precision dimension must match mean length")
-        self._factor = cholesky(prec)  # raises NotPositiveDefinite
+        cholesky(prec)  # raises NotPositiveDefinite
         self._precision = prec
 
     @property
@@ -264,10 +292,6 @@ class GaussianPriorTarget(DifferentiableTarget):
     @property
     def precision(self) -> SymMatrix:
         return self._precision
-
-    @property
-    def precision_factor(self) -> CholeskyFactor:
-        return self._factor
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         b = self._check_point(x)
@@ -317,10 +341,6 @@ class AdditiveTarget(DifferentiableTarget):
     @property
     def dim(self) -> int:
         return self._dim
-
-    @property
-    def parts(self) -> list:
-        return list(self._parts)
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         x = self._check_point(x)
@@ -453,7 +473,7 @@ class LinearProjectionModel:
 
     The composed log-density is ``sum_i f^i(<x_1^i, b_1>, ..., <x_J^i, b_J>)``
     over the stacked coefficient vector ``(b_1, ..., b_J)``.  Column ranks of
-    the designs are computed at construction; ``has_full_rank_design`` is the
+    the designs are computed at construction; ``all_full_rank`` is the
     hypothesis under which the composed Hessian stays negative definite.
     """
 
@@ -489,10 +509,6 @@ class LinearProjectionModel:
         return tuple(r == X.shape[1] for r, X in zip(self.ranks, self.designs))
 
     @property
-    def has_full_rank_design(self) -> bool:
-        return any(self.full_rank_flags)
-
-    @property
     def all_full_rank(self) -> bool:
         return all(self.full_rank_flags)
 
@@ -520,10 +536,6 @@ class _LinearProjectionTarget(DifferentiableTarget):
     @property
     def dim(self) -> int:
         return self._model.dim
-
-    @property
-    def model(self) -> LinearProjectionModel:
-        return self._model
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         beta = self._check_point(x)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -96,6 +97,69 @@ class TestChainVerb:
         assert run_cli("chain", "--config", str(cfg), "--seed", "5", "--out", str(out)) == 2
 
 
+class TestChainBadInput:
+    """Each bad input ends as one ``error:`` line with exit status 2, before
+    the output directory is created."""
+
+    def rejects(self, tmp_path, capsys, config_text, data_text=None):
+        if data_text is not None:
+            (tmp_path / "d.csv").write_text(data_text)
+            config_text += f"target = logistic\ndata = {tmp_path / 'd.csv'}\n"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config_text)
+        out = tmp_path / "o"
+        assert run_cli("chain", "--config", str(cfg), "--seed", "5", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        return err
+
+    def test_all_zero_poisson_counts(self, tmp_path, capsys):
+        assert "all zero" in self.rejects(tmp_path, capsys, "target = poisson\ncounts = 0\n")
+
+    def test_header_only_logistic_data(self, tmp_path, capsys):
+        assert "no data rows" in self.rejects(tmp_path, capsys, "", "y,x1,x2\n")
+
+    def test_x0_of_wrong_length(self, tmp_path, capsys):
+        err = self.rejects(tmp_path, capsys, "target = gaussian\ndim = 3\nx0 = 1.0, 2.0\n")
+        assert "dimension 3" in err
+
+    def test_ragged_rows(self, tmp_path, capsys):
+        err = self.rejects(tmp_path, capsys, "", "y,x1,x2\n1,0.5,0.25\n0,0.5\n")
+        assert ":3:" in err and "non-numeric" not in err
+
+    def test_newton_beyond_burnin(self, tmp_path, capsys):
+        assert "burn-in" in self.rejects(tmp_path, capsys, "n_burnin = 10\nn_newton = 20\n")
+
+
+# SHA-256 of every file each verb writes at --quick --seed 11 (numpy 2.4,
+# scipy 1.17, x86-64); a change that moves any output byte fails here
+PINNED_SHA256 = {
+    "chain": {
+        "samples.csv": "f1209d869fdeb3ad239c10067c6bc6eb6ad49e86057b3f789d4f0090c3bc8e39",
+        "steps.csv": "18f0855c90389a8f38d55fd16b13e60f8494c354791c203a4aad5b8e4e899966",
+        "summary.json": "243ecba1eb6c83545ea2b185d773c2620b137056d355b119aaf18a1506800900",
+    },
+    "benchmark": {
+        "runs.csv": "06f679c6873bf33a8b1741c2f73d67cee50e9b17ed9b22370f4e26af23230f24",
+        "summary.json": "257dcbc41751aac0292e753781e426833711a8165cb54d7cc68cca09d50e7338",
+        "table.csv": "5dc856ddd14af99b5b368d6440d74bfee8b2858ef0d7c4576cc472681e9d5385",
+    },
+    "hb": {
+        "coefficients.csv": "263fa578f3ac87a7cf27cbed5b8b021f6ebdc0aca3f049809cad3c022a291d91",
+        "summary.json": "37571e158456e5d85edc74215876a99b561e994ed49709a0ef525b780333f8e0",
+    },
+    "theorem": {
+        "campaign.jsonl": "6d086d4d8e56461c86a84597735d317ef182308130ab866ae26ce269857790c8",
+        "summary.json": "bf3a309be776a2e291a95986eeed6029155ce84200c701231621dac6559c9aaf",
+    },
+    "mixing-scan": {
+        "mixing_scan.csv": "35d36b88ac3276199918d56b95630470bcb337820888a9be7e4031f2bd77c6e8",
+        "summary.json": "06e33e299d90e664394be6deab6c8f496d2dde2e56466436391f8ef244a6de62",
+    },
+}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("verb", ["chain", "mixing-scan", "theorem", "hb", "benchmark"])
     def test_byte_identical_rerun(self, verb, tmp_path):
@@ -107,6 +171,8 @@ class TestDeterminism:
         assert files_a == files_b and files_a
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in a.iterdir()}
+        assert digests == PINNED_SHA256[verb]
 
     def test_different_seed_changes_samples(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tangentmh.gibbs import BlockPartition, block_sweep, conditional_target, run_block_chain
+from tangentmh.gibbs import BlockPartition, block_sweep, run_block_chain
 from tangentmh.fdiff import fd_gradient
 from tangentmh.tangent import ChainConfig
-from tangentmh.targets import additive_target, gaussian_prior, logistic_target
+from tangentmh.targets import DifferentiableTarget, additive_target, gaussian_prior, logistic_target
 
 from helpers import gaussian_cdf, random_spd
 
@@ -34,7 +34,7 @@ class TestConditionalTarget:
     def test_full_block_is_identity(self):
         rng = np.random.default_rng(0)
         t = gaussian_prior(rng.standard_normal(4), random_spd(4, rng))
-        c = conditional_target(t, np.arange(4), np.zeros(4))
+        c = DifferentiableTarget.restrict(t, np.arange(4), np.zeros(4))
         x = rng.standard_normal(4)
         assert c.evaluate(x).value == t.evaluate(x).value
 
@@ -49,7 +49,7 @@ class TestConditionalTarget:
             b = rng.standard_normal(block.size)
             spliced = full.copy()
             spliced[block] = b
-            c = conditional_target(t, block, full)
+            c = DifferentiableTarget.restrict(t, block, full)
             assert c.evaluate(b).value == t.evaluate(spliced).value
 
     def test_gaussian_conditional_hessian_is_principal_submatrix(self):
@@ -57,7 +57,7 @@ class TestConditionalTarget:
         prec = random_spd(5, rng)
         t = gaussian_prior(np.zeros(5), prec)
         block = np.array([1, 3])
-        c = conditional_target(t, block, rng.standard_normal(5))
+        c = DifferentiableTarget.restrict(t, block, rng.standard_normal(5))
         h = c.evaluate(np.zeros(2), hessian=True).hessian.a
         np.testing.assert_array_equal(h, -prec[np.ix_(block, block)])
 
@@ -67,7 +67,7 @@ class TestConditionalTarget:
         y = (rng.random(40) < 0.5).astype(float)
         t = logistic_target(X, y)
         block = np.array([0, 2, 4])
-        c = conditional_target(t, block, rng.standard_normal(5))
+        c = DifferentiableTarget.restrict(t, block, rng.standard_normal(5))
         b = rng.standard_normal(3)
         g = c.evaluate(b, gradient=True).gradient
         g_fd = fd_gradient(lambda v: c.evaluate(v).value, b)

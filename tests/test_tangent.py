@@ -25,22 +25,22 @@ class TestBuildProposal:
         for _ in range(10):
             x = 3.0 * rng.standard_normal(3)
             prop = build_proposal(t, x)
-            np.testing.assert_allclose(prop.dist.mean, mean, atol=1e-10)
+            np.testing.assert_allclose(prop.mean, mean, atol=1e-10)
             np.testing.assert_allclose(
-                prop.dist.factor.reconstruct(), prec, rtol=1e-10
+                prop.factor.reconstruct(), prec, rtol=1e-10
             )
 
     def test_poisson_at_zero_closed_form(self):
         # f'(0) = 2 - 1, f''(0) = -1: mean 1, precision 1
         t = poisson_lograte_target([2])
         prop = build_proposal(t, [0.0])
-        assert prop.dist.mean[0] == pytest.approx(1.0, abs=1e-14)
-        assert prop.dist.factor.reconstruct()[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert prop.mean[0] == pytest.approx(1.0, abs=1e-14)
+        assert prop.factor.reconstruct()[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_mode_is_fixed_point(self):
         t = poisson_lograte_target([2])
         prop = build_proposal(t, [np.log(2.0)])
-        assert prop.dist.mean[0] == pytest.approx(np.log(2.0), abs=1e-14)
+        assert prop.mean[0] == pytest.approx(np.log(2.0), abs=1e-14)
 
     def test_nonconcave_point_raises(self):
         class Convex:
@@ -210,6 +210,62 @@ class TestRunChain:
 
         with pytest.raises(HessianNotNegativeDefinite):
             run_chain(Convex(), [1.0], ChainConfig(4, 2, n_newton=2, seed=1))
+
+    def test_mh_burnin_hessian_failures_are_counted(self):
+        # f(u) = -u^2/2 + u^4/12: f'' = u^2 - 1 is positive for |u| > 1, so
+        # proposals landing there fail; all 200 steps are MH burn-in
+        from tangentmh.gibbs import BlockPartition, run_block_chain
+        from tangentmh.linalg import SymMatrix
+        from tangentmh.targets import EvalCost, EvalResult
+
+        class Quartic:
+            dim = 1
+
+            def evaluate(self, x, *, gradient=False, hessian=False):
+                u = float(x[0])
+                return EvalResult(
+                    -0.5 * u**2 + u**4 / 12.0,
+                    np.array([-u + u**3 / 3.0]) if gradient else None,
+                    SymMatrix([[u**2 - 1.0]]) if hessian else None,
+                    EvalCost(1, int(gradient), int(hessian)),
+                )
+
+            def restrict(self, block, full):
+                return self
+
+        cfg = ChainConfig(200, 0, n_newton=0)
+        single = run_chain(Quartic(), [0.0], cfg, np.random.default_rng(0))
+        blocked = run_block_chain(
+            Quartic(), BlockPartition.single(1), [0.0], cfg, np.random.default_rng(0)
+        )
+        assert blocked.meta["hessian_failures"] > 0
+        assert single.meta["hessian_failures"] == blocked.meta["hessian_failures"]
+
+    def test_non_finite_gradient_at_proposal_rejects(self):
+        # standard normal log-density whose gradient is inf for u > 0.5:
+        # proposals there have no finite Newton step and are rejected
+        from tangentmh.linalg import SymMatrix
+        from tangentmh.targets import EvalCost, EvalResult
+
+        class InfGradient:
+            dim = 1
+
+            def evaluate(self, x, *, gradient=False, hessian=False):
+                u = float(x[0])
+                g = np.inf if u > 0.5 else -u
+                return EvalResult(
+                    -0.5 * u**2,
+                    np.array([g]) if gradient else None,
+                    SymMatrix([[-1.0]]) if hessian else None,
+                    EvalCost(1, int(gradient), int(hessian)),
+                )
+
+        trace = run_chain(InfGradient(), [0.0], ChainConfig(0, 200), np.random.default_rng(0))
+        assert trace.meta["hessian_failures"] > 0
+        assert np.all(trace.samples <= 0.5)
+        # at the current point it stays fatal
+        with pytest.raises(ValueError):
+            run_chain(InfGradient(), [1.0], ChainConfig(0, 10), np.random.default_rng(0))
 
 
 class TestDistributionalCorrectness:
