@@ -185,6 +185,19 @@ def _merge_config(args, defaults: dict, allowed: set) -> dict:
     return cfg
 
 
+def _require_counts(cfg: dict, **lows) -> None:
+    """Refuse ``cfg[key]`` (each entry of a list) unless it is an integer
+    of at least ``lows[key]``."""
+    for key, low in lows.items():
+        for value in _as_list(cfg[key]):
+            try:
+                ok = int(value) == value and value >= low
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
 def _outdir(args, verb: str) -> Path:
     out = Path(args.out) if args.out else Path("tangentmh-out") / verb
     out.mkdir(parents=True, exist_ok=True)
@@ -273,12 +286,9 @@ def cmd_chain(args) -> int:
             n_burnin=int(cfg["n_burnin"]),
             n_samples=int(cfg["n_samples"]),
             n_newton=int(cfg["n_newton"]) if "n_newton" in cfg else None,
-            seed=cfg["seed"],
         )
         slice_cfg = SliceConfig(
-            width=float(cfg.get("width", 1.0)),
-            max_stepout=int(cfg.get("max_stepout", 10)),
-            seed=cfg["seed"],
+            width=float(cfg.get("width", 1.0)), max_stepout=int(cfg.get("max_stepout", 10))
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -356,9 +366,14 @@ def cmd_benchmark(args) -> int:
     cfg = _merge_config(args, BENCH_DEFAULTS, BENCH_KEYS)
     if cfg["quick"]:
         cfg["n_runs"], cfg["n_samples"], cfg["n_burnin"] = 1, 200, 100
+    # ESS needs 10 samples; the design needs at least as many rows as columns
+    _require_counts(cfg, n_runs=1, n_coeffs=1, n_burnin=0, n_samples=10, block_size=1)
+    _require_counts(cfg, n_obs=int(cfg["n_coeffs"]))
+    widths = tuple(_as_list(cfg.get("widths", list(DEFAULT_WIDTHS))))
+    if not widths or not all(isinstance(w, (int, float)) and 0 < w < np.inf for w in widths):
+        raise ConfigError(f"widths must be finite and positive, got {widths}")
     out = _outdir(args, "benchmark")
     run_hash = content_hash(cfg)
-    widths = tuple(_as_list(cfg.get("widths", list(DEFAULT_WIDTHS))))
 
     res = run_benchmark(
         seed=cfg["seed"],
@@ -448,6 +463,24 @@ def cmd_hb(args) -> int:
     cfg = _merge_config(args, HB_DEFAULTS, HB_KEYS)
     if cfg["quick"]:
         cfg["n_burnin"], cfg["n_samples"], cfg["group_size"] = 100, 100, 150
+    _require_counts(
+        cfg, n_groups=1, n_coeffs=1, n_upper=1, group_size=0, n_burnin=0, n_samples=0, block_size=1
+    )
+    if 0 < cfg["n_samples"] < 10:
+        raise ConfigError(f"n_samples must be 0 or >= 10 for ESS, got {cfg['n_samples']}")
+    try:
+        hb_cfgs = {
+            name: HbConfig(
+                n_burnin=int(cfg["n_burnin"]),
+                n_samples=int(cfg["n_samples"]),
+                block_size=int(cfg["block_size"]),
+                beta_sampler=name,
+                slice_cfg=SliceConfig(width=float(cfg.get("width", 1.0))),
+            )
+            for name in ("tangent", "slice")
+        }
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     out = _outdir(args, "hb")
     run_hash = content_hash(cfg)
 
@@ -463,15 +496,7 @@ def cmd_hb(args) -> int:
 
     traces = {}
     for name, seed in (("tangent", tangent_seed), ("slice", slice_seed)):
-        hb_cfg = HbConfig(
-            n_burnin=int(cfg["n_burnin"]),
-            n_samples=int(cfg["n_samples"]),
-            block_size=int(cfg["block_size"]),
-            beta_sampler=name,
-            slice_cfg=SliceConfig(width=float(cfg.get("width", 1.0))),
-            seed=cfg["seed"],
-        )
-        traces[name] = hb_gibbs(spec, hb_cfg, np.random.default_rng(seed))
+        traces[name] = hb_gibbs(spec, hb_cfgs[name], np.random.default_rng(seed))
 
     J, K = spec.n_groups, spec.n_coeffs
     rows = []
@@ -581,6 +606,9 @@ def cmd_mixing_scan(args) -> int:
     cfg = _merge_config(args, MIXING_DEFAULTS, MIXING_KEYS)
     if cfg["quick"]:
         cfg["n_steps"] = 3000
+    # obs = 0 gives all-zero counts, which have no mode
+    _require_counts(cfg, obs=1, n_list=1, n_steps=1, n_burnin=0)
+    chain_cfg = ChainConfig(n_burnin=int(cfg["n_burnin"]), n_samples=int(cfg["n_steps"]))
     out = _outdir(args, "mixing-scan")
     run_hash = content_hash(cfg)
 
@@ -590,9 +618,6 @@ def cmd_mixing_scan(args) -> int:
     for n_obs, child in zip(n_list, root.spawn(len(n_list))):
         target = replicated_poisson_target(int(cfg["obs"]), n_obs)
         eta0 = mixing_index(target)
-        chain_cfg = ChainConfig(
-            n_burnin=int(cfg["n_burnin"]), n_samples=int(cfg["n_steps"]), seed=cfg["seed"]
-        )
         trace = run_chain(target, [target.mode()], chain_cfg, np.random.default_rng(child))
         rows.append([n_obs, eta0, trace.acceptance_rate(), trace.n_steps])
 

@@ -168,7 +168,7 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     target = linear_projection_target(model)
     beta = rng.standard_normal(model.dim)
 
-    H = target.evaluate(beta, hessian=True).hessian.a
+    H = target.evaluate(beta, hessian=True).hessian
     H_fd = fd_hessian_of_value(lambda b: target.evaluate(b).value, beta)
     fd_err = float(
         np.linalg.norm(H - H_fd, "fro") / max(np.linalg.norm(H, "fro"), 1e-30)

@@ -194,7 +194,7 @@ def mixing_index(target, x0: float = 0.0, max_iter: int = 200) -> float:
     else:
         raise ModeFindingError(f"no convergence within {max_iter} Newton iterations")
     res = target.evaluate(x, gradient=True, hessian=True)
-    curv = res.hessian.a[0, 0]
+    curv = res.hessian[0, 0]
     if curv >= 0:
         raise ModeFindingError("non-concave curvature at the located mode")
     # a vanishing gradient is not enough: on a flat plateau (e.g. all-zero

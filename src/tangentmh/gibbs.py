@@ -113,15 +113,13 @@ def run_block_chain(
     partition: BlockPartition,
     x0,
     cfg: ChainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ChainTrace:
     """Gibbs chain of block sweeps; one recorded row per sweep.
 
     The first ``cfg.newton_iterations`` burn-in sweeps run every block in
     Newton mode, mirroring the single-chain protocol.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     def sweep(x, newton):
         x, rec = block_sweep(target, partition, x, rng, newton=newton)
@@ -129,5 +127,5 @@ def run_block_chain(
 
     return run_sweeps(
         sweep, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_iterations, "tangent-mh-blocked",
-        cfg.seed, partition.n_blocks, block_sizes=[int(b.size) for b in partition.blocks],
+        partition.n_blocks, block_sizes=[int(b.size) for b in partition.blocks],
     )

@@ -195,8 +195,7 @@ def draw_upper_coeffs(
     eye = np.eye(spec.n_upper)
     gamma = np.empty((spec.n_coeffs, spec.n_upper))
     for k in range(spec.n_coeffs):
-        prec = SymMatrix(tau[k] * ztz + spec.gamma_precision * eye)
-        factor = cholesky(prec)
+        factor = cholesky(tau[k] * ztz + spec.gamma_precision * eye)
         mean = factor.solve(tau[k] * (Z.T @ beta[:, k]))
         gamma[k] = mvn_sample(MvnDistribution(mean, factor), rng)
     return gamma
@@ -267,7 +266,7 @@ def hb_gibbs(
     x0 = np.concatenate([np.zeros(J * K + K * L), np.ones(K)])
     tr = run_sweeps(
         cycle, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_cycles, f"hb-gibbs/{cfg.beta_sampler}",
-        cfg.seed, J * partition.n_blocks if tangent else None,
+        J * partition.n_blocks if tangent else None,
         block_size=cfg.block_size, beta_sampler=cfg.beta_sampler,
     )
     n = tr.n_steps

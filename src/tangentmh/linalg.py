@@ -47,11 +47,11 @@ class NotPositiveDefinite(Exception):
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Dense symmetric real matrix; the lower triangle is authoritative.
+    """Validated symmetric real matrix; the lower triangle is authoritative.
 
-    Construction mirrors the lower triangle onto the upper one, so the
-    symmetry invariant holds exactly regardless of how the input was
-    assembled.
+    For matrices entering from outside (a prior precision, a BLAS-assembled
+    Hessian): construction checks shape and finiteness and mirrors the lower
+    triangle onto the upper one.  Derived matrices travel as plain arrays.
     """
 
     a: np.ndarray
@@ -67,25 +67,8 @@ class SymMatrix:
         lower = np.tril(arr)
         object.__setattr__(self, "a", lower + np.tril(arr, -1).T)
 
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "SymMatrix":
-        # fast path for matrices already symmetric and finite by construction
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "a", arr)
-        return obj
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.a, dtype=dtype) if dtype else self.a
-
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix._trusted(-self.a)
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix._trusted(self.a + other.a)
 
 
 @dataclass(frozen=True)
@@ -111,13 +94,13 @@ class CholeskyFactor:
         return self.lower @ self.lower.T
 
 
-def cholesky(m: SymMatrix | np.ndarray) -> CholeskyFactor:
+def cholesky(m) -> CholeskyFactor:
     """Factor a symmetric matrix as L L^T with L lower triangular.
 
     Parameters
     ----------
-    m : SymMatrix or array_like
-        Symmetric matrix with finite entries.
+    m : array_like or SymMatrix
+        Square matrix; only its lower triangle (diagonal included) is read.
 
     Returns
     -------
@@ -127,12 +110,14 @@ def cholesky(m: SymMatrix | np.ndarray) -> CholeskyFactor:
     ------
     NotPositiveDefinite
         If a pivot falls at or below ``PIVOT_RTOL`` times the largest
-        diagonal entry of the input.  ``pivot`` names the offending index.
+        diagonal entry of the input, or if a row of the lower triangle
+        holds a non-finite entry.  ``pivot`` names the offending index.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
-    a = m.a
-    n = m.dim
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    # a non-finite lower entry never passes this fast path: the factorization
+    # raises, or tol or some L[j, j] is not finite
     tol = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
     try:
         L = np.linalg.cholesky(a)
@@ -140,8 +125,12 @@ def cholesky(m: SymMatrix | np.ndarray) -> CholeskyFactor:
         L = None
     if L is not None and np.all(np.diag(L) ** 2 > tol):
         return CholeskyFactor(L)
+    bad_rows = np.flatnonzero(~np.isfinite(np.tril(a)).all(axis=1))
+    if bad_rows.size:
+        raise NotPositiveDefinite(int(bad_rows[0]), f"non-finite entry in row {bad_rows[0]}")
     # failed or a pivot fell below the relative threshold: rerun column by
     # column to name the offending pivot
+    n = a.shape[0]
     L = np.zeros_like(a)
     for j in range(n):
         pivot = a[j, j] - L[j, :j] @ L[j, :j]

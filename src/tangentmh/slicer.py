@@ -31,7 +31,6 @@ class SliceConfig:
 
     width: float = 1.0
     max_stepout: int = 10
-    seed: int | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.width) and self.width > 0):
@@ -128,17 +127,14 @@ def slice_gibbs_chain(
     n_burnin: int,
     n_samples: int,
     cfg: SliceConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ChainTrace:
     """Coordinate-wise slice sampling chain; one recorded row per sweep."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     def sweep(x, newton):
         x, cost = slice_sweep(target, x, cfg, rng)
         return x, 1, cost, 0
 
     return run_sweeps(
-        sweep, x0, n_burnin, n_samples, 0, "slice", cfg.seed,
-        width=cfg.width, max_stepout=cfg.max_stepout,
+        sweep, x0, n_burnin, n_samples, 0, "slice", width=cfg.width, max_stepout=cfg.max_stepout
     )

@@ -62,7 +62,6 @@ class ChainConfig:
     n_burnin: int = 0
     n_samples: int = 0
     n_newton: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.n_burnin < 0 or self.n_samples < 0:
@@ -192,7 +191,7 @@ def run_chain(
     target: DifferentiableTarget,
     x0,
     cfg: ChainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ChainTrace:
     """Run Newton burn-in, MH burn-in, then record ``cfg.n_samples`` steps.
 
@@ -201,8 +200,6 @@ def run_chain(
     in a ``StepCache``.  Counters and Hessian failures are totalled from
     the start of the run, burn-in included.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     cache: StepCache | None = None
 
     def step(x, newton):
@@ -213,6 +210,4 @@ def run_chain(
         x, rec, cache = tangent_step(target, x, cache, rng)
         return x, rec.accepted, rec.cost, rec.hessian_failure
 
-    return run_sweeps(
-        step, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_iterations, "tangent-mh", cfg.seed
-    )
+    return run_sweeps(step, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_iterations, "tangent-mh")

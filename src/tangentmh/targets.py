@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import null_space, qr
 from scipy.special import expit
 
-from .linalg import CholeskyFactor, NotPositiveDefinite, SymMatrix, cholesky
+from .linalg import CholeskyFactor, SymMatrix, cholesky
 
 __all__ = [
     "EvalCost",
@@ -67,7 +67,7 @@ class EvalResult:
 
     value: float
     gradient: np.ndarray | None = None
-    hessian: SymMatrix | None = None
+    hessian: np.ndarray | None = None
     cost: EvalCost = field(default_factory=EvalCost)
 
 
@@ -123,11 +123,7 @@ class _Spliced(DifferentiableTarget):
         full[self._block] = b
         res = self._parent.evaluate(full, gradient=gradient, hessian=hessian)
         grad = res.gradient[self._block] if gradient else None
-        hess = (
-            SymMatrix(res.hessian.a[np.ix_(self._block, self._block)])
-            if hessian
-            else None
-        )
+        hess = res.hessian[np.ix_(self._block, self._block)] if hessian else None
         return EvalResult(res.value, grad, hess, res.cost)
 
 
@@ -167,10 +163,6 @@ class LogisticTarget(DifferentiableTarget):
     def dim(self) -> int:
         return self._X.shape[1]
 
-    @property
-    def n_obs(self) -> int:
-        return self._X.shape[0]
-
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         b = self._check_point(x)
         t = self._X @ b + self._offset
@@ -185,7 +177,7 @@ class LogisticTarget(DifferentiableTarget):
         if hessian:
             w = p * (1.0 - p)
             h = -(self._X * w[:, None]).T @ self._X
-            hess = SymMatrix._trusted(0.5 * (h + h.T))
+            hess = 0.5 * (h + h.T)
         return EvalResult(
             value,
             grad,
@@ -230,10 +222,6 @@ class PoissonLogRateTarget(DifferentiableTarget):
         return 1
 
     @property
-    def n_obs(self) -> int:
-        return self._n
-
-    @property
     def total_count(self) -> float:
         return self._total
 
@@ -242,7 +230,7 @@ class PoissonLogRateTarget(DifferentiableTarget):
         rate_sum = self._n * np.exp(u)
         value = self._total * u - rate_sum
         grad = np.array([self._total - rate_sum]) if gradient else None
-        hess = SymMatrix._trusted(np.array([[-rate_sum]])) if hessian else None
+        hess = np.array([[-rate_sum]]) if hessian else None
         return EvalResult(value, grad, hess, EvalCost(1, int(gradient), int(hessian)))
 
     def third_derivative(self, x) -> float:
@@ -269,37 +257,29 @@ def replicated_poisson_target(obs: int, n_copies: int) -> PoissonLogRateTarget:
 class GaussianPriorTarget(DifferentiableTarget):
     """Gaussian log-density ``-(1/2)(x - m)^T P (x - m)`` in precision form.
 
-    The normalizing constant is dropped.  The precision is validated to be
-    positive definite at construction.
+    The normalizing constant is dropped.  The precision is validated as a
+    ``SymMatrix`` and checked to be positive definite at construction.
     """
 
     def __init__(self, mean, precision):
         self._mean = np.atleast_1d(np.asarray(mean, dtype=float))
         prec = precision if isinstance(precision, SymMatrix) else SymMatrix(precision)
-        if prec.dim != self._mean.shape[0]:
+        self._precision = prec.a
+        if self._precision.shape[0] != self._mean.shape[0]:
             raise ValueError("precision dimension must match mean length")
-        cholesky(prec)  # raises NotPositiveDefinite
-        self._precision = prec
+        cholesky(self._precision)  # raises NotPositiveDefinite
 
     @property
     def dim(self) -> int:
         return self._mean.shape[0]
 
-    @property
-    def mean(self) -> np.ndarray:
-        return self._mean
-
-    @property
-    def precision(self) -> SymMatrix:
-        return self._precision
-
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         b = self._check_point(x)
         d = b - self._mean
-        pd = self._precision.a @ d
+        pd = self._precision @ d
         value = -0.5 * float(d @ pd)
         grad = -pd if gradient else None
-        hess = SymMatrix._trusted(-self._precision.a) if hessian else None
+        hess = -self._precision if hessian else None
         return EvalResult(value, grad, hess, EvalCost(1, int(gradient), int(hessian)))
 
     def third_derivative(self, x) -> float:
@@ -308,14 +288,14 @@ class GaussianPriorTarget(DifferentiableTarget):
     def restrict(self, block, full) -> "GaussianPriorTarget":
         block = np.asarray(block, dtype=int)
         rest = np.setdiff1d(np.arange(self.dim), block)
-        p_bb = self._precision.a[np.ix_(block, block)]
+        p_bb = self._precision[np.ix_(block, block)]
         if rest.size == 0:
-            return GaussianPriorTarget(self._mean, SymMatrix(p_bb))
+            return GaussianPriorTarget(self._mean, p_bb)
         full = np.asarray(full, dtype=float)
         # conditional mean m_b - P_bb^{-1} P_bc (x_c - m_c); value shifts by a constant
-        r = self._precision.a[np.ix_(block, rest)] @ (full[rest] - self._mean[rest])
-        mean = self._mean[block] - cholesky(SymMatrix(p_bb)).solve(r)
-        return GaussianPriorTarget(mean, SymMatrix(p_bb))
+        r = self._precision[np.ix_(block, rest)] @ (full[rest] - self._mean[rest])
+        mean = self._mean[block] - cholesky(p_bb).solve(r)
+        return GaussianPriorTarget(mean, p_bb)
 
 
 def gaussian_prior(mean, precision) -> GaussianPriorTarget:
@@ -354,9 +334,9 @@ class AdditiveTarget(DifferentiableTarget):
             if gradient:
                 grad = grad + res.gradient
             if hessian:
-                hess = hess + res.hessian.a
+                hess = hess + res.hessian
             cost = cost + res.cost
-        return EvalResult(value, grad, SymMatrix._trusted(hess) if hessian else None, cost)
+        return EvalResult(value, grad, hess, cost)
 
     def restrict(self, block, full) -> "AdditiveTarget":
         return AdditiveTarget([p.restrict(block, full) for p in self._parts])
@@ -432,7 +412,7 @@ class ConcaveQuadraticBase(BaseFamily):
         if centers.shape != quad.shape[:2]:
             raise ValueError("centers must be N x J")
         for i in range(quad.shape[0]):
-            cholesky(SymMatrix(quad[i]))  # each A_i must be positive definite
+            cholesky(quad[i])  # each A_i must be positive definite
         self._A = quad
         self._c = centers
 
@@ -559,7 +539,7 @@ class _LinearProjectionTarget(DifferentiableTarget):
                     hess_a[offs[j] : offs[j + 1], offs[jp] : offs[jp + 1]] = block
                     if jp != j:
                         hess_a[offs[jp] : offs[jp + 1], offs[j] : offs[j + 1]] = block.T
-            hess = SymMatrix(hess_a)
+            hess = SymMatrix(hess_a).a  # mirrors the lower triangle
         return EvalResult(value, grad, hess, EvalCost(1, int(gradient), int(hessian)))
 
 
@@ -611,7 +591,7 @@ def negative_definiteness_witness(
     target = linear_projection_target(m)
     beta = np.asarray(beta, dtype=float)
     res = target.evaluate(beta, gradient=True, hessian=True)
-    H = res.hessian.a
+    H = res.hessian
     _, _, hessians = m.base.evaluate(m.projections(beta), hessian=True)
     h_norm = float(np.linalg.norm(H, "fro"))
 
@@ -624,7 +604,7 @@ def negative_definiteness_witness(
         identity_max_err = max(identity_max_err, abs(lhs - rhs))
 
     if m.all_full_rank:
-        factor = cholesky(SymMatrix(-H))
+        factor = cholesky(-H)
         return WitnessReport(True, None, float("nan"), h_norm, identity_max_err, factor)
 
     parts = []

@@ -17,8 +17,8 @@ class ChainTrace:
     ``samples`` has one row per recorded sweep.  ``n_value``/``n_gradient``/
     ``n_hessian`` are cumulative counters at the time each sample was
     recorded (burn-in cost included in the running totals, so the arrays
-    are monotone).  ``meta`` echoes sampler id, seed and config, and holds
-    the run's totals.
+    are monotone).  ``meta`` echoes sampler id and config, and holds the
+    run's totals.
     """
 
     samples: np.ndarray
@@ -48,7 +48,7 @@ class ChainTrace:
 
 
 def run_sweeps(
-    sweep, x0, n_burnin, n_samples, n_newton, sampler, seed, n_blocks=None, **config
+    sweep, x0, n_burnin, n_samples, n_newton, sampler, n_blocks=None, **config
 ) -> ChainTrace:
     """Newton sweeps, MH burn-in sweeps, then ``n_samples`` recorded ones.
 
@@ -92,7 +92,6 @@ def run_sweeps(
 
     meta = {
         "sampler": sampler,
-        "seed": seed,
         "config": dict(n_burnin=n_burnin, n_samples=n, n_newton=n_newton, **config),
         "hessian_failures": failures,
     }

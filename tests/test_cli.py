@@ -132,6 +132,44 @@ class TestChainBadInput:
         assert "burn-in" in self.rejects(tmp_path, capsys, "n_burnin = 10\nn_newton = 20\n")
 
 
+def assert_rejected(verb, tmp_path, capsys, config_text):
+    """One ``error:`` line, exit status 2 and no output directory."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "o"
+    assert run_cli(verb, "--config", str(cfg), "--seed", "5", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    return err
+
+
+class TestHbBadInput:
+    @pytest.mark.parametrize("key, value", [("block_size", 0), ("n_groups", 0), ("n_samples", 5)])
+    def test_rejected_before_output(self, tmp_path, capsys, key, value):
+        assert key in assert_rejected("hb", tmp_path, capsys, f"{key} = {value}\n")
+
+    def test_bad_slice_width(self, tmp_path, capsys):
+        assert "width" in assert_rejected("hb", tmp_path, capsys, "width = -1.0\n")
+
+
+class TestMixingScanBadInput:
+    @pytest.mark.parametrize("key", ["obs", "n_list"])
+    def test_rejected_before_output(self, tmp_path, capsys, key):
+        assert key in assert_rejected("mixing-scan", tmp_path, capsys, f"{key} = 0\n")
+
+
+class TestBenchmarkBadInput:
+    @pytest.mark.parametrize(
+        "key, value", [("n_runs", 0), ("n_samples", 5), ("block_size", 0), ("n_obs", 3)]
+    )
+    def test_rejected_before_output(self, tmp_path, capsys, key, value):
+        assert key in assert_rejected("benchmark", tmp_path, capsys, f"{key} = {value}\n")
+
+    def test_bad_slice_widths(self, tmp_path, capsys):
+        assert "widths" in assert_rejected("benchmark", tmp_path, capsys, "widths = 0.5, 0.0\n")
+
+
 # SHA-256 of every file each verb writes at --quick --seed 11 (numpy 2.4,
 # scipy 1.17, x86-64); a change that moves any output byte fails here
 PINNED_SHA256 = {

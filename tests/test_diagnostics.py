@@ -65,7 +65,7 @@ class TestEffectiveSize:
 class TestFee:
     def _trace(self, n=200):
         t = gaussian_prior(np.zeros(2), np.eye(2))
-        return t, run_chain(t, np.ones(2), ChainConfig(20, n, seed=5))
+        return t, run_chain(t, np.ones(2), ChainConfig(20, n), np.random.default_rng(5))
 
     def test_requires_calibration(self):
         _, trace = self._trace()

@@ -58,7 +58,7 @@ class TestConditionalTarget:
         t = gaussian_prior(np.zeros(5), prec)
         block = np.array([1, 3])
         c = DifferentiableTarget.restrict(t, block, rng.standard_normal(5))
-        h = c.evaluate(np.zeros(2), hessian=True).hessian.a
+        h = c.evaluate(np.zeros(2), hessian=True).hessian
         np.testing.assert_array_equal(h, -prec[np.ix_(block, block)])
 
     def test_conditional_gradient_matches_finite_differences(self):
@@ -158,9 +158,9 @@ class TestRunBlockChain:
         rng = np.random.default_rng(11)
         t = gaussian_prior(np.zeros(6), random_spd(6, rng))
         part = BlockPartition.contiguous(6, 3)
-        cfg = ChainConfig(n_burnin=20, n_samples=50, seed=12)
-        a = run_block_chain(t, part, np.zeros(6), cfg)
-        b = run_block_chain(t, part, np.zeros(6), cfg)
+        cfg = ChainConfig(n_burnin=20, n_samples=50)
+        a = run_block_chain(t, part, np.zeros(6), cfg, np.random.default_rng(12))
+        b = run_block_chain(t, part, np.zeros(6), cfg, np.random.default_rng(12))
         assert np.array_equal(a.samples, b.samples)
         assert np.all(np.diff(a.n_value) >= 0)
         # two evaluations per block per MH sweep, one per block per newton sweep

@@ -72,6 +72,29 @@ class TestCholesky:
             assert rel <= 1e-10
             assert np.all(np.diag(f.lower) > 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row, col", [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)])
+    def test_nonfinite_lower_entry_names_its_row(self, bad, row, col):
+        m = 4.0 * np.eye(3)
+        m[row, col] = bad
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky(m)
+        assert exc.value.pivot == row
+
+    def test_infinite_last_diagonal_names_last_pivot(self):
+        # an inf on the diagonal must not inflate the pivot tolerance
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky(np.array([[4.0, 0.0], [0.0, np.inf]]))
+        assert exc.value.pivot == 1
+
+    def test_nonfinite_upper_entry_ignored(self):
+        f = cholesky(np.array([[4.0, np.nan], [2.0, 3.0]]))
+        np.testing.assert_allclose(f.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], rtol=1e-15)
+
+    def test_accepts_symmatrix(self):
+        m = SymMatrix([[4.0, 99.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(cholesky(m).lower, cholesky(m.a).lower)
+
     def test_solve_matches_numpy(self):
         rng = np.random.default_rng(3)
         m = random_spd(6, rng)

@@ -107,6 +107,6 @@ class TestGibbsChain:
 
     def test_determinism(self):
         t = gaussian_prior(np.zeros(2), np.eye(2))
-        a = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(seed=9))
-        b = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(seed=9))
+        a = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(), np.random.default_rng(9))
+        b = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(), np.random.default_rng(9))
         assert np.array_equal(a.samples, b.samples)

@@ -48,13 +48,12 @@ class TestBuildProposal:
 
             def evaluate(self, x, *, gradient=False, hessian=False):
                 from tangentmh.targets import EvalCost, EvalResult
-                from tangentmh.linalg import SymMatrix
 
                 v = float(x[0]) ** 2
                 return EvalResult(
                     v,
                     np.array([2.0 * x[0]]) if gradient else None,
-                    SymMatrix([[2.0]]) if hessian else None,
+                    np.array([[2.0]]) if hessian else None,
                     EvalCost(1, 1, 1),
                 )
 
@@ -146,7 +145,7 @@ class TestStep:
 class TestRunChain:
     def test_empty_trace(self):
         t = gaussian_prior([0.0], np.eye(1))
-        trace = run_chain(t, [1.0], ChainConfig(n_burnin=10, n_samples=0, seed=1))
+        trace = run_chain(t, [1.0], ChainConfig(n_burnin=10, n_samples=0), np.random.default_rng(1))
         assert trace.n_steps == 0
         assert trace.total_cost()["n_value"] > 0  # burn-in still ran
 
@@ -162,7 +161,7 @@ class TestRunChain:
     def test_eval_count_exactly_n_plus_one_pure_mh(self):
         t = gaussian_prior(np.zeros(2), np.eye(2))
         n = 157
-        trace = run_chain(t, np.ones(2), ChainConfig(0, n, seed=8))
+        trace = run_chain(t, np.ones(2), ChainConfig(0, n), np.random.default_rng(8))
         assert trace.acceptance_rate() == 1.0
         assert trace.total_cost() == {
             "n_value": n + 1,
@@ -173,21 +172,21 @@ class TestRunChain:
     def test_eval_count_bound_with_rejections(self):
         t = poisson_lograte_target([1])  # eta0 = 1: plenty of rejections
         n = 400
-        trace = run_chain(t, [0.0], ChainConfig(0, n, seed=9))
+        trace = run_chain(t, [0.0], ChainConfig(0, n), np.random.default_rng(9))
         assert trace.acceptance_rate() < 1.0
         assert trace.total_cost()["n_hessian"] <= 2 * n + 1
 
     def test_counters_monotone(self):
         t = poisson_lograte_target([2])
-        trace = run_chain(t, [0.0], ChainConfig(50, 200, seed=10))
+        trace = run_chain(t, [0.0], ChainConfig(50, 200), np.random.default_rng(10))
         assert np.all(np.diff(trace.n_value) >= 0)
         assert np.all(np.diff(trace.n_hessian) >= 0)
 
     def test_determinism_bit_identical(self):
         t = poisson_lograte_target([2])
-        cfg = ChainConfig(100, 500, seed=2024)
-        a = run_chain(t, [-1.0], cfg)
-        b = run_chain(t, [-1.0], cfg)
+        cfg = ChainConfig(100, 500)
+        a = run_chain(t, [-1.0], cfg, np.random.default_rng(2024))
+        b = run_chain(t, [-1.0], cfg, np.random.default_rng(2024))
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.accepted, b.accepted)
 
@@ -195,7 +194,6 @@ class TestRunChain:
         # all-zero counts leave the likelihood flat in the limit: Newton
         # marches toward -inf but stays concave, so build a convex stub
         from tangentmh.targets import EvalCost, EvalResult
-        from tangentmh.linalg import SymMatrix
 
         class Convex:
             dim = 1
@@ -204,18 +202,17 @@ class TestRunChain:
                 return EvalResult(
                     -float(x[0]) ** 2,
                     np.array([-2.0 * x[0]]) if gradient else None,
-                    SymMatrix([[2.0]]) if hessian else None,  # wrong sign: convex
+                    np.array([[2.0]]) if hessian else None,  # wrong sign: convex
                     EvalCost(1, 1, 1),
                 )
 
         with pytest.raises(HessianNotNegativeDefinite):
-            run_chain(Convex(), [1.0], ChainConfig(4, 2, n_newton=2, seed=1))
+            run_chain(Convex(), [1.0], ChainConfig(4, 2, n_newton=2), np.random.default_rng(1))
 
     def test_mh_burnin_hessian_failures_are_counted(self):
         # f(u) = -u^2/2 + u^4/12: f'' = u^2 - 1 is positive for |u| > 1, so
         # proposals landing there fail; all 200 steps are MH burn-in
         from tangentmh.gibbs import BlockPartition, run_block_chain
-        from tangentmh.linalg import SymMatrix
         from tangentmh.targets import EvalCost, EvalResult
 
         class Quartic:
@@ -226,7 +223,7 @@ class TestRunChain:
                 return EvalResult(
                     -0.5 * u**2 + u**4 / 12.0,
                     np.array([-u + u**3 / 3.0]) if gradient else None,
-                    SymMatrix([[u**2 - 1.0]]) if hessian else None,
+                    np.array([[u**2 - 1.0]]) if hessian else None,
                     EvalCost(1, int(gradient), int(hessian)),
                 )
 
@@ -244,7 +241,6 @@ class TestRunChain:
     def test_non_finite_gradient_at_proposal_rejects(self):
         # standard normal log-density whose gradient is inf for u > 0.5:
         # proposals there have no finite Newton step and are rejected
-        from tangentmh.linalg import SymMatrix
         from tangentmh.targets import EvalCost, EvalResult
 
         class InfGradient:
@@ -256,7 +252,7 @@ class TestRunChain:
                 return EvalResult(
                     -0.5 * u**2,
                     np.array([g]) if gradient else None,
-                    SymMatrix([[-1.0]]) if hessian else None,
+                    np.array([[-1.0]]) if hessian else None,
                     EvalCost(1, int(gradient), int(hessian)),
                 )
 
@@ -266,6 +262,27 @@ class TestRunChain:
         # at the current point it stays fatal
         with pytest.raises(ValueError):
             run_chain(InfGradient(), [1.0], ChainConfig(0, 10), np.random.default_rng(0))
+
+    def test_nan_hessian_at_proposal_rejects(self):
+        # standard normal log-density whose Hessian is NaN for u > 0.5:
+        # proposals there have no Cholesky factor and are rejected
+        from tangentmh.targets import EvalCost, EvalResult
+
+        class NanHessian:
+            dim = 1
+
+            def evaluate(self, x, *, gradient=False, hessian=False):
+                u = float(x[0])
+                return EvalResult(
+                    -0.5 * u**2,
+                    np.array([-u]) if gradient else None,
+                    np.array([[np.nan if u > 0.5 else -1.0]]) if hessian else None,
+                    EvalCost(1, int(gradient), int(hessian)),
+                )
+
+        trace = run_chain(NanHessian(), [0.0], ChainConfig(0, 200), np.random.default_rng(0))
+        assert trace.meta["hessian_failures"] > 0
+        assert np.all(trace.samples <= 0.5)
 
 
 class TestDistributionalCorrectness:

@@ -39,8 +39,8 @@ def check_derivatives(target, x, grad_rtol=1e-5, hess_rtol=1e-4):
     h_fd = fd_hessian_of_gradient(
         lambda v: target.evaluate(v, gradient=True).gradient, x
     )
-    hscale = max(np.linalg.norm(res.hessian.a, "fro"), 1e-8)
-    assert np.linalg.norm(res.hessian.a - h_fd, "fro") / hscale < hess_rtol
+    hscale = max(np.linalg.norm(res.hessian, "fro"), 1e-8)
+    assert np.linalg.norm(res.hessian - h_fd, "fro") / hscale < hess_rtol
 
 
 class TestLogistic:
@@ -56,7 +56,7 @@ class TestLogistic:
         t = logistic_target(np.array([[1.0]]), np.array([1.0]))
         res = t.evaluate([0.0], gradient=True, hessian=True)
         np.testing.assert_allclose(res.gradient, [0.5])
-        np.testing.assert_allclose(res.hessian.a, [[-0.25]])
+        np.testing.assert_allclose(res.hessian, [[-0.25]])
 
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -78,7 +78,7 @@ class TestLogistic:
             X, y = random_logistic(rng, n=30, k=4)
             t = logistic_target(X, y)
             h = t.evaluate(2.0 * rng.standard_normal(4), hessian=True).hessian
-            assert np.max(np.linalg.eigvalsh(h.a)) <= 1e-12
+            assert np.max(np.linalg.eigvalsh(h)) <= 1e-12
 
     def test_rejects_bad_responses(self):
         with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ class TestLogistic:
         assert res_r.value == pytest.approx(res_f.value, rel=1e-12)
         np.testing.assert_allclose(res_r.gradient, res_f.gradient[block], rtol=1e-10)
         np.testing.assert_allclose(
-            res_r.hessian.a, res_f.hessian.a[np.ix_(block, block)], rtol=1e-10
+            res_r.hessian, res_f.hessian[np.ix_(block, block)], rtol=1e-10
         )
 
 
@@ -109,13 +109,13 @@ class TestPoissonLogRate:
         assert t.mode() == pytest.approx(np.log(2.0), abs=1e-15)
         res = t.evaluate([np.log(2.0)], gradient=True, hessian=True)
         assert res.gradient[0] == pytest.approx(0.0, abs=1e-12)
-        assert res.hessian.a[0, 0] == pytest.approx(-2.0)
+        assert res.hessian[0, 0] == pytest.approx(-2.0)
         assert t.third_derivative(np.log(2.0)) == pytest.approx(-2.0)
 
     def test_replicated_unit_counts(self):
         t = replicated_poisson_target(1, 7)
         assert t.mode() == 0.0
-        assert t.evaluate([0.0], hessian=True).hessian.a[0, 0] == pytest.approx(-7.0)
+        assert t.evaluate([0.0], hessian=True).hessian[0, 0] == pytest.approx(-7.0)
 
     def test_all_zero_counts_mode_rejected(self):
         t = poisson_lograte_target([0, 0])
@@ -146,7 +146,7 @@ class TestGaussianPrior:
         res = t.evaluate([1.5], gradient=True, hessian=True)
         assert res.value == pytest.approx(-2.0)
         np.testing.assert_allclose(res.gradient, [-4.0])
-        np.testing.assert_allclose(res.hessian.a, [[-4.0]])
+        np.testing.assert_allclose(res.hessian, [[-4.0]])
 
     def test_indefinite_precision_rejected_at_construction(self):
         with pytest.raises(NotPositiveDefinite):
@@ -179,7 +179,7 @@ class TestGaussianPrior:
             res_f = t.evaluate(spliced, gradient=True, hessian=True)
             np.testing.assert_allclose(res_r.gradient, res_f.gradient[block], atol=1e-10)
             np.testing.assert_allclose(
-                res_r.hessian.a, res_f.hessian.a[np.ix_(block, block)], rtol=1e-12
+                res_r.hessian, res_f.hessian[np.ix_(block, block)], rtol=1e-12
             )
             deltas.append(res_r.value - res_f.value)
         assert np.ptp(deltas) < 1e-9
@@ -197,7 +197,7 @@ class TestAdditive:
             [gaussian_prior(np.zeros(3), p1), gaussian_prior(np.zeros(3), p2)]
         )
         h = t.evaluate(rng.standard_normal(3), hessian=True).hessian
-        np.testing.assert_array_equal(h.a, -(p1 + p2))
+        np.testing.assert_array_equal(h, -(p1 + p2))
 
     def test_costs_sum(self):
         t = additive_target(
@@ -218,13 +218,26 @@ class TestAdditive:
         b2 = prior.evaluate(x, gradient=True, hessian=True)
         assert a.value == pytest.approx(b1.value + b2.value, rel=1e-14)
         np.testing.assert_allclose(a.gradient, b1.gradient + b2.gradient)
-        np.testing.assert_array_equal(a.hessian.a, b1.hessian.a + b2.hessian.a)
+        np.testing.assert_array_equal(a.hessian, b1.hessian + b2.hessian)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             AdditiveTarget(
                 [gaussian_prior([0.0], np.eye(1)), gaussian_prior([0.0, 0.0], np.eye(2))]
             )
+
+    def test_hessians_are_plain_arrays(self):
+        rng = np.random.default_rng(6)
+        X, y = random_logistic(rng, n=20, k=3)
+        prior = gaussian_prior(np.zeros(3), random_spd(3, rng))
+        post = additive_target([logistic_target(X, y), prior])
+        model = LinearProjectionModel(BernoulliBase(y), [X])
+        block, full = np.array([0, 2]), rng.standard_normal(3)
+        for t in (post, post.restrict(block, full), linear_projection_target(model),
+                  linear_projection_target(model).restrict(block, full),
+                  poisson_lograte_target([2])):
+            h = t.evaluate(np.zeros(t.dim), hessian=True).hessian
+            assert type(h) is np.ndarray and h.shape == (t.dim, t.dim)
 
 
 class TestLinearProjection:
@@ -235,7 +248,7 @@ class TestLinearProjection:
         m = LinearProjectionModel(base, [np.eye(n)])
         t = linear_projection_target(m)
         res = t.evaluate(np.zeros(n), gradient=True, hessian=True)
-        np.testing.assert_array_equal(res.hessian.a, -np.eye(n))
+        np.testing.assert_array_equal(res.hessian, -np.eye(n))
         assert res.value == 0.0
 
     def test_matches_logistic_target_exactly(self):
@@ -251,7 +264,7 @@ class TestLinearProjection:
             b = composed.evaluate(x, gradient=True, hessian=True)
             assert a.value == pytest.approx(b.value, rel=1e-12)
             np.testing.assert_allclose(a.gradient, b.gradient, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(a.hessian.a, b.hessian.a, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(a.hessian, b.hessian, rtol=1e-12, atol=1e-12)
 
     def test_two_group_hessian_matches_value_differences(self):
         rng = np.random.default_rng(10)
@@ -264,7 +277,7 @@ class TestLinearProjection:
         )
         t = linear_projection_target(m)
         x = rng.standard_normal(2)
-        H = t.evaluate(x, hessian=True).hessian.a
+        H = t.evaluate(x, hessian=True).hessian
         H_fd = fd_hessian_of_value(lambda v: t.evaluate(v).value, x)
         assert np.linalg.norm(H - H_fd, "fro") / np.linalg.norm(H, "fro") < 1e-5
 
