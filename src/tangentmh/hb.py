@@ -229,6 +229,7 @@ def hb_gibbs(
     tangent = cfg.beta_sampler == "tangent"
     # the chain state packs beta (J*K), gamma (K*L) and tau (K)
     splits = [J * K, J * K + K * L]
+    likelihoods = [LogisticTarget(X, y) for X, y in zip(spec.designs, spec.responses)]
     n_cycles = 0
 
     def cycle(x, newton):
@@ -241,12 +242,7 @@ def hb_gibbs(
         cost = EvalCost()
         n_accepted = failures = 0
         for j in range(J):
-            target = AdditiveTarget(
-                [
-                    LogisticTarget(spec.designs[j], spec.responses[j]),
-                    GaussianPriorTarget(prior_means[j], prior_prec),
-                ]
-            )
+            target = AdditiveTarget([likelihoods[j], GaussianPriorTarget(prior_means[j], prior_prec)])
             if tangent:
                 beta[j], rec = block_sweep(target, partition, beta[j], rng, newton=newton)
                 used = rec.cost

@@ -9,9 +9,10 @@ the precision avoids ever forming an explicit covariance or inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "NotPositiveDefinite",
@@ -71,6 +72,16 @@ class SymMatrix:
         return np.array(self.a, dtype=dtype) if dtype else self.a
 
 
+def _upper_solve(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """Solve ``upper x = b`` (``trans=0``) or ``upper^T x = b`` (``trans=1``)
+    with LAPACK ``dtrtrs``: the call ``scipy.linalg.solve_triangular`` makes
+    for a C-ordered lower factor, without its argument checks."""
+    x, info = dtrtrs(upper, b, lower=0, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (dtrtrs info {info})")
+    return x
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower-triangular factor L with L @ L.T equal to the factored matrix."""
@@ -81,14 +92,19 @@ class CholeskyFactor:
     def dim(self) -> int:
         return self.lower.shape[0]
 
+    @cached_property
+    def half_log_det(self) -> float:
+        """``sum_k log L_kk``, half the log-determinant; computed once."""
+        return float(np.log(self.lower.diagonal()).sum())
+
     def log_det(self) -> float:
         """log-determinant of the factored matrix (twice the diagonal log-sum)."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
+        return 2.0 * self.half_log_det
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (L L^T) x = b by two triangular solves."""
-        y = solve_triangular(self.lower, b, lower=True, check_finite=False)
-        return solve_triangular(self.lower.T, y, lower=False, check_finite=False)
+        upper = self.lower.T
+        return _upper_solve(upper, _upper_solve(upper, b, 1), 0)
 
     def reconstruct(self) -> np.ndarray:
         return self.lower @ self.lower.T
@@ -118,20 +134,23 @@ def cholesky(m) -> CholeskyFactor:
         raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     # a non-finite lower entry never passes this fast path: the factorization
     # raises, or tol or some L[j, j] is not finite
-    tol = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
+    tol = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0)
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         L = None
-    if L is not None and np.all(np.diag(L) ** 2 > tol):
-        return CholeskyFactor(L)
+    if L is not None:
+        # the diagonal of L is positive or NaN, so its minimum decides
+        d_min = float(L.diagonal().min())
+        if d_min * d_min > tol:
+            return CholeskyFactor(L)
     bad_rows = np.flatnonzero(~np.isfinite(np.tril(a)).all(axis=1))
     if bad_rows.size:
         raise NotPositiveDefinite(int(bad_rows[0]), f"non-finite entry in row {bad_rows[0]}")
     # failed or a pivot fell below the relative threshold: rerun column by
     # column to name the offending pivot
     n = a.shape[0]
-    L = np.zeros_like(a)
+    L = np.zeros((n, n))  # C order like np.linalg.cholesky, as _upper_solve assumes
     for j in range(n):
         pivot = a[j, j] - L[j, :j] @ L[j, :j]
         if pivot <= tol:
@@ -152,7 +171,7 @@ class MvnDistribution:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ValueError("mean must be finite")
         if mean.shape[0] != self.factor.dim:
             raise ValueError("mean length must match factor dimension")
@@ -173,11 +192,7 @@ def mvn_logpdf(d: MvnDistribution, x: np.ndarray) -> float:
     if x.shape[0] != d.dim:
         raise ValueError(f"point has length {x.shape[0]}, expected {d.dim}")
     z = d.factor.lower.T @ (x - d.mean)
-    return (
-        -0.5 * d.dim * _LOG_2PI
-        + float(np.sum(np.log(np.diag(d.factor.lower))))
-        - 0.5 * float(z @ z)
-    )
+    return -0.5 * d.dim * _LOG_2PI + d.factor.half_log_det - 0.5 * float(z @ z)
 
 
 def mvn_sample(d: MvnDistribution, rng: np.random.Generator) -> np.ndarray:
@@ -187,4 +202,4 @@ def mvn_sample(d: MvnDistribution, rng: np.random.Generator) -> np.ndarray:
     standard-normal variates.
     """
     z = rng.standard_normal(d.dim)
-    return d.mean + solve_triangular(d.factor.lower.T, z, lower=False, check_finite=False)
+    return d.mean + _upper_solve(d.factor.lower.T, z, 0)

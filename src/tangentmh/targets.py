@@ -103,6 +103,21 @@ class DifferentiableTarget(ABC):
         return x
 
 
+def _complement(dim: int, block: np.ndarray) -> np.ndarray:
+    """Boolean mask of the coordinates outside ``block``."""
+    rest = np.ones(dim, dtype=bool)
+    rest[block] = False
+    return rest
+
+
+def _built(cls, **attrs):
+    """A ``cls`` instance from parts already validated by a parent target;
+    ``__init__`` is skipped."""
+    target = object.__new__(cls)
+    target.__dict__.update(attrs)
+    return target
+
+
 class _Spliced(DifferentiableTarget):
     """``parent`` over the ``block`` coordinates, the rest frozen at ``full``."""
 
@@ -187,9 +202,10 @@ class LogisticTarget(DifferentiableTarget):
 
     def restrict(self, block, full) -> "LogisticTarget":
         block = np.asarray(block, dtype=int)
-        rest = np.setdiff1d(np.arange(self.dim), block)
+        rest = _complement(self.dim, block)
         offset = self._offset + self._X[:, rest] @ np.asarray(full, dtype=float)[rest]
-        return LogisticTarget(self._X[:, block], self._y, offset=offset)
+        # columns of a checked design and the same responses need no second check
+        return _built(LogisticTarget, _X=self._X[:, block], _y=self._y, _offset=offset)
 
 
 def logistic_target(X, y) -> LogisticTarget:
@@ -287,15 +303,18 @@ class GaussianPriorTarget(DifferentiableTarget):
 
     def restrict(self, block, full) -> "GaussianPriorTarget":
         block = np.asarray(block, dtype=int)
-        rest = np.setdiff1d(np.arange(self.dim), block)
+        rest = _complement(self.dim, block)
+        # a principal submatrix of a checked precision is symmetric; its
+        # factorization is the positive-definiteness check
         p_bb = self._precision[np.ix_(block, block)]
-        if rest.size == 0:
-            return GaussianPriorTarget(self._mean, p_bb)
-        full = np.asarray(full, dtype=float)
-        # conditional mean m_b - P_bb^{-1} P_bc (x_c - m_c); value shifts by a constant
-        r = self._precision[np.ix_(block, rest)] @ (full[rest] - self._mean[rest])
-        mean = self._mean[block] - cholesky(p_bb).solve(r)
-        return GaussianPriorTarget(mean, p_bb)
+        factor = cholesky(p_bb)
+        mean = self._mean[block]
+        if rest.any():
+            full = np.asarray(full, dtype=float)
+            # conditional mean m_b - P_bb^{-1} P_bc (x_c - m_c); value shifts by a constant
+            r = self._precision[np.ix_(block, rest)] @ (full[rest] - self._mean[rest])
+            mean = mean - factor.solve(r)
+        return _built(GaussianPriorTarget, _mean=mean, _precision=p_bb)
 
 
 def gaussian_prior(mean, precision) -> GaussianPriorTarget:
@@ -411,6 +430,10 @@ class ConcaveQuadraticBase(BaseFamily):
             raise ValueError("quad must be N x J x J")
         if centers.shape != quad.shape[:2]:
             raise ValueError("centers must be N x J")
+        # values read the full A_i and Hessians its lower triangle: they agree
+        # only for an exactly symmetric A_i
+        if not np.array_equal(quad, quad.transpose(0, 2, 1), equal_nan=True):
+            raise ValueError("each A_i must be exactly symmetric")
         for i in range(quad.shape[0]):
             cholesky(quad[i])  # each A_i must be positive definite
         self._A = quad

@@ -73,21 +73,27 @@ class TestFee:
             fee(trace, None)
 
     def test_consistency_of_units(self):
-        t, trace = self._trace()
+        t, _ = self._trace()
         calib = calibrate(t, np.zeros(2), 200)
-        per_nominal = fee(trace, calib)
-        assert per_nominal > 0
+        # compare the fastest of interleaved repeats, the figure a busy
+        # shared host disturbs least
+        totals = {200: [], 400: []}
+        for _ in range(5):
+            for n, runs in totals.items():
+                _, trace = self._trace(n)
+                per_nominal = fee(trace, calib)
+                assert per_nominal > 0
+                runs.append(per_nominal * trace.n_steps)
         # a run twice as long costs roughly twice as much in total
-        _, trace2 = self._trace(400)
-        per_nominal2 = fee(trace2, calib)
-        total1 = per_nominal * trace.n_steps
-        total2 = per_nominal2 * trace2.n_steps
-        assert total2 / total1 == pytest.approx(2.0, rel=0.5)
+        assert min(totals[400]) / min(totals[200]) == pytest.approx(2.0, rel=0.5)
 
     def test_calibration_repeatable(self):
         t = gaussian_prior(np.zeros(2), np.eye(2))
-        a = calibrate(t, np.zeros(2), 300).seconds_per_value_eval
-        b = calibrate(t, np.zeros(2), 300).seconds_per_value_eval
+        a, b = [], []
+        for _ in range(5):  # fastest of interleaved repeats, as above
+            a.append(calibrate(t, np.zeros(2), 300).seconds_per_value_eval)
+            b.append(calibrate(t, np.zeros(2), 300).seconds_per_value_eval)
+        a, b = min(a), min(b)
         assert a > 0
         assert abs(a - b) / a < 0.2
 

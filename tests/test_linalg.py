@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from tangentmh.linalg import (
     CholeskyFactor,
@@ -174,3 +175,43 @@ class TestMvn:
     def test_mean_factor_dim_mismatch(self):
         with pytest.raises(ValueError):
             MvnDistribution(np.zeros(3), cholesky(np.eye(2)))
+
+
+class TestBitIdentity:
+    """The direct LAPACK calls and the stored log-determinant reproduce the
+    earlier ``solve_triangular`` and diagonal-sum results bit for bit."""
+
+    def _factors(self):
+        rng = np.random.default_rng(8)
+        for dim in range(1, 11):
+            for _ in range(20):
+                yield cholesky(random_spd(dim, rng)), rng
+
+    def test_solve_and_sample_match_solve_triangular(self):
+        for f, rng in self._factors():
+            b = rng.standard_normal(f.dim) * 10.0 ** rng.uniform(-3, 3)
+            y = solve_triangular(f.lower, b, lower=True, check_finite=False)
+            expected = solve_triangular(f.lower.T, y, lower=False, check_finite=False)
+            assert np.array_equal(f.solve(b), expected)
+            d = MvnDistribution(rng.standard_normal(f.dim), f)
+            seed = int(rng.integers(2**32))
+            z = np.random.default_rng(seed).standard_normal(f.dim)
+            expected = d.mean + solve_triangular(f.lower.T, z, lower=False, check_finite=False)
+            assert np.array_equal(mvn_sample(d, np.random.default_rng(seed)), expected)
+
+    def test_log_det_and_logpdf_match_diagonal_sum(self):
+        for f, rng in self._factors():
+            diag_sum = float(np.sum(np.log(np.diag(f.lower))))
+            assert f.log_det() == 2.0 * diag_sum
+            d = MvnDistribution(rng.standard_normal(f.dim), f)
+            x = rng.standard_normal(f.dim)
+            z = f.lower.T @ (x - d.mean)
+            expected = -0.5 * f.dim * float(np.log(2.0 * np.pi)) + diag_sum - 0.5 * float(z @ z)
+            assert mvn_logpdf(d, x) == expected
+
+    def test_zero_on_diagonal_raises(self):
+        f = CholeskyFactor(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            f.solve(np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            mvn_sample(MvnDistribution(np.zeros(2), f), np.random.default_rng(0))

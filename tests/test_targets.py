@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tangentmh.targets as targets_module
 from tangentmh.fdiff import fd_gradient, fd_hessian_of_gradient, fd_hessian_of_value
 from tangentmh.linalg import NotPositiveDefinite, cholesky
 from tangentmh.targets import (
@@ -240,7 +241,72 @@ class TestAdditive:
             assert type(h) is np.ndarray and h.shape == (t.dim, t.dim)
 
 
+def assert_same_evaluations(a, b, rng, n_points=4):
+    """Value, gradient and Hessian of ``a`` and ``b`` agree bit for bit."""
+    for _ in range(n_points):
+        x = rng.standard_normal(a.dim)
+        ra = a.evaluate(x, gradient=True, hessian=True)
+        rb = b.evaluate(x, gradient=True, hessian=True)
+        assert ra.value == rb.value
+        assert np.array_equal(ra.gradient, rb.gradient)
+        assert np.array_equal(ra.hessian, rb.hessian)
+
+
+# blocks with a remaining complement, and blocks covering every coordinate
+RESTRICT_BLOCKS = [[1, 4], [5, 0, 2], [0, 1, 2, 3, 4, 5], [3, 1, 5, 0, 2, 4]]
+
+
+class TestRestrictedTargets:
+    """``restrict`` builds the conditional from the parent's checked arrays;
+    it must equal the same conditional built through the public constructors."""
+
+    @pytest.mark.parametrize("block", RESTRICT_BLOCKS)
+    def test_logistic_matches_public_construction(self, block):
+        rng = np.random.default_rng(15)
+        X, y = random_logistic(rng, n=40, k=6)
+        offset = rng.standard_normal(40)
+        full = rng.standard_normal(6)
+        block = np.array(block)
+        rest = np.setdiff1d(np.arange(6), block)
+        expected = LogisticTarget(X[:, block], y, offset=offset + X[:, rest] @ full[rest])
+        assert_same_evaluations(LogisticTarget(X, y, offset).restrict(block, full), expected, rng)
+
+    @pytest.mark.parametrize("block", RESTRICT_BLOCKS)
+    def test_prior_matches_public_construction(self, block):
+        rng = np.random.default_rng(16)
+        mean, prec = rng.standard_normal(6), random_spd(6, rng)
+        full = rng.standard_normal(6)
+        block = np.array(block)
+        rest = np.setdiff1d(np.arange(6), block)
+        p_bb = prec[np.ix_(block, block)]
+        cond_mean = mean[block]
+        if rest.size:
+            r = prec[np.ix_(block, rest)] @ (full[rest] - mean[rest])
+            cond_mean = cond_mean - cholesky(p_bb).solve(r)
+        expected = GaussianPriorTarget(cond_mean, p_bb)
+        assert_same_evaluations(gaussian_prior(mean, prec).restrict(block, full), expected, rng)
+
+    @pytest.mark.parametrize("block", [[1, 4], [0, 1, 2, 3, 4, 5]])
+    def test_prior_factors_block_once(self, block, monkeypatch):
+        rng = np.random.default_rng(17)
+        t = gaussian_prior(rng.standard_normal(6), random_spd(6, rng))
+        shapes = []
+
+        def counting_cholesky(m):
+            shapes.append(np.shape(m))
+            return cholesky(m)
+
+        monkeypatch.setattr(targets_module, "cholesky", counting_cholesky)
+        t.restrict(np.array(block), rng.standard_normal(6))
+        assert shapes == [(len(block), len(block))]
+
+
 class TestLinearProjection:
+    def test_rejects_asymmetric_quadratic(self):
+        # values would read the full matrix and Hessians its lower triangle
+        with pytest.raises(ValueError, match="symmetric"):
+            ConcaveQuadraticBase(np.array([[[1.0, 5.0], [0.0, 1.0]]]), np.zeros((1, 2)))
+
     def test_identity_design_quadratic_base_is_standard_gaussian(self):
         n = 4
         base = ConcaveQuadraticBase(np.ones((n, 1, 1)), np.zeros((n, 1)))
