@@ -29,11 +29,12 @@ import numpy as np
 from . import __version__
 from .benchmark import DEFAULT_WIDTHS, run_benchmark
 from .concavity import random_instances, run_campaign
-from .diagnostics import effective_size, ess_per_dim, mixing_index
+from .diagnostics import ModeFindingError, effective_size, ess_per_dim, mixing_index
 from .gibbs import BlockPartition, run_block_chain
 from .hb import HbConfig, hb_gibbs, simulate_hb
-from .slicer import SliceConfig, slice_gibbs_chain
-from .tangent import ChainConfig, run_chain
+from .linalg import NotPositiveDefinite
+from .slicer import SliceConfig, SliceError, slice_gibbs_chain
+from .tangent import ChainConfig, HessianNotNegativeDefinite, _NonFiniteNewtonMean, run_chain
 from .targets import (
     gaussian_prior,
     logistic_target,
@@ -226,7 +227,7 @@ def _build_target(cfg: dict):
             data_files.append(path)
         else:
             raise ConfigError(f"unknown target {name!r}")
-    except ValueError as err:
+    except (ValueError, NotPositiveDefinite) as err:
         raise ConfigError(f"target {name!r}: {err}") from err
     if name in ("poisson", "replicated-poisson") and target.total_count == 0:
         raise ConfigError("poisson counts are all zero: the posterior is improper")
@@ -294,16 +295,27 @@ def cmd_chain(args) -> int:
         raise ConfigError(str(err)) from err
     if x0.shape != (target.dim,):
         raise ConfigError(f"x0 has {x0.size} entries; the target has dimension {target.dim}")
-    out = _outdir(args, "chain")
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"x0 must be finite, got {cfg['x0']!r}")
     run_hash = content_hash(cfg, data_files)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    if cfg["sampler"] == "tangent":
-        trace = run_chain(target, x0, chain_cfg, rng)
-    else:
-        trace = slice_gibbs_chain(
-            target, x0, chain_cfg.n_burnin, chain_cfg.n_samples, slice_cfg, rng
-        )
+    # the output directory is made only once the chain has run: a start
+    # point the chain cannot leave (e.g. no tangent fit there, or a Newton
+    # burn-in that diverges) leaves nothing behind
+    mixing = None
+    try:
+        if cfg["sampler"] == "tangent":
+            trace = run_chain(target, x0, chain_cfg, rng)
+        else:
+            trace = slice_gibbs_chain(
+                target, x0, chain_cfg.n_burnin, chain_cfg.n_samples, slice_cfg, rng
+            )
+        if target.dim == 1 and hasattr(target, "third_derivative"):
+            mixing = mixing_index(target, x0=float(x0[0]))
+    except (HessianNotNegativeDefinite, _NonFiniteNewtonMean, SliceError, ModeFindingError) as err:
+        raise ConfigError(f"cannot run from x0 = {cfg['x0']!r}: {err}") from err
+    out = _outdir(args, "chain")
 
     dim = trace.dim
     write_csv(
@@ -338,8 +350,8 @@ def cmd_chain(args) -> int:
         "n_samples": trace.n_steps,
         "hessian_failures": trace.meta.get("hessian_failures", 0),
     }
-    if target.dim == 1 and hasattr(target, "third_derivative"):
-        body["mixing_index"] = mixing_index(target, x0=float(np.atleast_1d(x0)[0]))
+    if mixing is not None:
+        body["mixing_index"] = mixing
     write_summary(out / "summary.json", "chain", cfg, run_hash, body)
     print(f"chain: {trace.n_steps} samples in {trace.wall_time:.2f}s -> {out}")
     return 0
@@ -578,6 +590,7 @@ def cmd_theorem(args) -> int:
     cfg = _merge_config(args, THEOREM_DEFAULTS, THEOREM_KEYS)
     if cfg["quick"]:
         cfg["n_instances"] = 20
+    _require_counts(cfg, n_instances=1, trials=0)
     out = _outdir(args, "theorem")
     run_hash = content_hash(cfg)
 

@@ -90,22 +90,24 @@ def block_sweep(
         raise ValueError("partition must cover the parent dimension")
     x = np.array(x, dtype=float)
     accepted = np.zeros(partition.n_blocks, dtype=bool)
-    cost = EvalCost()
-    failures = 0
+    n_value = n_gradient = n_hessian = failures = 0
     for i, block in enumerate(partition.blocks):
         cond = parent.restrict(block, x)
         if newton:
             res = cond.evaluate(x[block], gradient=True, hessian=True)
             x[block] = _fit_proposal(x[block], res).mean
-            cost = cost + res.cost
+            cost = res.cost
             accepted[i] = True
-            continue
-        b_new, rec, _ = tangent_step(cond, x[block], None, rng)
-        x[block] = b_new
-        accepted[i] = rec.accepted
-        failures += int(rec.hessian_failure)
-        cost = cost + rec.cost
-    return x, SweepRecord(accepted, cost, failures)
+        else:
+            b_new, rec, _ = tangent_step(cond, x[block], None, rng)
+            x[block] = b_new
+            accepted[i] = rec.accepted
+            failures += int(rec.hessian_failure)
+            cost = rec.cost
+        n_value += cost.n_value
+        n_gradient += cost.n_gradient
+        n_hessian += cost.n_hessian
+    return x, SweepRecord(accepted, EvalCost(n_value, n_gradient, n_hessian), failures)
 
 
 def run_block_chain(

@@ -23,7 +23,7 @@ import numpy as np
 from .gibbs import BlockPartition, block_sweep
 from .linalg import MvnDistribution, SymMatrix, cholesky, mvn_sample
 from .slicer import SliceConfig, slice_sweep
-from .targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget
+from .targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget, _built
 from .trace import run_sweeps
 
 __all__ = [
@@ -238,11 +238,14 @@ def hb_gibbs(
         beta = beta.reshape(J, K).copy()
         gamma = gamma.reshape(K, L)
         prior_means = spec.upper_design @ gamma.T
-        prior_prec = SymMatrix(np.diag(tau))
+        # the groups' priors differ only in mean: diag(tau) is validated once
+        # per cycle, by the first group's constructor
+        first = GaussianPriorTarget(prior_means[0], SymMatrix(np.diag(tau)))
         cost = EvalCost()
         n_accepted = failures = 0
         for j in range(J):
-            target = AdditiveTarget([likelihoods[j], GaussianPriorTarget(prior_means[j], prior_prec)])
+            prior = _built(GaussianPriorTarget, _mean=prior_means[j], _precision=first._precision)
+            target = AdditiveTarget([likelihoods[j], prior])
             if tangent:
                 beta[j], rec = block_sweep(target, partition, beta[j], rng, newton=newton)
                 used = rec.cost

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MvnDistribution, NotPositiveDefinite, cholesky, mvn_logpdf, mvn_sample
+from .linalg import (
+    _LOG_2PI,
+    PIVOT_RTOL,
+    CholeskyFactor,
+    MvnDistribution,
+    NotPositiveDefinite,
+    _upper_solve,
+    cholesky,
+)
 from .targets import DifferentiableTarget, EvalCost, EvalResult
 from .trace import ChainTrace, run_sweeps
 
@@ -93,19 +101,77 @@ class StepCache:
     between steps so each transition evaluates only the proposed point."""
 
     value: float
-    proposal: MvnDistribution
+    proposal: _Proposal | _ScalarProposal
 
 
-def _fit_proposal(x: np.ndarray, res: EvalResult) -> MvnDistribution:
-    try:
-        factor = cholesky(-res.hessian)
-    except NotPositiveDefinite as err:
-        raise HessianNotNegativeDefinite(x, err.pivot) from err
-    # Newton step: mean = x + (-H)^{-1} g, solved against the factor
-    mean = x + factor.solve(res.gradient)
-    if not np.isfinite(mean).all():
-        raise _NonFiniteNewtonMean(f"Newton step from {x} is not finite")
-    return MvnDistribution(mean, factor)
+class _Proposal:
+    """The tangent Gaussian fitted at ``x``: ``mean`` the Newton step from
+    ``x``, precision the negated Hessian held as its lower Cholesky factor.
+    The fit checks the mean's finiteness and takes the half log-determinant
+    once; ``draw`` and ``log_q`` are ``mvn_sample`` and ``mvn_logpdf``."""
+
+    __slots__ = ("mean", "lower", "half_log_det")
+
+    def __init__(self, x: np.ndarray, res: EvalResult):
+        try:
+            factor = cholesky(-res.hessian)
+        except NotPositiveDefinite as err:
+            raise HessianNotNegativeDefinite(x, err.pivot) from err
+        # Newton step: mean = x + (-H)^{-1} g, solved against the factor
+        mean = x + factor.solve(res.gradient)
+        if not np.isfinite(mean).all():
+            raise _NonFiniteNewtonMean(f"Newton step from {x} is not finite")
+        self.mean = mean
+        self.lower = factor.lower
+        self.half_log_det = float(np.log(factor.lower.diagonal()).sum())
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(self.mean.shape[0])
+        return self.mean + _upper_solve(self.lower.T, z, 0)
+
+    def log_q(self, x: np.ndarray) -> float:
+        z = self.lower.T @ (x - self.mean)
+        return -0.5 * self.mean.shape[0] * _LOG_2PI + self.half_log_det - 0.5 * float(z @ z)
+
+
+class _ScalarProposal:
+    """``_Proposal`` at dim 1 in float arithmetic, bit-identical to it:
+    ``np.linalg.cholesky`` of a 1x1 matrix is ``sqrt`` and a 1x1 ``dtrtrs``
+    divides by the factor (multiplying by its reciprocal is not identical)."""
+
+    __slots__ = ("mean", "_m", "_l", "half_log_det")
+
+    def __init__(self, x: np.ndarray, res: EvalResult):
+        a = -float(res.hessian[0, 0])
+        # cholesky's pivot rule: a non-finite entry, a failed factorization
+        # or l*l at or below the relative tolerance
+        if not (math.isfinite(a) and a > 0.0):
+            raise HessianNotNegativeDefinite(x, 0)
+        l = math.sqrt(a)
+        if not l * l > PIVOT_RTOL * a:
+            raise HessianNotNegativeDefinite(x, 0)
+        m = float(x[0]) + (float(res.gradient[0]) / l) / l
+        if not math.isfinite(m):
+            raise _NonFiniteNewtonMean(f"Newton step from {x} is not finite")
+        self.mean = np.array([m])
+        self._m = m
+        self._l = l
+        self.half_log_det = float(np.log(l))
+
+    @property
+    def lower(self) -> np.ndarray:
+        return np.array([[self._l]])
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return self._m + rng.standard_normal(1) / self._l
+
+    def log_q(self, x: np.ndarray) -> float:
+        z = self._l * (float(x[0]) - self._m)
+        return -0.5 * _LOG_2PI + self.half_log_det - 0.5 * (z * z)
+
+
+def _fit_proposal(x: np.ndarray, res: EvalResult) -> _Proposal | _ScalarProposal:
+    return _ScalarProposal(x, res) if x.shape[0] == 1 else _Proposal(x, res)
 
 
 def build_proposal(target: DifferentiableTarget, x) -> MvnDistribution:
@@ -122,7 +188,8 @@ def build_proposal(target: DifferentiableTarget, x) -> MvnDistribution:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     res = target.evaluate(x, gradient=True, hessian=True)
-    return _fit_proposal(x, res)
+    prop = _fit_proposal(x, res)
+    return MvnDistribution(prop.mean, CholeskyFactor(prop.lower))
 
 
 def newton_step(target: DifferentiableTarget, x) -> np.ndarray:
@@ -151,29 +218,29 @@ def tangent_step(
     cannot continue from unverifiable ground.
     """
     x_old = np.atleast_1d(np.asarray(x_old, dtype=float))
-    cost = EvalCost()
+    spent = None  # the current point's evaluation cost, when it is paid here
     if cached_old is None:
         res_old = target.evaluate(x_old, gradient=True, hessian=True)
-        cost = cost + res_old.cost
+        spent = res_old.cost
         f_old = res_old.value
         prop_old = _fit_proposal(x_old, res_old)
     else:
         f_old = cached_old.value
         prop_old = cached_old.proposal
 
-    x_prop = mvn_sample(prop_old, rng)
-    log_q_prop = mvn_logpdf(prop_old, x_prop)
+    x_prop = prop_old.draw(rng)
+    log_q_prop = prop_old.log_q(x_prop)
 
+    res_prop = target.evaluate(x_prop, gradient=True, hessian=True)
+    cost = res_prop.cost if spent is None else spent + res_prop.cost
     try:
-        res_prop = target.evaluate(x_prop, gradient=True, hessian=True)
-        cost = cost + res_prop.cost
         prop_prop = _fit_proposal(x_prop, res_prop)
     except (HessianNotNegativeDefinite, _NonFiniteNewtonMean):
         # proposal landed outside the verifiably log-concave region
         record = StepRecord(x_prop, False, -math.inf, cost, hessian_failure=True)
         return x_old, record, StepCache(f_old, prop_old)
 
-    log_q_old = mvn_logpdf(prop_prop, x_old)
+    log_q_old = prop_prop.log_q(x_old)
     log_ratio = (res_prop.value - f_old) + (log_q_old - log_q_prop)
 
     if log_ratio >= 0.0:

@@ -131,6 +131,23 @@ class TestChainBadInput:
     def test_newton_beyond_burnin(self, tmp_path, capsys):
         assert "burn-in" in self.rejects(tmp_path, capsys, "n_burnin = 10\nn_newton = 20\n")
 
+    def test_non_finite_x0(self, tmp_path, capsys):
+        assert "finite" in self.rejects(tmp_path, capsys, "x0 = nan\n")
+
+    def test_no_tangent_fit_at_x0(self, tmp_path, capsys):
+        # the Poisson Hessian -exp(800) overflows to -inf at the start point
+        err = self.rejects(tmp_path, capsys, "x0 = 800\n")
+        assert "x0 = 800" in err and "pivot 0" in err
+
+    def test_newton_burnin_diverges_from_x0(self, tmp_path, capsys):
+        # the first Newton step from -20 lands near 9.7e8, where the fit fails
+        err = self.rejects(tmp_path, capsys, "x0 = -20\n")
+        assert "x0 = -20" in err and "Hessian not negative definite" in err
+
+    def test_gaussian_precision_not_positive(self, tmp_path, capsys):
+        err = self.rejects(tmp_path, capsys, "target = gaussian\nprecision = -1\n")
+        assert "not positive definite" in err
+
 
 def assert_rejected(verb, tmp_path, capsys, config_text):
     """One ``error:`` line, exit status 2 and no output directory."""
@@ -151,6 +168,14 @@ class TestHbBadInput:
 
     def test_bad_slice_width(self, tmp_path, capsys):
         assert "width" in assert_rejected("hb", tmp_path, capsys, "width = -1.0\n")
+
+
+class TestTheoremBadInput:
+    @pytest.mark.parametrize(
+        "key, value", [("trials", "x"), ("trials", "-1"), ("n_instances", "2.5"), ("n_instances", "0")]
+    )
+    def test_rejected_before_output(self, tmp_path, capsys, key, value):
+        assert key in assert_rejected("theorem", tmp_path, capsys, f"{key} = {value}\n")
 
 
 class TestMixingScanBadInput:

@@ -106,6 +106,21 @@ class TestGibbs:
         trace = hb_gibbs(pinned, HbConfig(n_burnin=50, n_samples=100, seed=8))
         assert np.max(np.abs(trace.gamma)) < 0.01
 
+    @pytest.mark.parametrize("sampler", ["tangent", "slice"])
+    def test_prior_precision_factored_once_per_cycle(self, small_instance, sampler, monkeypatch):
+        # diag(tau) is checked once per cycle, not once per group; each
+        # tangent block restrict still factors its own diagonal block
+        import tangentmh.targets as targets
+
+        calls = []
+        real = targets.cholesky
+        monkeypatch.setattr(targets, "cholesky", lambda m: calls.append(1) or real(m))
+        spec, _ = small_instance
+        hb_gibbs(spec, HbConfig(n_burnin=2, n_samples=3, beta_sampler=sampler, seed=9))
+        n_blocks = 2  # 6 coefficients in blocks of 5
+        per_cycle = 1 + (spec.n_groups * n_blocks if sampler == "tangent" else 0)
+        assert len(calls) == 5 * per_cycle
+
     def test_invalid_sampler_name(self):
         with pytest.raises(ValueError):
             HbConfig(beta_sampler="nuts")

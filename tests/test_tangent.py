@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from tangentmh.diagnostics import effective_size
-from tangentmh.linalg import cholesky
-from tangentmh.targets import gaussian_prior, poisson_lograte_target
+from tangentmh.linalg import MvnDistribution, cholesky, mvn_logpdf, mvn_sample
+from tangentmh.targets import EvalResult, gaussian_prior, poisson_lograte_target
 from tangentmh.tangent import (
     ChainConfig,
     HessianNotNegativeDefinite,
+    _fit_proposal,
+    _NonFiniteNewtonMean,
+    _Proposal,
+    _ScalarProposal,
     build_proposal,
     newton_step,
     run_chain,
@@ -60,6 +64,74 @@ class TestBuildProposal:
         with pytest.raises(HessianNotNegativeDefinite) as exc:
             build_proposal(Convex(), [1.0])
         assert exc.value.pivot == 0
+
+
+def _fit_outcome(fit, x, res):
+    """The fitted record, or the failure as (exception type, pivot)."""
+    try:
+        return fit(x, res)
+    except HessianNotNegativeDefinite as err:
+        return (HessianNotNegativeDefinite, err.pivot)
+    except _NonFiniteNewtonMean:
+        return (_NonFiniteNewtonMean, None)
+
+
+class TestProposalRecord:
+    """The kernel's proposal records against cholesky + solve + mvn_sample +
+    mvn_logpdf, compared with ``==``."""
+
+    @staticmethod
+    def _check_equal(rec, x, g, h, seed, y):
+        factor = cholesky(-h)
+        dist = MvnDistribution(x + factor.solve(g), factor)
+        draw = mvn_sample(dist, np.random.default_rng(seed))
+        assert np.array_equal(rec.mean, dist.mean)
+        assert np.array_equal(rec.draw(np.random.default_rng(seed)), draw)
+        assert rec.log_q(draw) == mvn_logpdf(dist, draw)
+        assert rec.log_q(y) == mvn_logpdf(dist, y)
+        assert rec.log_q(x) == mvn_logpdf(dist, x)
+
+    def test_scalar_record_bit_identical_to_general_path(self):
+        rng = np.random.default_rng(6)
+        n = 20000
+        xs = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        gs = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+        hs = -(10.0 ** rng.uniform(-8, 8, n))
+        ys = xs + rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        for i in range(n):
+            x, g, h = np.array([xs[i]]), np.array([gs[i]]), np.array([[hs[i]]])
+            rec = _fit_proposal(x, EvalResult(0.0, g, h))
+            assert isinstance(rec, _ScalarProposal)
+            self._check_equal(rec, x, g, h, i, np.array([ys[i]]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 10])
+    def test_general_record_equals_linalg_functions(self, dim):
+        rng = np.random.default_rng(dim)
+        for i in range(50):
+            x = rng.standard_normal(dim)
+            g = rng.standard_normal(dim)
+            h = -random_spd(dim, rng)
+            rec = _fit_proposal(x, EvalResult(0.0, g, h))
+            assert isinstance(rec, _Proposal)
+            self._check_equal(rec, x, g, h, i, rng.standard_normal(dim))
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [(1.0, np.nan), (1.0, np.inf), (1.0, -np.inf), (1.0, 0.0), (1.0, -0.0),
+         (1.0, 2.0), (1.0, 5e-324), (np.inf, -1.0), (-np.inf, -1.0), (np.nan, -1.0),
+         (1e300, -1e-300), (1.0, -5e-324), (1.0, -1e300)],
+    )
+    def test_scalar_record_fails_like_general_path(self, g, h):
+        x, res = np.array([0.5]), EvalResult(0.0, np.array([g]), np.array([[h]]))
+        scalar, general = _fit_outcome(_ScalarProposal, x, res), _fit_outcome(_Proposal, x, res)
+        if isinstance(general, tuple):
+            assert scalar == general
+        else:
+            self._check_equal(scalar, x, res.gradient, res.hessian, 0, np.array([0.25]))
+        if not (np.isfinite(h) and h < 0.0):
+            assert scalar == (HessianNotNegativeDefinite, 0)
+        elif not np.isfinite(g):
+            assert scalar == (_NonFiniteNewtonMean, None)
 
 
 class TestNewton:
