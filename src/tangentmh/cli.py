@@ -10,9 +10,10 @@ recomputed with any weighting.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment.  Values
 are parsed as int, float, bool, or comma-separated lists thereof.  CLI
-flags override config-file keys.  Randomness flows from the single
-``--seed`` through named child streams (one per chain or replicate) of a
-``numpy`` SeedSequence.
+flags override config-file keys.  Each verb's settings table (see ``Key``)
+gives its allowed keys, defaults, ``--quick`` sizes, casts and checks.
+Randomness flows from the single ``--seed`` through named child streams
+(one per chain or replicate) of a ``numpy`` SeedSequence.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from . import __version__
 from .benchmark import DEFAULT_WIDTHS, run_benchmark
 from .concavity import random_instances, run_campaign
 from .diagnostics import ModeFindingError, effective_size, ess_per_dim, mixing_index
-from .gibbs import BlockPartition, run_block_chain
 from .hb import HbConfig, hb_gibbs, simulate_hb
 from .linalg import NotPositiveDefinite
 from .slicer import SliceConfig, SliceError, slice_gibbs_chain
@@ -66,33 +68,23 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: empty key")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        out[key] = _parse_value(value)
+        if "," in value:
+            out[key] = [_parse_scalar(v.strip()) for v in value.split(",") if v.strip()]
+        else:
+            out[key] = _parse_scalar(value)
     return out
-
-
-def _parse_value(value: str):
-    if "," in value:
-        return [_parse_scalar(v.strip()) for v in value.split(",") if v.strip()]
-    return _parse_scalar(value)
 
 
 def _parse_scalar(value: str):
     low = value.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
+    for cast in (int, float):
+        try:
+            return cast(value)
+        except ValueError:
+            pass
     return value
-
-
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else [value]
 
 
 def content_hash(payload: dict, data_files=()) -> str:
@@ -123,9 +115,7 @@ def write_csv(path: Path, schema: str, cfg: dict, run_hash: str, header: list, r
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (bool, np.bool_)):
-        return int(v)
-    if isinstance(v, np.integer):
+    if isinstance(v, (bool, np.bool_, np.integer)):
         return int(v)
     return v
 
@@ -144,21 +134,6 @@ def read_csv_checked(path, schema: str):
         return []
 
 
-def write_summary(path: Path, verb: str, cfg: dict, run_hash: str, body: dict) -> None:
-    doc = {
-        "schema": _schema(f"{verb}-summary"),
-        "version": __version__,
-        "verb": verb,
-        "seed": cfg.get("seed"),
-        "config": cfg,
-        "content_hash": run_hash,
-    }
-    doc.update(body)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
 def _json_default(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
@@ -167,71 +142,140 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-def _merge_config(args, defaults: dict, allowed: set) -> dict:
-    cfg = dict(defaults)
+class _Output:
+    """A run's output directory, bound to the verb, the config echo and the
+    run hash that every file written there carries."""
+
+    def __init__(self, args, cfg: dict, data_files=()):
+        self.verb = args.verb
+        self.dir = Path(args.out) if args.out else Path("tangentmh-out") / args.verb
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.cfg = cfg
+        self.run_hash = content_hash(cfg, data_files)
+
+    def csv(self, name: str, schema: str, header: list, rows) -> None:
+        write_csv(self.dir / name, _schema(schema), self.cfg, self.run_hash, header, rows)
+
+    def summary(self, body: dict) -> None:
+        doc = {
+            "schema": _schema(f"{self.verb}-summary"),
+            "version": __version__,
+            "verb": self.verb,
+            "seed": self.cfg.get("seed"),
+            "config": self.cfg,
+            "content_hash": self.run_hash,
+            **body,
+        }
+        with open(self.dir / "summary.json", "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+            fh.write("\n")
+
+
+# ------------------------------------------------------------- settings
+
+
+class Key(NamedTuple):
+    """One setting of a verb.
+
+    ``kind`` is ``"count"`` (an integer >= ``low``; an integral float such
+    as 20.0 counts), ``"number"`` (finite, and > ``low`` if one is given),
+    ``"path"``, a tuple of the allowed strings, or ``"count list"`` /
+    ``"number list"``: one value or a comma list, each entry checked.
+    ``quick`` replaces the value under ``--quick``.  The config echo that
+    every output file carries holds the keys the config file sets, plus
+    the defaults that are not None and have ``echo`` set.
+    """
+
+    kind: str | tuple
+    default: object = None
+    low: float | None = None
+    quick: object = None
+    echo: bool = True
+
+
+SEED = Key("count", low=0)
+
+
+def _settings(args, table: dict) -> tuple[dict, SimpleNamespace]:
+    """The config echo and the checked, typed settings of one verb.
+
+    File keys override the table's defaults, ``--seed`` overrides the
+    file, and ``--quick`` overrides both.  Every value is checked here,
+    before the verb makes anything.  The echo keeps each value as written
+    (``n_burnin = 20.0`` stays 20.0), except the seed, which is an int.
+    """
+    parsed = {}
     if args.config:
-        parsed = parse_config_text(Path(args.config).read_text(), args.config)
-        for lineno_key in parsed:
-            if lineno_key not in allowed:
-                raise ConfigError(
-                    f"{args.config}: unknown key {lineno_key!r} for this verb"
-                )
-        cfg.update(parsed)
+        try:
+            parsed = parse_config_text(Path(args.config).read_text(), args.config)
+        except OSError as err:
+            raise ConfigError(f"{args.config}: {err.strerror}") from err
+    unknown = [key for key in parsed if key not in table]
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown key {unknown[0]!r} for this verb")
+    cfg = {key: k.default for key, k in table.items() if k.echo and k.default is not None}
+    cfg.update(parsed)
     if args.seed is not None:
-        cfg["seed"] = args.seed
-    if cfg.get("seed") is None:
+        cfg["seed"] = _parse_scalar(args.seed)
+    if "seed" not in cfg:
         raise ConfigError("a seed is required (--seed or 'seed =' in the config)")
-    cfg["seed"] = int(cfg["seed"])
+    # a file value that --quick replaces is still checked
+    values = {key: _check(key, k, cfg.get(key, k.default)) for key, k in table.items()}
+    if args.quick:
+        quick = {key: k.quick for key, k in table.items() if k.quick is not None}
+        cfg.update(quick)
+        values.update(quick)
+    cfg["seed"] = values["seed"]
     cfg["quick"] = bool(args.quick)
-    return cfg
+    return cfg, SimpleNamespace(**values)
 
 
-def _require_counts(cfg: dict, **lows) -> None:
-    """Refuse ``cfg[key]`` (each entry of a list) unless it is an integer
-    of at least ``lows[key]``."""
-    for key, low in lows.items():
-        for value in _as_list(cfg[key]):
-            try:
-                ok = int(value) == value and value >= low
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+def _check(key: str, spec: Key, value):
+    """``value`` as its kind asks, or a ConfigError naming ``key``."""
+    if value is None:
+        return None
+    kind = spec.kind
+    if isinstance(kind, str) and kind.endswith(" list"):
+        entries = value if isinstance(value, list) else [value]
+        if not entries:
+            raise ConfigError(f"{key} needs at least one value")
+        return [_check(key, spec._replace(kind=kind.split()[0]), v) for v in entries]
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(kind, tuple):
+        ok = value in kind
+        need = "one of " + ", ".join(kind)
+    elif kind == "path":
+        ok = isinstance(value, str)
+        need = "a file path"
+    elif kind == "count":
+        ok = real and (isinstance(value, int) or value.is_integer()) and value >= spec.low
+        need = f"an integer >= {spec.low}"
+    else:
+        ok = real and abs(value) <= sys.float_info.max and (spec.low is None or value > spec.low)
+        need = "a finite number" + ("" if spec.low is None else f" > {spec.low}")
+    if not ok:
+        raise ConfigError(f"{key} must be {need}, got {value!r}")
+    return int(value) if kind == "count" else value
 
 
-def _outdir(args, verb: str) -> Path:
-    out = Path(args.out) if args.out else Path("tangentmh-out") / verb
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _build_target(cfg: dict):
-    name = cfg["target"]
-    data_files = []
+def _build_target(s):
+    """The chain's target and the data files its run hash covers."""
     try:
-        if name == "poisson":
-            counts = _as_list(cfg.get("counts", [2]))
-            target = poisson_lograte_target(np.asarray(counts, dtype=int))
-        elif name == "replicated-poisson":
-            target = replicated_poisson_target(int(cfg.get("obs", 1)), int(cfg.get("n_obs", 1)))
-        elif name == "gaussian":
-            dim = int(cfg.get("dim", 2))
-            prec = float(cfg.get("precision", 1.0))
-            target = gaussian_prior(np.zeros(dim), prec * np.eye(dim))
-        elif name == "logistic":
-            path = cfg.get("data")
-            if not path:
-                raise ConfigError("logistic target needs 'data = <csv file>'")
-            X, y = _load_logistic_csv(path)
-            target = logistic_target(X, y)
-            data_files.append(path)
+        if s.target == "poisson":
+            target = poisson_lograte_target(np.asarray(s.counts, dtype=int))
+        elif s.target == "replicated-poisson":
+            target = replicated_poisson_target(s.obs, s.n_obs)
+        elif s.target == "gaussian":
+            target = gaussian_prior(np.zeros(s.dim), s.precision * np.eye(s.dim))
+        elif not s.data:
+            raise ConfigError("logistic target needs 'data = <csv file>'")
         else:
-            raise ConfigError(f"unknown target {name!r}")
+            target = logistic_target(*_load_logistic_csv(s.data))
     except (ValueError, NotPositiveDefinite) as err:
-        raise ConfigError(f"target {name!r}: {err}") from err
-    if name in ("poisson", "replicated-poisson") and target.total_count == 0:
+        raise ConfigError(f"target {s.target!r}: {err}") from err
+    if s.target == "poisson" and target.total_count == 0:
         raise ConfigError("poisson counts are all zero: the posterior is improper")
-    return target, data_files
+    return target, [s.data] if s.target == "logistic" else []
 
 
 def _load_logistic_csv(path):
@@ -259,188 +303,116 @@ def _load_logistic_csv(path):
 
 # ---------------------------------------------------------------- chain
 
-CHAIN_KEYS = {
-    "seed", "target", "counts", "obs", "n_obs", "dim", "precision", "data",
-    "x0", "n_burnin", "n_samples", "n_newton", "sampler", "width", "max_stepout",
+CHAIN_SETTINGS = {
+    "seed": SEED,
+    "target": Key(("poisson", "replicated-poisson", "gaussian", "logistic"), "poisson"),
+    "counts": Key("count list", [2], low=0, echo=False),
+    "obs": Key("count", 1, low=1, echo=False),
+    "n_obs": Key("count", 1, low=1, echo=False),
+    "dim": Key("count", 2, low=1, echo=False),
+    "precision": Key("number", 1.0, echo=False),
+    "data": Key("path"),
+    "x0": Key("number list", 0.0),
+    "n_burnin": Key("count", 500, low=0, quick=50),
+    "n_samples": Key("count", 2000, low=0, quick=200),
+    "n_newton": Key("count", low=0),  # unset: half the burn-in
+    "sampler": Key(("tangent", "slice"), "tangent"),
+    "width": Key("number", 1.0, low=0, echo=False),
+    "max_stepout": Key("count", 10, low=1, echo=False),
 }
 
-CHAIN_DEFAULTS = {
-    "target": "poisson",
-    "x0": 0.0,
-    "n_burnin": 500,
-    "n_samples": 2000,
-    "sampler": "tangent",
-}
 
-
-def cmd_chain(args) -> int:
-    cfg = _merge_config(args, CHAIN_DEFAULTS, CHAIN_KEYS)
-    if cfg["quick"]:
-        cfg["n_burnin"], cfg["n_samples"] = 50, 200
-    if cfg["sampler"] not in ("tangent", "slice"):
-        raise ConfigError(f"unknown sampler {cfg['sampler']!r}")
-    target, data_files = _build_target(cfg)
-    try:
-        x0 = np.full(target.dim, float(cfg["x0"])) if np.isscalar(cfg["x0"]) else np.asarray(cfg["x0"], dtype=float)
-        # the iteration plan is validated for either sampler
-        chain_cfg = ChainConfig(
-            n_burnin=int(cfg["n_burnin"]),
-            n_samples=int(cfg["n_samples"]),
-            n_newton=int(cfg["n_newton"]) if "n_newton" in cfg else None,
-        )
-        slice_cfg = SliceConfig(
-            width=float(cfg.get("width", 1.0)), max_stepout=int(cfg.get("max_stepout", 10))
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+def cmd_chain(args, cfg: dict, s) -> int:
+    # the iteration plan is checked for either sampler
+    if s.n_newton is not None and s.n_newton > s.n_burnin:
+        raise ConfigError(f"n_newton = {s.n_newton} exceeds the burn-in, n_burnin = {s.n_burnin}")
+    target, data_files = _build_target(s)
+    x0 = np.asarray(s.x0 * target.dim if np.isscalar(cfg["x0"]) else s.x0, dtype=float)
     if x0.shape != (target.dim,):
         raise ConfigError(f"x0 has {x0.size} entries; the target has dimension {target.dim}")
-    if not np.isfinite(x0).all():
-        raise ConfigError(f"x0 must be finite, got {cfg['x0']!r}")
-    run_hash = content_hash(cfg, data_files)
 
-    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
+    rng = np.random.default_rng(np.random.SeedSequence(s.seed))
     # the output directory is made only once the chain has run: a start
     # point the chain cannot leave (e.g. no tangent fit there, or a Newton
-    # burn-in that diverges) leaves nothing behind
+    # burn-in that diverges) leaves nothing behind.  Such a start overflows
+    # the target on the way; the error line below says so, numpy does not.
     mixing = None
     try:
-        if cfg["sampler"] == "tangent":
-            trace = run_chain(target, x0, chain_cfg, rng)
-        else:
-            trace = slice_gibbs_chain(
-                target, x0, chain_cfg.n_burnin, chain_cfg.n_samples, slice_cfg, rng
-            )
-        if target.dim == 1 and hasattr(target, "third_derivative"):
-            mixing = mixing_index(target, x0=float(x0[0]))
+        with np.errstate(all="ignore"):
+            if s.sampler == "tangent":
+                trace = run_chain(target, x0, ChainConfig(s.n_burnin, s.n_samples, s.n_newton), rng)
+            else:
+                slice_cfg = SliceConfig(s.width, s.max_stepout)
+                trace = slice_gibbs_chain(target, x0, s.n_burnin, s.n_samples, slice_cfg, rng)
+            if target.dim == 1 and hasattr(target, "third_derivative"):
+                mixing = mixing_index(target, x0=float(x0[0]))
     except (HessianNotNegativeDefinite, _NonFiniteNewtonMean, SliceError, ModeFindingError) as err:
         raise ConfigError(f"cannot run from x0 = {cfg['x0']!r}: {err}") from err
-    out = _outdir(args, "chain")
+    out = _Output(args, cfg, data_files)
 
-    dim = trace.dim
-    write_csv(
-        out / "samples.csv",
-        _schema("samples"),
-        cfg,
-        run_hash,
-        ["step"] + [f"x{j}" for j in range(dim)],
-        ([i] + list(trace.samples[i]) for i in range(trace.n_steps)),
-    )
-    write_csv(
-        out / "steps.csv",
-        _schema("steps"),
-        cfg,
-        run_hash,
-        ["step", "accepted", "n_value", "n_gradient", "n_hessian"],
-        (
-            [i, trace.accepted[i], trace.n_value[i], trace.n_gradient[i], trace.n_hessian[i]]
-            for i in range(trace.n_steps)
-        ),
-    )
+    out.csv("samples.csv", "samples", ["step"] + [f"x{j}" for j in range(trace.dim)],
+            ([i] + list(trace.samples[i]) for i in range(trace.n_steps)))
+    out.csv("steps.csv", "steps", ["step", "accepted", "n_value", "n_gradient", "n_hessian"],
+            ([i, trace.accepted[i], trace.n_value[i], trace.n_gradient[i], trace.n_hessian[i]]
+             for i in range(trace.n_steps)))
 
+    cost = trace.total_cost()
     body = {
         "acceptance_rate": trace.acceptance_rate() if trace.n_steps else None,
         "ess_per_dim": ess_per_dim(trace.samples).tolist() if trace.n_steps >= 10 else None,
-        "eval_counters": trace.total_cost(),
-        "evals_per_step": (
-            {k: v / trace.n_steps for k, v in trace.total_cost().items()}
-            if trace.n_steps
-            else None
-        ),
+        "eval_counters": cost,
+        "evals_per_step": {k: v / trace.n_steps for k, v in cost.items()} if trace.n_steps else None,
         "n_samples": trace.n_steps,
         "hessian_failures": trace.meta.get("hessian_failures", 0),
     }
     if mixing is not None:
         body["mixing_index"] = mixing
-    write_summary(out / "summary.json", "chain", cfg, run_hash, body)
-    print(f"chain: {trace.n_steps} samples in {trace.wall_time:.2f}s -> {out}")
+    out.summary(body)
+    print(f"chain: {trace.n_steps} samples in {trace.wall_time:.2f}s -> {out.dir}")
     return 0
 
 
 # ------------------------------------------------------------ benchmark
 
-BENCH_KEYS = {
-    "seed", "n_runs", "n_obs", "n_coeffs", "n_burnin", "n_samples",
-    "block_size", "widths",
+# the keys are run_benchmark's parameters
+BENCHMARK_SETTINGS = {
+    "seed": SEED,
+    "n_runs": Key("count", 10, low=1, quick=1),
+    "n_obs": Key("count", 1000, low=1),
+    "n_coeffs": Key("count", 10, low=1),
+    "n_burnin": Key("count", 200, low=0, quick=100),
+    "n_samples": Key("count", 500, low=10, quick=200),  # ESS needs 10 samples
+    "block_size": Key("count", 5, low=1),
+    "widths": Key("number list", list(DEFAULT_WIDTHS), low=0, echo=False),
 }
 
-BENCH_DEFAULTS = {
-    "n_runs": 10,
-    "n_obs": 1000,
-    "n_coeffs": 10,
-    "n_burnin": 200,
-    "n_samples": 500,
-    "block_size": 5,
-}
 
-
-def cmd_benchmark(args) -> int:
-    cfg = _merge_config(args, BENCH_DEFAULTS, BENCH_KEYS)
-    if cfg["quick"]:
-        cfg["n_runs"], cfg["n_samples"], cfg["n_burnin"] = 1, 200, 100
-    # ESS needs 10 samples; the design needs at least as many rows as columns
-    _require_counts(cfg, n_runs=1, n_coeffs=1, n_burnin=0, n_samples=10, block_size=1)
-    _require_counts(cfg, n_obs=int(cfg["n_coeffs"]))
-    widths = tuple(_as_list(cfg.get("widths", list(DEFAULT_WIDTHS))))
-    if not widths or not all(isinstance(w, (int, float)) and 0 < w < np.inf for w in widths):
-        raise ConfigError(f"widths must be finite and positive, got {widths}")
-    out = _outdir(args, "benchmark")
-    run_hash = content_hash(cfg)
-
-    res = run_benchmark(
-        seed=cfg["seed"],
-        n_runs=int(cfg["n_runs"]),
-        n_obs=int(cfg["n_obs"]),
-        n_coeffs=int(cfg["n_coeffs"]),
-        n_burnin=int(cfg["n_burnin"]),
-        n_samples=int(cfg["n_samples"]),
-        block_size=int(cfg["block_size"]),
-        widths=widths,
-    )
+def cmd_benchmark(args, cfg: dict, s) -> int:
+    # the design needs at least as many rows as columns
+    if s.n_obs < s.n_coeffs:
+        raise ConfigError(f"n_obs must be an integer >= n_coeffs = {s.n_coeffs}, got {s.n_obs}")
+    out = _Output(args, cfg)
+    res = run_benchmark(**vars(s))
 
     table = res.table()
-    write_csv(
-        out / "table.csv",
-        _schema("benchmark-table"),
-        cfg,
-        run_hash,
-        ["figure", "tangent-mh", "slice"],
-        (
-            [row, table["tangent-mh"][row], table["slice"][row]]
-            for row in ("evals_per_nominal", "effective_rate", "evals_per_effective")
+    out.csv("table.csv", "benchmark-table", ["figure", "tangent-mh", "slice"],
+            ([row, table["tangent-mh"][row], table["slice"][row]]
+             for row in ("evals_per_nominal", "effective_rate", "evals_per_effective")))
+    out.csv("runs.csv", "benchmark-runs",
+            ["sampler", "run", "ess_mean", "acceptance_rate", "n_value", "n_gradient",
+             "n_hessian", "evals_per_nominal", "effective_rate", "evals_per_effective"],
+            ([name, i, r.ess_mean, r.acceptance_rate, r.n_value, r.n_gradient,
+              r.n_hessian, r.evals_per_nominal, r.effective_rate, r.evals_per_effective]
+             for name, runs in (("tangent-mh", res.tangent_runs), ("slice", res.slice_runs))
+             for i, r in enumerate(runs)))
+    out.summary({
+        "table": table,
+        "slice_width": res.slice_width,
+        "slice_tuning_sweep": res.tuning,
+        "counter_ratio_per_effective": (
+            table["slice"]["evals_per_effective"] / table["tangent-mh"]["evals_per_effective"]
         ),
-    )
-    per_run_rows = []
-    for name, runs in (("tangent-mh", res.tangent_runs), ("slice", res.slice_runs)):
-        for i, r in enumerate(runs):
-            per_run_rows.append(
-                [name, i, r.ess_mean, r.acceptance_rate, r.n_value, r.n_gradient,
-                 r.n_hessian, r.evals_per_nominal, r.effective_rate, r.evals_per_effective]
-            )
-    write_csv(
-        out / "runs.csv",
-        _schema("benchmark-runs"),
-        cfg,
-        run_hash,
-        ["sampler", "run", "ess_mean", "acceptance_rate", "n_value", "n_gradient",
-         "n_hessian", "evals_per_nominal", "effective_rate", "evals_per_effective"],
-        per_run_rows,
-    )
-    write_summary(
-        out / "summary.json",
-        "benchmark",
-        cfg,
-        run_hash,
-        {
-            "table": table,
-            "slice_width": res.slice_width,
-            "slice_tuning_sweep": res.tuning,
-            "counter_ratio_per_effective": (
-                table["slice"]["evals_per_effective"]
-                / table["tangent-mh"]["evals_per_effective"]
-            ),
-        },
-    )
+    })
     # wall-clock figures are machine-dependent: console only
     wt = np.mean([r.wall_fee_per_effective for r in res.tangent_runs])
     ws = np.mean([r.wall_fee_per_effective for r in res.slice_runs])
@@ -449,159 +421,98 @@ def cmd_benchmark(args) -> int:
     print(f"  counter evals/effective:  tangent-mh "
           f"{table['tangent-mh']['evals_per_effective']:.1f}  slice "
           f"{table['slice']['evals_per_effective']:.1f}")
-    print(f"  outputs -> {out}")
+    print(f"  outputs -> {out.dir}")
     return 0
 
 
 # ------------------------------------------------------------------- hb
 
-HB_KEYS = {
-    "seed", "n_groups", "n_coeffs", "n_upper", "group_size", "n_burnin",
-    "n_samples", "block_size", "width",
-}
-
-HB_DEFAULTS = {
-    "n_groups": 5,
-    "n_coeffs": 10,
-    "n_upper": 2,
-    "group_size": 400,
-    "n_burnin": 500,
-    "n_samples": 500,
-    "block_size": 5,
+HB_SETTINGS = {
+    "seed": SEED,
+    "n_groups": Key("count", 5, low=1),
+    "n_coeffs": Key("count", 10, low=1),
+    "n_upper": Key("count", 2, low=1),
+    "group_size": Key("count", 400, low=0, quick=150),  # 0: log-uniform sizes
+    "n_burnin": Key("count", 500, low=0, quick=100),
+    "n_samples": Key("count", 500, low=0, quick=100),
+    "block_size": Key("count", 5, low=1),
+    "width": Key("number", 1.0, low=0, echo=False),
 }
 
 
-def cmd_hb(args) -> int:
-    cfg = _merge_config(args, HB_DEFAULTS, HB_KEYS)
-    if cfg["quick"]:
-        cfg["n_burnin"], cfg["n_samples"], cfg["group_size"] = 100, 100, 150
-    _require_counts(
-        cfg, n_groups=1, n_coeffs=1, n_upper=1, group_size=0, n_burnin=0, n_samples=0, block_size=1
-    )
-    if 0 < cfg["n_samples"] < 10:
-        raise ConfigError(f"n_samples must be 0 or >= 10 for ESS, got {cfg['n_samples']}")
-    try:
-        hb_cfgs = {
-            name: HbConfig(
-                n_burnin=int(cfg["n_burnin"]),
-                n_samples=int(cfg["n_samples"]),
-                block_size=int(cfg["block_size"]),
-                beta_sampler=name,
-                slice_cfg=SliceConfig(width=float(cfg.get("width", 1.0))),
-            )
-            for name in ("tangent", "slice")
-        }
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    out = _outdir(args, "hb")
-    run_hash = content_hash(cfg)
+def cmd_hb(args, cfg: dict, s) -> int:
+    if 0 < s.n_samples < 10:
+        raise ConfigError(f"n_samples must be 0 or >= 10 for ESS, got {s.n_samples}")
+    out = _Output(args, cfg)
 
-    root = np.random.SeedSequence(cfg["seed"])
-    sim_seed, tangent_seed, slice_seed = root.spawn(3)
-    spec, truth = simulate_hb(
-        int(cfg["n_groups"]),
-        int(cfg["n_coeffs"]),
-        int(cfg["n_upper"]),
-        np.random.default_rng(sim_seed),
-        group_size=int(cfg["group_size"]) if cfg.get("group_size") else None,
-    )
+    sim_seed, tangent_seed, slice_seed = np.random.SeedSequence(s.seed).spawn(3)
+    spec, truth = simulate_hb(s.n_groups, s.n_coeffs, s.n_upper, np.random.default_rng(sim_seed),
+                              group_size=s.group_size or None)
 
     traces = {}
     for name, seed in (("tangent", tangent_seed), ("slice", slice_seed)):
-        traces[name] = hb_gibbs(spec, hb_cfgs[name], np.random.default_rng(seed))
+        hb_cfg = HbConfig(s.n_burnin, s.n_samples, block_size=s.block_size, beta_sampler=name,
+                          slice_cfg=SliceConfig(width=s.width))
+        traces[name] = hb_gibbs(spec, hb_cfg, np.random.default_rng(seed))
 
     J, K = spec.n_groups, spec.n_coeffs
     rows = []
-    summary_stats = {}
-    for name, tr in traces.items():
-        n = tr.n_samples
-        if n == 0:
-            summary_stats[name] = {"n_samples": 0}
-            continue
-        mean = tr.beta.mean(axis=0)
-        sd = tr.beta.std(axis=0, ddof=1)
-        ess = np.array(
-            [[effective_size(tr.beta[:, j, k]) for k in range(K)] for j in range(J)]
-        )
-        mcse = sd / np.sqrt(np.maximum(ess, 1e-12))
-        evals = tr.meta["final_cost"]
-        total_evals = sum(evals.values())
-        summary_stats[name] = {
-            "n_samples": n,
-            "beta_mean": mean,
-            "beta_sd": sd,
-            "beta_mcse": mcse,
-            "ess_mean": float(np.mean(ess)),
-            "eval_counters": evals,
-            "evals_per_independent_sample": total_evals / float(np.mean(ess)),
-            "hessian_failures": tr.meta.get("hessian_failures", 0),
-        }
-        for j in range(J):
-            for k in range(K):
-                rows.append(
-                    [name, j, k, mean[j, k], sd[j, k], mcse[j, k], ess[j, k],
-                     truth["beta"][j, k]]
-                )
-
-    write_csv(
-        out / "coefficients.csv",
-        _schema("hb-coefficients"),
-        cfg,
-        run_hash,
-        ["sampler", "group", "coeff", "post_mean", "post_sd", "mcse", "ess", "true_beta"],
-        rows,
-    )
-
     body = {"truth_tau": truth["tau"].tolist()}
-    if all(s.get("n_samples", 0) for s in summary_stats.values()):
-        mt, ms = summary_stats["tangent"], summary_stats["slice"]
-        combo = np.sqrt(mt["beta_mcse"] ** 2 + ms["beta_mcse"] ** 2)
-        z = np.abs(mt["beta_mean"] - ms["beta_mean"]) / combo
+    if s.n_samples:
+        mean, mcse, comparison = {}, {}, {}
+        for name, tr in traces.items():
+            mean[name] = tr.beta.mean(axis=0)
+            sd = tr.beta.std(axis=0, ddof=1)
+            ess = np.array([[effective_size(tr.beta[:, j, k]) for k in range(K)] for j in range(J)])
+            mcse[name] = sd / np.sqrt(np.maximum(ess, 1e-12))
+            ess_mean = float(np.mean(ess))
+            evals = tr.meta["final_cost"]
+            comparison[name] = {
+                "ess_mean": ess_mean,
+                "eval_counters": evals,
+                "evals_per_independent_sample": sum(evals.values()) / ess_mean,
+                "hessian_failures": tr.meta.get("hessian_failures", 0),
+            }
+            rows.extend(
+                [name, j, k, mean[name][j, k], sd[j, k], mcse[name][j, k], ess[j, k],
+                 truth["beta"][j, k]]
+                for j in range(J)
+                for k in range(K)
+            )
+            print(f"hb[{name}]: {tr.n_samples} cycles in {tr.wall_time:.1f}s, "
+                  f"time/independent sample {tr.wall_time / ess_mean:.3f}s")
+        combo = np.sqrt(mcse["tangent"] ** 2 + mcse["slice"] ** 2)
+        z = np.abs(mean["tangent"] - mean["slice"]) / combo
         lo = np.quantile(traces["tangent"].beta, 0.025, axis=0)
         hi = np.quantile(traces["tangent"].beta, 0.975, axis=0)
         body["coverage_95"] = float(np.mean((truth["beta"] >= lo) & (truth["beta"] <= hi)))
         body["max_mean_discrepancy_mcse"] = float(np.max(z))
-        body["comparison"] = {
-            name: {
-                "ess_mean": s["ess_mean"],
-                "eval_counters": s["eval_counters"],
-                "evals_per_independent_sample": s["evals_per_independent_sample"],
-                "hessian_failures": s["hessian_failures"],
-            }
-            for name, s in summary_stats.items()
-        }
-        for name, tr in traces.items():
-            print(
-                f"hb[{name}]: {tr.n_samples} cycles in {tr.wall_time:.1f}s, "
-                f"time/independent sample {tr.wall_time / summary_stats[name]['ess_mean']:.3f}s"
-            )
-    write_summary(out / "summary.json", "hb", cfg, run_hash, body)
-    print(f"hb: outputs -> {out}")
+        body["comparison"] = comparison
+    out.csv("coefficients.csv", "hb-coefficients",
+            ["sampler", "group", "coeff", "post_mean", "post_sd", "mcse", "ess", "true_beta"], rows)
+    out.summary(body)
+    print(f"hb: outputs -> {out.dir}")
     return 0
 
 
 # -------------------------------------------------------------- theorem
 
-THEOREM_KEYS = {"seed", "n_instances", "trials"}
-THEOREM_DEFAULTS = {"n_instances": 100, "trials": 10}
+THEOREM_SETTINGS = {
+    "seed": SEED,
+    "n_instances": Key("count", 100, low=1, quick=20),
+    "trials": Key("count", 10, low=0),
+}
 
 
-def cmd_theorem(args) -> int:
-    cfg = _merge_config(args, THEOREM_DEFAULTS, THEOREM_KEYS)
-    if cfg["quick"]:
-        cfg["n_instances"] = 20
-    _require_counts(cfg, n_instances=1, trials=0)
-    out = _outdir(args, "theorem")
-    run_hash = content_hash(cfg)
-
-    instances = random_instances(int(cfg["n_instances"]), cfg["seed"])
-    report = run_campaign(instances, trials=int(cfg["trials"]))
-    report.write_jsonl(out / "campaign.jsonl")
-    write_summary(out / "summary.json", "theorem", cfg, run_hash, report.summary())
+def cmd_theorem(args, cfg: dict, s) -> int:
+    out = _Output(args, cfg)
+    report = run_campaign(random_instances(s.n_instances, s.seed), trials=s.trials)
+    report.write_jsonl(out.dir / "campaign.jsonl")
     summary = report.summary()
+    out.summary(summary)
     print(
         f"theorem: {summary['n_certificates']} certificates, "
-        f"{summary['n_witnesses']} witnesses, {summary['n_violations']} violations -> {out}"
+        f"{summary['n_witnesses']} witnesses, {summary['n_violations']} violations -> {out.dir}"
     )
     if not report.ok:
         print(f"REPRODUCER: {report.reproducer()}", file=sys.stderr)
@@ -611,63 +522,45 @@ def cmd_theorem(args) -> int:
 
 # ----------------------------------------------------------- mixing scan
 
-MIXING_KEYS = {"seed", "obs", "n_list", "n_steps", "n_burnin"}
-MIXING_DEFAULTS = {"obs": 1, "n_list": [1, 10, 100], "n_steps": 30000, "n_burnin": 200}
+MIXING_SETTINGS = {
+    "seed": SEED,
+    "obs": Key("count", 1, low=1),  # 0 gives all-zero counts, which have no mode
+    "n_list": Key("count list", [1, 10, 100], low=1),
+    "n_steps": Key("count", 30000, low=1, quick=3000),
+    "n_burnin": Key("count", 200, low=0),
+}
 
 
-def cmd_mixing_scan(args) -> int:
-    cfg = _merge_config(args, MIXING_DEFAULTS, MIXING_KEYS)
-    if cfg["quick"]:
-        cfg["n_steps"] = 3000
-    # obs = 0 gives all-zero counts, which have no mode
-    _require_counts(cfg, obs=1, n_list=1, n_steps=1, n_burnin=0)
-    chain_cfg = ChainConfig(n_burnin=int(cfg["n_burnin"]), n_samples=int(cfg["n_steps"]))
-    out = _outdir(args, "mixing-scan")
-    run_hash = content_hash(cfg)
+def cmd_mixing_scan(args, cfg: dict, s) -> int:
+    chain_cfg = ChainConfig(n_burnin=s.n_burnin, n_samples=s.n_steps)
+    out = _Output(args, cfg)
 
-    root = np.random.SeedSequence(cfg["seed"])
-    n_list = [int(v) for v in _as_list(cfg["n_list"])]
     rows = []
-    for n_obs, child in zip(n_list, root.spawn(len(n_list))):
-        target = replicated_poisson_target(int(cfg["obs"]), n_obs)
+    for n_obs, child in zip(s.n_list, np.random.SeedSequence(s.seed).spawn(len(s.n_list))):
+        target = replicated_poisson_target(s.obs, n_obs)
         eta0 = mixing_index(target)
         trace = run_chain(target, [target.mode()], chain_cfg, np.random.default_rng(child))
         rows.append([n_obs, eta0, trace.acceptance_rate(), trace.n_steps])
 
-    write_csv(
-        out / "mixing_scan.csv",
-        _schema("mixing-scan"),
-        cfg,
-        run_hash,
-        ["n_obs", "mixing_index", "acceptance_rate", "n_steps"],
-        rows,
-    )
-    write_summary(
-        out / "summary.json",
-        "mixing-scan",
-        cfg,
-        run_hash,
-        {
-            "rows": [
-                {"n_obs": r[0], "mixing_index": r[1], "acceptance_rate": r[2]}
-                for r in rows
-            ]
-        },
-    )
+    out.csv("mixing_scan.csv", "mixing-scan",
+            ["n_obs", "mixing_index", "acceptance_rate", "n_steps"], rows)
+    out.summary({"rows": [
+        {"n_obs": r[0], "mixing_index": r[1], "acceptance_rate": r[2]} for r in rows
+    ]})
     for r in rows:
         print(f"mixing-scan: N={r[0]:4d}  eta0={r[1]:.4f}  acceptance={r[2]:.4f}")
-    print(f"mixing-scan: outputs -> {out}")
+    print(f"mixing-scan: outputs -> {out.dir}")
     return 0
 
 
 # ----------------------------------------------------------------- main
 
 VERBS = {
-    "chain": cmd_chain,
-    "benchmark": cmd_benchmark,
-    "hb": cmd_hb,
-    "theorem": cmd_theorem,
-    "mixing-scan": cmd_mixing_scan,
+    "chain": (cmd_chain, CHAIN_SETTINGS),
+    "benchmark": (cmd_benchmark, BENCHMARK_SETTINGS),
+    "hb": (cmd_hb, HB_SETTINGS),
+    "theorem": (cmd_theorem, THEOREM_SETTINGS),
+    "mixing-scan": (cmd_mixing_scan, MIXING_SETTINGS),
 }
 
 
@@ -680,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in VERBS:
         p = sub.add_parser(verb)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="root RNG seed (required here or in config)")
+        p.add_argument("--seed", help="root RNG seed, an integer >= 0 (required here or in config)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--quick", action="store_true", help="reduced-size run")
     return parser
@@ -688,8 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, table = VERBS[args.verb]
     try:
-        return VERBS[args.verb](args)
+        return command(args, *_settings(args, table))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

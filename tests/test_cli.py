@@ -1,11 +1,17 @@
 import hashlib
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tangentmh
 from tangentmh.cli import (
+    VERBS,
     ConfigError,
     main,
     parse_config_text,
@@ -45,6 +51,20 @@ class TestConfigParsing:
 
     def test_seed_required(self, tmp_path):
         assert run_cli("chain", "--out", str(tmp_path / "o")) == 2
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        assert run_cli("chain", "--config", missing, "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    def test_quick_does_not_hide_a_bad_value(self, tmp_path, capsys):
+        # --quick replaces n_burnin, but the file's value is still checked
+        err = assert_rejected("chain", tmp_path, capsys, "n_burnin = 20.5\n",
+                              ("--seed", "5", "--quick"))
+        assert "n_burnin must be an integer" in err
 
 
 class TestChainVerb:
@@ -148,17 +168,116 @@ class TestChainBadInput:
         err = self.rejects(tmp_path, capsys, "target = gaussian\nprecision = -1\n")
         assert "not positive definite" in err
 
+    @pytest.mark.parametrize(
+        "key, context",
+        [
+            ("n_burnin", ""),
+            ("n_samples", ""),
+            ("n_newton", ""),
+            ("max_stepout", "sampler = slice\n"),
+            ("dim", "target = gaussian\n"),
+            ("obs", "target = replicated-poisson\n"),
+            ("n_obs", "target = replicated-poisson\n"),
+            ("counts", ""),
+        ],
+    )
+    def test_non_integer_count(self, tmp_path, capsys, key, context):
+        # each of these used to run, truncated to 2
+        err = self.rejects(tmp_path, capsys, f"{context}{key} = 2.5\n")
+        assert f"{key} must be an integer" in err
 
-def assert_rejected(verb, tmp_path, capsys, config_text):
+    @pytest.mark.parametrize(
+        "config_text",
+        ["x0 = true\n", "sampler = slice\nwidth = 1" + "0" * 400 + "\n"],
+        ids=["boolean x0", "width beyond float range"],
+    )
+    def test_number_refused(self, tmp_path, capsys, config_text):
+        # the first ran from x0 = 1.0; the second ended in a traceback
+        assert "must be a finite number" in self.rejects(tmp_path, capsys, config_text)
+
+
+@pytest.mark.parametrize("x0", ["-20", "800"])
+def test_failed_start_prints_only_the_error_line(tmp_path, x0):
+    # in a fresh interpreter, so that a numpy warning would reach stderr
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"x0 = {x0}\n")
+    out = tmp_path / "o"
+    env = {**os.environ, "PYTHONPATH": str(Path(tangentmh.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tangentmh.cli", "chain", "--seed", "7", "--quick",
+         "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
+def assert_rejected(verb, tmp_path, capsys, config_text, argv=("--seed", "5")):
     """One ``error:`` line, exit status 2 and no output directory."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config_text)
     out = tmp_path / "o"
-    assert run_cli(verb, "--config", str(cfg), "--seed", "5", "--out", str(out)) == 2
+    assert run_cli(verb, "--config", str(cfg), *argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
     return err
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+@pytest.mark.parametrize(
+    "argv, config_text",
+    [
+        (("--seed", "-1"), ""),
+        ((), "seed = -1\n"),
+        ((), "seed = 2.5\n"),
+        ((), "seed = abc\n"),
+    ],
+    ids=["flag -1", "file -1", "file 2.5", "file abc"],
+)
+def test_seed_must_be_a_count(verb, argv, config_text, tmp_path, capsys):
+    err = assert_rejected(verb, tmp_path, capsys, config_text, argv + ("--quick",))
+    assert "seed must be an integer >= 0" in err
+
+
+COUNT_KEYS = [
+    (verb, key)
+    for verb, (_, table) in VERBS.items()
+    for key, spec in table.items()
+    if spec.kind in ("count", "count list")
+]
+
+
+@pytest.mark.parametrize("verb, key", COUNT_KEYS)
+def test_every_count_refuses_a_fraction(verb, key, tmp_path, capsys):
+    argv = () if key == "seed" else ("--seed", "5")
+    err = assert_rejected(verb, tmp_path, capsys, f"{key} = 2.5\n", argv)
+    assert f"{key} must be an integer" in err
+
+
+def test_readme_lists_every_setting():
+    """The README's CLI tables give each verb's keys, defaults and
+    ``--quick`` sizes as its settings table does."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+
+    def shown(value):
+        values = value if isinstance(value, list) else [value]
+        return "`" + ", ".join(str(v) for v in values) + "`"
+
+    for verb, (_, table) in VERBS.items():
+        lines = readme.split(f"#### `{verb}`\n", 1)[1].lstrip("\n").splitlines()
+        rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines))[2:]
+        cells = {}
+        for row in rows:
+            key, _, default, quick = (c.strip() for c in row.strip("|").split("|"))
+            cells[key.strip("`")] = (default, quick)
+        assert list(cells) == list(table), verb
+        for key, spec in table.items():
+            default, quick = cells[key]
+            if spec.default is not None:
+                assert default == shown(spec.default), (verb, key)
+            assert quick == ("" if spec.quick is None else shown(spec.quick)), (verb, key)
 
 
 class TestHbBadInput:
@@ -193,6 +312,10 @@ class TestBenchmarkBadInput:
 
     def test_bad_slice_widths(self, tmp_path, capsys):
         assert "widths" in assert_rejected("benchmark", tmp_path, capsys, "widths = 0.5, 0.0\n")
+
+    def test_boolean_slice_width(self, tmp_path, capsys):
+        # used to run as width 1
+        assert "widths" in assert_rejected("benchmark", tmp_path, capsys, "widths = true\n")
 
 
 # SHA-256 of every file each verb writes at --quick --seed 11 (numpy 2.4,
