@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import DifferentiableTarget, EvalCost
-from .tangent import ChainConfig, _fit_proposal, tangent_step
-from .trace import ChainTrace, run_sweeps
+from .tangent import build_proposal, tangent_step
+from .trace import ChainConfig, ChainTrace, run_sweeps
 
 __all__ = [
     "BlockPartition",
@@ -94,9 +94,9 @@ def block_sweep(
     for i, block in enumerate(partition.blocks):
         cond = parent.restrict(block, x)
         if newton:
-            res = cond.evaluate(x[block], gradient=True, hessian=True)
-            x[block] = _fit_proposal(x[block], res).mean
-            cost = res.cost
+            fit = build_proposal(cond, x[block])
+            x[block] = fit.mean
+            cost = fit.cost
             accepted[i] = True
         else:
             b_new, rec, _ = tangent_step(cond, x[block], None, rng)
@@ -128,6 +128,6 @@ def run_block_chain(
         return x, int(np.count_nonzero(rec.accepted)), rec.cost, rec.hessian_failures
 
     return run_sweeps(
-        sweep, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_iterations, "tangent-mh-blocked",
-        partition.n_blocks, block_sizes=[int(b.size) for b in partition.blocks],
+        sweep, x0, cfg, "tangent-mh-blocked", partition.n_blocks,
+        block_sizes=[int(b.size) for b in partition.blocks],
     )

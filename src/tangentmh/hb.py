@@ -24,7 +24,7 @@ from .gibbs import BlockPartition, block_sweep
 from .linalg import MvnDistribution, SymMatrix, cholesky, mvn_sample
 from .slicer import SliceConfig, slice_sweep
 from .targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget, _built
-from .trace import run_sweeps
+from .trace import ChainConfig, run_sweeps
 
 __all__ = [
     "HbModelSpec",
@@ -102,27 +102,22 @@ class HbModelSpec:
 
 
 @dataclass(frozen=True)
-class HbConfig:
-    """Cycle plan: burn-in (first half in Newton mode), recorded cycles,
-    block size for the coefficient updates, and the beta sampler choice."""
+class HbConfig(ChainConfig):
+    """Cycle plan: the ``ChainConfig`` iteration plan in cycles (first half
+    of the burn-in in Newton mode by default), block size for the
+    coefficient updates, and the beta sampler choice."""
 
     n_burnin: int = 500
     n_samples: int = 500
-    n_newton: int | None = None
     block_size: int = 5
     beta_sampler: str = "tangent"
     slice_cfg: SliceConfig = field(default_factory=SliceConfig)
     seed: int | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.beta_sampler not in ("tangent", "slice"):
             raise ValueError("beta_sampler must be 'tangent' or 'slice'")
-
-    @property
-    def newton_cycles(self) -> int:
-        if self.n_newton is None:
-            return self.n_burnin // 2
-        return self.n_newton
 
 
 @dataclass
@@ -264,7 +259,7 @@ def hb_gibbs(
 
     x0 = np.concatenate([np.zeros(J * K + K * L), np.ones(K)])
     tr = run_sweeps(
-        cycle, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_cycles, f"hb-gibbs/{cfg.beta_sampler}",
+        cycle, x0, cfg, f"hb-gibbs/{cfg.beta_sampler}",
         J * partition.n_blocks if tangent else None,
         block_size=cfg.block_size, beta_sampler=cfg.beta_sampler,
     )

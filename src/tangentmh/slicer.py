@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import DifferentiableTarget, EvalCost
-from .trace import ChainTrace, run_sweeps
+from .trace import ChainConfig, ChainTrace, run_sweeps
 
 __all__ = ["SliceConfig", "SliceError", "slice_step_1d", "slice_sweep", "slice_gibbs_chain"]
 
@@ -136,5 +136,6 @@ def slice_gibbs_chain(
         return x, 1, cost, 0
 
     return run_sweeps(
-        sweep, x0, n_burnin, n_samples, 0, "slice", width=cfg.width, max_stepout=cfg.max_stepout
+        sweep, x0, ChainConfig(n_burnin, n_samples, 0), "slice",
+        width=cfg.width, max_stepout=cfg.max_stepout,
     )

@@ -18,20 +18,17 @@ import numpy as np
 from .linalg import (
     _LOG_2PI,
     PIVOT_RTOL,
-    CholeskyFactor,
-    MvnDistribution,
     NotPositiveDefinite,
     _upper_solve,
     cholesky,
 )
 from .targets import DifferentiableTarget, EvalCost, EvalResult
-from .trace import ChainTrace, run_sweeps
+from .trace import ChainConfig, ChainTrace, run_sweeps
 
 __all__ = [
     "HessianNotNegativeDefinite",
     "ChainConfig",
     "StepRecord",
-    "StepCache",
     "build_proposal",
     "newton_step",
     "tangent_step",
@@ -59,58 +56,24 @@ class _NonFiniteNewtonMean(ValueError):
 
 
 @dataclass(frozen=True)
-class ChainConfig:
-    """Iteration plan for one chain.
-
-    ``n_newton`` deterministic Newton iterations open the burn-in (default:
-    half of it), the remaining burn-in steps are discarded MH transitions,
-    then ``n_samples`` recorded ones.
-    """
-
-    n_burnin: int = 0
-    n_samples: int = 0
-    n_newton: int | None = None
-
-    def __post_init__(self):
-        if self.n_burnin < 0 or self.n_samples < 0:
-            raise ValueError("iteration counts must be >= 0")
-        if self.n_newton is not None and not 0 <= self.n_newton <= self.n_burnin:
-            raise ValueError("n_newton must lie within the burn-in budget")
-
-    @property
-    def newton_iterations(self) -> int:
-        if self.n_newton is None:
-            return self.n_burnin // 2
-        return self.n_newton
-
-
-@dataclass(frozen=True)
 class StepRecord:
-    """One MH transition: what was proposed and how it was decided."""
+    """How one MH transition was decided."""
 
-    proposed: np.ndarray
     accepted: bool
     log_ratio: float
     cost: EvalCost
     hessian_failure: bool = False
 
 
-@dataclass(frozen=True)
-class StepCache:
-    """Log-density and proposal at the chain's current point, carried
-    between steps so each transition evaluates only the proposed point."""
-
-    value: float
-    proposal: _Proposal | _ScalarProposal
-
-
 class _Proposal:
-    """The tangent Gaussian fitted at ``x``: ``mean`` the Newton step from
-    ``x``, precision the negated Hessian held as its lower Cholesky factor.
-    The fit checks the mean's finiteness and takes the half log-determinant
-    once; ``draw`` and ``log_q`` are ``mvn_sample`` and ``mvn_logpdf``."""
+    """One fitted point: the tangent Gaussian at ``x`` plus the point's
+    log-density ``value`` and evaluation ``cost``.  ``mean`` is the Newton
+    step from ``x``; the precision, the negated Hessian, is held as its
+    lower Cholesky factor.  The fit checks the mean's finiteness and takes
+    the half log-determinant once; ``draw`` and ``log_q`` are
+    ``mvn_sample`` and ``mvn_logpdf``."""
 
-    __slots__ = ("mean", "lower", "half_log_det")
+    __slots__ = ("mean", "lower", "half_log_det", "value", "cost")
 
     def __init__(self, x: np.ndarray, res: EvalResult):
         try:
@@ -124,6 +87,8 @@ class _Proposal:
         self.mean = mean
         self.lower = factor.lower
         self.half_log_det = float(np.log(factor.lower.diagonal()).sum())
+        self.value = res.value
+        self.cost = res.cost
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal(self.mean.shape[0])
@@ -139,7 +104,7 @@ class _ScalarProposal:
     ``np.linalg.cholesky`` of a 1x1 matrix is ``sqrt`` and a 1x1 ``dtrtrs``
     divides by the factor (multiplying by its reciprocal is not identical)."""
 
-    __slots__ = ("mean", "_m", "_l", "half_log_det")
+    __slots__ = ("mean", "_m", "_l", "half_log_det", "value", "cost")
 
     def __init__(self, x: np.ndarray, res: EvalResult):
         a = -float(res.hessian[0, 0])
@@ -157,6 +122,8 @@ class _ScalarProposal:
         self._m = m
         self._l = l
         self.half_log_det = float(np.log(l))
+        self.value = res.value
+        self.cost = res.cost
 
     @property
     def lower(self) -> np.ndarray:
@@ -174,9 +141,11 @@ def _fit_proposal(x: np.ndarray, res: EvalResult) -> _Proposal | _ScalarProposal
     return _ScalarProposal(x, res) if x.shape[0] == 1 else _Proposal(x, res)
 
 
-def build_proposal(target: DifferentiableTarget, x) -> MvnDistribution:
-    """Fit the tangent Gaussian at ``x``: mean the Newton step from ``x``,
-    precision the negated Hessian.
+def build_proposal(target: DifferentiableTarget, x) -> _Proposal | _ScalarProposal:
+    """Evaluate the target at ``x`` and fit its record there: the tangent
+    Gaussian (``mean`` the Newton step from ``x``, precision the negated
+    Hessian as its lower factor ``lower``, ``draw``, ``log_q``) with the
+    point's log-density ``value`` and evaluation ``cost``.
 
     Raises
     ------
@@ -187,9 +156,7 @@ def build_proposal(target: DifferentiableTarget, x) -> MvnDistribution:
         If the Newton step is not finite, e.g. at an infinite gradient.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    res = target.evaluate(x, gradient=True, hessian=True)
-    prop = _fit_proposal(x, res)
-    return MvnDistribution(prop.mean, CholeskyFactor(prop.lower))
+    return _fit_proposal(x, target.evaluate(x, gradient=True, hessian=True))
 
 
 def newton_step(target: DifferentiableTarget, x) -> np.ndarray:
@@ -200,17 +167,19 @@ def newton_step(target: DifferentiableTarget, x) -> np.ndarray:
 def tangent_step(
     target: DifferentiableTarget,
     x_old,
-    cached_old: StepCache | None,
+    cached_old: _Proposal | _ScalarProposal | None,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, StepRecord, StepCache]:
+) -> tuple[np.ndarray, StepRecord, _Proposal | _ScalarProposal]:
     """One MH transition with tangent Gaussian proposals.
 
-    When ``cached_old`` carries the evaluation at ``x_old`` from the
-    previous step, only the proposed point is evaluated, halving the cost
-    relative to re-evaluating the current point every iteration (the two
-    are mathematically identical).  The acceptance ratio is formed in log
-    space and a ratio >= 1 short-circuits before the uniform deviate is
-    drawn, keeping the random stream layout reproducible.
+    Returns ``(x_new, record, fitted)``, where ``fitted`` is the record
+    fitted at ``x_new`` (as ``build_proposal`` returns it).  Passed back as
+    ``cached_old`` with ``x_old = x_new``, it saves the next step from
+    evaluating its current point, halving the cost relative to
+    ``cached_old=None``, which re-evaluates it (the two are mathematically
+    identical).  The acceptance ratio is formed in log space and a ratio
+    >= 1 short-circuits before the uniform deviate is drawn, keeping the
+    random stream layout reproducible.
 
     A Hessian failure or a non-finite Newton step at the *proposed* point
     rejects the proposal and flags the record as a Hessian failure
@@ -218,40 +187,34 @@ def tangent_step(
     cannot continue from unverifiable ground.
     """
     x_old = np.atleast_1d(np.asarray(x_old, dtype=float))
-    spent = None  # the current point's evaluation cost, when it is paid here
+    prop_old = cached_old
     if cached_old is None:
-        res_old = target.evaluate(x_old, gradient=True, hessian=True)
-        spent = res_old.cost
-        f_old = res_old.value
-        prop_old = _fit_proposal(x_old, res_old)
-    else:
-        f_old = cached_old.value
-        prop_old = cached_old.proposal
+        prop_old = _fit_proposal(x_old, target.evaluate(x_old, gradient=True, hessian=True))
 
     x_prop = prop_old.draw(rng)
     log_q_prop = prop_old.log_q(x_prop)
 
     res_prop = target.evaluate(x_prop, gradient=True, hessian=True)
-    cost = res_prop.cost if spent is None else spent + res_prop.cost
+    # the current point's evaluation is paid here only when it was not cached
+    cost = res_prop.cost if cached_old is not None else prop_old.cost + res_prop.cost
     try:
         prop_prop = _fit_proposal(x_prop, res_prop)
     except (HessianNotNegativeDefinite, _NonFiniteNewtonMean):
         # proposal landed outside the verifiably log-concave region
-        record = StepRecord(x_prop, False, -math.inf, cost, hessian_failure=True)
-        return x_old, record, StepCache(f_old, prop_old)
+        return x_old, StepRecord(False, -math.inf, cost, hessian_failure=True), prop_old
 
     log_q_old = prop_prop.log_q(x_old)
-    log_ratio = (res_prop.value - f_old) + (log_q_old - log_q_prop)
+    log_ratio = (res_prop.value - prop_old.value) + (log_q_old - log_q_prop)
 
     if log_ratio >= 0.0:
         accepted = True
     else:
         accepted = rng.random() < math.exp(log_ratio)
 
-    record = StepRecord(x_prop, accepted, float(log_ratio), cost)
+    record = StepRecord(accepted, float(log_ratio), cost)
     if accepted:
-        return x_prop, record, StepCache(res_prop.value, prop_prop)
-    return x_old, record, StepCache(f_old, prop_old)
+        return x_prop, record, prop_prop
+    return x_old, record, prop_old
 
 
 def run_chain(
@@ -263,18 +226,18 @@ def run_chain(
     """Run Newton burn-in, MH burn-in, then record ``cfg.n_samples`` steps.
 
     The Newton phase has no reject-and-stay escape: a Hessian failure
-    there propagates.  The MH steps carry the current point's evaluation
-    in a ``StepCache``.  Counters and Hessian failures are totalled from
-    the start of the run, burn-in included.
+    there propagates.  The MH steps carry the record fitted at the current
+    point from one step to the next.  Counters and Hessian failures are
+    totalled from the start of the run, burn-in included.
     """
-    cache: StepCache | None = None
+    fitted = None
 
     def step(x, newton):
-        nonlocal cache
+        nonlocal fitted
         if newton:
-            res = target.evaluate(x, gradient=True, hessian=True)
-            return _fit_proposal(x, res).mean, 1, res.cost, 0
-        x, rec, cache = tangent_step(target, x, cache, rng)
+            fit = build_proposal(target, x)
+            return fit.mean, 1, fit.cost, 0
+        x, rec, fitted = tangent_step(target, x, fitted, rng)
         return x, rec.accepted, rec.cost, rec.hessian_failure
 
-    return run_sweeps(step, x0, cfg.n_burnin, cfg.n_samples, cfg.newton_iterations, "tangent-mh")
+    return run_sweeps(step, x0, cfg, "tangent-mh")

@@ -7,7 +7,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ChainTrace", "run_sweeps"]
+__all__ = ["ChainConfig", "ChainTrace", "run_sweeps"]
+
+
+@dataclass(frozen=True)
+class ChainConfig:
+    """Iteration plan for one chain.
+
+    ``n_newton`` deterministic Newton iterations open the burn-in (default:
+    half of it), the remaining burn-in steps are discarded MH transitions,
+    then ``n_samples`` recorded ones.
+    """
+
+    n_burnin: int = 0
+    n_samples: int = 0
+    n_newton: int | None = None
+
+    def __post_init__(self):
+        if self.n_burnin < 0 or self.n_samples < 0:
+            raise ValueError("iteration counts must be >= 0")
+        if self.n_newton is not None and not 0 <= self.n_newton <= self.n_burnin:
+            raise ValueError("n_newton must lie within the burn-in budget")
+
+    @property
+    def newton_iterations(self) -> int:
+        if self.n_newton is None:
+            return self.n_burnin // 2
+        return self.n_newton
 
 
 @dataclass
@@ -47,15 +73,13 @@ class ChainTrace:
         return dict(self.meta["final_cost"])
 
 
-def run_sweeps(
-    sweep, x0, n_burnin, n_samples, n_newton, sampler, n_blocks=None, **config
-) -> ChainTrace:
-    """Newton sweeps, MH burn-in sweeps, then ``n_samples`` recorded ones.
+def run_sweeps(sweep, x0, cfg: ChainConfig, sampler, n_blocks=None, **config) -> ChainTrace:
+    """Newton sweeps, MH burn-in sweeps, then ``cfg.n_samples`` recorded ones.
 
     ``sweep(x, newton)`` returns ``(x_new, n_accepted, cost, failures)``;
-    the first ``n_newton`` of the ``n_burnin + n_samples`` calls pass
-    ``newton=True``.  Counters and Hessian failures are totalled over the
-    whole run.
+    the first ``cfg.newton_iterations`` of the ``cfg.n_burnin +
+    cfg.n_samples`` calls pass ``newton=True``.  Counters and Hessian
+    failures are totalled over the whole run.
 
     On a Gibbs chain of ``n_blocks`` block updates per sweep, ``n_accepted``
     counts the accepted blocks; a recorded sweep counts as accepted when
@@ -65,7 +89,7 @@ def run_sweeps(
     ``config`` adds sampler settings to the iteration counts in ``meta``.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = n_samples
+    n_burnin, n, n_newton = cfg.n_burnin, cfg.n_samples, cfg.newton_iterations
     samples = np.empty((n, x.shape[0]))
     accepted = np.empty(n, dtype=bool)
     values = np.empty(n, dtype=np.int64)

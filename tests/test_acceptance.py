@@ -63,7 +63,7 @@ def test_c01_gaussian_exactness():
             x, rec, cache = tangent_step(target, x, cache, rng)
             total_steps += 1
             all_accepted &= rec.accepted
-            prop = cache.proposal
+            prop = cache
             max_mean_err = max(
                 max_mean_err, np.linalg.norm(prop.mean - mean) / mean_norm
             )

@@ -121,6 +121,17 @@ class TestGibbs:
         per_cycle = 1 + (spec.n_groups * n_blocks if sampler == "tangent" else 0)
         assert len(calls) == 5 * per_cycle
 
+    def test_negative_burnin_refused(self, small_instance):
+        # used to return uninitialised memory as tau row 0
+        spec, _ = small_instance
+        with pytest.raises(ValueError):
+            hb_gibbs(spec, HbConfig(n_burnin=-1, n_samples=4, seed=1))
+
+    def test_newton_cycles_within_burnin(self):
+        # three Newton cycles in a two-cycle burn-in would record one
+        with pytest.raises(ValueError):
+            HbConfig(n_burnin=2, n_samples=4, n_newton=3)
+
     def test_invalid_sampler_name(self):
         with pytest.raises(ValueError):
             HbConfig(beta_sampler="nuts")

@@ -85,6 +85,12 @@ class TestGibbsChain:
         trace = slice_gibbs_chain(t, [0.0], 5, 0, SliceConfig(), np.random.default_rng(6))
         assert trace.n_steps == 0
 
+    def test_negative_burnin_refused(self):
+        # used to record uninitialised memory as sample row 0
+        t = poisson_lograte_target([2])
+        with pytest.raises(ValueError):
+            slice_gibbs_chain(t, [0.0], -1, 4, SliceConfig(), np.random.default_rng(1))
+
     def test_counters_value_only(self):
         t = gaussian_prior(np.zeros(2), np.eye(2))
         trace = slice_gibbs_chain(t, [0.0, 0.0], 0, 50, SliceConfig(), np.random.default_rng(7))

@@ -3,7 +3,13 @@ import pytest
 
 from tangentmh.diagnostics import effective_size
 from tangentmh.linalg import MvnDistribution, cholesky, mvn_logpdf, mvn_sample
-from tangentmh.targets import EvalResult, gaussian_prior, poisson_lograte_target
+from tangentmh.targets import (
+    EvalCost,
+    EvalResult,
+    gaussian_prior,
+    logistic_target,
+    poisson_lograte_target,
+)
 from tangentmh.tangent import (
     ChainConfig,
     HessianNotNegativeDefinite,
@@ -30,16 +36,14 @@ class TestBuildProposal:
             x = 3.0 * rng.standard_normal(3)
             prop = build_proposal(t, x)
             np.testing.assert_allclose(prop.mean, mean, atol=1e-10)
-            np.testing.assert_allclose(
-                prop.factor.reconstruct(), prec, rtol=1e-10
-            )
+            np.testing.assert_allclose(prop.lower @ prop.lower.T, prec, rtol=1e-10)
 
     def test_poisson_at_zero_closed_form(self):
         # f'(0) = 2 - 1, f''(0) = -1: mean 1, precision 1
         t = poisson_lograte_target([2])
         prop = build_proposal(t, [0.0])
         assert prop.mean[0] == pytest.approx(1.0, abs=1e-14)
-        assert prop.factor.reconstruct()[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert (prop.lower @ prop.lower.T)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_mode_is_fixed_point(self):
         t = poisson_lograte_target([2])
@@ -64,6 +68,51 @@ class TestBuildProposal:
         with pytest.raises(HessianNotNegativeDefinite) as exc:
             build_proposal(Convex(), [1.0])
         assert exc.value.pivot == 0
+
+
+def _target_and_start(dim):
+    """Poisson at dim 1 (the float record), logistic at dim 3 (the LAPACK one)."""
+    if dim == 1:
+        return poisson_lograte_target([2]), np.array([-0.5])
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((40, dim))
+    y = (rng.random(40) < 0.5).astype(float)
+    return logistic_target(X, y), np.zeros(dim)
+
+
+class TestFittedRecord:
+    """``build_proposal``'s record is also the chain's cache: it carries the
+    point's value and evaluation cost."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_record_carries_value_and_cost(self, dim):
+        t, x0 = _target_and_start(dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            x = x0 + 0.5 * rng.standard_normal(x0.size)
+            fit = build_proposal(t, x)
+            assert fit.value == t.evaluate(x).value
+            assert fit.cost == EvalCost(1, 1, 1)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_cached_record_steps_like_reevaluation(self, dim):
+        # the record returned by a step, passed back, replaces evaluating
+        # the current point; only the counters differ
+        t, x0 = _target_and_start(dim)
+        runs = []
+        for reuse in (True, False):
+            rng = np.random.default_rng(77)
+            x, fitted, xs, ratios, n_value = x0, None, [], [], 0
+            for _ in range(300):
+                x, rec, fitted = tangent_step(t, x, fitted if reuse else None, rng)
+                xs.append(x)
+                ratios.append(rec.log_ratio)
+                n_value += rec.cost.n_value
+            runs.append((np.array(xs), ratios, n_value))
+        (xs_a, ratios_a, n_a), (xs_b, ratios_b, n_b) = runs
+        assert np.array_equal(xs_a, xs_b)
+        assert ratios_a == ratios_b
+        assert (n_a, n_b) == (301, 600)
 
 
 def _fit_outcome(fit, x, res):
