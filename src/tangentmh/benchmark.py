@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import calibrate, ess_per_dim
+from .diagnostics import CalibrationProfile, calibrate, efficiency_report, ess_per_dim
 from .gibbs import BlockPartition, run_block_chain
 from .slicer import SliceConfig, slice_gibbs_chain
 from .tangent import ChainConfig
@@ -53,8 +53,6 @@ def simulate_logistic(n_obs: int, n_coeffs: int, rng: np.random.Generator):
 class RunStats:
     """Per-run cost and mixing figures for one sampler."""
 
-    sampler: str
-    n_samples: int
     ess_mean: float
     acceptance_rate: float
     n_value: int
@@ -63,23 +61,17 @@ class RunStats:
     evals_per_nominal: float
     effective_rate: float
     evals_per_effective: float
-    wall_time: float
-    wall_fee_per_nominal: float
     wall_fee_per_effective: float
 
 
-def _stats(trace: ChainTrace, seconds_per_eval: float) -> RunStats:
-    ess = ess_per_dim(trace.samples)
-    ess_mean = float(np.mean(ess))
+def _stats(trace: ChainTrace, calib: CalibrationProfile) -> RunStats:
+    report = efficiency_report(trace, calib)
     n = trace.n_steps
     cost = trace.total_cost()
     total_evals = cost["n_value"] + cost["n_gradient"] + cost["n_hessian"]
-    rate = ess_mean / n
-    wall_fee = trace.wall_time / seconds_per_eval / n
+    rate = report.effective_sampling_rate
     return RunStats(
-        sampler=trace.meta.get("sampler", "?"),
-        n_samples=n,
-        ess_mean=ess_mean,
+        ess_mean=float(np.mean(report.ess_per_dim)),
         acceptance_rate=float(trace.meta.get("block_acceptance_rate", trace.acceptance_rate())),
         n_value=cost["n_value"],
         n_gradient=cost["n_gradient"],
@@ -87,9 +79,7 @@ def _stats(trace: ChainTrace, seconds_per_eval: float) -> RunStats:
         evals_per_nominal=total_evals / n,
         effective_rate=rate,
         evals_per_effective=total_evals / n / rate,
-        wall_time=trace.wall_time,
-        wall_fee_per_nominal=wall_fee,
-        wall_fee_per_effective=wall_fee / rate,
+        wall_fee_per_effective=report.fee_per_effective,
     )
 
 
@@ -134,7 +124,6 @@ class BenchmarkResult:
     slice_runs: list = field(default_factory=list)
     tuning: list = field(default_factory=list)
     slice_width: float = float("nan")
-    config: dict = field(default_factory=dict)
 
     @staticmethod
     def _mean(runs, attr):
@@ -178,18 +167,7 @@ def run_benchmark(
     """
     root = np.random.SeedSequence(seed)
     data_seeds = root.spawn(n_runs)
-    result = BenchmarkResult(
-        config={
-            "seed": seed,
-            "n_runs": n_runs,
-            "n_obs": n_obs,
-            "n_coeffs": n_coeffs,
-            "n_burnin": n_burnin,
-            "n_samples": n_samples,
-            "block_size": block_size,
-            "widths": list(widths),
-        }
-    )
+    result = BenchmarkResult()
 
     for i in range(n_runs):
         streams = data_seeds[i].spawn(4)
@@ -197,7 +175,7 @@ def run_benchmark(
         X, y, _ = simulate_logistic(n_obs, n_coeffs, rng_data)
         target = LogisticTarget(X, y)
         x0 = np.zeros(n_coeffs)
-        spe = calibrate(target, x0, calibration_reps).seconds_per_value_eval
+        calib = calibrate(target, x0, calibration_reps)
 
         if i == 0:
             result.slice_width, result.tuning = tune_slice_width(
@@ -209,7 +187,7 @@ def run_benchmark(
         trace_t = run_block_chain(
             target, partition, x0, cfg, np.random.default_rng(streams[2])
         )
-        result.tangent_runs.append(_stats(trace_t, spe))
+        result.tangent_runs.append(_stats(trace_t, calib))
 
         trace_s = slice_gibbs_chain(
             target,
@@ -219,6 +197,6 @@ def run_benchmark(
             SliceConfig(width=result.slice_width),
             np.random.default_rng(streams[3]),
         )
-        result.slice_runs.append(_stats(trace_s, spe))
+        result.slice_runs.append(_stats(trace_s, calib))
 
     return result

@@ -363,7 +363,7 @@ def cmd_chain(args, cfg: dict, s) -> int:
         "eval_counters": cost,
         "evals_per_step": {k: v / trace.n_steps for k, v in cost.items()} if trace.n_steps else None,
         "n_samples": trace.n_steps,
-        "hessian_failures": trace.meta.get("hessian_failures", 0),
+        "hessian_failures": trace.meta["hessian_failures"],
     }
     if mixing is not None:
         body["mixing_index"] = mixing
@@ -417,7 +417,8 @@ def cmd_benchmark(args, cfg: dict, s) -> int:
     wt = np.mean([r.wall_fee_per_effective for r in res.tangent_runs])
     ws = np.mean([r.wall_fee_per_effective for r in res.slice_runs])
     print(f"benchmark: tuned slice width {res.slice_width}")
-    print(f"  wall-clock FEE/effective: tangent-mh {wt:.1f}  slice {ws:.1f}  ratio {ws / wt:.2f}x")
+    print(f"  wall-clock FEE/effective: tangent-mh {wt:.1f}  slice {ws:.1f}  "
+          f"ratio {res.wall_fee_ratio():.2f}x")
     print(f"  counter evals/effective:  tangent-mh "
           f"{table['tangent-mh']['evals_per_effective']:.1f}  slice "
           f"{table['slice']['evals_per_effective']:.1f}")
@@ -471,7 +472,7 @@ def cmd_hb(args, cfg: dict, s) -> int:
                 "ess_mean": ess_mean,
                 "eval_counters": evals,
                 "evals_per_independent_sample": sum(evals.values()) / ess_mean,
-                "hessian_failures": tr.meta.get("hessian_failures", 0),
+                "hessian_failures": tr.meta["hessian_failures"],
             }
             rows.extend(
                 [name, j, k, mean[name][j, k], sd[j, k], mcse[name][j, k], ess[j, k],

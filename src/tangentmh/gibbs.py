@@ -9,6 +9,7 @@ quadratically with block size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .trace import ChainConfig, ChainTrace, run_sweeps
 
 __all__ = [
     "BlockPartition",
-    "SweepRecord",
     "block_sweep",
     "run_block_chain",
 ]
@@ -62,15 +62,6 @@ class BlockPartition:
         return cls([np.arange(dim)])
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Per-block outcomes of one Gibbs sweep."""
-
-    accepted: np.ndarray
-    cost: EvalCost
-    hessian_failures: int
-
-
 def block_sweep(
     parent: DifferentiableTarget,
     partition: BlockPartition,
@@ -79,7 +70,12 @@ def block_sweep(
     *,
     newton: bool = False,
 ):
-    """One pass over all blocks; returns (x_new, SweepRecord).
+    """One pass over all blocks; returns ``run_sweeps``' sweep outcome.
+
+    The outcome is ``(x_new, n_accepted, cost, hessian_failures)``:
+    ``n_accepted`` counts the accepted blocks (every block in Newton mode),
+    ``cost`` sums the blocks' evaluation counters and ``hessian_failures``
+    counts the proposals rejected for a failed tangent fit.
 
     Uses each target's ``restrict`` so conditionals of structured targets
     (projection likelihoods, Gaussian priors) evaluate at block cost
@@ -89,25 +85,24 @@ def block_sweep(
     if partition.dim != parent.dim:
         raise ValueError("partition must cover the parent dimension")
     x = np.array(x, dtype=float)
-    accepted = np.zeros(partition.n_blocks, dtype=bool)
-    n_value = n_gradient = n_hessian = failures = 0
-    for i, block in enumerate(partition.blocks):
+    n_accepted = n_value = n_gradient = n_hessian = failures = 0
+    for block in partition.blocks:
         cond = parent.restrict(block, x)
         if newton:
             fit = build_proposal(cond, x[block])
             x[block] = fit.mean
             cost = fit.cost
-            accepted[i] = True
+            n_accepted += 1
         else:
             b_new, rec, _ = tangent_step(cond, x[block], None, rng)
             x[block] = b_new
-            accepted[i] = rec.accepted
-            failures += int(rec.hessian_failure)
+            n_accepted += rec.accepted
+            failures += rec.hessian_failure
             cost = rec.cost
         n_value += cost.n_value
         n_gradient += cost.n_gradient
         n_hessian += cost.n_hessian
-    return x, SweepRecord(accepted, EvalCost(n_value, n_gradient, n_hessian), failures)
+    return x, n_accepted, EvalCost(n_value, n_gradient, n_hessian), failures
 
 
 def run_block_chain(
@@ -122,12 +117,4 @@ def run_block_chain(
     The first ``cfg.newton_iterations`` burn-in sweeps run every block in
     Newton mode, mirroring the single-chain protocol.
     """
-
-    def sweep(x, newton):
-        x, rec = block_sweep(target, partition, x, rng, newton=newton)
-        return x, int(np.count_nonzero(rec.accepted)), rec.cost, rec.hessian_failures
-
-    return run_sweeps(
-        sweep, x0, cfg, "tangent-mh-blocked", partition.n_blocks,
-        block_sizes=[int(b.size) for b in partition.blocks],
-    )
+    return run_sweeps(partial(block_sweep, target, partition, rng=rng), x0, cfg, partition.n_blocks)

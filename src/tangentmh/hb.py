@@ -55,18 +55,10 @@ class HbModelSpec:
     gamma_rate: float = 0.001
     gamma_precision: float = 1e-4
 
-    def __init__(
-        self,
-        designs,
-        responses,
-        upper_design,
-        gamma_shape=0.001,
-        gamma_rate=0.001,
-        gamma_precision=1e-4,
-    ):
-        designs = tuple(np.asarray(X, dtype=float) for X in designs)
-        responses = tuple(np.asarray(y, dtype=float) for y in responses)
-        upper = np.asarray(upper_design, dtype=float)
+    def __post_init__(self):
+        designs = tuple(np.asarray(X, dtype=float) for X in self.designs)
+        responses = tuple(np.asarray(y, dtype=float) for y in self.responses)
+        upper = np.asarray(self.upper_design, dtype=float)
         if len(designs) != len(responses) or len(designs) < 1:
             raise ValueError("need matching designs and responses, one per group")
         k = designs[0].shape[1]
@@ -80,9 +72,9 @@ class HbModelSpec:
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "upper_design", upper)
-        object.__setattr__(self, "gamma_shape", float(gamma_shape))
-        object.__setattr__(self, "gamma_rate", float(gamma_rate))
-        object.__setattr__(self, "gamma_precision", float(gamma_precision))
+        object.__setattr__(self, "gamma_shape", float(self.gamma_shape))
+        object.__setattr__(self, "gamma_rate", float(self.gamma_rate))
+        object.__setattr__(self, "gamma_precision", float(self.gamma_precision))
 
     @property
     def n_groups(self) -> int:
@@ -227,7 +219,7 @@ def hb_gibbs(
     likelihoods = [LogisticTarget(X, y) for X, y in zip(spec.designs, spec.responses)]
     n_cycles = 0
 
-    def cycle(x, newton):
+    def cycle(x, newton=False):
         nonlocal n_cycles
         beta, gamma, tau = np.split(x, splits)
         beta = beta.reshape(J, K).copy()
@@ -242,12 +234,12 @@ def hb_gibbs(
             prior = _built(GaussianPriorTarget, _mean=prior_means[j], _precision=first._precision)
             target = AdditiveTarget([likelihoods[j], prior])
             if tangent:
-                beta[j], rec = block_sweep(target, partition, beta[j], rng, newton=newton)
-                used = rec.cost
-                n_accepted += int(np.count_nonzero(rec.accepted))
-                failures += rec.hessian_failures
+                outcome = block_sweep(target, partition, beta[j], rng, newton=newton)
             else:
-                beta[j], used = slice_sweep(target, beta[j], cfg.slice_cfg, rng)
+                outcome = slice_sweep(target, beta[j], cfg.slice_cfg, rng)
+            beta[j], accepted, used, failed = outcome
+            n_accepted += accepted
+            failures += failed
             cost = cost + used
         gamma = draw_upper_coeffs(spec, beta, tau, rng)
         tau = draw_precisions(spec, beta, gamma, rng)
@@ -258,11 +250,7 @@ def hb_gibbs(
         return x, n_accepted if tangent else 1, cost, failures
 
     x0 = np.concatenate([np.zeros(J * K + K * L), np.ones(K)])
-    tr = run_sweeps(
-        cycle, x0, cfg, f"hb-gibbs/{cfg.beta_sampler}",
-        J * partition.n_blocks if tangent else None,
-        block_size=cfg.block_size, beta_sampler=cfg.beta_sampler,
-    )
+    tr = run_sweeps(cycle, x0, cfg, J * partition.n_blocks if tangent else None)
     n = tr.n_steps
     beta, gamma, tau = np.split(tr.samples, splits, axis=1)
     return HbTrace(

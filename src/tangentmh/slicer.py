@@ -9,6 +9,7 @@ counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -97,7 +98,9 @@ def slice_sweep(
     cfg: SliceConfig,
     rng: np.random.Generator,
 ):
-    """One coordinate-wise sweep over the target; returns (x_new, EvalCost).
+    """One coordinate-wise sweep over the target; returns ``run_sweeps``'
+    sweep outcome ``(x_new, 1, cost, 0)``: a slice update never rejects and
+    fits no Hessian.
 
     Coordinates are visited in index order; each update changes only its
     own coordinate and evaluates the target value-only.  The cost is
@@ -118,7 +121,7 @@ def slice_sweep(
         x_new, _ = slice_step_1d(logf, x[d], cfg, rng)
         x[d] = x_new
         work[d] = x_new
-    return x, cost
+    return x, 1, cost, 0
 
 
 def slice_gibbs_chain(
@@ -130,12 +133,5 @@ def slice_gibbs_chain(
     rng: np.random.Generator,
 ) -> ChainTrace:
     """Coordinate-wise slice sampling chain; one recorded row per sweep."""
-
-    def sweep(x, newton):
-        x, cost = slice_sweep(target, x, cfg, rng)
-        return x, 1, cost, 0
-
-    return run_sweeps(
-        sweep, x0, ChainConfig(n_burnin, n_samples, 0), "slice",
-        width=cfg.width, max_stepout=cfg.max_stepout,
-    )
+    sweep = partial(slice_sweep, target, cfg=cfg, rng=rng)
+    return run_sweeps(sweep, x0, ChainConfig(n_burnin, n_samples, 0))

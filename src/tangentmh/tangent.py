@@ -232,7 +232,7 @@ def run_chain(
     """
     fitted = None
 
-    def step(x, newton):
+    def step(x, newton=False):
         nonlocal fitted
         if newton:
             fit = build_proposal(target, x)
@@ -240,4 +240,4 @@ def run_chain(
         x, rec, fitted = tangent_step(target, x, fitted, rng)
         return x, rec.accepted, rec.cost, rec.hessian_failure
 
-    return run_sweeps(step, x0, cfg, "tangent-mh")
+    return run_sweeps(step, x0, cfg)

@@ -482,16 +482,15 @@ class LinearProjectionModel:
 
     base: BaseFamily
     designs: tuple
-    ranks: tuple = ()
+    ranks: tuple = field(init=False)
 
-    def __init__(self, base: BaseFamily, designs):
-        designs = tuple(np.asarray(X, dtype=float) for X in designs)
-        if len(designs) != base.n_args:
+    def __post_init__(self):
+        designs = tuple(np.asarray(X, dtype=float) for X in self.designs)
+        if len(designs) != self.base.n_args:
             raise ValueError("need one design per base-family argument")
         for X in designs:
-            if X.ndim != 2 or X.shape[0] != base.n_obs:
+            if X.ndim != 2 or X.shape[0] != self.base.n_obs:
                 raise ValueError("each design needs one row per observation")
-        object.__setattr__(self, "base", base)
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "ranks", tuple(column_rank(X) for X in designs))
 

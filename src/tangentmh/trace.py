@@ -43,8 +43,8 @@ class ChainTrace:
     ``samples`` has one row per recorded sweep.  ``n_value``/``n_gradient``/
     ``n_hessian`` are cumulative counters at the time each sample was
     recorded (burn-in cost included in the running totals, so the arrays
-    are monotone).  ``meta`` echoes sampler id and config, and holds the
-    run's totals.
+    are monotone).  ``meta`` holds the run's totals: ``hessian_failures``,
+    ``final_cost`` and, on Gibbs chains, ``block_acceptance_rate``.
     """
 
     samples: np.ndarray
@@ -73,20 +73,22 @@ class ChainTrace:
         return dict(self.meta["final_cost"])
 
 
-def run_sweeps(sweep, x0, cfg: ChainConfig, sampler, n_blocks=None, **config) -> ChainTrace:
+def run_sweeps(sweep, x0, cfg: ChainConfig, n_blocks=None) -> ChainTrace:
     """Newton sweeps, MH burn-in sweeps, then ``cfg.n_samples`` recorded ones.
 
-    ``sweep(x, newton)`` returns ``(x_new, n_accepted, cost, failures)``;
-    the first ``cfg.newton_iterations`` of the ``cfg.n_burnin +
-    cfg.n_samples`` calls pass ``newton=True``.  Counters and Hessian
-    failures are totalled over the whole run.
+    ``sweep(x)`` returns ``(x_new, n_accepted, cost, hessian_failures)``,
+    the outcome that ``tangent.run_chain``'s step, ``gibbs.block_sweep``
+    and ``slicer.slice_sweep`` all return.  The first
+    ``cfg.newton_iterations`` of the ``cfg.n_burnin + cfg.n_samples`` calls
+    are ``sweep(x, newton=True)``; a sampler without a Newton mode is run
+    with ``cfg.newton_iterations == 0``.  Counters and Hessian failures are
+    totalled over the whole run.
 
     On a Gibbs chain of ``n_blocks`` block updates per sweep, ``n_accepted``
     counts the accepted blocks; a recorded sweep counts as accepted when
     every block accepted, and ``meta["block_acceptance_rate"]`` is the
     accepted share of the block updates in recorded sweeps.  Otherwise
     ``n_accepted`` is 1 or 0 (a sampler that never rejects returns 1).
-    ``config`` adds sampler settings to the iteration counts in ``meta``.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     n_burnin, n, n_newton = cfg.n_burnin, cfg.n_samples, cfg.newton_iterations
@@ -99,7 +101,7 @@ def run_sweeps(sweep, x0, cfg: ChainConfig, sampler, n_blocks=None, **config) ->
     n_value = n_gradient = n_hessian = failures = block_accepts = 0
     t0 = time.perf_counter()
     for k in range(n_burnin + n):
-        x, n_accepted, cost, failed = sweep(x, k < n_newton)
+        x, n_accepted, cost, failed = sweep(x, newton=True) if k < n_newton else sweep(x)
         n_value += cost.n_value
         n_gradient += cost.n_gradient
         n_hessian += cost.n_hessian
@@ -114,11 +116,7 @@ def run_sweeps(sweep, x0, cfg: ChainConfig, sampler, n_blocks=None, **config) ->
         gradients[i] = n_gradient
         hessians[i] = n_hessian
 
-    meta = {
-        "sampler": sampler,
-        "config": dict(n_burnin=n_burnin, n_samples=n, n_newton=n_newton, **config),
-        "hessian_failures": failures,
-    }
+    meta = {"hessian_failures": failures}
     if n_blocks is not None:
         meta["block_acceptance_rate"] = block_accepts / (n * n_blocks) if n else float("nan")
     meta["final_cost"] = {"n_value": n_value, "n_gradient": n_gradient, "n_hessian": n_hessian}

@@ -81,9 +81,9 @@ class TestBlockSweep:
         part = BlockPartition.contiguous(10, 5)
         x = np.ones(10)
         for _ in range(50):
-            x, rec = block_sweep(t, part, x, rng)
-            assert np.all(rec.accepted)
-            assert rec.hessian_failures == 0
+            x, n_accepted, _, failures = block_sweep(t, part, x, rng)
+            assert n_accepted == part.n_blocks
+            assert failures == 0
 
     def test_sweep_equals_manual_per_block_updates(self):
         # a sweep is exactly the sequence of per-block conditional updates:
@@ -95,7 +95,7 @@ class TestBlockSweep:
         part = BlockPartition([[0, 1], [2, 3]])
         x0 = np.array([1.0, 2.0, 3.0, 4.0])
 
-        x_sweep, _ = block_sweep(t, part, x0, np.random.default_rng(77))
+        x_sweep, _, _, _ = block_sweep(t, part, x0, np.random.default_rng(77))
         rng_manual = np.random.default_rng(77)
         x_manual = x0.copy()
         for block in part.blocks:
@@ -114,15 +114,15 @@ class TestBlockSweep:
         part = BlockPartition.contiguous(10, 5)
         x = np.zeros(10)
         for _ in range(20):
-            x, rec = block_sweep(t, part, x, rng)
-            assert rec.hessian_failures == 0
+            x, _, _, failures = block_sweep(t, part, x, rng)
+            assert failures == 0
 
     def test_newton_sweep_moves_to_mode(self):
         rng = np.random.default_rng(7)
         prec = np.diag([2.0, 1.0, 3.0, 0.5])  # block-diagonal: newton exact per block
         t = gaussian_prior(np.array([1.0, 2.0, 3.0, 4.0]), prec)
         part = BlockPartition([[0, 1], [2, 3]])
-        x, rec = block_sweep(t, part, np.zeros(4), rng, newton=True)
+        x, _, _, _ = block_sweep(t, part, np.zeros(4), rng, newton=True)
         np.testing.assert_allclose(x, [1.0, 2.0, 3.0, 4.0], atol=1e-12)
 
 
@@ -153,6 +153,29 @@ class TestRunBlockChain:
                     np.max(F - np.arange(0, n) / n),
                 )
                 assert d < 0.02
+
+    def test_block_acceptance_rate_is_the_replayed_share(self):
+        # replaying block_sweep with the chain's seed and plan gives the
+        # accepted blocks of every recorded sweep
+        rng = np.random.default_rng(13)
+        X = 3.0 * rng.standard_normal((30, 4))
+        y = (rng.random(30) < 0.5).astype(float)
+        t = additive_target([logistic_target(X, y), gaussian_prior(np.zeros(4), np.eye(4))])
+        part = BlockPartition.contiguous(4, 2)
+        cfg = ChainConfig(n_burnin=6, n_samples=60)
+        trace = run_block_chain(t, part, np.zeros(4), cfg, np.random.default_rng(14))
+
+        replay = np.random.default_rng(14)
+        x, recorded = np.zeros(4), []
+        for k in range(cfg.n_burnin + cfg.n_samples):
+            x, n_accepted, _, _ = block_sweep(t, part, x, replay, newton=k < cfg.newton_iterations)
+            if k >= cfg.n_burnin:
+                recorded.append(n_accepted)
+        np.testing.assert_array_equal(trace.samples[-1], x)
+        np.testing.assert_array_equal(trace.accepted, np.array(recorded) == part.n_blocks)
+        share = sum(recorded) / (cfg.n_samples * part.n_blocks)
+        assert 0 < share < 1
+        assert trace.meta["block_acceptance_rate"] == share
 
     def test_counters_and_determinism(self):
         rng = np.random.default_rng(11)

@@ -107,7 +107,8 @@ class TestGibbsChain:
         from tangentmh.slicer import slice_sweep
 
         x0 = np.array([1.0, 2.0, 3.0])
-        x1, _ = slice_sweep(t, x0, SliceConfig(), rng)
+        x1, n_accepted, _, failures = slice_sweep(t, x0, SliceConfig(), rng)
+        assert (n_accepted, failures) == (1, 0)
         assert x1.shape == (3,)
         assert not np.array_equal(x0, x1)
 

@@ -1,0 +1,48 @@
+import numpy as np
+import pytest
+
+from tangentmh.gibbs import BlockPartition, run_block_chain
+from tangentmh.hb import HbConfig, hb_gibbs, simulate_hb
+from tangentmh.slicer import SliceConfig, slice_gibbs_chain
+from tangentmh.tangent import ChainConfig, run_chain
+from tangentmh.targets import gaussian_prior
+
+TOTALS = {"hessian_failures", "final_cost"}
+GIBBS_TOTALS = TOTALS | {"block_acceptance_rate"}
+
+
+def _target():
+    return gaussian_prior(np.zeros(4), np.eye(4))
+
+
+def _hb(sampler):
+    spec, _ = simulate_hb(2, 3, 2, np.random.default_rng(0), group_size=40)
+    return hb_gibbs(spec, HbConfig(n_burnin=2, n_samples=3, beta_sampler=sampler, seed=1))
+
+
+# each chain, short, and the exact key set of its meta
+CHAINS = {
+    "run_chain": (
+        lambda: run_chain(_target(), np.zeros(4), ChainConfig(2, 3), np.random.default_rng(1)),
+        TOTALS,
+    ),
+    "slice_gibbs_chain": (
+        lambda: slice_gibbs_chain(_target(), np.zeros(4), 2, 3, SliceConfig(), np.random.default_rng(1)),
+        TOTALS,
+    ),
+    "run_block_chain": (
+        lambda: run_block_chain(
+            _target(), BlockPartition.contiguous(4, 2), np.zeros(4), ChainConfig(2, 3),
+            np.random.default_rng(1),
+        ),
+        GIBBS_TOTALS,
+    ),
+    "hb-tangent": (lambda: _hb("tangent"), GIBBS_TOTALS),
+    "hb-slice": (lambda: _hb("slice"), TOTALS),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_meta_holds_only_the_run_totals(name):
+    run, keys = CHAINS[name]
+    assert set(run().meta) == keys
