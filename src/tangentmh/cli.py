@@ -345,7 +345,14 @@ def cmd_chain(args, cfg: dict, s) -> int:
                 slice_cfg = SliceConfig(s.width, s.max_stepout)
                 trace = slice_gibbs_chain(target, x0, s.n_burnin, s.n_samples, slice_cfg, rng)
             if target.dim == 1 and hasattr(target, "third_derivative"):
-                mixing = mixing_index(target, x0=float(x0[0]))
+                try:
+                    mixing = mixing_index(target, x0=float(x0[0]))
+                except ModeFindingError:
+                    # Newton may diverge from a start the chain itself left
+                    # behind (a slice chain from x0 = -20): retry from its median
+                    if not trace.n_steps:
+                        raise
+                    mixing = mixing_index(target, x0=float(np.median(trace.samples[:, 0])))
     except (HessianNotNegativeDefinite, _NonFiniteNewtonMean, SliceError, ModeFindingError) as err:
         raise ConfigError(f"cannot run from x0 = {cfg['x0']!r}: {err}") from err
     out = _Output(args, cfg, data_files)

@@ -4,8 +4,12 @@ A target is anything exposing ``dim`` and ``evaluate(x, gradient=, hessian=)``
 returning the log-density value (always up to an additive constant; each
 concrete target documents which constant it drops), optionally with gradient
 and Hessian, plus evaluation-cost counters.  Targets are immutable after
-construction and safe for concurrent evaluation: counters are returned per
-call, never accumulated in shared state.
+construction, except for one exact cache: the conditionals that a
+``LogisticTarget`` builds share the linear predictor, value and
+``sigma(t)`` of their two most recent derivative evaluations.  Concurrent
+evaluation stays correct, since a cached value is reused only for a
+bit-identical linear predictor; the worst a race can do is a miss.
+Counters are returned per call, never accumulated in shared state.
 """
 
 from __future__ import annotations
@@ -142,6 +146,31 @@ class _Spliced(DifferentiableTarget):
         return EvalResult(res.value, grad, hess, res.cost)
 
 
+class _PredictorMemo:
+    """The linear predictor ``t``, value and ``sigma(t)`` of the two most
+    recent derivative evaluations among one ``LogisticTarget``'s
+    conditionals, newest last."""
+
+    __slots__ = ("older", "newer")
+
+    def __init__(self):
+        self.older = self.newer = None
+
+    def recall(self, t: np.ndarray):
+        """The kept ``(t, value, p)`` whose ``t`` equals this one exactly,
+        made the newest; None if there is none."""
+        for kept in (self.newer, self.older):
+            # one entry first: a proposal always misses, and cheaply
+            if kept is not None and t.size and kept[0][0] == t[0] and np.array_equal(kept[0], t):
+                if kept is self.older:
+                    self.older, self.newer = self.newer, kept
+                return kept
+        return None
+
+    def keep(self, entry: tuple) -> None:
+        self.older, self.newer = self.newer, entry
+
+
 class LogisticTarget(DifferentiableTarget):
     """Bernoulli-logit log-likelihood over coefficients.
 
@@ -152,6 +181,18 @@ class LogisticTarget(DifferentiableTarget):
     Hessian ``-X^T diag(sigma (1 - sigma)) X``, negative semi-definite
     everywhere and negative definite when X has full column rank.  No
     constant is dropped.
+
+    The conditionals that ``restrict`` builds share the ``t``, value and
+    ``sigma(t)`` of their two most recent evaluations with derivatives.
+    Asked for derivatives at a ``t`` equal to a kept one, a conditional
+    reuses that value and ``sigma(t)``, computes only the gradient and
+    Hessian, and counts no value evaluation (``EvalCost(0, ...)``).  A
+    conditional's ``t`` is ``X_b b + (offset + X_c x_c)``; with one block,
+    or two blocks and no offset, elementwise addition commuting makes each
+    block step's current ``t`` the one the previous step kept, so a block
+    sweep evaluates each block's likelihood once.  Results are those of a
+    fresh evaluation bit for bit.  Value-only evaluations, and every
+    evaluation of a constructed target, neither read nor write the memo.
     """
 
     def __init__(self, X, y, offset=None):
@@ -173,6 +214,8 @@ class LogisticTarget(DifferentiableTarget):
             self._offset = np.asarray(offset, dtype=float)
             if self._offset.shape != (X.shape[0],):
                 raise ValueError("offset must be one entry per design row")
+        self._memo = None  # the memo this target reads: only a conditional has one
+        self._conditional_memo = None  # made by the first restrict
 
     @property
     def dim(self) -> int:
@@ -181,14 +224,19 @@ class LogisticTarget(DifferentiableTarget):
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         b = self._check_point(x)
         t = self._X @ b + self._offset
-        # np.logaddexp(0, -t) == log(1 + exp(-|t|)) + max(-t, 0)
-        value = -float(np.sum((1.0 - self._y) * t + np.logaddexp(0.0, -t)))
-        grad = None
+        derivatives = gradient or hessian
+        memo = self._memo if derivatives else None
+        kept = memo.recall(t) if memo is not None else None
+        if kept is None:
+            # np.logaddexp(0, -t) == log(1 + exp(-|t|)) + max(-t, 0)
+            value = -float(np.sum((1.0 - self._y) * t + np.logaddexp(0.0, -t)))
+            p = expit(t) if derivatives else None
+            if memo is not None:
+                memo.keep((t, value, p))
+        else:
+            _, value, p = kept
+        grad = self._X.T @ (self._y - p) if gradient else None
         hess = None
-        if gradient or hessian:
-            p = expit(t)
-        if gradient:
-            grad = self._X.T @ (self._y - p)
         if hessian:
             w = p * (1.0 - p)
             h = -(self._X * w[:, None]).T @ self._X
@@ -197,15 +245,19 @@ class LogisticTarget(DifferentiableTarget):
             value,
             grad,
             hess,
-            EvalCost(1, int(gradient), int(hessian)),
+            EvalCost(int(kept is None), int(gradient), int(hessian)),
         )
 
     def restrict(self, block, full) -> "LogisticTarget":
         block = np.asarray(block, dtype=int)
         rest = _complement(self.dim, block)
         offset = self._offset + self._X[:, rest] @ np.asarray(full, dtype=float)[rest]
+        # one memo per design and responses: a conditional passes on its own
+        memo = self._memo
+        if memo is None:
+            memo = self._conditional_memo = self._conditional_memo or _PredictorMemo()
         # columns of a checked design and the same responses need no second check
-        return _built(LogisticTarget, _X=self._X[:, block], _y=self._y, _offset=offset)
+        return _built(LogisticTarget, _X=self._X[:, block], _y=self._y, _offset=offset, _memo=memo)
 
 
 def logistic_target(X, y) -> LogisticTarget:

@@ -196,6 +196,37 @@ class TestChainBadInput:
         assert "must be a finite number" in self.rejects(tmp_path, capsys, config_text)
 
 
+class TestMixingIndexFromDivergentStart:
+    """Newton from x0 = -20 steps to 9.7e8 on the single-count target."""
+
+    def run(self, tmp_path, config_text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config_text)
+        out = tmp_path / "o"
+        return run_cli("chain", "--config", str(cfg), "--seed", "7", "--quick", "--out", str(out)), out
+
+    def test_slice_chain_reports_the_mode_from_its_median(self, tmp_path):
+        status, out = self.run(tmp_path, "sampler = slice\nx0 = -20\n")
+        assert status == 0
+        # 1/sqrt(2) at the single-count mode log 2
+        assert read_json(out / "summary.json")["mixing_index"] == pytest.approx(2**-0.5, rel=1e-9)
+
+    def test_tangent_chain_still_fails(self, tmp_path, capsys):
+        status, out = self.run(tmp_path, "x0 = -20\n")
+        err = capsys.readouterr().err
+        assert status == 2 and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_empty_slice_chain_has_no_median_to_retry_from(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sampler = slice\nx0 = -20\nn_burnin = 10\nn_samples = 0\n")
+        out = tmp_path / "o"
+        assert run_cli("chain", "--config", str(cfg), "--seed", "7", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "log-density not finite" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("x0", ["-20", "800"])
 def test_failed_start_prints_only_the_error_line(tmp_path, x0):
     # in a fresh interpreter, so that a numpy warning would reach stderr
@@ -327,13 +358,13 @@ PINNED_SHA256 = {
         "summary.json": "243ecba1eb6c83545ea2b185d773c2620b137056d355b119aaf18a1506800900",
     },
     "benchmark": {
-        "runs.csv": "06f679c6873bf33a8b1741c2f73d67cee50e9b17ed9b22370f4e26af23230f24",
-        "summary.json": "257dcbc41751aac0292e753781e426833711a8165cb54d7cc68cca09d50e7338",
-        "table.csv": "5dc856ddd14af99b5b368d6440d74bfee8b2858ef0d7c4576cc472681e9d5385",
+        "runs.csv": "5d39bffd60e08c89f8da638d2d2842f08dba0df378fc3003d96dc23de5d711f1",
+        "summary.json": "34749b138b45911a19555dc862dc32488fe87ce1478090833dadf5fa7e48a456",
+        "table.csv": "8dfb3ac58411a8d3f2d3f2054e749de18107d703ee55f2f34dae6274fdefc20c",
     },
     "hb": {
         "coefficients.csv": "263fa578f3ac87a7cf27cbed5b8b021f6ebdc0aca3f049809cad3c022a291d91",
-        "summary.json": "37571e158456e5d85edc74215876a99b561e994ed49709a0ef525b780333f8e0",
+        "summary.json": "a46f812a99489caf78dedd7b72424cc56e2082eac32fac7707122d25fc9ce4bb",
     },
     "theorem": {
         "campaign.jsonl": "6d086d4d8e56461c86a84597735d317ef182308130ab866ae26ce269857790c8",

@@ -3,8 +3,15 @@ import pytest
 
 from tangentmh.gibbs import BlockPartition, block_sweep, run_block_chain
 from tangentmh.fdiff import fd_gradient
+from tangentmh.slicer import SliceConfig, slice_gibbs_chain
 from tangentmh.tangent import ChainConfig
-from tangentmh.targets import DifferentiableTarget, additive_target, gaussian_prior, logistic_target
+from tangentmh.targets import (
+    DifferentiableTarget,
+    LogisticTarget,
+    additive_target,
+    gaussian_prior,
+    logistic_target,
+)
 
 from helpers import gaussian_cdf, random_spd
 
@@ -190,3 +197,81 @@ class TestRunBlockChain:
         n_newton, n_mh = 10, 60
         expected = n_newton * 2 * 1 + n_mh * 2 * 2
         assert a.total_cost()["n_hessian"] == expected
+
+
+class FreshConditionals(LogisticTarget):
+    """Reference without the shared memo: each conditional is built through
+    the public constructor, with ``restrict``'s offset arithmetic."""
+
+    def __init__(self, X, y):
+        super().__init__(X, y)
+        self.X, self.y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+
+    def restrict(self, block, full):
+        rest = np.ones(self.dim, dtype=bool)
+        rest[block] = False
+        offset = np.zeros(self.y.size) + self.X[:, rest] @ np.asarray(full, dtype=float)[rest]
+        return LogisticTarget(self.X[:, block], self.y, offset=offset)
+
+
+def logistic_data(seed, n=300, k=6):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k)) / np.sqrt(k)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ np.ones(k)))).astype(float)
+    return X, y
+
+
+class TestLogisticPredictorReuse:
+    """Conditionals of one logistic target reuse the value and sigma(t) of a
+    bit-identical linear predictor; only the value counter may move."""
+
+    @pytest.mark.parametrize("block_size", [6, 3])
+    def test_pure_mh_evaluates_each_block_value_once(self, block_size):
+        # the block form of c08's n + 1 rule: only the first current point
+        # and each proposal pay a value evaluation
+        n = 200
+        part = BlockPartition.contiguous(6, block_size)
+        tr = run_block_chain(LogisticTarget(*logistic_data(21)), part, np.zeros(6),
+                             ChainConfig(0, n), np.random.default_rng(22))
+        n_steps = n * part.n_blocks
+        assert tr.total_cost() == {"n_value": n_steps + 1, "n_gradient": 2 * n_steps,
+                                   "n_hessian": 2 * n_steps}
+        assert 0 < tr.meta["block_acceptance_rate"] < 1
+
+    @pytest.mark.parametrize("block_size", [3, 2])
+    def test_samples_equal_the_memo_free_reference(self, block_size):
+        X, y = logistic_data(23)
+        part = BlockPartition.contiguous(6, block_size)
+        cfg = ChainConfig(20, 100)
+        got = run_block_chain(LogisticTarget(X, y), part, np.zeros(6), cfg, np.random.default_rng(24))
+        ref = run_block_chain(FreshConditionals(X, y), part, np.zeros(6), cfg, np.random.default_rng(24))
+        np.testing.assert_array_equal(got.samples, ref.samples)
+        np.testing.assert_array_equal(got.accepted, ref.accepted)
+        np.testing.assert_array_equal(got.n_gradient, ref.n_gradient)
+        np.testing.assert_array_equal(got.n_hessian, ref.n_hessian)
+        assert np.all(got.n_value <= ref.n_value)
+        if part.n_blocks == 2:
+            assert got.total_cost()["n_value"] < 0.6 * ref.total_cost()["n_value"]
+
+    def test_slice_chain_is_untouched(self):
+        # value-only evaluations neither read nor write the memo, even one
+        # that a block chain has just filled
+        X, y = logistic_data(25)
+        target = LogisticTarget(X, y)
+        run_block_chain(target, BlockPartition.contiguous(6, 3), np.zeros(6),
+                        ChainConfig(0, 20), np.random.default_rng(26))
+        cfg = SliceConfig(width=1.0)
+        got = slice_gibbs_chain(target, np.zeros(6), 5, 30, cfg, np.random.default_rng(27))
+        ref = slice_gibbs_chain(FreshConditionals(X, y), np.zeros(6), 5, 30, cfg, np.random.default_rng(27))
+        np.testing.assert_array_equal(got.samples, ref.samples)
+        assert got.total_cost() == ref.total_cost()
+        assert got.total_cost()["n_gradient"] == 0
+
+    def test_two_chains_on_one_target_agree(self):
+        target = LogisticTarget(*logistic_data(28))
+        part = BlockPartition.contiguous(6, 3)
+        a, b = (run_block_chain(target, part, np.zeros(6), ChainConfig(20, 60), np.random.default_rng(29))
+                for _ in range(2))
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert a.total_cost() == b.total_cost()
+        np.testing.assert_array_equal(a.n_value, b.n_value)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -270,6 +273,83 @@ class TestRestrictedTargets:
         rest = np.setdiff1d(np.arange(6), block)
         expected = LogisticTarget(X[:, block], y, offset=offset + X[:, rest] @ full[rest])
         assert_same_evaluations(LogisticTarget(X, y, offset).restrict(block, full), expected, rng)
+
+    def test_logistic_conditional_at_a_kept_predictor(self):
+        # with no parent offset, the complementary conditionals' predictors
+        # at one full vector are X_a x_a + X_b x_b and X_b x_b + X_a x_a,
+        # equal bit for bit: the second reuses the first's value and sigma(t)
+        rng = np.random.default_rng(18)
+        X, y = random_logistic(rng, n=40, k=6)
+        full = rng.standard_normal(6)
+        parent = LogisticTarget(X, y)
+        a, b = np.arange(3), np.arange(3, 6)
+        first = parent.restrict(a, full).evaluate(full[a], gradient=True, hessian=True)
+        assert first.cost == EvalCost(1, 1, 1)
+        for block, rest in ((b, a), (a, b)):
+            got = parent.restrict(block, full).evaluate(full[block], gradient=True, hessian=True)
+            want = LogisticTarget(X[:, block], y, offset=X[:, rest] @ full[rest]).evaluate(
+                full[block], gradient=True, hessian=True
+            )
+            assert got.cost == EvalCost(0, 1, 1)
+            assert got.value == want.value
+            assert np.array_equal(got.gradient, want.gradient)
+            assert np.array_equal(got.hessian, want.hessian)
+
+    def test_logistic_memo_serves_conditionals_with_derivatives_only(self):
+        rng = np.random.default_rng(19)
+        X, y = random_logistic(rng, n=40, k=6)
+        offset = rng.standard_normal(40)
+        full = rng.standard_normal(6)
+        parent = LogisticTarget(X, y, offset)
+        cond = parent.restrict(np.array([1, 4]), full)
+        b = full[[1, 4]]
+        assert cond.evaluate(b, gradient=True).cost == EvalCost(1, 1, 0)
+        assert cond.evaluate(b, hessian=True).cost == EvalCost(0, 0, 1)
+        assert cond.evaluate(b).cost == EvalCost(1, 0, 0)  # value-only: not read
+        # a constructed target never reads the memo, even at a kept predictor
+        parent.restrict(np.arange(6), full).evaluate(full, gradient=True)
+        for _ in range(2):
+            assert parent.evaluate(full, gradient=True, hessian=True).cost == EvalCost(1, 1, 1)
+        # a miss still returns the fresh results
+        rest = [0, 2, 3, 5]
+        expected = LogisticTarget(X[:, [1, 4]], y, offset=offset + X[:, rest] @ full[rest])
+        assert_same_evaluations(cond, expected, rng)
+
+    def test_logistic_memo_shared_across_threads_stays_exact(self):
+        # threads racing on one memo may lose entries, never return another
+        # predictor's value or sigma(t); rows enough for numpy to release
+        # the interpreter lock, so that the threads interleave
+        rng = np.random.default_rng(20)
+        X, y = random_logistic(rng, n=4000, k=6)
+        parent = LogisticTarget(X, y)
+        a, b = np.arange(3), np.arange(3, 6)
+        points = rng.standard_normal((8, 6))
+        mismatches = []
+
+        def work(seed):
+            pick = np.random.default_rng(seed)
+            for _ in range(300):
+                full = points[pick.integers(len(points))]
+                block, rest = (a, b) if pick.random() < 0.5 else (b, a)
+                got = parent.restrict(block, full).evaluate(full[block], gradient=True)
+                want = LogisticTarget(X[:, block], y, offset=X[:, rest] @ full[rest]).evaluate(
+                    full[block], gradient=True
+                )
+                if got.value != want.value or not np.array_equal(got.gradient, want.gradient):
+                    mismatches.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
     @pytest.mark.parametrize("block", RESTRICT_BLOCKS)
     def test_prior_matches_public_construction(self, block):
