@@ -28,12 +28,10 @@ from .targets import (
     LinearProjectionModel,
     LogisticTarget,
     PoissonLogRateTarget,
-    WitnessReport,
     additive_target,
     gaussian_prior,
     linear_projection_target,
     logistic_target,
-    negative_definiteness_witness,
     poisson_lograte_target,
     replicated_poisson_target,
 )
@@ -52,11 +50,9 @@ from .gibbs import BlockPartition, block_sweep, run_block_chain
 from .hb import HbConfig, HbModelSpec, HbTrace, hb_gibbs, simulate_hb
 from .diagnostics import (
     CalibrationProfile,
-    EfficiencyReport,
     ModeFindingError,
     calibrate,
     effective_size,
-    efficiency_report,
     ess_per_dim,
     fee,
     mixing_index,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import CalibrationProfile, calibrate, efficiency_report, ess_per_dim
+from .diagnostics import CalibrationProfile, calibrate, ess_per_dim, fee
 from .gibbs import BlockPartition, run_block_chain
 from .slicer import SliceConfig, slice_gibbs_chain
 from .tangent import ChainConfig
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_WIDTHS = (0.05, 0.1, 0.25, 0.5, 1.0)
+# pilot chain length for the slice-width tuning, in sweeps
+PILOT_BURNIN = 50
+PILOT_SAMPLES = 200
 
 
 def simulate_logistic(n_obs: int, n_coeffs: int, rng: np.random.Generator):
@@ -65,13 +68,15 @@ class RunStats:
 
 
 def _stats(trace: ChainTrace, calib: CalibrationProfile) -> RunStats:
-    report = efficiency_report(trace, calib)
+    """Cost and mixing figures of one chain; the effective rate ESS / n may
+    exceed 1."""
     n = trace.n_steps
+    ess_mean = float(np.mean(ess_per_dim(trace.samples)))
+    rate = ess_mean / n
     cost = trace.total_cost()
     total_evals = cost["n_value"] + cost["n_gradient"] + cost["n_hessian"]
-    rate = report.effective_sampling_rate
     return RunStats(
-        ess_mean=float(np.mean(report.ess_per_dim)),
+        ess_mean=ess_mean,
         acceptance_rate=float(trace.meta.get("block_acceptance_rate", trace.acceptance_rate())),
         n_value=cost["n_value"],
         n_gradient=cost["n_gradient"],
@@ -79,7 +84,7 @@ def _stats(trace: ChainTrace, calib: CalibrationProfile) -> RunStats:
         evals_per_nominal=total_evals / n,
         effective_rate=rate,
         evals_per_effective=total_evals / n / rate,
-        wall_fee_per_effective=report.fee_per_effective,
+        wall_fee_per_effective=fee(trace, calib) / rate,
     )
 
 
@@ -88,8 +93,6 @@ def tune_slice_width(
     x0,
     rng: np.random.Generator,
     widths=DEFAULT_WIDTHS,
-    n_burnin: int = 50,
-    n_samples: int = 200,
 ):
     """Pick the width minimizing evaluations per effective sample.
 
@@ -100,14 +103,14 @@ def tune_slice_width(
     sweep = []
     for w in widths:
         trace = slice_gibbs_chain(
-            target, x0, n_burnin, n_samples, SliceConfig(width=w), rng
+            target, x0, PILOT_BURNIN, PILOT_SAMPLES, SliceConfig(width=w), rng
         )
         ess = float(np.mean(ess_per_dim(trace.samples)))
         evals = trace.total_cost()["n_value"]
         sweep.append(
             {
                 "width": w,
-                "evals_per_sweep": evals / (n_burnin + n_samples),
+                "evals_per_sweep": evals / (PILOT_BURNIN + PILOT_SAMPLES),
                 "ess_mean": ess,
                 "evals_per_effective": evals / max(ess, 1e-12),
             }

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .benchmark import DEFAULT_WIDTHS, run_benchmark
 from .concavity import random_instances, run_campaign
-from .diagnostics import ModeFindingError, effective_size, ess_per_dim, mixing_index
+from .diagnostics import ModeFindingError, ess_per_dim, mixing_index
 from .hb import HbConfig, hb_gibbs, simulate_hb
 from .linalg import NotPositiveDefinite
 from .slicer import SliceConfig, SliceError, slice_gibbs_chain
@@ -398,8 +398,14 @@ def cmd_benchmark(args, cfg: dict, s) -> int:
     # the design needs at least as many rows as columns
     if s.n_obs < s.n_coeffs:
         raise ConfigError(f"n_obs must be an integer >= n_coeffs = {s.n_coeffs}, got {s.n_obs}")
+    # as for chain, the output directory is made only once the runs are
+    # done: separable data (few rows per coefficient) has no posterior mode,
+    # and the Newton burn-in stops at a Hessian that is not negative definite
+    try:
+        res = run_benchmark(**vars(s))
+    except (HessianNotNegativeDefinite, _NonFiniteNewtonMean) as err:
+        raise ConfigError(f"cannot run the tangent chain on the simulated data: {err}") from err
     out = _Output(args, cfg)
-    res = run_benchmark(**vars(s))
 
     table = res.table()
     out.csv("table.csv", "benchmark-table", ["figure", "tangent-mh", "slice"],
@@ -471,7 +477,7 @@ def cmd_hb(args, cfg: dict, s) -> int:
         for name, tr in traces.items():
             mean[name] = tr.beta.mean(axis=0)
             sd = tr.beta.std(axis=0, ddof=1)
-            ess = np.array([[effective_size(tr.beta[:, j, k]) for k in range(K)] for j in range(J)])
+            ess = ess_per_dim(tr.beta.reshape(tr.n_samples, J * K)).reshape(J, K)
             mcse[name] = sd / np.sqrt(np.maximum(ess, 1e-12))
             ess_mean = float(np.mean(ess))
             evals = tr.meta["final_cost"]

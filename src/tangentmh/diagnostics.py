@@ -24,14 +24,14 @@ __all__ = [
     "CalibrationProfile",
     "calibrate",
     "fee",
-    "EfficiencyReport",
-    "efficiency_report",
     "ModeFindingError",
     "mixing_index",
 ]
 
 # ESS may exceed the nominal sample count (antithetic chains), capped here.
 ESS_CAP_FACTOR = 1.5
+# Newton iterations allowed to locate the mode for the mixing index
+MODE_MAX_ITER = 200
 
 
 def _autocorrelations(x: np.ndarray) -> np.ndarray:
@@ -133,40 +133,11 @@ def fee(trace: ChainTrace, calib: CalibrationProfile) -> float:
     return trace.wall_time / calib.seconds_per_value_eval / trace.n_steps
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Cost-per-sample summary for one chain.
-
-    ``fee_per_effective`` always equals ``fee_per_nominal`` divided by
-    ``effective_sampling_rate`` (ESS / n, which may exceed 1).
-    """
-
-    fee_per_nominal: float
-    effective_sampling_rate: float
-    fee_per_effective: float
-    ess_per_dim: np.ndarray
-
-    def __post_init__(self):
-        expected = self.fee_per_nominal / self.effective_sampling_rate
-        if np.isfinite(expected) and not np.isclose(
-            self.fee_per_effective, expected, rtol=1e-12
-        ):
-            raise ValueError("inconsistent efficiency figures")
-
-
-def efficiency_report(trace: ChainTrace, calib: CalibrationProfile) -> EfficiencyReport:
-    """Assemble the per-nominal / rate / per-effective triple for a trace."""
-    per_nominal = fee(trace, calib)
-    ess = ess_per_dim(trace.samples)
-    rate = float(np.mean(ess)) / trace.n_steps
-    return EfficiencyReport(per_nominal, rate, per_nominal / rate, ess)
-
-
 class ModeFindingError(Exception):
     """Newton iteration failed to locate a finite mode."""
 
 
-def mixing_index(target, x0: float = 0.0, max_iter: int = 200) -> float:
+def mixing_index(target, x0: float = 0.0) -> float:
     """Third-derivative mixing index at the mode of a univariate target.
 
     Newton iteration runs to ``|f'| < 1e-10``; the index is
@@ -182,7 +153,7 @@ def mixing_index(target, x0: float = 0.0, max_iter: int = 200) -> float:
     if target.dim != 1:
         raise ValueError("mixing index is defined for univariate targets")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    for _ in range(max_iter):
+    for _ in range(MODE_MAX_ITER):
         res = target.evaluate(x, gradient=True)
         if not np.isfinite(res.value):
             raise ModeFindingError(f"log-density not finite at {x[0]}")
@@ -192,7 +163,7 @@ def mixing_index(target, x0: float = 0.0, max_iter: int = 200) -> float:
         if not np.all(np.isfinite(x)) or abs(x[0]) > 1e12:
             raise ModeFindingError("Newton iteration diverged")
     else:
-        raise ModeFindingError(f"no convergence within {max_iter} Newton iterations")
+        raise ModeFindingError(f"no convergence within {MODE_MAX_ITER} Newton iterations")
     res = target.evaluate(x, gradient=True, hessian=True)
     curv = res.hessian[0, 0]
     if curv >= 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import BlockPartition, block_sweep
-from .linalg import MvnDistribution, SymMatrix, cholesky, mvn_sample
+from .linalg import MvnDistribution, cholesky, mvn_sample
 from .slicer import SliceConfig, slice_sweep
 from .targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget, _built
 from .trace import ChainConfig, run_sweeps
@@ -35,6 +35,10 @@ __all__ = [
     "draw_precisions",
     "hb_gibbs",
 ]
+
+# the simulated truth: every precision tau_k, and the scale of gamma's entries
+TRUE_TAU = 4.0
+GAMMA_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,6 @@ def simulate_hb(
     rng: np.random.Generator,
     group_size: int | None = None,
     size_range: tuple = (100, 1000),
-    true_tau: float = 4.0,
-    gamma_scale: float = 0.5,
 ):
     """Draw a synthetic model instance; returns (spec, truth dict).
 
@@ -145,8 +147,8 @@ def simulate_hb(
     Z = np.column_stack(
         [np.ones(n_groups), rng.standard_normal((n_groups, n_upper - 1))]
     )
-    gamma = rng.normal(0.0, gamma_scale, size=(n_coeffs, n_upper))
-    sigma = 1.0 / np.sqrt(true_tau)
+    gamma = rng.normal(0.0, GAMMA_SCALE, size=(n_coeffs, n_upper))
+    sigma = 1.0 / np.sqrt(TRUE_TAU)
     beta = Z @ gamma.T + rng.normal(0.0, sigma, size=(n_groups, n_coeffs))
 
     designs = []
@@ -164,7 +166,7 @@ def simulate_hb(
         responses.append(y)
 
     spec = HbModelSpec(designs, responses, Z)
-    truth = {"beta": beta, "gamma": gamma, "tau": np.full(n_coeffs, true_tau)}
+    truth = {"beta": beta, "gamma": gamma, "tau": np.full(n_coeffs, TRUE_TAU)}
     return spec, truth
 
 
@@ -227,7 +229,7 @@ def hb_gibbs(
         prior_means = spec.upper_design @ gamma.T
         # the groups' priors differ only in mean: diag(tau) is validated once
         # per cycle, by the first group's constructor
-        first = GaussianPriorTarget(prior_means[0], SymMatrix(np.diag(tau)))
+        first = GaussianPriorTarget(prior_means[0], np.diag(tau))
         cost = EvalCost()
         n_accepted = failures = 0
         for j in range(J):

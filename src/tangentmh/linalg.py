@@ -97,17 +97,10 @@ class CholeskyFactor:
         """``sum_k log L_kk``, half the log-determinant; computed once."""
         return float(np.log(self.lower.diagonal()).sum())
 
-    def log_det(self) -> float:
-        """log-determinant of the factored matrix (twice the diagonal log-sum)."""
-        return 2.0 * self.half_log_det
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (L L^T) x = b by two triangular solves."""
         upper = self.lower.T
         return _upper_solve(upper, _upper_solve(upper, b, 1), 0)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.lower @ self.lower.T
 
 
 def cholesky(m) -> CholeskyFactor:

@@ -11,6 +11,7 @@ accept/reject step is plain Newton iteration, which is how burn-in starts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ class HessianNotNegativeDefinite(Exception):
         self.point = np.asarray(point, dtype=float)
         self.pivot = pivot
         super().__init__(
-            f"Hessian not negative definite at {self.point} (pivot {pivot})"
+            f"Hessian not negative definite at "
+            f"{np.array2string(self.point, max_line_width=sys.maxsize)} (pivot {pivot})"
         )
 
 

@@ -18,10 +18,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space, qr
+from scipy.linalg import qr
 from scipy.special import expit
 
-from .linalg import CholeskyFactor, SymMatrix, cholesky
+from .linalg import SymMatrix, cholesky
 
 __all__ = [
     "EvalCost",
@@ -42,8 +42,6 @@ __all__ = [
     "LinearProjectionModel",
     "linear_projection_target",
     "column_rank",
-    "WitnessReport",
-    "negative_definiteness_witness",
 ]
 
 RANK_RTOL = 1e-10
@@ -620,73 +618,3 @@ class _LinearProjectionTarget(DifferentiableTarget):
 def linear_projection_target(m: LinearProjectionModel) -> DifferentiableTarget:
     """Composed log-density over stacked coefficients for the given model."""
     return _LinearProjectionTarget(m)
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    """Outcome of a definiteness check on a composed Hessian.
-
-    Either ``certified`` is True and ``factor`` holds the Cholesky
-    certificate of -H, or a degenerate direction ``witness`` with
-    ``|witness^T H witness| <= tol`` is supplied.  ``identity_max_err`` is
-    the largest deviation of p^T H p from its per-observation decomposition
-    across the randomized trials.
-    """
-
-    certified: bool
-    witness: np.ndarray | None
-    quad_form: float
-    hessian_norm: float
-    identity_max_err: float
-    factor: CholeskyFactor | None = None
-
-
-def _quadform_decomposition(m: LinearProjectionModel, hessians, p: np.ndarray) -> float:
-    """sum_i q_i^T H_i q_i with q_i the per-observation projections of p."""
-    blocks = m.split(p)
-    Q = np.column_stack([X @ b for X, b in zip(m.designs, blocks)])
-    return float(np.einsum("ij,ijk,ik->", Q, hessians, Q))
-
-
-def negative_definiteness_witness(
-    m: LinearProjectionModel, beta, trials: int, rng: np.random.Generator
-) -> WitnessReport:
-    """Certify the composed Hessian negative definite, or exhibit a flat direction.
-
-    With every design of full column rank the negated Hessian is factored
-    outright.  Otherwise the returned witness stacks one null-space vector
-    per rank-deficient design (zeros on the full-rank blocks), which
-    annihilates every per-observation term of the quadratic form: a single
-    full-rank design does NOT rescue definiteness, because directions
-    supported on the deficient blocks alone stay exactly flat.  Each of
-    the ``trials`` random directions additionally checks that p^T H p
-    matches its observation-wise decomposition sum_i q_i^T H_i q_i.
-    """
-    target = linear_projection_target(m)
-    beta = np.asarray(beta, dtype=float)
-    res = target.evaluate(beta, gradient=True, hessian=True)
-    H = res.hessian
-    _, _, hessians = m.base.evaluate(m.projections(beta), hessian=True)
-    h_norm = float(np.linalg.norm(H, "fro"))
-
-    identity_max_err = 0.0
-    for _ in range(max(int(trials), 0)):
-        p = rng.standard_normal(m.dim)
-        p /= np.linalg.norm(p)
-        lhs = float(p @ H @ p)
-        rhs = _quadform_decomposition(m, hessians, p)
-        identity_max_err = max(identity_max_err, abs(lhs - rhs))
-
-    if m.all_full_rank:
-        factor = cholesky(-H)
-        return WitnessReport(True, None, float("nan"), h_norm, identity_max_err, factor)
-
-    parts = []
-    for X, full in zip(m.designs, m.full_rank_flags):
-        if full:
-            parts.append(np.zeros(X.shape[1]))
-        else:
-            parts.append(null_space(X, rcond=RANK_RTOL)[:, 0])
-    p = np.concatenate(parts)
-    quad = float(p @ H @ p)
-    return WitnessReport(False, p, quad, h_norm, identity_max_err, None)

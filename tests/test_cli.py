@@ -348,6 +348,15 @@ class TestBenchmarkBadInput:
         # used to run as width 1
         assert "widths" in assert_rejected("benchmark", tmp_path, capsys, "widths = true\n")
 
+    @pytest.mark.parametrize("block_size", [5, 10])
+    def test_separable_data_reported_before_output(self, tmp_path, capsys, block_size):
+        # one row per coefficient: the simulated data separate, the posterior
+        # has no mode, and the Newton burn-in meets a Hessian that is not
+        # negative definite; a 10-dim block's point still prints on one line
+        config = f"n_obs = 10\nn_coeffs = 10\nblock_size = {block_size}\n"
+        err = assert_rejected("benchmark", tmp_path, capsys, config, ("--seed", "7", "--quick"))
+        assert "Hessian not negative definite" in err
+
 
 # SHA-256 of every file each verb writes at --quick --seed 11 (numpy 2.4,
 # scipy 1.17, x86-64); a change that moves any output byte fails here

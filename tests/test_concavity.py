@@ -49,10 +49,29 @@ class TestRunInstance:
         rec = run_instance(ConcavityInstance(1, (4,), 20, "bernoulli", (0,), 11))
         assert rec.outcome == "certificate" and rec.ok
         assert rec.hessian_fd_rel_err < 1e-4
+        assert np.isnan(rec.witness_quad_rel)
+
+    def test_full_rank_certificate(self):
+        # the decomposition identity is checked in every random direction
+        rec = run_instance(ConcavityInstance(2, (3, 2), 20, "quadratic", (0, 0), 12), trials=25)
+        assert rec.outcome == "certificate" and rec.ok
+        assert 0.0 < rec.identity_max_err <= 1e-10 * 1e4
 
     def test_all_deficient_witness(self):
         rec = run_instance(ConcavityInstance(1, (4,), 20, "bernoulli", (2,), 13))
         assert rec.outcome == "witness" and rec.ok
+        assert rec.witness_quad_rel <= 1e-8
+
+    def test_duplicated_column_yields_witness(self):
+        rec = run_instance(ConcavityInstance(1, (4,), 20, "bernoulli", (1,), 13))
+        assert rec.outcome == rec.expected == "witness" and rec.ok
+        assert rec.witness_quad_rel <= 1e-8
+
+    def test_mixed_rank_plan_yields_flat_direction(self):
+        # one full-rank design does not rescue definiteness: a direction
+        # supported on the deficient block alone keeps p^T H p at zero
+        rec = run_instance(ConcavityInstance(2, (3, 2), 20, "quadratic", (0, 1), 14))
+        assert rec.outcome == rec.expected == "witness" and rec.ok
         assert rec.witness_quad_rel <= 1e-8
 
     def test_record_roundtrips_to_json(self):

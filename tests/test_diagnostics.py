@@ -3,11 +3,9 @@ import pytest
 
 from tangentmh.diagnostics import (
     CalibrationProfile,
-    EfficiencyReport,
     ModeFindingError,
     calibrate,
     effective_size,
-    efficiency_report,
     ess_per_dim,
     fee,
     mixing_index,
@@ -101,17 +99,6 @@ class TestFee:
         t = gaussian_prior(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
             calibrate(t, np.zeros(2), 50)
-
-    def test_report_identity(self):
-        t, trace = self._trace()
-        rep = efficiency_report(trace, calibrate(t, np.zeros(2), 200))
-        assert rep.fee_per_effective == pytest.approx(
-            rep.fee_per_nominal / rep.effective_sampling_rate, rel=1e-12
-        )
-
-    def test_report_rejects_inconsistent_figures(self):
-        with pytest.raises(ValueError):
-            EfficiencyReport(10.0, 0.5, 7.0, np.array([1.0]))
 
 
 class TestMixingIndex:
