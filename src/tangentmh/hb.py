@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import BlockPartition, block_sweep
-from .linalg import MvnDistribution, cholesky, mvn_sample
+from .linalg import _upper_solve, cholesky
 from .slicer import SliceConfig, slice_sweep
 from .targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget, _built
 from .trace import ChainConfig, run_sweeps
@@ -186,7 +186,7 @@ def draw_upper_coeffs(
     for k in range(spec.n_coeffs):
         factor = cholesky(tau[k] * ztz + spec.gamma_precision * eye)
         mean = factor.solve(tau[k] * (Z.T @ beta[:, k]))
-        gamma[k] = mvn_sample(MvnDistribution(mean, factor), rng)
+        gamma[k] = mean + _upper_solve(factor.lower.T, rng.standard_normal(spec.n_upper), 0)
     return gamma
 
 
@@ -228,12 +228,15 @@ def hb_gibbs(
         gamma = gamma.reshape(K, L)
         prior_means = spec.upper_design @ gamma.T
         # the groups' priors differ only in mean: diag(tau) is validated once
-        # per cycle, by the first group's constructor
+        # per cycle, by the first group's constructor, and is restricted to
+        # a block without factoring
         first = GaussianPriorTarget(prior_means[0], np.diag(tau))
         cost = EvalCost()
         n_accepted = failures = 0
         for j in range(J):
-            prior = _built(GaussianPriorTarget, _mean=prior_means[j], _precision=first._precision)
+            prior = _built(
+                GaussianPriorTarget, _mean=prior_means[j], _precision=first._precision, _diagonal=first._diagonal
+            )
             target = AdditiveTarget([likelihoods[j], prior])
             if tangent:
                 outcome = block_sweep(target, partition, beta[j], rng, newton=newton)

@@ -4,11 +4,13 @@ A target is anything exposing ``dim`` and ``evaluate(x, gradient=, hessian=)``
 returning the log-density value (always up to an additive constant; each
 concrete target documents which constant it drops), optionally with gradient
 and Hessian, plus evaluation-cost counters.  Targets are immutable after
-construction, except for one exact cache: the conditionals that a
-``LogisticTarget`` builds share the linear predictor, value and
-``sigma(t)`` of their two most recent derivative evaluations.  Concurrent
-evaluation stays correct, since a cached value is reused only for a
-bit-identical linear predictor; the worst a race can do is a miss.
+construction, except for two exact caches on a ``LogisticTarget``: the
+conditionals it builds share the linear predictor, value and ``sigma(t)``
+of their two most recent derivative evaluations, and its ``restrict``
+keeps each block's design columns.  Concurrent evaluation stays correct,
+since a cached value is reused only for a bit-identical linear predictor
+and a block's columns are the same whoever builds them; the worst a race
+can do is a miss, or build a block's columns twice.
 Counters are returned per call, never accumulated in shared state.
 """
 
@@ -112,6 +114,12 @@ def _complement(dim: int, block: np.ndarray) -> np.ndarray:
     return rest
 
 
+def _is_diagonal(a: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of a positive-definite ``a`` is zero
+    (its diagonal entries are positive, so nonzero)."""
+    return np.count_nonzero(a) == a.shape[0]
+
+
 def _built(cls, **attrs):
     """A ``cls`` instance from parts already validated by a parent target;
     ``__init__`` is skipped."""
@@ -173,12 +181,20 @@ class LogisticTarget(DifferentiableTarget):
     """Bernoulli-logit log-likelihood over coefficients.
 
     ``value(b) = -sum_i [(1 - y_i) t_i + log(1 + exp(-t_i))]`` with
-    ``t = X b + offset``; the log(1+exp) term is evaluated in the stable
-    form ``log(1 + exp(-|t|)) + max(-t, 0)`` so coefficients with
-    ``|t| > 700`` do not overflow.  Gradient is ``X^T (y - sigma(t))`` and
-    Hessian ``-X^T diag(sigma (1 - sigma)) X``, negative semi-definite
-    everywhere and negative definite when X has full column rank.  No
-    constant is dropped.
+    ``t = X b + offset``; each row is evaluated in the stable form
+    ``(1 - y) t + log1p(exp(-|t|)) + max(-t, 0)``, so coefficients with
+    ``|t| > 700`` do not overflow; its last two terms are within 2 ulp of
+    ``np.logaddexp(0, -t)``.
+    Gradient is ``X^T (y - sigma(t))`` and Hessian
+    ``-X^T diag(sigma (1 - sigma)) X``, negative semi-definite everywhere
+    and negative definite when X has full column rank.  No constant is
+    dropped.  Design and offset must be finite.
+
+    ``restrict`` keeps each block's columns ``X[:, block]`` and
+    ``X[:, rest]`` on the parent, keyed by the block, and reuses them for
+    every later conditional over the same block; they are kept as numpy's
+    fancy indexing returns them (Fortran order), since a C-ordered copy
+    would make the matrix-vector products sum in another order.
 
     The conditionals that ``restrict`` builds share the ``t``, value and
     ``sigma(t)`` of their two most recent evaluations with derivatives.
@@ -212,8 +228,11 @@ class LogisticTarget(DifferentiableTarget):
             self._offset = np.asarray(offset, dtype=float)
             if self._offset.shape != (X.shape[0],):
                 raise ValueError("offset must be one entry per design row")
+            if not np.all(np.isfinite(self._offset)):
+                raise ValueError("offset entries must be finite")
         self._memo = None  # the memo this target reads: only a conditional has one
         self._conditional_memo = None  # made by the first restrict
+        self._columns = {}  # block.tobytes() -> (X[:, block], X[:, rest], rest)
 
     @property
     def dim(self) -> int:
@@ -226,8 +245,12 @@ class LogisticTarget(DifferentiableTarget):
         memo = self._memo if derivatives else None
         kept = memo.recall(t) if memo is not None else None
         if kept is None:
-            # np.logaddexp(0, -t) == log(1 + exp(-|t|)) + max(-t, 0)
-            value = -float(np.sum((1.0 - self._y) * t + np.logaddexp(0.0, -t)))
+            # per row (1 - y) t + log1p(exp(-|t|)) + max(-t, 0), in place
+            e = np.exp(-np.abs(t))
+            np.log1p(e, out=e)
+            e += (1.0 - self._y) * t
+            e -= np.minimum(t, 0.0)
+            value = -float(np.sum(e))
             p = expit(t) if derivatives else None
             if memo is not None:
                 memo.keep((t, value, p))
@@ -248,14 +271,20 @@ class LogisticTarget(DifferentiableTarget):
 
     def restrict(self, block, full) -> "LogisticTarget":
         block = np.asarray(block, dtype=int)
-        rest = _complement(self.dim, block)
-        offset = self._offset + self._X[:, rest] @ np.asarray(full, dtype=float)[rest]
+        key = block.tobytes()
+        columns = self._columns.get(key)
+        if columns is None:
+            # a race only builds the same columns twice
+            rest = _complement(self.dim, block)
+            columns = self._columns[key] = (self._X[:, block], self._X[:, rest], rest)
+        x_b, x_rest, rest = columns
+        offset = self._offset + x_rest @ np.asarray(full, dtype=float)[rest]
         # one memo per design and responses: a conditional passes on its own
         memo = self._memo
         if memo is None:
             memo = self._conditional_memo = self._conditional_memo or _PredictorMemo()
         # columns of a checked design and the same responses need no second check
-        return _built(LogisticTarget, _X=self._X[:, block], _y=self._y, _offset=offset, _memo=memo)
+        return _built(LogisticTarget, _X=x_b, _y=self._y, _offset=offset, _memo=memo, _columns={})
 
 
 def logistic_target(X, y) -> LogisticTarget:
@@ -325,6 +354,9 @@ class GaussianPriorTarget(DifferentiableTarget):
 
     The normalizing constant is dropped.  The precision is validated as a
     ``SymMatrix`` and checked to be positive definite at construction.
+    ``restrict`` factors the block precision once, for the conditional
+    mean; a precision that is exactly diagonal restricts to the block mean
+    and the block diagonal, with no factorization.
     """
 
     def __init__(self, mean, precision):
@@ -334,6 +366,7 @@ class GaussianPriorTarget(DifferentiableTarget):
         if self._precision.shape[0] != self._mean.shape[0]:
             raise ValueError("precision dimension must match mean length")
         cholesky(self._precision)  # raises NotPositiveDefinite
+        self._diagonal = _is_diagonal(self._precision)
 
     @property
     def dim(self) -> int:
@@ -353,18 +386,23 @@ class GaussianPriorTarget(DifferentiableTarget):
 
     def restrict(self, block, full) -> "GaussianPriorTarget":
         block = np.asarray(block, dtype=int)
+        mean = self._mean[block]
+        if self._diagonal:
+            # P_bc is zero, so the mean needs no shift; a positive diagonal
+            # needs no factorization to be positive definite
+            p_bb = np.diag(self._precision.diagonal()[block])
+            return _built(GaussianPriorTarget, _mean=mean, _precision=p_bb, _diagonal=True)
         rest = _complement(self.dim, block)
         # a principal submatrix of a checked precision is symmetric; its
         # factorization is the positive-definiteness check
         p_bb = self._precision[np.ix_(block, block)]
         factor = cholesky(p_bb)
-        mean = self._mean[block]
         if rest.any():
             full = np.asarray(full, dtype=float)
             # conditional mean m_b - P_bb^{-1} P_bc (x_c - m_c); value shifts by a constant
             r = self._precision[np.ix_(block, rest)] @ (full[rest] - self._mean[rest])
             mean = mean - factor.solve(r)
-        return _built(GaussianPriorTarget, _mean=mean, _precision=p_bb)
+        return _built(GaussianPriorTarget, _mean=mean, _precision=p_bb, _diagonal=_is_diagonal(p_bb))
 
 
 def gaussian_prior(mean, precision) -> GaussianPriorTarget:

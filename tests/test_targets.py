@@ -87,6 +87,24 @@ class TestLogistic:
         with pytest.raises(ValueError):
             logistic_target(np.eye(2), np.array([0.0, 2.0]))
 
+    @pytest.mark.parametrize("offset", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_rejects_non_finite_offset(self, offset):
+        # every value would be NaN
+        with pytest.raises(ValueError):
+            LogisticTarget(np.eye(2), [0.0, 1.0], offset=offset)
+
+    def test_value_within_2_ulp_of_logaddexp_per_row(self):
+        # within 2 ulp of the row's larger term: for y = 0 the two terms
+        # may cancel, and the rounding of each is all either form controls
+        special = [0.0, 1e-300, 1.0, 36.0, 700.0, 800.0]
+        rows = np.concatenate([special, np.negative(special), 40.0 * np.random.default_rng(4).standard_normal(200)])
+        for t in rows:
+            softplus = np.logaddexp(0.0, -t)
+            for y in (0.0, 1.0):
+                got = logistic_target(np.array([[1.0]]), np.array([y])).evaluate([t]).value
+                want = -((1.0 - y) * t + softplus)
+                assert abs(got - want) <= 2 * np.spacing(max(abs((1.0 - y) * t), softplus)), (t, y)
+
     def test_restrict_matches_splice(self):
         rng = np.random.default_rng(3)
         X, y = random_logistic(rng, n=30, k=6)
@@ -315,8 +333,9 @@ class TestRestrictedTargets:
         assert_same_evaluations(cond, expected, rng)
 
     def test_logistic_memo_shared_across_threads_stays_exact(self):
-        # threads racing on one memo may lose entries, never return another
-        # predictor's value or sigma(t); rows enough for numpy to release
+        # threads racing on one memo and one column cache may lose entries,
+        # never return another predictor's value or sigma(t) or another
+        # block's columns; rows enough for numpy to release
         # the interpreter lock, so that the threads interleave
         rng = np.random.default_rng(20)
         X, y = random_logistic(rng, n=4000, k=6)
@@ -349,6 +368,45 @@ class TestRestrictedTargets:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
+
+    def test_logistic_restrict_reuses_block_columns(self):
+        # columns kept as fancy indexing returns them: a C-ordered copy
+        # would sum the matrix-vector products in another order
+        rng = np.random.default_rng(21)
+        X, y = random_logistic(rng, n=40, k=6)
+        parent = LogisticTarget(X, y)
+        first, again = (parent.restrict(np.array([1, 4]), rng.standard_normal(6)) for _ in range(2))
+        other = parent.restrict(np.array([4, 1]), rng.standard_normal(6))
+        assert again._X is first._X and other._X is not first._X
+        assert first._X.flags.f_contiguous and not first._X.flags.c_contiguous
+        assert np.array_equal(first._X, X[:, [1, 4]])
+        # a conditional keeps its own columns, not the parent's
+        assert first.restrict(np.array([0]), np.zeros(2))._X is not first._X
+        assert first._columns is not parent._columns
+
+    @pytest.mark.parametrize("block", RESTRICT_BLOCKS)
+    def test_diagonal_prior_matches_public_construction(self, block, monkeypatch):
+        # the block mean and the block diagonal, with no factorization
+        rng = np.random.default_rng(22)
+        mean, prec = rng.standard_normal(6), np.diag(rng.uniform(0.5, 2.0, 6))
+        parent = gaussian_prior(mean, prec)
+        block = np.array(block)
+        expected = GaussianPriorTarget(mean[block], prec[np.ix_(block, block)])
+        monkeypatch.setattr(targets_module, "cholesky", None)
+        assert_same_evaluations(parent.restrict(block, rng.standard_normal(6)), expected, rng)
+
+    def test_prior_with_one_off_diagonal_entry_shifts_the_mean(self):
+        rng = np.random.default_rng(23)
+        mean, prec = rng.standard_normal(6), np.diag(rng.uniform(0.5, 2.0, 6))
+        prec[4, 1] = prec[1, 4] = 0.3
+        full = rng.standard_normal(6)
+        block, rest = np.array([1, 2]), np.array([0, 3, 4, 5])
+        p_bb = prec[np.ix_(block, block)]
+        r = prec[np.ix_(block, rest)] @ (full[rest] - mean[rest])
+        expected = GaussianPriorTarget(mean[block] - cholesky(p_bb).solve(r), p_bb)
+        cond = gaussian_prior(mean, prec).restrict(block, full)
+        assert not np.array_equal(cond._mean, mean[block])
+        assert_same_evaluations(cond, expected, rng)
 
     @pytest.mark.parametrize("block", RESTRICT_BLOCKS)
     def test_prior_matches_public_construction(self, block):
