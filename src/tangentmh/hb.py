@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import BlockPartition, block_sweep
-from .linalg import _upper_solve, cholesky
+from .linalg import _cholesky_lowers, _upper_solve
 from .slicer import SliceConfig, slice_sweep
 from .targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget, _built
 from .trace import ChainConfig, run_sweeps
@@ -73,6 +73,8 @@ class HbModelSpec:
                 raise ValueError("responses must be binary, one per design row")
         if upper.shape[0] != len(designs) or upper.ndim != 2:
             raise ValueError("upper design needs one row per group")
+        if upper.shape[1] < 1:
+            raise ValueError("upper design needs at least one column")
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "upper_design", upper)
@@ -177,16 +179,27 @@ def draw_upper_coeffs(
 
     For coefficient k the posterior is Gaussian with precision
     ``tau_k Z^T Z + gamma_precision I`` and mean solving that precision
-    against ``tau_k Z^T beta[:, k]``.
+    against ``tau_k Z^T beta[:, k]``.  The K precisions are factored as
+    one ``(K, L, L)`` stack in one ``np.linalg.cholesky`` call, under
+    ``cholesky``'s pivot rule (a failing precision raises its
+    ``NotPositiveDefinite`` before any draw), every right-hand side comes
+    from one stacked product and every normal from one ``(K, L)`` draw.
+    Each result equals the per-coefficient factor, solve and
+    ``standard_normal(L)`` draw bit for bit, and the generator ends in the
+    same state.
     """
     Z = spec.upper_design
-    ztz = Z.T @ Z
-    eye = np.eye(spec.n_upper)
+    precisions = tau[:, None, None] * (Z.T @ Z) + spec.gamma_precision * np.eye(spec.n_upper)
+    lowers = _cholesky_lowers(precisions)
+    # the K matrix-vector products Z^T beta[:, k] as one stacked call; the
+    # matrix product Z^T beta sums differently at L = 1 or 4
+    rhs = tau[:, None] * np.matmul(Z.T, beta.T[:, :, None])[:, :, 0]
+    z = rng.standard_normal((spec.n_coeffs, spec.n_upper))
     gamma = np.empty((spec.n_coeffs, spec.n_upper))
-    for k in range(spec.n_coeffs):
-        factor = cholesky(tau[k] * ztz + spec.gamma_precision * eye)
-        mean = factor.solve(tau[k] * (Z.T @ beta[:, k]))
-        gamma[k] = mean + _upper_solve(factor.lower.T, rng.standard_normal(spec.n_upper), 0)
+    for k, lower in enumerate(lowers):
+        upper = lower.T
+        mean = _upper_solve(upper, _upper_solve(upper, rhs[k], 1), 0)
+        gamma[k] = mean + _upper_solve(upper, z[k], 0)
     return gamma
 
 

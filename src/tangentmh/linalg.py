@@ -103,8 +103,25 @@ class CholeskyFactor:
         return _upper_solve(upper, _upper_solve(upper, b, 1), 0)
 
 
+def _pivots_pass(a_diagonal: list, l_diagonal: list) -> bool:
+    """``cholesky``'s pivot rule on Python floats: every pivot ``L_jj``
+    squared exceeds ``PIVOT_RTOL`` times the largest diagonal entry of the
+    factored matrix.  A NaN pivot fails the comparison, and a NaN diagonal
+    entry of the matrix makes its own pivot NaN, so ``max`` may skip it."""
+    tol = PIVOT_RTOL * max(0.0, *a_diagonal)
+    for d in l_diagonal:
+        if not d * d > tol:
+            return False
+    return True
+
+
 def cholesky(m) -> CholeskyFactor:
     """Factor a symmetric matrix as L L^T with L lower triangular.
+
+    The fast path is one ``np.linalg.cholesky`` call, with the pivot rule
+    checked on Python floats: every pivot squared must exceed the
+    tolerance, so a NaN pivot (a non-finite lower entry) never passes.
+    Otherwise the matrix is refactored column by column to name the pivot.
 
     Parameters
     ----------
@@ -125,23 +142,18 @@ def cholesky(m) -> CholeskyFactor:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
-    # a non-finite lower entry never passes this fast path: the factorization
-    # raises, or tol or some L[j, j] is not finite
-    tol = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0)
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         L = None
-    if L is not None:
-        # the diagonal of L is positive or NaN, so its minimum decides
-        d_min = float(L.diagonal().min())
-        if d_min * d_min > tol:
-            return CholeskyFactor(L)
+    if L is not None and _pivots_pass(a.diagonal().tolist(), L.diagonal().tolist()):
+        return CholeskyFactor(L)
     bad_rows = np.flatnonzero(~np.isfinite(np.tril(a)).all(axis=1))
     if bad_rows.size:
         raise NotPositiveDefinite(int(bad_rows[0]), f"non-finite entry in row {bad_rows[0]}")
     # failed or a pivot fell below the relative threshold: rerun column by
     # column to name the offending pivot
+    tol = PIVOT_RTOL * max(0.0, *a.diagonal().tolist())
     n = a.shape[0]
     L = np.zeros((n, n))  # C order like np.linalg.cholesky, as _upper_solve assumes
     for j in range(n):
@@ -153,6 +165,22 @@ def cholesky(m) -> CholeskyFactor:
         if j + 1 < n:
             L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / ljj
     return CholeskyFactor(L)
+
+
+def _cholesky_lowers(stack: np.ndarray) -> np.ndarray:
+    """The lower factors of a ``(K, n, n)`` stack of symmetric matrices in
+    one ``np.linalg.cholesky`` call, each equal bit for bit to
+    ``cholesky(stack[k]).lower``.  If a matrix fails ``cholesky``'s pivot
+    rule, the first such one raises ``cholesky``'s ``NotPositiveDefinite``."""
+    try:
+        lowers = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        lowers = None
+    if lowers is None or not all(
+        map(_pivots_pass, stack.diagonal(0, 1, 2).tolist(), lowers.diagonal(0, 1, 2).tolist())
+    ):
+        lowers = np.array([cholesky(a).lower for a in stack])
+    return lowers
 
 
 @dataclass(frozen=True)

@@ -108,20 +108,23 @@ def slice_sweep(
     report the sum of their parts.
     """
     x = np.array(x, dtype=float)
-    cost = EvalCost()
+    n_value = n_gradient = n_hessian = 0
     work = x.copy()
     for d in range(target.dim):
         def logf(v, _d=d):
-            nonlocal cost
+            nonlocal n_value, n_gradient, n_hessian
             work[_d] = v
             res = target.evaluate(work)
-            cost = cost + res.cost
+            cost = res.cost
+            n_value += cost.n_value
+            n_gradient += cost.n_gradient
+            n_hessian += cost.n_hessian
             return res.value
 
         x_new, _ = slice_step_1d(logf, x[d], cfg, rng)
         x[d] = x_new
         work[d] = x_new
-    return x, 1, cost, 0
+    return x, 1, EvalCost(n_value, n_gradient, n_hessian), 0
 
 
 def slice_gibbs_chain(

@@ -84,7 +84,7 @@ class _Proposal:
             raise HessianNotNegativeDefinite(x, err.pivot) from err
         # Newton step: mean = x + (-H)^{-1} g, solved against the factor
         mean = x + factor.solve(res.gradient)
-        if not np.isfinite(mean).all():
+        if not all(map(math.isfinite, mean.tolist())):
             raise _NonFiniteNewtonMean(f"Newton step from {x} is not finite")
         self.mean = mean
         self.lower = factor.lower

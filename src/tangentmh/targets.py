@@ -51,7 +51,8 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class EvalCost:
-    """Per-call evaluation counters."""
+    """Per-call evaluation counters.  Frozen, so the leaf targets return
+    shared instances rather than building one per call."""
 
     n_value: int = 0
     n_gradient: int = 0
@@ -65,6 +66,10 @@ class EvalCost:
         )
 
 
+# the counters of one leaf evaluation, keyed (value, gradient, hessian)
+_COSTS = {(v, g, h): EvalCost(v, g, h) for v in (0, 1) for g in (0, 1) for h in (0, 1)}
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Log-density value with optional derivatives and the cost incurred."""
@@ -72,7 +77,7 @@ class EvalResult:
     value: float
     gradient: np.ndarray | None = None
     hessian: np.ndarray | None = None
-    cost: EvalCost = field(default_factory=EvalCost)
+    cost: EvalCost = _COSTS[0, 0, 0]
 
 
 class DifferentiableTarget(ABC):
@@ -101,7 +106,8 @@ class DifferentiableTarget(ABC):
         return _Spliced(self, block, full)
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64):
+            x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape[0] != self.dim:
             raise ValueError(f"point has length {x.shape[0]}, expected {self.dim}")
         return x
@@ -266,7 +272,7 @@ class LogisticTarget(DifferentiableTarget):
             value,
             grad,
             hess,
-            EvalCost(int(kept is None), int(gradient), int(hessian)),
+            _COSTS[kept is None, gradient, hessian],
         )
 
     def restrict(self, block, full) -> "LogisticTarget":
@@ -326,7 +332,7 @@ class PoissonLogRateTarget(DifferentiableTarget):
         value = self._total * u - rate_sum
         grad = np.array([self._total - rate_sum]) if gradient else None
         hess = np.array([[-rate_sum]]) if hessian else None
-        return EvalResult(value, grad, hess, EvalCost(1, int(gradient), int(hessian)))
+        return EvalResult(value, grad, hess, _COSTS[1, gradient, hessian])
 
     def third_derivative(self, x) -> float:
         u = float(np.atleast_1d(x)[0])
@@ -379,7 +385,7 @@ class GaussianPriorTarget(DifferentiableTarget):
         value = -0.5 * float(d @ pd)
         grad = -pd if gradient else None
         hess = -self._precision if hessian else None
-        return EvalResult(value, grad, hess, EvalCost(1, int(gradient), int(hessian)))
+        return EvalResult(value, grad, hess, _COSTS[1, gradient, hessian])
 
     def third_derivative(self, x) -> float:
         return 0.0
@@ -412,7 +418,9 @@ def gaussian_prior(mean, precision) -> GaussianPriorTarget:
 
 class AdditiveTarget(DifferentiableTarget):
     """Sum of targets sharing one dimension; values, derivatives and
-    evaluation counters all add."""
+    evaluation counters all add, in part order and starting from the first
+    part's result (no zero arrays): a sum whose every term is ``-0.0``
+    stays ``-0.0``."""
 
     def __init__(self, parts):
         parts = list(parts)
@@ -431,22 +439,27 @@ class AdditiveTarget(DifferentiableTarget):
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         x = self._check_point(x)
-        value = 0.0
-        grad = np.zeros(self._dim) if gradient else None
-        hess = np.zeros((self._dim, self._dim)) if hessian else None
-        cost = EvalCost()
-        for p in self._parts:
+        parts = iter(self._parts)
+        res = next(parts).evaluate(x, gradient=gradient, hessian=hessian)
+        value, grad, hess, cost = res.value, res.gradient, res.hessian, res.cost
+        n_value, n_gradient, n_hessian = cost.n_value, cost.n_gradient, cost.n_hessian
+        for p in parts:
             res = p.evaluate(x, gradient=gradient, hessian=hessian)
             value += res.value
             if gradient:
                 grad = grad + res.gradient
             if hessian:
                 hess = hess + res.hessian
-            cost = cost + res.cost
-        return EvalResult(value, grad, hess, cost)
+            cost = res.cost
+            n_value += cost.n_value
+            n_gradient += cost.n_gradient
+            n_hessian += cost.n_hessian
+        return EvalResult(value, grad, hess, EvalCost(n_value, n_gradient, n_hessian))
 
     def restrict(self, block, full) -> "AdditiveTarget":
-        return AdditiveTarget([p.restrict(block, full) for p in self._parts])
+        # every part's conditional has the block's dimension: nothing to check
+        parts = [p.restrict(block, full) for p in self._parts]
+        return _built(AdditiveTarget, _parts=parts, _dim=parts[0].dim)
 
 
 def additive_target(parts) -> DifferentiableTarget:
@@ -650,7 +663,7 @@ class _LinearProjectionTarget(DifferentiableTarget):
                     if jp != j:
                         hess_a[offs[jp] : offs[jp + 1], offs[j] : offs[j + 1]] = block.T
             hess = SymMatrix(hess_a).a  # mirrors the lower triangle
-        return EvalResult(value, grad, hess, EvalCost(1, int(gradient), int(hessian)))
+        return EvalResult(value, grad, hess, _COSTS[1, gradient, hessian])
 
 
 def linear_projection_target(m: LinearProjectionModel) -> DifferentiableTarget:

@@ -3,10 +3,11 @@ import pytest
 
 from tangentmh.gibbs import BlockPartition, block_sweep, run_block_chain
 from tangentmh.fdiff import fd_gradient
-from tangentmh.slicer import SliceConfig, slice_gibbs_chain
+from tangentmh.slicer import SliceConfig, slice_gibbs_chain, slice_sweep
 from tangentmh.tangent import ChainConfig
 from tangentmh.targets import (
     DifferentiableTarget,
+    EvalCost,
     LogisticTarget,
     additive_target,
     gaussian_prior,
@@ -275,3 +276,55 @@ class TestLogisticPredictorReuse:
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.total_cost() == b.total_cost()
         np.testing.assert_array_equal(a.n_value, b.n_value)
+
+
+class CostLog(DifferentiableTarget):
+    """``inner`` with every evaluation's counters appended to ``log``; its
+    conditionals log to the same list."""
+
+    def __init__(self, inner, log):
+        self._inner, self.log = inner, log
+
+    @property
+    def dim(self):
+        return self._inner.dim
+
+    def evaluate(self, x, *, gradient=False, hessian=False):
+        res = self._inner.evaluate(x, gradient=gradient, hessian=hessian)
+        self.log.append(res.cost)
+        return res
+
+    def restrict(self, block, full):
+        return CostLog(self._inner.restrict(block, full), self.log)
+
+
+class TestSweepCosts:
+    """A sweep's counters are the sum of its evaluations' counters, memo
+    hits (``EvalCost(0, 1, 1)``) included."""
+
+    def _target(self):
+        X, y = logistic_data(30)
+        return CostLog(additive_target([LogisticTarget(X, y), gaussian_prior(np.zeros(6), np.eye(6))]), [])
+
+    @staticmethod
+    def _summed(log):
+        return EvalCost(*(sum(getattr(c, f) for c in log) for f in ("n_value", "n_gradient", "n_hessian")))
+
+    @pytest.mark.parametrize("newton", [True, False])
+    def test_block_sweep(self, newton):
+        target, rng = self._target(), np.random.default_rng(31)
+        part, x = BlockPartition.contiguous(6, 3), np.zeros(6)
+        for _ in range(8):
+            target.log.clear()
+            x, _, cost, _ = block_sweep(target, part, x, rng, newton=newton)
+            assert cost == self._summed(target.log)
+
+    def test_slice_sweep(self):
+        target, rng = self._target(), np.random.default_rng(32)
+        x = np.zeros(6)
+        for _ in range(8):
+            target.log.clear()
+            x, _, cost, _ = slice_sweep(target, x, SliceConfig(), rng)
+            assert cost == self._summed(target.log)
+            # value-only evaluations of two parts
+            assert cost == EvalCost(2 * len(target.log), 0, 0)

@@ -9,6 +9,7 @@ from tangentmh.hb import (
     hb_gibbs,
     simulate_hb,
 )
+from tangentmh.linalg import NotPositiveDefinite, _upper_solve, cholesky
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,10 @@ class TestSpec:
                 [np.zeros((5, 2))], [np.zeros(5), np.zeros(5)], np.ones((1, 1))
             )
 
+    def test_rejects_empty_upper_design(self):
+        with pytest.raises(ValueError):
+            HbModelSpec([np.zeros((2, 1))], [np.zeros(2)], np.ones((1, 0)))
+
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             HbModelSpec([np.zeros((2, 1))], [np.array([0.0, 2.0])], np.ones((1, 1)))
@@ -67,6 +72,49 @@ class TestConjugateUpdates:
             prec = tau[k] * Z.T @ Z + spec.gamma_precision * np.eye(spec.n_upper)
             mean = np.linalg.solve(prec, tau[k] * Z.T @ beta[:, k])
             np.testing.assert_allclose(draws[:, k].mean(axis=0), mean, atol=0.03)
+
+
+def upper_coeffs_loop(spec, beta, tau, rng):
+    """``draw_upper_coeffs`` one coefficient at a time: one factor, one
+    right-hand side and one ``standard_normal(L)`` draw per k."""
+    Z = spec.upper_design
+    ztz = Z.T @ Z
+    eye = np.eye(spec.n_upper)
+    gamma = np.empty((spec.n_coeffs, spec.n_upper))
+    for k in range(spec.n_coeffs):
+        factor = cholesky(tau[k] * ztz + spec.gamma_precision * eye)
+        mean = factor.solve(tau[k] * (Z.T @ beta[:, k]))
+        gamma[k] = mean + _upper_solve(factor.lower.T, rng.standard_normal(spec.n_upper), 0)
+    return gamma
+
+
+class TestStackedUpperDraw:
+    @pytest.mark.parametrize("n_coeffs, n_upper", [(10, 2), (4, 1), (6, 3), (3, 4)])
+    def test_equals_the_per_coefficient_loop(self, n_coeffs, n_upper):
+        rng = np.random.default_rng(n_coeffs * 10 + n_upper)
+        for n_groups in (5, 12):
+            spec, truth = simulate_hb(n_groups, n_coeffs, n_upper, rng, group_size=20)
+            for scale in (1e-3, 1.0, 1e3):
+                beta = scale * rng.standard_normal((n_groups, n_coeffs))
+                tau = rng.gamma(2.0, 1.0, size=n_coeffs) * scale
+                got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+                got = draw_upper_coeffs(spec, beta, tau, got_rng)
+                ref = upper_coeffs_loop(spec, beta, tau, ref_rng)
+                assert got.tobytes() == ref.tobytes()
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-3, -np.inf, np.nan])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_non_positive_tau_raises_the_loop_pivot(self, small_instance, bad, k):
+        spec, truth = small_instance
+        tau = np.full(spec.n_coeffs, 4.0)
+        tau[k] = bad
+        with pytest.raises(NotPositiveDefinite) as ref:
+            upper_coeffs_loop(spec, truth["beta"], tau, np.random.default_rng(0))
+        with pytest.raises(NotPositiveDefinite) as got:
+            draw_upper_coeffs(spec, truth["beta"], tau, np.random.default_rng(0))
+        assert got.value.pivot == ref.value.pivot
+        assert str(got.value) == str(ref.value)
 
 
 class TestGibbs:

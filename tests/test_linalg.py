@@ -7,6 +7,7 @@ from tangentmh.linalg import (
     MvnDistribution,
     NotPositiveDefinite,
     SymMatrix,
+    _cholesky_lowers,
     cholesky,
     mvn_logpdf,
     mvn_sample,
@@ -102,6 +103,26 @@ class TestCholesky:
         b = rng.standard_normal(6)
         x = cholesky(m).solve(b)
         np.testing.assert_allclose(x, np.linalg.solve(m, b), rtol=1e-10)
+
+
+class TestStackedCholesky:
+    def test_equals_each_factor(self):
+        rng = np.random.default_rng(12)
+        for dim in (1, 2, 3, 5):
+            stack = np.array([random_spd(dim, rng) * s for s in (1e-3, 1.0, 1e3, 2.0)])
+            lowers = _cholesky_lowers(stack)
+            assert lowers.tobytes() == np.array([cholesky(m).lower for m in stack]).tobytes()
+
+    @pytest.mark.parametrize("bad, pivot", [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),  # indefinite
+        (np.diag([1.0, 1e-30]), 1),  # factors, but below the relative tolerance
+        (np.array([[4.0, 0.0], [np.nan, 4.0]]), 1),  # non-finite lower entry
+    ])
+    def test_first_failing_matrix_raises_its_pivot(self, bad, pivot):
+        stack = np.array([np.eye(2), bad, -np.eye(2)])
+        with pytest.raises(NotPositiveDefinite) as exc:
+            _cholesky_lowers(stack)
+        assert exc.value.pivot == pivot
 
 
 class TestMvn:

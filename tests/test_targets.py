@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -227,6 +228,45 @@ class TestAdditive:
         res = t.evaluate(np.zeros(2), gradient=True, hessian=True)
         assert res.cost == EvalCost(2, 2, 2)
 
+    def test_evaluate_is_the_parts_sum_exactly(self):
+        rng = np.random.default_rng(9)
+        X, y = random_logistic(rng, n=30, k=4)
+        parts = [logistic_target(X, y), gaussian_prior(np.ones(4), random_spd(4, rng)),
+                 gaussian_prior(np.zeros(4), np.diag([1.0, 2.0, 3.0, 4.0]))]
+        post = AdditiveTarget(parts)
+        for x, gradient, hessian in [(rng.standard_normal(4), True, True), (rng.standard_normal(4), True, False),
+                                     (rng.standard_normal(4), False, False)]:
+            got = post.evaluate(x, gradient=gradient, hessian=hessian)
+            r0, r1, r2 = (p.evaluate(x, gradient=gradient, hessian=hessian) for p in parts)
+            assert got.value == r0.value + r1.value + r2.value
+            assert got.cost == r0.cost + r1.cost + r2.cost == EvalCost(3, 3 * gradient, 3 * hessian)
+            if gradient:
+                assert np.array_equal(got.gradient, r0.gradient + r1.gradient + r2.gradient)
+            else:
+                assert got.gradient is None
+            if hessian:
+                assert np.array_equal(got.hessian, r0.hessian + r1.hessian + r2.hessian)
+            else:
+                assert got.hessian is None
+
+    def test_shared_costs_are_immutable(self):
+        t = gaussian_prior(np.zeros(2), np.eye(2))
+        a = t.evaluate(np.zeros(2), gradient=True)
+        b = t.evaluate(np.ones(2), gradient=True)
+        assert a.cost is b.cost
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.cost.n_value = 5
+        assert b.cost == EvalCost(1, 1, 0)
+
+    def test_restrict_of_a_sum_is_the_sum_of_restricts(self):
+        rng = np.random.default_rng(10)
+        X, y = random_logistic(rng, n=30, k=4)
+        parts = [logistic_target(X, y), gaussian_prior(np.ones(4), random_spd(4, rng))]
+        block, full = np.array([2, 0]), rng.standard_normal(4)
+        got = AdditiveTarget(parts).restrict(block, full)
+        assert got.dim == 2
+        assert_same_evaluations(got, AdditiveTarget([p.restrict(block, full) for p in parts]), rng)
+
     def test_posterior_composition_logistic_plus_prior(self):
         rng = np.random.default_rng(8)
         X, y = random_logistic(rng, n=30, k=4)
@@ -240,6 +280,16 @@ class TestAdditive:
         assert a.value == pytest.approx(b1.value + b2.value, rel=1e-14)
         np.testing.assert_allclose(a.gradient, b1.gradient + b2.gradient)
         np.testing.assert_array_equal(a.hessian, b1.hessian + b2.hessian)
+
+    def test_checked_point_passes_through(self):
+        t = gaussian_prior(np.zeros(3), np.eye(3))
+        x = np.arange(3.0)
+        assert t._check_point(x) is x
+        for other in ([0.0, 1.0, 2.0], np.arange(3), x.astype(np.float32)):
+            got = t._check_point(other)
+            assert type(got) is np.ndarray and got.dtype == np.float64 and np.array_equal(got, x)
+        with pytest.raises(ValueError):
+            t._check_point(np.zeros(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
