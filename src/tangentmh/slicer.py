@@ -1,9 +1,10 @@
 """Univariate slice sampler with stepout, plus a coordinate-wise Gibbs wrapper.
 
 This is the tuning-light baseline the efficiency benchmark compares
-against.  Each coordinate update evaluates the full target log-density
-(value only), so one call costs exactly one value-unit in the evaluation
-counters.
+against.  A coordinate update evaluates the full target log-density (value
+only), one value-unit per evaluation in the counters.  It starts where the
+sweep's previous update ended, so it reuses that point's value instead of
+evaluating it again: only a sweep's first update evaluates its start point.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ class SliceConfig:
     max_stepout: int = 10
 
     def __post_init__(self):
-        if not (np.isfinite(self.width) and self.width > 0):
+        if isinstance(self.width, (bool, np.bool_)) or not (np.isfinite(self.width) and self.width > 0):
             raise ValueError("width must be finite and positive")
-        if self.max_stepout < 1:
-            raise ValueError("max_stepout must be >= 1")
+        # a fractional budget would split unevenly between the two sides
+        # and break the reversibility of stepout
+        m = self.max_stepout
+        if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1):
+            raise ValueError("max_stepout must be an integer >= 1")
 
 
 def slice_step_1d(logf, x: float, cfg: SliceConfig, rng: np.random.Generator):
@@ -103,23 +107,36 @@ def slice_sweep(
     fits no Hessian.
 
     Coordinates are visited in index order; each update changes only its
-    own coordinate and evaluates the target value-only.  The cost is
-    accumulated from the target's own counters, so composite targets
-    report the sum of their parts.
+    own coordinate and evaluates the target value-only.  The target's value
+    at the working vector is kept, so an update starting where the previous
+    one ended (every update after the first) takes its slice level from it
+    and does not evaluate that point again.  The cost is accumulated from
+    the target's own counters, so composite targets report the sum of their
+    parts, and a kept value is not counted twice.
     """
     x = np.array(x, dtype=float)
     n_value = n_gradient = n_hessian = 0
     work = x.copy()
+    # ``value`` is the target's value at ``work`` (None before the first
+    # evaluation) and ``at`` is ``work[d]`` as a float, so that a point
+    # already evaluated is recognised by one float comparison
+    value = at = None
     for d in range(target.dim):
+        if value is not None:
+            at = float(work[d])
         def logf(v, _d=d):
-            nonlocal n_value, n_gradient, n_hessian
+            nonlocal n_value, n_gradient, n_hessian, value, at
+            if v == at:
+                return value
+            at = v
             work[_d] = v
             res = target.evaluate(work)
             cost = res.cost
             n_value += cost.n_value
             n_gradient += cost.n_gradient
             n_hessian += cost.n_hessian
-            return res.value
+            value = res.value
+            return value
 
         x_new, _ = slice_step_1d(logf, x[d], cfg, rng)
         x[d] = x_new

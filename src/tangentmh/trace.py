@@ -24,6 +24,9 @@ class ChainConfig:
     n_newton: int | None = None
 
     def __post_init__(self):
+        counts = (self.n_burnin, self.n_samples, 0 if self.n_newton is None else self.n_newton)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
+            raise ValueError("iteration counts must be integers")
         if self.n_burnin < 0 or self.n_samples < 0:
             raise ValueError("iteration counts must be >= 0")
         if self.n_newton is not None and not 0 <= self.n_newton <= self.n_burnin:

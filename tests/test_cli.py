@@ -367,13 +367,13 @@ PINNED_SHA256 = {
         "summary.json": "243ecba1eb6c83545ea2b185d773c2620b137056d355b119aaf18a1506800900",
     },
     "benchmark": {
-        "runs.csv": "5d39bffd60e08c89f8da638d2d2842f08dba0df378fc3003d96dc23de5d711f1",
-        "summary.json": "34749b138b45911a19555dc862dc32488fe87ce1478090833dadf5fa7e48a456",
-        "table.csv": "8dfb3ac58411a8d3f2d3f2054e749de18107d703ee55f2f34dae6274fdefc20c",
+        "runs.csv": "f4fe9c2478a5b29b790adc77b20e897b0cbd9315a8f5d1c012cfbd842aae481b",
+        "summary.json": "088d62f829b884a5831450fdee56a79fe9814c49ca08b81aa11dd179312923e9",
+        "table.csv": "ea3f3a02295d7b6bc0959501ea2f63e38cc6d9ad30a915e755e992c70a0d5463",
     },
     "hb": {
         "coefficients.csv": "263fa578f3ac87a7cf27cbed5b8b021f6ebdc0aca3f049809cad3c022a291d91",
-        "summary.json": "a46f812a99489caf78dedd7b72424cc56e2082eac32fac7707122d25fc9ce4bb",
+        "summary.json": "70ce3590f8a4bd750dfe13d9b77a37c4b2e87155d1ccf63cb9600e2939ffeac6",
     },
     "theorem": {
         "campaign.jsonl": "6d086d4d8e56461c86a84597735d317ef182308130ab866ae26ce269857790c8",

@@ -1,10 +1,66 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from tangentmh.slicer import SliceConfig, SliceError, slice_gibbs_chain, slice_step_1d
-from tangentmh.targets import gaussian_prior, poisson_lograte_target
+import tangentmh.hb as hb
+from tangentmh.slicer import SliceConfig, SliceError, slice_gibbs_chain, slice_step_1d, slice_sweep
+from tangentmh.targets import (
+    EvalCost,
+    additive_target,
+    gaussian_prior,
+    logistic_target,
+    poisson_lograte_target,
+)
+from tangentmh.trace import ChainConfig, run_sweeps
 
 from helpers import ks_statistic, poisson_quadrature
+
+
+def reevaluating_sweep(target, x, cfg, rng):
+    """The coordinate sweep without a kept value: every update evaluates the
+    point it starts from, although the previous update ended there."""
+    x = np.array(x, dtype=float)
+    n_value = 0
+    work = x.copy()
+    for d in range(target.dim):
+        def logf(v, _d=d):
+            nonlocal n_value
+            work[_d] = v
+            res = target.evaluate(work)
+            n_value += res.cost.n_value
+            return res.value
+
+        x_new, _ = slice_step_1d(logf, x[d], cfg, rng)
+        x[d] = x_new
+        work[d] = x_new
+    return x, 1, EvalCost(n_value, 0, 0), 0
+
+
+def reevaluating_chain(target, x0, n_burnin, n_samples, cfg, rng):
+    sweep = partial(reevaluating_sweep, target, cfg=cfg, rng=rng)
+    return run_sweeps(sweep, x0, ChainConfig(n_burnin, n_samples, 0))
+
+
+def _logistic(dim, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((300, dim))
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-X @ rng.normal(0.0, 0.5, dim)))).astype(float)
+    return logistic_target(X, y)
+
+
+# name -> (target, start, values counted per evaluation)
+KEPT_VALUE_TARGETS = {
+    "logistic-10d": (lambda: _logistic(10, 31), np.zeros(10), 1),
+    "logistic+diagonal-prior": (
+        lambda: additive_target(
+            [_logistic(6, 32), gaussian_prior(np.full(6, 0.2), np.diag(np.linspace(0.5, 3.0, 6)))]
+        ),
+        np.zeros(6),
+        2,
+    ),
+    "poisson-1d": (lambda: poisson_lograte_target([2]), np.array([0.3]), 1),
+}
 
 
 class TestSliceConfig:
@@ -17,6 +73,25 @@ class TestSliceConfig:
     def test_rejects_bad_stepout(self):
         with pytest.raises(ValueError):
             SliceConfig(max_stepout=0)
+
+    @pytest.mark.parametrize("m", [2.5, 1.5, 3.0, np.float64(4.0), True, np.True_, "3"])
+    def test_rejects_stepout_that_is_not_an_integer(self, m):
+        # max_stepout = 2.5 drew j = floor(2.5 u) in 0/1/2 with probabilities
+        # 0.4/0.4/0.2 and left a fractional right-hand budget: the uneven
+        # split that stepout's reversibility rests on
+        with pytest.raises(ValueError, match="max_stepout"):
+            SliceConfig(max_stepout=m)
+
+    @pytest.mark.parametrize("w", [True, False, np.True_])
+    def test_rejects_boolean_width(self, w):
+        with pytest.raises(ValueError, match="width"):
+            SliceConfig(width=w)
+
+    def test_numpy_integer_stepout_accepted(self):
+        t = poisson_lograte_target([2])
+        a = slice_gibbs_chain(t, [0.0], 5, 20, SliceConfig(0.5, np.int64(4)), np.random.default_rng(3))
+        b = slice_gibbs_chain(t, [0.0], 5, 20, SliceConfig(0.5, 4), np.random.default_rng(3))
+        assert np.array_equal(a.samples, b.samples)
 
 
 class TestStep1d:
@@ -94,10 +169,13 @@ class TestGibbsChain:
     def test_counters_value_only(self):
         t = gaussian_prior(np.zeros(2), np.eye(2))
         trace = slice_gibbs_chain(t, [0.0, 0.0], 0, 50, SliceConfig(), np.random.default_rng(7))
+        ref = reevaluating_chain(t, [0.0, 0.0], 0, 50, SliceConfig(), np.random.default_rng(7))
         cost = trace.total_cost()
         assert cost["n_gradient"] == 0
         assert cost["n_hessian"] == 0
-        assert cost["n_value"] >= 3 * 50 * 2  # at least slice minimum per coordinate
+        # the second coordinate's update starts from the value the first
+        # one ended with: one evaluation fewer per sweep
+        assert cost["n_value"] == ref.total_cost()["n_value"] - 50
         assert np.all(np.diff(trace.n_value) > 0)
 
     def test_coordinate_update_changes_only_that_coordinate(self):
@@ -117,3 +195,78 @@ class TestGibbsChain:
         a = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(), np.random.default_rng(9))
         b = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(), np.random.default_rng(9))
         assert np.array_equal(a.samples, b.samples)
+
+
+class TestKeptValue:
+    """A sweep's coordinate update starts where the previous one ended and
+    reuses that point's value: same samples and random stream as the
+    re-evaluating sweep, (dim - 1) x parts fewer values per sweep."""
+
+    @pytest.mark.parametrize("name", list(KEPT_VALUE_TARGETS))
+    def test_same_chain_fewer_values(self, name):
+        make, x0, parts = KEPT_VALUE_TARGETS[name]
+        target = make()
+        n_burnin, n_samples = 15, 60
+        rng, rng_ref = np.random.default_rng(41), np.random.default_rng(41)
+        got = slice_gibbs_chain(target, x0, n_burnin, n_samples, SliceConfig(0.7), rng)
+        ref = reevaluating_chain(target, x0, n_burnin, n_samples, SliceConfig(0.7), rng_ref)
+        assert np.array_equal(got.samples, ref.samples)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        sweeps = np.arange(n_burnin + 1, n_burnin + n_samples + 1)
+        saved = (target.dim - 1) * parts
+        assert np.array_equal(got.n_value, ref.n_value - saved * sweeps)
+        assert got.total_cost() == {
+            "n_value": ref.total_cost()["n_value"] - saved * (n_burnin + n_samples),
+            "n_gradient": 0,
+            "n_hessian": 0,
+        }
+        if target.dim == 1:
+            assert np.array_equal(got.n_value, ref.n_value)
+
+    def test_sweep_evaluates_each_start_point_once(self):
+        target = _logistic(4, 33)
+        seen = []
+        evaluate = target.evaluate
+        target.evaluate = lambda x, **kw: seen.append(np.array(x)) or evaluate(x, **kw)
+        x, _, cost, _ = slice_sweep(target, np.zeros(4), SliceConfig(0.7), np.random.default_rng(2))
+        assert cost.n_value == len(seen)
+        # consecutive evaluations never repeat a vector
+        assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+        assert np.array_equal(seen[-1], x)
+
+    def test_return_to_the_start_point_is_evaluated_again(self):
+        # scripted draws: bracket [-0.25, 0.75], no stepout, a rejected
+        # 0.25, then exactly the start point 0.0 once more.  The kept value
+        # then belongs to 0.25, so only a sweep's start point is reused.
+        class Draws:
+            def __init__(self):
+                self.r = iter([0.25, 0.0, 0.5, 0.5] * 2)
+
+            def standard_exponential(self):
+                return 1e-9
+
+            def random(self):
+                return next(self.r)
+
+        t = gaussian_prior(np.zeros(2), np.eye(2))
+        cfg = SliceConfig(1.0, 1)
+        x, _, cost, _ = slice_sweep(t, np.zeros(2), cfg, Draws())
+        x_ref, _, ref, _ = reevaluating_sweep(t, np.zeros(2), cfg, Draws())
+        assert np.array_equal(x, x_ref) and np.array_equal(x, np.zeros(2))
+        assert (ref.n_value, cost.n_value) == (6, 5)
+
+    def test_hb_slice_run_bit_equal(self, monkeypatch):
+        spec, _ = hb.simulate_hb(3, 4, 2, np.random.default_rng(12), group_size=60)
+        cfg = hb.HbConfig(n_burnin=6, n_samples=12, block_size=2, beta_sampler="slice")
+        rng = np.random.default_rng(13)
+        got = hb.hb_gibbs(spec, cfg, rng)
+        monkeypatch.setattr(hb, "slice_sweep", reevaluating_sweep)
+        rng_ref = np.random.default_rng(13)
+        ref = hb.hb_gibbs(spec, cfg, rng_ref)
+        for name in ("beta", "gamma", "tau"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # 2 values per evaluation (likelihood and prior), 3 of 4 updates
+        # per group and cycle start from a kept value
+        saved = 2 * 3 * spec.n_groups * 18
+        assert got.meta["final_cost"]["n_value"] == ref.meta["final_cost"]["n_value"] - saved

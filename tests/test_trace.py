@@ -46,3 +46,32 @@ CHAINS = {
 def test_meta_holds_only_the_run_totals(name):
     run, keys = CHAINS[name]
     assert set(run().meta) == keys
+
+
+# (n_burnin, n_samples, n_newton) plans that are not integer counts
+NOT_COUNTS = {
+    "fractional burn-in": (2.5, 3, None),  # used to fail inside run_sweeps with a TypeError
+    "fractional samples": (4, 3.5, None),
+    "fractional newton": (4, 3, 1.5),  # used to run 2 Newton sweeps
+    "integral float": (4.0, 3, None),
+    "boolean burn-in": (True, 3, None),
+    "boolean newton": (4, 3, False),
+    "numpy float": (4, np.float64(3), None),
+}
+
+
+class TestChainConfig:
+    @pytest.mark.parametrize("plan", NOT_COUNTS.values(), ids=list(NOT_COUNTS))
+    def test_refuses_counts_that_are_not_integers(self, plan):
+        with pytest.raises(ValueError, match="integers"):
+            ChainConfig(*plan)
+        with pytest.raises(ValueError, match="integers"):
+            HbConfig(*plan)
+
+    def test_numpy_integers_accepted(self):
+        cfg = ChainConfig(np.int64(4), np.int32(3), np.int8(1))
+        assert cfg.newton_iterations == 1
+        got = run_chain(_target(), np.zeros(4), cfg, np.random.default_rng(2))
+        ref = run_chain(_target(), np.zeros(4), ChainConfig(4, 3, 1), np.random.default_rng(2))
+        assert np.array_equal(got.samples, ref.samples)
+        assert HbConfig(np.int64(2), np.int64(3)).newton_iterations == 1
