@@ -15,7 +15,7 @@ import numpy as np
 
 from .targets import DifferentiableTarget, EvalCost
 from .tangent import build_proposal, tangent_step
-from .trace import ChainConfig, ChainTrace, run_sweeps
+from .trace import ChainConfig, ChainTrace, _is_integer, run_sweeps
 
 __all__ = [
     "BlockPartition",
@@ -52,8 +52,8 @@ class BlockPartition:
     @classmethod
     def contiguous(cls, dim: int, block_size: int = 5) -> "BlockPartition":
         """Contiguous index runs in declaration order."""
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        if not (_is_integer(block_size) and block_size >= 1):
+            raise ValueError("block_size must be an integer >= 1")
         idx = np.arange(dim)
         return cls([idx[i : i + block_size] for i in range(0, dim, block_size)])
 

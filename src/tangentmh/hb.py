@@ -24,7 +24,7 @@ from .gibbs import BlockPartition, block_sweep
 from .linalg import _cholesky_lowers, _upper_solve
 from .slicer import SliceConfig, slice_sweep
 from .targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget, _built
-from .trace import ChainConfig, run_sweeps
+from .trace import ChainConfig, _is_integer, run_sweeps
 
 __all__ = [
     "HbModelSpec",
@@ -114,6 +114,8 @@ class HbConfig(ChainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if not (_is_integer(self.block_size) and self.block_size >= 1):
+            raise ValueError("block_size must be an integer >= 1")
         if self.beta_sampler not in ("tangent", "slice"):
             raise ValueError("beta_sampler must be 'tangent' or 'slice'")
 

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .targets import DifferentiableTarget, EvalCost
-from .trace import ChainConfig, ChainTrace, run_sweeps
+from .trace import ChainConfig, ChainTrace, _is_integer, run_sweeps
 
 __all__ = ["SliceConfig", "SliceError", "slice_step_1d", "slice_sweep", "slice_gibbs_chain"]
 
@@ -39,8 +39,7 @@ class SliceConfig:
             raise ValueError("width must be finite and positive")
         # a fractional budget would split unevenly between the two sides
         # and break the reversibility of stepout
-        m = self.max_stepout
-        if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1):
+        if not (_is_integer(self.max_stepout) and self.max_stepout >= 1):
             raise ValueError("max_stepout must be an integer >= 1")
 
 

@@ -11,7 +11,11 @@ keeps each block's design columns.  Concurrent evaluation stays correct,
 since a cached value is reused only for a bit-identical linear predictor
 and a block's columns are the same whoever builds them; the worst a race
 can do is a miss, or build a block's columns twice.
-Counters are returned per call, never accumulated in shared state.
+Counters are returned per call, never accumulated in shared state.  A
+``LogisticTarget`` keeps ``1 - y`` with its responses; one built by its
+constructor without an offset stores none, rather than an array of zeros.
+An evaluation writes only the arrays it creates, never one a target or
+the memo holds.
 """
 
 from __future__ import annotations
@@ -194,7 +198,12 @@ class LogisticTarget(DifferentiableTarget):
     Gradient is ``X^T (y - sigma(t))`` and Hessian
     ``-X^T diag(sigma (1 - sigma)) X``, negative semi-definite everywhere
     and negative definite when X has full column rank.  No constant is
-    dropped.  Design and offset must be finite.
+    dropped.  Design and offset must be finite.  The target keeps ``1 - y``
+    beside ``y``; constructed without an offset it stores none (``t = X b``),
+    and its conditionals start from ``X_c x_c`` alone.  Each evaluation
+    forms the row terms in two N-vectors of its own and the Hessian in
+    place, with every operation's operands and order as in
+    ``-(X * w[:, None]).T @ X`` symmetrized by ``0.5 (h + h^T)``.
 
     ``restrict`` keeps each block's columns ``X[:, block]`` and
     ``X[:, rest]`` on the parent, keyed by the block, and reuses them for
@@ -228,9 +237,9 @@ class LogisticTarget(DifferentiableTarget):
             raise ValueError("responses must be 0 or 1")
         self._X = X
         self._y = y
-        if offset is None:
-            self._offset = np.zeros(X.shape[0])
-        else:
+        self._not_y = 1.0 - y
+        self._offset = None
+        if offset is not None:
             self._offset = np.asarray(offset, dtype=float)
             if self._offset.shape != (X.shape[0],):
                 raise ValueError("offset must be one entry per design row")
@@ -246,17 +255,23 @@ class LogisticTarget(DifferentiableTarget):
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         b = self._check_point(x)
-        t = self._X @ b + self._offset
+        t = self._X @ b
+        if self._offset is not None:
+            t += self._offset
         derivatives = gradient or hessian
         memo = self._memo if derivatives else None
         kept = memo.recall(t) if memo is not None else None
         if kept is None:
-            # per row (1 - y) t + log1p(exp(-|t|)) + max(-t, 0), in place
-            e = np.exp(-np.abs(t))
+            # per row log1p(exp(-|t|)) + (1 - y) t - min(t, 0), in two
+            # buffers; t and p are kept by the memo, so never written
+            e = np.abs(t)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
             np.log1p(e, out=e)
-            e += (1.0 - self._y) * t
-            e -= np.minimum(t, 0.0)
-            value = -float(np.sum(e))
+            u = np.multiply(self._not_y, t)
+            e += u
+            e -= np.minimum(t, 0.0, out=u)
+            value = -float(e.sum())
             p = expit(t) if derivatives else None
             if memo is not None:
                 memo.keep((t, value, p))
@@ -265,9 +280,13 @@ class LogisticTarget(DifferentiableTarget):
         grad = self._X.T @ (self._y - p) if gradient else None
         hess = None
         if hessian:
-            w = p * (1.0 - p)
-            h = -(self._X * w[:, None]).T @ self._X
-            hess = 0.5 * (h + h.T)
+            # -(1 - p) p: X (-w) is -(X w) bit for bit, signed zeros included
+            w = 1.0 - p
+            w *= p
+            np.negative(w, out=w)
+            hess = (self._X * w[:, None]).T @ self._X
+            hess += hess.T
+            hess *= 0.5
         return EvalResult(
             value,
             grad,
@@ -284,13 +303,17 @@ class LogisticTarget(DifferentiableTarget):
             rest = _complement(self.dim, block)
             columns = self._columns[key] = (self._X[:, block], self._X[:, rest], rest)
         x_b, x_rest, rest = columns
-        offset = self._offset + x_rest @ np.asarray(full, dtype=float)[rest]
+        offset = x_rest @ np.asarray(full, dtype=float)[rest]
+        if self._offset is not None:
+            offset = self._offset + offset
         # one memo per design and responses: a conditional passes on its own
         memo = self._memo
         if memo is None:
             memo = self._conditional_memo = self._conditional_memo or _PredictorMemo()
         # columns of a checked design and the same responses need no second check
-        return _built(LogisticTarget, _X=x_b, _y=self._y, _offset=offset, _memo=memo, _columns={})
+        return _built(
+            LogisticTarget, _X=x_b, _y=self._y, _not_y=self._not_y, _offset=offset, _memo=memo, _columns={}
+        )
 
 
 def logistic_target(X, y) -> LogisticTarget:

@@ -10,6 +10,11 @@ import numpy as np
 __all__ = ["ChainConfig", "ChainTrace", "run_sweeps"]
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; booleans are not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Iteration plan for one chain.
@@ -25,7 +30,7 @@ class ChainConfig:
 
     def __post_init__(self):
         counts = (self.n_burnin, self.n_samples, 0 if self.n_newton is None else self.n_newton)
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
+        if not all(_is_integer(c) for c in counts):
             raise ValueError("iteration counts must be integers")
         if self.n_burnin < 0 or self.n_samples < 0:
             raise ValueError("iteration counts must be >= 0")

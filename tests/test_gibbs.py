@@ -37,6 +37,16 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             BlockPartition([[0, 1], []])
 
+    # True used to give blocks of 1, and 2.5 a TypeError
+    @pytest.mark.parametrize("size", [True, False, 2.5, 2.0, np.float64(2), "2", 0, -1])
+    def test_contiguous_refuses_sizes_that_are_not_positive_integers(self, size):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            BlockPartition.contiguous(6, size)
+
+    def test_contiguous_accepts_numpy_integers(self):
+        p = BlockPartition.contiguous(np.int64(5), np.int32(2))
+        assert [list(b) for b in p.blocks] == [[0, 1], [2, 3], [4]]
+
 
 class TestConditionalTarget:
     def test_full_block_is_identity(self):

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import tangentmh.targets as targets_module
 from tangentmh.fdiff import fd_gradient, fd_hessian_of_gradient, fd_hessian_of_value
@@ -13,6 +14,7 @@ from tangentmh.targets import (
     BernoulliBase,
     ConcaveQuadraticBase,
     EvalCost,
+    EvalResult,
     GaussianPriorTarget,
     LinearProjectionModel,
     LogisticTarget,
@@ -486,6 +488,171 @@ class TestRestrictedTargets:
         monkeypatch.setattr(targets_module, "cholesky", counting_cholesky)
         t.restrict(np.array(block), rng.standard_normal(6))
         assert shapes == [(len(block), len(block))]
+
+
+class ReferenceLogistic:
+    """``LogisticTarget``'s evaluation with the expressions it had while a
+    constructed target stored a zero offset and ``1 - y`` was formed per
+    call: each step allocating its own array, the memo used as before."""
+
+    def __init__(self, X, y, offset=None, memo=None):
+        self.X, self.y = X, y
+        self.offset = np.zeros(X.shape[0]) if offset is None else offset
+        self.memo = memo
+        self.conditional_memo = None
+
+    def evaluate(self, b, *, gradient=False, hessian=False):
+        X, y = self.X, self.y
+        t = X @ b + self.offset
+        derivatives = gradient or hessian
+        memo = self.memo if derivatives else None
+        kept = memo.recall(t) if memo is not None else None
+        if kept is None:
+            e = np.exp(-np.abs(t))
+            np.log1p(e, out=e)
+            e += (1.0 - y) * t
+            e -= np.minimum(t, 0.0)
+            value = -float(np.sum(e))
+            p = expit(t) if derivatives else None
+            if memo is not None:
+                memo.keep((t, value, p))
+        else:
+            _, value, p = kept
+        grad = X.T @ (y - p) if gradient else None
+        hess = None
+        if hessian:
+            w = p * (1.0 - p)
+            h = -(X * w[:, None]).T @ X
+            hess = 0.5 * (h + h.T)
+        return EvalResult(value, grad, hess, EvalCost(int(kept is None), int(gradient), int(hessian)))
+
+    def restrict(self, block, full):
+        rest = np.ones(self.X.shape[1], dtype=bool)
+        rest[block] = False
+        offset = self.offset + self.X[:, rest] @ full[rest]
+        if self.memo is None:
+            self.conditional_memo = self.conditional_memo or targets_module._PredictorMemo()
+        return ReferenceLogistic(self.X[:, block], self.y, offset, self.memo or self.conditional_memo)
+
+
+def bits(a):
+    """The bytes of a float or an array; None stays None."""
+    return None if a is None else np.asarray(a, dtype=float).tobytes()
+
+
+def assert_same_bits(got, want):
+    assert bits(got.value) == bits(want.value)
+    assert bits(got.gradient) == bits(want.gradient)
+    assert bits(got.hessian) == bits(want.hessian)
+    assert got.cost == want.cost
+
+
+KINDS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def sweep_both(target, reference, full, rng, n_sweeps=3):
+    """Drive a target and its reference through the same block sweeps:
+    derivative evaluations at the current block (repeated, so the second is
+    a memo hit), at a proposal (a miss), and value-only evaluations; every
+    result must agree bit for bit.  Returns the costs seen."""
+    k = full.size
+    blocks = [np.arange(k // 2), np.arange(k // 2, k)]
+    costs = []
+    for _ in range(n_sweeps):
+        for gradient, hessian in KINDS:
+            got = target.evaluate(full, gradient=gradient, hessian=hessian)
+            assert_same_bits(got, reference.evaluate(full, gradient=gradient, hessian=hessian))
+        for block in blocks:
+            cond, ref = target.restrict(block, full), reference.restrict(block, full)
+            proposal = full[block] + rng.standard_normal(block.size)
+            for b, gradient, hessian in [
+                (full[block], True, False),
+                (full[block], False, True),
+                (proposal, True, True),
+                (proposal, False, False),
+                (full[block], True, True),
+            ]:
+                got = cond.evaluate(b, gradient=gradient, hessian=hessian)
+                assert_same_bits(got, ref.evaluate(b, gradient=gradient, hessian=hessian))
+                costs.append(got.cost)
+            full[block] = proposal
+    return costs
+
+
+def logistic_cases():
+    """(design, responses, point) triples: random, rows beyond exp's range,
+    one-valued responses, and zero rows whose products are all -0.0 (with
+    a zero column)."""
+    rng = np.random.default_rng(31)
+    X, y = random_logistic(rng, n=60, k=6)
+    yield "random", X, y, rng.standard_normal(6)
+    big = X.copy()
+    big[::3] *= 2000.0  # |t| > 745 on those rows: exp(-|t|) underflows to 0
+    yield "beyond exp", big, y, rng.standard_normal(6)
+    yield "all 0", X, np.zeros(60), rng.standard_normal(6)
+    yield "all 1", X, np.ones(60), rng.standard_normal(6)
+    signed = X.copy()
+    signed[:5] = 0.0
+    signed[5:10] = 1e-200  # products underflow to -0.0
+    signed[:, 0] = 0.0  # a zero Hessian row: its zeros' signs must match too
+    yield "zero rows", signed, y, -np.abs(rng.standard_normal(6)) * 1e-200
+
+
+LOGISTIC_CASES = {name: case for name, *case in logistic_cases()}
+
+
+class TestLogisticAgainstReference:
+    """The evaluation keeps every floating-point operation's operands and
+    order: results and counters equal the reference's bit for bit."""
+
+    @pytest.mark.parametrize("with_offset", [False, True], ids=["constructed", "offset"])
+    @pytest.mark.parametrize("case", LOGISTIC_CASES)
+    def test_bit_equal_to_reference(self, case, with_offset):
+        X, y, full = LOGISTIC_CASES[case]
+        rng = np.random.default_rng(32)
+        offset = rng.standard_normal(X.shape[0]) if with_offset else None
+        costs = sweep_both(LogisticTarget(X, y, offset), ReferenceLogistic(X, y, offset), full.copy(), rng)
+        # both memo paths ran: hits count no value, misses one
+        assert {c.n_value for c in costs if c.n_gradient or c.n_hessian} == {0, 1}
+
+    def test_cases_reach_the_rows_they_name(self):
+        X, _, full = LOGISTIC_CASES["beyond exp"]
+        assert np.any(np.exp(-np.abs(X @ full)) == 0.0)
+        # each product in the zero rows is -0.0; numpy sums them from +0.0
+        X, _, full = LOGISTIC_CASES["zero rows"]
+        products = X[:10] * full
+        assert np.all(products == 0.0) and np.all(np.signbit(products))
+        assert np.all(X[:10] @ full == 0.0)
+
+    def test_constructed_target_stores_no_offset(self):
+        X, y, full = LOGISTIC_CASES["random"]
+        target = LogisticTarget(X, y)
+        assert target._offset is None
+        assert np.array_equal(target._not_y, 1.0 - y)
+        cond = target.restrict(np.array([1, 4]), full)
+        assert cond._not_y is target._not_y
+        rest = [0, 2, 3, 5]
+        assert bits(cond._offset) == bits(X[:, rest] @ full[rest])
+
+    def test_kept_arrays_are_never_written(self, monkeypatch):
+        # the memo is shared across threads: an array it holds must keep
+        # its bytes through every later evaluation, hit, miss or value-only
+        kept = []
+        keep = targets_module._PredictorMemo.keep
+
+        def recording(memo, entry):
+            kept.append((entry, bits(entry[0]), bits(entry[2])))
+            keep(memo, entry)
+
+        monkeypatch.setattr(targets_module._PredictorMemo, "keep", recording)
+        for with_offset in (False, True):
+            X, y, full = LOGISTIC_CASES["random"]
+            rng = np.random.default_rng(33)
+            offset = rng.standard_normal(X.shape[0]) if with_offset else None
+            sweep_both(LogisticTarget(X, y, offset), ReferenceLogistic(X, y, offset), full.copy(), rng)
+        assert len(kept) > 10
+        for (t, _, p), t_bits, p_bits in kept:
+            assert bits(t) == t_bits and bits(p) == p_bits
 
 
 class TestLinearProjection:

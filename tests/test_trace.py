@@ -75,3 +75,16 @@ class TestChainConfig:
         ref = run_chain(_target(), np.zeros(4), ChainConfig(4, 3, 1), np.random.default_rng(2))
         assert np.array_equal(got.samples, ref.samples)
         assert HbConfig(np.int64(2), np.int64(3)).newton_iterations == 1
+
+    # True used to run blocks of 1, and 2.5 to fail with a TypeError inside hb_gibbs
+    @pytest.mark.parametrize("size", [True, False, 2.5, 2.0, np.float64(2), 0, -1])
+    def test_hb_refuses_block_sizes_that_are_not_positive_integers(self, size):
+        with pytest.raises(ValueError, match="block_size"):
+            HbConfig(2, 3, block_size=size)
+
+    def test_hb_numpy_integer_block_size_runs_the_same_chain(self):
+        spec, _ = simulate_hb(2, 3, 2, np.random.default_rng(0), group_size=40)
+        got = hb_gibbs(spec, HbConfig(2, 3, block_size=np.int64(2), seed=1))
+        ref = hb_gibbs(spec, HbConfig(2, 3, block_size=2, seed=1))
+        for name in ("beta", "gamma", "tau"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
