@@ -26,12 +26,9 @@ from .targets import (
     EvalResult,
     GaussianPriorTarget,
     LinearProjectionModel,
+    LinearProjectionTarget,
     LogisticTarget,
     PoissonLogRateTarget,
-    additive_target,
-    gaussian_prior,
-    linear_projection_target,
-    logistic_target,
     poisson_lograte_target,
     replicated_poisson_target,
 )

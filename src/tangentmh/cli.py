@@ -37,12 +37,7 @@ from .hb import HbConfig, hb_gibbs, simulate_hb
 from .linalg import NotPositiveDefinite
 from .slicer import SliceConfig, SliceError, slice_gibbs_chain
 from .tangent import ChainConfig, HessianNotNegativeDefinite, _NonFiniteNewtonMean, run_chain
-from .targets import (
-    gaussian_prior,
-    logistic_target,
-    poisson_lograte_target,
-    replicated_poisson_target,
-)
+from .targets import GaussianPriorTarget, LogisticTarget, PoissonLogRateTarget, replicated_poisson_target
 
 SCHEMA_PREFIX = "tangentmh"
 SCHEMA_VERSION = "v1"
@@ -262,15 +257,15 @@ def _build_target(s):
     """The chain's target and the data files its run hash covers."""
     try:
         if s.target == "poisson":
-            target = poisson_lograte_target(np.asarray(s.counts, dtype=int))
+            target = PoissonLogRateTarget(np.asarray(s.counts, dtype=int))
         elif s.target == "replicated-poisson":
             target = replicated_poisson_target(s.obs, s.n_obs)
         elif s.target == "gaussian":
-            target = gaussian_prior(np.zeros(s.dim), s.precision * np.eye(s.dim))
+            target = GaussianPriorTarget(np.zeros(s.dim), s.precision * np.eye(s.dim))
         elif not s.data:
             raise ConfigError("logistic target needs 'data = <csv file>'")
         else:
-            target = logistic_target(*_load_logistic_csv(s.data))
+            target = LogisticTarget(*_load_logistic_csv(s.data))
     except (ValueError, NotPositiveDefinite) as err:
         raise ConfigError(f"target {s.target!r}: {err}") from err
     if s.target == "poisson" and target.total_count == 0:
@@ -457,17 +452,22 @@ HB_SETTINGS = {
 def cmd_hb(args, cfg: dict, s) -> int:
     if 0 < s.n_samples < 10:
         raise ConfigError(f"n_samples must be 0 or >= 10 for ESS, got {s.n_samples}")
-    out = _Output(args, cfg)
-
     sim_seed, tangent_seed, slice_seed = np.random.SeedSequence(s.seed).spawn(3)
     spec, truth = simulate_hb(s.n_groups, s.n_coeffs, s.n_upper, np.random.default_rng(sim_seed),
                               group_size=s.group_size or None)
 
+    # as for chain, the output directory is made only once both chains have
+    # run: with one group, tau's Gamma conditional has shape a + 1/2, and its
+    # draws can spread past the pivot tolerance of diag(tau)'s check
     traces = {}
-    for name, seed in (("tangent", tangent_seed), ("slice", slice_seed)):
-        hb_cfg = HbConfig(s.n_burnin, s.n_samples, block_size=s.block_size, beta_sampler=name,
-                          slice_cfg=SliceConfig(width=s.width))
-        traces[name] = hb_gibbs(spec, hb_cfg, np.random.default_rng(seed))
+    try:
+        for name, seed in (("tangent", tangent_seed), ("slice", slice_seed)):
+            hb_cfg = HbConfig(s.n_burnin, s.n_samples, block_size=s.block_size, beta_sampler=name,
+                              slice_cfg=SliceConfig(width=s.width))
+            traces[name] = hb_gibbs(spec, hb_cfg, np.random.default_rng(seed))
+    except (NotPositiveDefinite, HessianNotNegativeDefinite, _NonFiniteNewtonMean, FloatingPointError) as err:
+        raise ConfigError(f"cannot run the {name} chain on the simulated data: {err}") from err
+    out = _Output(args, cfg)
 
     J, K = spec.n_groups, spec.n_coeffs
     rows = []

@@ -26,7 +26,7 @@ from .targets import (
     BernoulliBase,
     ConcaveQuadraticBase,
     LinearProjectionModel,
-    linear_projection_target,
+    LinearProjectionTarget,
 )
 
 __all__ = [
@@ -177,7 +177,7 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     """
     rng = np.random.default_rng(inst.seed)
     model = build_model(inst, rng)
-    target = linear_projection_target(model)
+    target = LinearProjectionTarget(model)
     beta = rng.standard_normal(model.dim)
 
     H = target.evaluate(beta, hessian=True).hessian

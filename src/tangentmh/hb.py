@@ -39,6 +39,8 @@ __all__ = [
 # the simulated truth: every precision tau_k, and the scale of gamma's entries
 TRUE_TAU = 4.0
 GAMMA_SCALE = 0.5
+# the bounds of the log-uniform group sizes
+SIZE_RANGE = (100, 1000)
 
 
 @dataclass(frozen=True)
@@ -141,11 +143,10 @@ def simulate_hb(
     n_upper: int,
     rng: np.random.Generator,
     group_size: int | None = None,
-    size_range: tuple = (100, 1000),
 ):
     """Draw a synthetic model instance; returns (spec, truth dict).
 
-    Group sizes are log-uniform over ``size_range`` unless ``group_size``
+    Group sizes are log-uniform over ``SIZE_RANGE`` unless ``group_size``
     pins them, mimicking group counts that vary by orders of magnitude.
     """
     Z = np.column_stack(
@@ -159,7 +160,7 @@ def simulate_hb(
     responses = []
     for j in range(n_groups):
         if group_size is None:
-            lo, hi = np.log(size_range[0]), np.log(size_range[1])
+            lo, hi = np.log(SIZE_RANGE[0]), np.log(SIZE_RANGE[1])
             n_j = int(np.exp(lo + (hi - lo) * rng.random()))
         else:
             n_j = group_size

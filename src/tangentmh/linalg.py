@@ -50,9 +50,9 @@ class NotPositiveDefinite(Exception):
 class SymMatrix:
     """Validated symmetric real matrix; the lower triangle is authoritative.
 
-    For matrices entering from outside (a prior precision, a BLAS-assembled
-    Hessian): construction checks shape and finiteness and mirrors the lower
-    triangle onto the upper one.  Derived matrices travel as plain arrays.
+    For a matrix entering from outside, a prior precision: construction
+    checks shape and finiteness and mirrors the lower triangle onto the
+    upper one.  Derived matrices travel as plain arrays.
     """
 
     a: np.ndarray

@@ -2,9 +2,9 @@
 
 This is the tuning-light baseline the efficiency benchmark compares
 against.  A coordinate update evaluates the full target log-density (value
-only), one value-unit per evaluation in the counters.  It starts where the
-sweep's previous update ended, so it reuses that point's value instead of
-evaluating it again: only a sweep's first update evaluates its start point.
+only), one value-unit per evaluation in the counters.  It is handed the
+value at its start point, which the sweep's previous update ended on, so
+only a sweep's start point is evaluated outside an update.
 """
 
 from __future__ import annotations
@@ -43,17 +43,15 @@ class SliceConfig:
             raise ValueError("max_stepout must be an integer >= 1")
 
 
-def slice_step_1d(logf, x: float, cfg: SliceConfig, rng: np.random.Generator):
+def slice_step_1d(logf, x: float, f0: float, cfg: SliceConfig, rng: np.random.Generator):
     """One stepout-then-shrink slice update leaving exp(logf) invariant.
 
-    Returns ``(x_new, n_evals)`` where ``n_evals`` counts calls to
-    ``logf`` (including the initial one at ``x``).  The expansion budget
-    ``cfg.max_stepout`` is split randomly between the two sides, which
-    keeps the update reversible even when the budget is exhausted.
+    ``f0`` is ``logf(x)``, which the caller already holds.  Returns
+    ``(x_new, logf(x_new))``.  The expansion budget ``cfg.max_stepout`` is
+    split randomly between the two sides, which keeps the update reversible
+    even when the budget is exhausted.
     """
     x = float(x)
-    f0 = float(logf(x))
-    n_evals = 1
     if not np.isfinite(f0):
         raise SliceError(f"log-density not finite at current point {x}")
     log_y = f0 - rng.standard_exponential()
@@ -66,32 +64,27 @@ def slice_step_1d(logf, x: float, cfg: SliceConfig, rng: np.random.Generator):
     k = (cfg.max_stepout - 1) - j
     while j > 0:
         if logf(left) <= log_y:
-            n_evals += 1
             break
-        n_evals += 1
         left -= w
         j -= 1
     while k > 0:
         if logf(right) <= log_y:
-            n_evals += 1
             break
-        n_evals += 1
         right += w
         k -= 1
 
     for _ in range(MAX_SHRINKS):
         x1 = left + rng.random() * (right - left)
         f1 = float(logf(x1))
-        n_evals += 1
         if f1 > log_y:
-            return x1, n_evals
+            return x1, f1
         if x1 < x:
             left = x1
         elif x1 > x:
             right = x1
         else:
             # the slice always contains the current point
-            return x, n_evals
+            return x, f0
     raise SliceError(f"no acceptable point after {MAX_SHRINKS} shrinks at {x}")
 
 
@@ -106,40 +99,30 @@ def slice_sweep(
     fits no Hessian.
 
     Coordinates are visited in index order; each update changes only its
-    own coordinate and evaluates the target value-only.  The target's value
-    at the working vector is kept, so an update starting where the previous
-    one ended (every update after the first) takes its slice level from it
-    and does not evaluate that point again.  The cost is accumulated from
-    the target's own counters, so composite targets report the sum of their
-    parts, and a kept value is not counted twice.
+    own coordinate and evaluates the target value-only.  The sweep
+    evaluates its start point once, and each update hands the value at the
+    point it ends on to the next update, which starts there.  The cost is
+    accumulated from the target's own counters, so composite targets
+    report the sum of their parts.
     """
     x = np.array(x, dtype=float)
     n_value = n_gradient = n_hessian = 0
-    work = x.copy()
-    # ``value`` is the target's value at ``work`` (None before the first
-    # evaluation) and ``at`` is ``work[d]`` as a float, so that a point
-    # already evaluated is recognised by one float comparison
-    value = at = None
-    for d in range(target.dim):
-        if value is not None:
-            at = float(work[d])
-        def logf(v, _d=d):
-            nonlocal n_value, n_gradient, n_hessian, value, at
-            if v == at:
-                return value
-            at = v
-            work[_d] = v
-            res = target.evaluate(work)
-            cost = res.cost
-            n_value += cost.n_value
-            n_gradient += cost.n_gradient
-            n_hessian += cost.n_hessian
-            value = res.value
-            return value
+    d = 0
 
-        x_new, _ = slice_step_1d(logf, x[d], cfg, rng)
-        x[d] = x_new
-        work[d] = x_new
+    def logf(v):
+        # the target's value with coordinate d, the one being updated, at v
+        nonlocal n_value, n_gradient, n_hessian
+        x[d] = v
+        res = target.evaluate(x)
+        cost = res.cost
+        n_value += cost.n_value
+        n_gradient += cost.n_gradient
+        n_hessian += cost.n_hessian
+        return res.value
+
+    f = logf(x[0])
+    for d in range(target.dim):
+        x[d], f = slice_step_1d(logf, x[d], f, cfg, rng)
     return x, 1, EvalCost(n_value, n_gradient, n_hessian), 0
 
 

@@ -34,19 +34,16 @@ __all__ = [
     "EvalResult",
     "DifferentiableTarget",
     "LogisticTarget",
-    "logistic_target",
     "PoissonLogRateTarget",
     "poisson_lograte_target",
     "replicated_poisson_target",
     "GaussianPriorTarget",
-    "gaussian_prior",
     "AdditiveTarget",
-    "additive_target",
     "BaseFamily",
     "BernoulliBase",
     "ConcaveQuadraticBase",
     "LinearProjectionModel",
-    "linear_projection_target",
+    "LinearProjectionTarget",
     "column_rank",
 ]
 
@@ -316,11 +313,6 @@ class LogisticTarget(DifferentiableTarget):
         )
 
 
-def logistic_target(X, y) -> LogisticTarget:
-    """Logistic-regression log-likelihood for binary responses ``y``."""
-    return LogisticTarget(X, y)
-
-
 class PoissonLogRateTarget(DifferentiableTarget):
     """Poisson log-likelihood in the log-rate parameterization.
 
@@ -368,6 +360,7 @@ class PoissonLogRateTarget(DifferentiableTarget):
         return float(np.log(self._total / self._n))
 
 
+# kept only because the benchmark's workloads and probes import it
 def poisson_lograte_target(y) -> PoissonLogRateTarget:
     """Poisson log-likelihood over the log-rate, given integer counts."""
     return PoissonLogRateTarget(y)
@@ -434,11 +427,6 @@ class GaussianPriorTarget(DifferentiableTarget):
         return _built(GaussianPriorTarget, _mean=mean, _precision=p_bb, _diagonal=_is_diagonal(p_bb))
 
 
-def gaussian_prior(mean, precision) -> GaussianPriorTarget:
-    """Gaussian target with the given mean and positive-definite precision."""
-    return GaussianPriorTarget(mean, precision)
-
-
 class AdditiveTarget(DifferentiableTarget):
     """Sum of targets sharing one dimension; values, derivatives and
     evaluation counters all add, in part order and starting from the first
@@ -483,14 +471,6 @@ class AdditiveTarget(DifferentiableTarget):
         # every part's conditional has the block's dimension: nothing to check
         parts = [p.restrict(block, full) for p in self._parts]
         return _built(AdditiveTarget, _parts=parts, _dim=parts[0].dim)
-
-
-def additive_target(parts) -> DifferentiableTarget:
-    """Sum of log-densities; a single part is returned unchanged."""
-    parts = list(parts)
-    if len(parts) == 1:
-        return parts[0]
-    return AdditiveTarget(parts)
 
 
 class BaseFamily(ABC):
@@ -653,8 +633,9 @@ class LinearProjectionModel:
         return np.column_stack([X @ b for X, b in zip(self.designs, blocks)])
 
 
-class _LinearProjectionTarget(DifferentiableTarget):
-    """Composed target assembling block gradients and Hessians by chain rule."""
+class LinearProjectionTarget(DifferentiableTarget):
+    """Composed log-density over the stacked coefficients of ``model``,
+    assembling block gradients and Hessians by the chain rule."""
 
     def __init__(self, model: LinearProjectionModel):
         self._model = model
@@ -682,13 +663,9 @@ class _LinearProjectionTarget(DifferentiableTarget):
             for j, Xj in enumerate(m.designs):
                 for jp in range(j, m.n_groups):
                     block = Xj.T @ (hessians[:, j, jp][:, None] * m.designs[jp])
-                    hess_a[offs[j] : offs[j + 1], offs[jp] : offs[jp + 1]] = block
-                    if jp != j:
-                        hess_a[offs[jp] : offs[jp + 1], offs[j] : offs[j + 1]] = block.T
-            hess = SymMatrix(hess_a).a  # mirrors the lower triangle
+                    hess_a[offs[jp] : offs[jp + 1], offs[j] : offs[j + 1]] = block if jp == j else block.T
+            # a diagonal block's product need not be exactly symmetric: fill
+            # the blocks on and below the diagonal, and mirror the lower triangle
+            hess = np.tril(hess_a)
+            hess += np.tril(hess_a, -1).T
         return EvalResult(value, grad, hess, _COSTS[1, gradient, hessian])
-
-
-def linear_projection_target(m: LinearProjectionModel) -> DifferentiableTarget:
-    """Composed log-density over stacked coefficients for the given model."""
-    return _LinearProjectionTarget(m)

@@ -24,13 +24,13 @@ from tangentmh.linalg import SymMatrix, cholesky
 from tangentmh.slicer import SliceConfig, slice_gibbs_chain
 from tangentmh.tangent import ChainConfig, run_chain, tangent_step
 from tangentmh.targets import (
+    AdditiveTarget,
     BernoulliBase,
     ConcaveQuadraticBase,
+    GaussianPriorTarget,
     LinearProjectionModel,
-    additive_target,
-    gaussian_prior,
-    linear_projection_target,
-    logistic_target,
+    LinearProjectionTarget,
+    LogisticTarget,
     poisson_lograte_target,
     replicated_poisson_target,
 )
@@ -54,7 +54,7 @@ def test_c01_gaussian_exactness():
     for dim in range(1, 11):
         mean = rng.standard_normal(dim)
         prec = random_spd(dim, rng)
-        target = gaussian_prior(mean, prec)
+        target = GaussianPriorTarget(mean, prec)
         prec_norm = np.linalg.norm(prec, "fro")
         mean_norm = max(np.linalg.norm(mean), 1.0)
         x = mean + rng.standard_normal(dim)
@@ -164,7 +164,7 @@ def _derivative_case(rng, family):
         n, k = int(rng.integers(20, 60)), int(rng.integers(2, 6))
         X = rng.standard_normal((n, k))
         y = (rng.random(n) < 0.5).astype(float)
-        return logistic_target(X, y), rng.standard_normal(k)
+        return LogisticTarget(X, y), rng.standard_normal(k)
     if family == "poisson":
         y = rng.integers(0, 6, size=int(rng.integers(1, 8)))
         if np.sum(y) == 0:
@@ -173,15 +173,15 @@ def _derivative_case(rng, family):
     if family == "gaussian":
         k = int(rng.integers(1, 6))
         return (
-            gaussian_prior(rng.standard_normal(k), random_spd(k, rng)),
+            GaussianPriorTarget(rng.standard_normal(k), random_spd(k, rng)),
             rng.standard_normal(k),
         )
     if family == "additive":
         n, k = 30, 4
         X = rng.standard_normal((n, k))
         y = (rng.random(n) < 0.5).astype(float)
-        t = additive_target(
-            [logistic_target(X, y), gaussian_prior(rng.standard_normal(k), random_spd(k, rng))]
+        t = AdditiveTarget(
+            [LogisticTarget(X, y), GaussianPriorTarget(rng.standard_normal(k), random_spd(k, rng))]
         )
         return t, rng.standard_normal(k)
     # linear projection, one bernoulli group and one quadratic pair
@@ -197,7 +197,7 @@ def _derivative_case(rng, family):
             ConcaveQuadraticBase(quad, rng.standard_normal((n, 2))),
             [rng.standard_normal((n, 2)), rng.standard_normal((n, 2))],
         )
-    return linear_projection_target(m), rng.standard_normal(m.dim)
+    return LinearProjectionTarget(m), rng.standard_normal(m.dim)
 
 
 def test_c05_derivative_integrity():
@@ -293,7 +293,7 @@ def test_c07_efficiency_benchmark():
 
 def test_c08_evaluation_count_bound():
     # all-accept chain: exactly n+1 of each evaluation kind
-    t = gaussian_prior(np.zeros(3), np.eye(3))
+    t = GaussianPriorTarget(np.zeros(3), np.eye(3))
     n = 500
     trace = run_chain(t, np.ones(3), ChainConfig(0, n), np.random.default_rng(81))
     exact = trace.acceptance_rate() == 1.0 and trace.total_cost() == {

@@ -319,6 +319,13 @@ class TestHbBadInput:
     def test_bad_slice_width(self, tmp_path, capsys):
         assert "width" in assert_rejected("hb", tmp_path, capsys, "width = -1.0\n")
 
+    def test_chain_failure_reported_before_output(self, tmp_path, capsys):
+        # used to end in a traceback and leave an empty output directory:
+        # with one group, tau's Gamma conditional has shape a + 1/2, and at
+        # this seed its draws spread past the pivot tolerance of diag(tau)
+        err = assert_rejected("hb", tmp_path, capsys, "n_groups = 1\n", ("--seed", "7", "--quick"))
+        assert "not positive definite" in err
+
 
 class TestTheoremBadInput:
     @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from tangentmh.diagnostics import (
     mixing_index,
 )
 from tangentmh.targets import (
-    gaussian_prior,
+    GaussianPriorTarget,
     poisson_lograte_target,
     replicated_poisson_target,
 )
@@ -62,7 +62,7 @@ class TestEffectiveSize:
 
 class TestFee:
     def _trace(self, n=200):
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         return t, run_chain(t, np.ones(2), ChainConfig(20, n), np.random.default_rng(5))
 
     def test_requires_calibration(self):
@@ -86,7 +86,7 @@ class TestFee:
         assert min(totals[400]) / min(totals[200]) == pytest.approx(2.0, rel=0.5)
 
     def test_calibration_repeatable(self):
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         a, b = [], []
         # fastest of interleaved repeats, as above; 15 of them, so that one
         # burst of load on a shared host cannot catch every repeat of one side
@@ -98,7 +98,7 @@ class TestFee:
         assert abs(a - b) / a < 0.2
 
     def test_calibration_needs_reps(self):
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
             calibrate(t, np.zeros(2), 50)
 
@@ -118,7 +118,7 @@ class TestMixingIndex:
         assert vals[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_is_zero(self):
-        t = gaussian_prior([3.0], np.array([[2.5]]))
+        t = GaussianPriorTarget([3.0], np.array([[2.5]]))
         assert mixing_index(t, x0=-5.0) == 0.0
 
     def test_all_zero_counts_diverges(self):
@@ -127,7 +127,7 @@ class TestMixingIndex:
             mixing_index(t)
 
     def test_multivariate_rejected(self):
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
             mixing_index(t)
 

@@ -6,12 +6,11 @@ from tangentmh.fdiff import fd_gradient
 from tangentmh.slicer import SliceConfig, slice_gibbs_chain, slice_sweep
 from tangentmh.tangent import ChainConfig
 from tangentmh.targets import (
+    AdditiveTarget,
     DifferentiableTarget,
     EvalCost,
+    GaussianPriorTarget,
     LogisticTarget,
-    additive_target,
-    gaussian_prior,
-    logistic_target,
 )
 
 from helpers import gaussian_cdf, random_spd
@@ -51,7 +50,7 @@ class TestBlockPartition:
 class TestConditionalTarget:
     def test_full_block_is_identity(self):
         rng = np.random.default_rng(0)
-        t = gaussian_prior(rng.standard_normal(4), random_spd(4, rng))
+        t = GaussianPriorTarget(rng.standard_normal(4), random_spd(4, rng))
         c = DifferentiableTarget.restrict(t, np.arange(4), np.zeros(4))
         x = rng.standard_normal(4)
         assert c.evaluate(x).value == t.evaluate(x).value
@@ -60,7 +59,7 @@ class TestConditionalTarget:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 6))
         y = (rng.random(30) < 0.5).astype(float)
-        t = logistic_target(X, y)
+        t = LogisticTarget(X, y)
         for _ in range(10):
             block = rng.choice(6, size=rng.integers(1, 6), replace=False)
             full = rng.standard_normal(6)
@@ -73,7 +72,7 @@ class TestConditionalTarget:
     def test_gaussian_conditional_hessian_is_principal_submatrix(self):
         rng = np.random.default_rng(2)
         prec = random_spd(5, rng)
-        t = gaussian_prior(np.zeros(5), prec)
+        t = GaussianPriorTarget(np.zeros(5), prec)
         block = np.array([1, 3])
         c = DifferentiableTarget.restrict(t, block, rng.standard_normal(5))
         h = c.evaluate(np.zeros(2), hessian=True).hessian
@@ -83,7 +82,7 @@ class TestConditionalTarget:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 5))
         y = (rng.random(40) < 0.5).astype(float)
-        t = logistic_target(X, y)
+        t = LogisticTarget(X, y)
         block = np.array([0, 2, 4])
         c = DifferentiableTarget.restrict(t, block, rng.standard_normal(5))
         b = rng.standard_normal(3)
@@ -95,7 +94,7 @@ class TestConditionalTarget:
 class TestBlockSweep:
     def test_gaussian_blocks_all_accept(self):
         rng = np.random.default_rng(4)
-        t = gaussian_prior(np.zeros(10), random_spd(10, rng))
+        t = GaussianPriorTarget(np.zeros(10), random_spd(10, rng))
         part = BlockPartition.contiguous(10, 5)
         x = np.ones(10)
         for _ in range(50):
@@ -109,7 +108,7 @@ class TestBlockSweep:
         from tangentmh.tangent import tangent_step
 
         rng = np.random.default_rng(5)
-        t = gaussian_prior(np.zeros(4), random_spd(4, rng))
+        t = GaussianPriorTarget(np.zeros(4), random_spd(4, rng))
         part = BlockPartition([[0, 1], [2, 3]])
         x0 = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -126,8 +125,8 @@ class TestBlockSweep:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((100, 10))
         y = (rng.random(100) < 0.5).astype(float)
-        t = additive_target(
-            [logistic_target(X, y), gaussian_prior(np.zeros(10), 0.01 * np.eye(10))]
+        t = AdditiveTarget(
+            [LogisticTarget(X, y), GaussianPriorTarget(np.zeros(10), 0.01 * np.eye(10))]
         )
         part = BlockPartition.contiguous(10, 5)
         x = np.zeros(10)
@@ -138,7 +137,7 @@ class TestBlockSweep:
     def test_newton_sweep_moves_to_mode(self):
         rng = np.random.default_rng(7)
         prec = np.diag([2.0, 1.0, 3.0, 0.5])  # block-diagonal: newton exact per block
-        t = gaussian_prior(np.array([1.0, 2.0, 3.0, 4.0]), prec)
+        t = GaussianPriorTarget(np.array([1.0, 2.0, 3.0, 4.0]), prec)
         part = BlockPartition([[0, 1], [2, 3]])
         x, _, _, _ = block_sweep(t, part, np.zeros(4), rng, newton=True)
         np.testing.assert_allclose(x, [1.0, 2.0, 3.0, 4.0], atol=1e-12)
@@ -149,7 +148,7 @@ class TestRunBlockChain:
         # both are exact samplers on a correlated 2-D gaussian
         rng = np.random.default_rng(8)
         prec = np.array([[2.0, 0.9], [0.9, 1.0]])
-        t = gaussian_prior(np.zeros(2), prec)
+        t = GaussianPriorTarget(np.zeros(2), prec)
         cfg = ChainConfig(n_burnin=100, n_samples=20000)
         tr_single = run_block_chain(
             t, BlockPartition([[0], [1]]), np.zeros(2), cfg, np.random.default_rng(9)
@@ -178,7 +177,7 @@ class TestRunBlockChain:
         rng = np.random.default_rng(13)
         X = 3.0 * rng.standard_normal((30, 4))
         y = (rng.random(30) < 0.5).astype(float)
-        t = additive_target([logistic_target(X, y), gaussian_prior(np.zeros(4), np.eye(4))])
+        t = AdditiveTarget([LogisticTarget(X, y), GaussianPriorTarget(np.zeros(4), np.eye(4))])
         part = BlockPartition.contiguous(4, 2)
         cfg = ChainConfig(n_burnin=6, n_samples=60)
         trace = run_block_chain(t, part, np.zeros(4), cfg, np.random.default_rng(14))
@@ -197,7 +196,7 @@ class TestRunBlockChain:
 
     def test_counters_and_determinism(self):
         rng = np.random.default_rng(11)
-        t = gaussian_prior(np.zeros(6), random_spd(6, rng))
+        t = GaussianPriorTarget(np.zeros(6), random_spd(6, rng))
         part = BlockPartition.contiguous(6, 3)
         cfg = ChainConfig(n_burnin=20, n_samples=50)
         a = run_block_chain(t, part, np.zeros(6), cfg, np.random.default_rng(12))
@@ -314,7 +313,7 @@ class TestSweepCosts:
 
     def _target(self):
         X, y = logistic_data(30)
-        return CostLog(additive_target([LogisticTarget(X, y), gaussian_prior(np.zeros(6), np.eye(6))]), [])
+        return CostLog(AdditiveTarget([LogisticTarget(X, y), GaussianPriorTarget(np.zeros(6), np.eye(6))]), [])
 
     @staticmethod
     def _summed(log):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tangentmh.hb import (
+    SIZE_RANGE,
     HbConfig,
     HbModelSpec,
     draw_precisions,
@@ -29,9 +30,9 @@ class TestSpec:
 
     def test_log_uniform_sizes_vary(self):
         rng = np.random.default_rng(1)
-        spec, _ = simulate_hb(6, 3, 2, rng, size_range=(50, 2000))
+        spec, _ = simulate_hb(6, 3, 2, rng)
         sizes = spec.group_sizes
-        assert min(sizes) >= 50 and max(sizes) <= 2000
+        assert min(sizes) >= SIZE_RANGE[0] and max(sizes) <= SIZE_RANGE[1]
         assert max(sizes) / min(sizes) > 2  # heterogeneous group sizes
 
     def test_rejects_mismatched_groups(self):

@@ -6,10 +6,10 @@ import pytest
 import tangentmh.hb as hb
 from tangentmh.slicer import SliceConfig, SliceError, slice_gibbs_chain, slice_step_1d, slice_sweep
 from tangentmh.targets import (
+    AdditiveTarget,
     EvalCost,
-    additive_target,
-    gaussian_prior,
-    logistic_target,
+    GaussianPriorTarget,
+    LogisticTarget,
     poisson_lograte_target,
 )
 from tangentmh.trace import ChainConfig, run_sweeps
@@ -31,7 +31,8 @@ def reevaluating_sweep(target, x, cfg, rng):
             n_value += res.cost.n_value
             return res.value
 
-        x_new, _ = slice_step_1d(logf, x[d], cfg, rng)
+        f0 = logf(x[d])
+        x_new, _ = slice_step_1d(logf, x[d], f0, cfg, rng)
         x[d] = x_new
         work[d] = x_new
     return x, 1, EvalCost(n_value, 0, 0), 0
@@ -46,15 +47,15 @@ def _logistic(dim, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((300, dim))
     y = (rng.random(300) < 1.0 / (1.0 + np.exp(-X @ rng.normal(0.0, 0.5, dim)))).astype(float)
-    return logistic_target(X, y)
+    return LogisticTarget(X, y)
 
 
 # name -> (target, start, values counted per evaluation)
 KEPT_VALUE_TARGETS = {
     "logistic-10d": (lambda: _logistic(10, 31), np.zeros(10), 1),
     "logistic+diagonal-prior": (
-        lambda: additive_target(
-            [_logistic(6, 32), gaussian_prior(np.full(6, 0.2), np.diag(np.linspace(0.5, 3.0, 6)))]
+        lambda: AdditiveTarget(
+            [_logistic(6, 32), GaussianPriorTarget(np.full(6, 0.2), np.diag(np.linspace(0.5, 3.0, 6)))]
         ),
         np.zeros(6),
         2,
@@ -98,46 +99,65 @@ class TestStep1d:
     def test_standard_normal_moments(self):
         rng = np.random.default_rng(0)
         cfg = SliceConfig()
-        x = 0.0
+        x = f = 0.0
         vals = np.empty(100000)
         for i in range(vals.size):
-            x, _ = slice_step_1d(lambda v: -0.5 * v * v, x, cfg, rng)
+            x, f = slice_step_1d(lambda v: -0.5 * v * v, x, f, cfg, rng)
             vals[i] = x
         assert abs(vals.mean()) < 0.02
         assert abs(vals.var() - 1.0) < 0.05
 
     def test_eval_counter_counts_calls(self):
-        calls = 0
+        calls = []
 
         def logf(v):
-            nonlocal calls
-            calls += 1
+            calls.append(v)
             return -0.5 * v * v
 
         rng = np.random.default_rng(1)
-        _, n = slice_step_1d(logf, 0.0, SliceConfig(), rng)
-        assert n == calls
+        x, f = slice_step_1d(logf, 0.0, 0.0, SliceConfig(), rng)
+        # the start point's value is the caller's; the last call is at the
+        # returned point, whose value comes back exactly
+        assert calls and 0.0 not in calls and calls[-1] == x
+        assert f == logf(x)
 
     def test_degenerate_width_returns_current_point_region(self):
         # with a sub-ulp width the bracket collapses onto x; the update
         # still terminates because the slice always contains x
+        def logf(v):
+            return -0.5 * v * v
+
         rng = np.random.default_rng(2)
-        x, n = slice_step_1d(lambda v: -0.5 * v * v, 1.25, SliceConfig(width=1e-300), rng)
+        x, f = slice_step_1d(logf, 1.25, logf(1.25), SliceConfig(width=1e-300), rng)
         assert x == pytest.approx(1.25, abs=1e-290)
+        assert f == logf(x)
+
+        # an exponential draw of 0 puts the level at f(x): the first shrink
+        # point is x itself, not above the level, and the update hands back
+        # x with the caller's value
+        class Draws:
+            def standard_exponential(self):
+                return 0.0
+
+            def random(self):
+                return 0.5
+
+        assert slice_step_1d(logf, 1.25, logf(1.25), SliceConfig(1.0, 1), Draws()) == (1.25, logf(1.25))
 
     def test_nonfinite_current_point_raises(self):
         rng = np.random.default_rng(3)
         with pytest.raises(SliceError):
-            slice_step_1d(lambda v: -np.inf, 0.0, SliceConfig(), rng)
+            slice_step_1d(lambda v: -np.inf, 0.0, -np.inf, SliceConfig(), rng)
 
     def test_poisson_ks_against_quadrature(self):
         t = poisson_lograte_target([2])
         rng = np.random.default_rng(4)
         cfg = SliceConfig(width=1.0)
         x = np.log(2.0)
+        f = t.evaluate([x]).value
         vals = np.empty(100000)
         for i in range(vals.size):
-            x, _ = slice_step_1d(lambda v: t.evaluate([v]).value, x, cfg, rng)
+            x, f = slice_step_1d(lambda v: t.evaluate([v]).value, x, f, cfg, rng)
             vals[i] = x
         grid, _, cdf = poisson_quadrature([2])
         assert ks_statistic(vals, grid, cdf) < 0.01
@@ -146,7 +166,7 @@ class TestStep1d:
 class TestGibbsChain:
     def test_independent_gaussian_moments(self):
         prec = np.diag([1.0, 4.0])
-        t = gaussian_prior(np.array([0.5, -1.0]), prec)
+        t = GaussianPriorTarget(np.array([0.5, -1.0]), prec)
         trace = slice_gibbs_chain(
             t, [0.0, 0.0], 100, 10000, SliceConfig(), np.random.default_rng(5)
         )
@@ -156,7 +176,7 @@ class TestGibbsChain:
         np.testing.assert_allclose(v, [1.0, 0.25], rtol=0.08)
 
     def test_empty_trace(self):
-        t = gaussian_prior([0.0], np.eye(1))
+        t = GaussianPriorTarget([0.0], np.eye(1))
         trace = slice_gibbs_chain(t, [0.0], 5, 0, SliceConfig(), np.random.default_rng(6))
         assert trace.n_steps == 0
 
@@ -167,7 +187,7 @@ class TestGibbsChain:
             slice_gibbs_chain(t, [0.0], -1, 4, SliceConfig(), np.random.default_rng(1))
 
     def test_counters_value_only(self):
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         trace = slice_gibbs_chain(t, [0.0, 0.0], 0, 50, SliceConfig(), np.random.default_rng(7))
         ref = reevaluating_chain(t, [0.0, 0.0], 0, 50, SliceConfig(), np.random.default_rng(7))
         cost = trace.total_cost()
@@ -180,7 +200,7 @@ class TestGibbsChain:
 
     def test_coordinate_update_changes_only_that_coordinate(self):
         # freeze the second coordinate by spying on evaluate calls
-        t = gaussian_prior(np.zeros(3), np.eye(3))
+        t = GaussianPriorTarget(np.zeros(3), np.eye(3))
         rng = np.random.default_rng(8)
         from tangentmh.slicer import slice_sweep
 
@@ -191,7 +211,7 @@ class TestGibbsChain:
         assert not np.array_equal(x0, x1)
 
     def test_determinism(self):
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         a = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(), np.random.default_rng(9))
         b = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(), np.random.default_rng(9))
         assert np.array_equal(a.samples, b.samples)
@@ -248,7 +268,7 @@ class TestKeptValue:
             def random(self):
                 return next(self.r)
 
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         cfg = SliceConfig(1.0, 1)
         x, _, cost, _ = slice_sweep(t, np.zeros(2), cfg, Draws())
         x_ref, _, ref, _ = reevaluating_sweep(t, np.zeros(2), cfg, Draws())

@@ -6,8 +6,8 @@ from tangentmh.linalg import MvnDistribution, cholesky, mvn_logpdf, mvn_sample
 from tangentmh.targets import (
     EvalCost,
     EvalResult,
-    gaussian_prior,
-    logistic_target,
+    GaussianPriorTarget,
+    LogisticTarget,
     poisson_lograte_target,
 )
 from tangentmh.tangent import (
@@ -31,7 +31,7 @@ class TestBuildProposal:
         rng = np.random.default_rng(0)
         mean = rng.standard_normal(3)
         prec = random_spd(3, rng)
-        t = gaussian_prior(mean, prec)
+        t = GaussianPriorTarget(mean, prec)
         for _ in range(10):
             x = 3.0 * rng.standard_normal(3)
             prop = build_proposal(t, x)
@@ -77,7 +77,7 @@ def _target_and_start(dim):
     rng = np.random.default_rng(31)
     X = rng.standard_normal((40, dim))
     y = (rng.random(40) < 0.5).astype(float)
-    return logistic_target(X, y), np.zeros(dim)
+    return LogisticTarget(X, y), np.zeros(dim)
 
 
 class TestFittedRecord:
@@ -187,7 +187,7 @@ class TestNewton:
     def test_quadratic_one_step_from_anywhere(self):
         rng = np.random.default_rng(1)
         mean = rng.standard_normal(4)
-        t = gaussian_prior(mean, random_spd(4, rng))
+        t = GaussianPriorTarget(mean, random_spd(4, rng))
         x = newton_step(t, rng.standard_normal(4) * 5)
         np.testing.assert_allclose(x, mean, atol=1e-10)
 
@@ -216,7 +216,7 @@ class TestNewton:
 class TestStep:
     def test_gaussian_always_accepts_with_zero_log_ratio(self):
         rng = np.random.default_rng(2)
-        t = gaussian_prior(np.zeros(2), random_spd(2, rng))
+        t = GaussianPriorTarget(np.zeros(2), random_spd(2, rng))
         x = np.array([3.0, -1.0])
         cache = None
         for _ in range(200):
@@ -226,7 +226,7 @@ class TestStep:
 
     def test_cached_step_costs_one_evaluation(self):
         rng = np.random.default_rng(3)
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         x, rec, cache = tangent_step(t, np.ones(2), None, rng)
         assert rec.cost.n_value == 2  # first step pays for both endpoints
         x, rec, cache = tangent_step(t, x, cache, rng)
@@ -265,14 +265,14 @@ class TestStep:
 
 class TestRunChain:
     def test_empty_trace(self):
-        t = gaussian_prior([0.0], np.eye(1))
+        t = GaussianPriorTarget([0.0], np.eye(1))
         trace = run_chain(t, [1.0], ChainConfig(n_burnin=10, n_samples=0), np.random.default_rng(1))
         assert trace.n_steps == 0
         assert trace.total_cost()["n_value"] > 0  # burn-in still ran
 
     def test_gaussian_all_accepted(self):
         rng = np.random.default_rng(5)
-        t = gaussian_prior(np.zeros(3), random_spd(3, rng))
+        t = GaussianPriorTarget(np.zeros(3), random_spd(3, rng))
         trace = run_chain(t, np.ones(3), ChainConfig(10, 500, n_newton=1), rng)
         assert trace.acceptance_rate() == 1.0
 
@@ -280,7 +280,7 @@ class TestRunChain:
         assert ChainConfig(n_burnin=501, n_samples=0).newton_iterations == 250
 
     def test_eval_count_exactly_n_plus_one_pure_mh(self):
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         n = 157
         trace = run_chain(t, np.ones(2), ChainConfig(0, n), np.random.default_rng(8))
         assert trace.acceptance_rate() == 1.0

@@ -17,12 +17,9 @@ from tangentmh.targets import (
     EvalResult,
     GaussianPriorTarget,
     LinearProjectionModel,
+    LinearProjectionTarget,
     LogisticTarget,
-    additive_target,
     column_rank,
-    gaussian_prior,
-    linear_projection_target,
-    logistic_target,
     poisson_lograte_target,
     replicated_poisson_target,
 )
@@ -53,13 +50,13 @@ class TestLogistic:
     def test_value_at_zero_is_minus_n_log2(self):
         rng = np.random.default_rng(0)
         X, y = random_logistic(rng, n=40, k=3)
-        t = logistic_target(X, y)
+        t = LogisticTarget(X, y)
         res = t.evaluate(np.zeros(3), gradient=True)
         assert res.value == pytest.approx(-40 * np.log(2.0), rel=1e-12)
         np.testing.assert_allclose(res.gradient, X.T @ (y - 0.5), rtol=1e-12)
 
     def test_single_observation_closed_form(self):
-        t = logistic_target(np.array([[1.0]]), np.array([1.0]))
+        t = LogisticTarget(np.array([[1.0]]), np.array([1.0]))
         res = t.evaluate([0.0], gradient=True, hessian=True)
         np.testing.assert_allclose(res.gradient, [0.5])
         np.testing.assert_allclose(res.hessian, [[-0.25]])
@@ -67,12 +64,12 @@ class TestLogistic:
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(1)
         X, y = random_logistic(rng)
-        t = logistic_target(X, y)
+        t = LogisticTarget(X, y)
         for _ in range(5):
             check_derivatives(t, rng.standard_normal(5), grad_rtol=1e-6)
 
     def test_stable_for_extreme_linear_predictor(self):
-        t = logistic_target(np.array([[1.0], [1.0]]), np.array([1.0, 0.0]))
+        t = LogisticTarget(np.array([[1.0], [1.0]]), np.array([1.0, 0.0]))
         res = t.evaluate([900.0], gradient=True, hessian=True)
         assert np.isfinite(res.value)
         assert res.value == pytest.approx(-900.0)
@@ -82,13 +79,13 @@ class TestLogistic:
         rng = np.random.default_rng(2)
         for _ in range(20):
             X, y = random_logistic(rng, n=30, k=4)
-            t = logistic_target(X, y)
+            t = LogisticTarget(X, y)
             h = t.evaluate(2.0 * rng.standard_normal(4), hessian=True).hessian
             assert np.max(np.linalg.eigvalsh(h)) <= 1e-12
 
     def test_rejects_bad_responses(self):
         with pytest.raises(ValueError):
-            logistic_target(np.eye(2), np.array([0.0, 2.0]))
+            LogisticTarget(np.eye(2), np.array([0.0, 2.0]))
 
     @pytest.mark.parametrize("offset", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
     def test_rejects_non_finite_offset(self, offset):
@@ -104,14 +101,14 @@ class TestLogistic:
         for t in rows:
             softplus = np.logaddexp(0.0, -t)
             for y in (0.0, 1.0):
-                got = logistic_target(np.array([[1.0]]), np.array([y])).evaluate([t]).value
+                got = LogisticTarget(np.array([[1.0]]), np.array([y])).evaluate([t]).value
                 want = -((1.0 - y) * t + softplus)
                 assert abs(got - want) <= 2 * np.spacing(max(abs((1.0 - y) * t), softplus)), (t, y)
 
     def test_restrict_matches_splice(self):
         rng = np.random.default_rng(3)
         X, y = random_logistic(rng, n=30, k=6)
-        t = logistic_target(X, y)
+        t = LogisticTarget(X, y)
         full = rng.standard_normal(6)
         block = np.array([1, 4])
         r = t.restrict(block, full)
@@ -160,13 +157,13 @@ class TestPoissonLogRate:
 
 class TestGaussianPrior:
     def test_value_gradient_at_mean(self):
-        t = gaussian_prior(np.array([1.0, 2.0]), np.eye(2))
+        t = GaussianPriorTarget(np.array([1.0, 2.0]), np.eye(2))
         res = t.evaluate([1.0, 2.0], gradient=True)
         assert res.value == 0.0
         np.testing.assert_array_equal(res.gradient, [0.0, 0.0])
 
     def test_one_dim_precision_four(self):
-        t = gaussian_prior([0.5], np.array([[4.0]]))
+        t = GaussianPriorTarget([0.5], np.array([[4.0]]))
         res = t.evaluate([1.5], gradient=True, hessian=True)
         assert res.value == pytest.approx(-2.0)
         np.testing.assert_allclose(res.gradient, [-4.0])
@@ -174,11 +171,11 @@ class TestGaussianPrior:
 
     def test_indefinite_precision_rejected_at_construction(self):
         with pytest.raises(NotPositiveDefinite):
-            gaussian_prior(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+            GaussianPriorTarget(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_derivatives_random_instance(self):
         rng = np.random.default_rng(5)
-        t = gaussian_prior(rng.standard_normal(5), random_spd(5, rng))
+        t = GaussianPriorTarget(rng.standard_normal(5), random_spd(5, rng))
         res = t.evaluate(rng.standard_normal(5), gradient=True)
         x = rng.standard_normal(5)
         res = t.evaluate(x, gradient=True)
@@ -188,7 +185,7 @@ class TestGaussianPrior:
     def test_restrict_is_conditional_up_to_constant(self):
         rng = np.random.default_rng(6)
         prec = random_spd(5, rng)
-        t = gaussian_prior(rng.standard_normal(5), prec)
+        t = GaussianPriorTarget(rng.standard_normal(5), prec)
         full = rng.standard_normal(5)
         block = np.array([0, 3])
         r = t.restrict(block, full)
@@ -210,22 +207,18 @@ class TestGaussianPrior:
 
 
 class TestAdditive:
-    def test_single_part_identity(self):
-        t = gaussian_prior([0.0], np.eye(1))
-        assert additive_target([t]) is t
-
     def test_two_priors_hessian_adds(self):
         rng = np.random.default_rng(7)
         p1, p2 = random_spd(3, rng), random_spd(3, rng)
-        t = additive_target(
-            [gaussian_prior(np.zeros(3), p1), gaussian_prior(np.zeros(3), p2)]
+        t = AdditiveTarget(
+            [GaussianPriorTarget(np.zeros(3), p1), GaussianPriorTarget(np.zeros(3), p2)]
         )
         h = t.evaluate(rng.standard_normal(3), hessian=True).hessian
         np.testing.assert_array_equal(h, -(p1 + p2))
 
     def test_costs_sum(self):
-        t = additive_target(
-            [gaussian_prior(np.zeros(2), np.eye(2)), gaussian_prior(np.zeros(2), np.eye(2))]
+        t = AdditiveTarget(
+            [GaussianPriorTarget(np.zeros(2), np.eye(2)), GaussianPriorTarget(np.zeros(2), np.eye(2))]
         )
         res = t.evaluate(np.zeros(2), gradient=True, hessian=True)
         assert res.cost == EvalCost(2, 2, 2)
@@ -233,8 +226,8 @@ class TestAdditive:
     def test_evaluate_is_the_parts_sum_exactly(self):
         rng = np.random.default_rng(9)
         X, y = random_logistic(rng, n=30, k=4)
-        parts = [logistic_target(X, y), gaussian_prior(np.ones(4), random_spd(4, rng)),
-                 gaussian_prior(np.zeros(4), np.diag([1.0, 2.0, 3.0, 4.0]))]
+        parts = [LogisticTarget(X, y), GaussianPriorTarget(np.ones(4), random_spd(4, rng)),
+                 GaussianPriorTarget(np.zeros(4), np.diag([1.0, 2.0, 3.0, 4.0]))]
         post = AdditiveTarget(parts)
         for x, gradient, hessian in [(rng.standard_normal(4), True, True), (rng.standard_normal(4), True, False),
                                      (rng.standard_normal(4), False, False)]:
@@ -252,7 +245,7 @@ class TestAdditive:
                 assert got.hessian is None
 
     def test_shared_costs_are_immutable(self):
-        t = gaussian_prior(np.zeros(2), np.eye(2))
+        t = GaussianPriorTarget(np.zeros(2), np.eye(2))
         a = t.evaluate(np.zeros(2), gradient=True)
         b = t.evaluate(np.ones(2), gradient=True)
         assert a.cost is b.cost
@@ -263,7 +256,7 @@ class TestAdditive:
     def test_restrict_of_a_sum_is_the_sum_of_restricts(self):
         rng = np.random.default_rng(10)
         X, y = random_logistic(rng, n=30, k=4)
-        parts = [logistic_target(X, y), gaussian_prior(np.ones(4), random_spd(4, rng))]
+        parts = [LogisticTarget(X, y), GaussianPriorTarget(np.ones(4), random_spd(4, rng))]
         block, full = np.array([2, 0]), rng.standard_normal(4)
         got = AdditiveTarget(parts).restrict(block, full)
         assert got.dim == 2
@@ -272,9 +265,9 @@ class TestAdditive:
     def test_posterior_composition_logistic_plus_prior(self):
         rng = np.random.default_rng(8)
         X, y = random_logistic(rng, n=30, k=4)
-        lik = logistic_target(X, y)
-        prior = gaussian_prior(np.zeros(4), 0.5 * np.eye(4))
-        post = additive_target([lik, prior])
+        lik = LogisticTarget(X, y)
+        prior = GaussianPriorTarget(np.zeros(4), 0.5 * np.eye(4))
+        post = AdditiveTarget([lik, prior])
         x = rng.standard_normal(4)
         a = post.evaluate(x, gradient=True, hessian=True)
         b1 = lik.evaluate(x, gradient=True, hessian=True)
@@ -284,7 +277,7 @@ class TestAdditive:
         np.testing.assert_array_equal(a.hessian, b1.hessian + b2.hessian)
 
     def test_checked_point_passes_through(self):
-        t = gaussian_prior(np.zeros(3), np.eye(3))
+        t = GaussianPriorTarget(np.zeros(3), np.eye(3))
         x = np.arange(3.0)
         assert t._check_point(x) is x
         for other in ([0.0, 1.0, 2.0], np.arange(3), x.astype(np.float32)):
@@ -296,18 +289,18 @@ class TestAdditive:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             AdditiveTarget(
-                [gaussian_prior([0.0], np.eye(1)), gaussian_prior([0.0, 0.0], np.eye(2))]
+                [GaussianPriorTarget([0.0], np.eye(1)), GaussianPriorTarget([0.0, 0.0], np.eye(2))]
             )
 
     def test_hessians_are_plain_arrays(self):
         rng = np.random.default_rng(6)
         X, y = random_logistic(rng, n=20, k=3)
-        prior = gaussian_prior(np.zeros(3), random_spd(3, rng))
-        post = additive_target([logistic_target(X, y), prior])
+        prior = GaussianPriorTarget(np.zeros(3), random_spd(3, rng))
+        post = AdditiveTarget([LogisticTarget(X, y), prior])
         model = LinearProjectionModel(BernoulliBase(y), [X])
         block, full = np.array([0, 2]), rng.standard_normal(3)
-        for t in (post, post.restrict(block, full), linear_projection_target(model),
-                  linear_projection_target(model).restrict(block, full),
+        for t in (post, post.restrict(block, full), LinearProjectionTarget(model),
+                  LinearProjectionTarget(model).restrict(block, full),
                   poisson_lograte_target([2])):
             h = t.evaluate(np.zeros(t.dim), hessian=True).hessian
             assert type(h) is np.ndarray and h.shape == (t.dim, t.dim)
@@ -441,7 +434,7 @@ class TestRestrictedTargets:
         # the block mean and the block diagonal, with no factorization
         rng = np.random.default_rng(22)
         mean, prec = rng.standard_normal(6), np.diag(rng.uniform(0.5, 2.0, 6))
-        parent = gaussian_prior(mean, prec)
+        parent = GaussianPriorTarget(mean, prec)
         block = np.array(block)
         expected = GaussianPriorTarget(mean[block], prec[np.ix_(block, block)])
         monkeypatch.setattr(targets_module, "cholesky", None)
@@ -456,7 +449,7 @@ class TestRestrictedTargets:
         p_bb = prec[np.ix_(block, block)]
         r = prec[np.ix_(block, rest)] @ (full[rest] - mean[rest])
         expected = GaussianPriorTarget(mean[block] - cholesky(p_bb).solve(r), p_bb)
-        cond = gaussian_prior(mean, prec).restrict(block, full)
+        cond = GaussianPriorTarget(mean, prec).restrict(block, full)
         assert not np.array_equal(cond._mean, mean[block])
         assert_same_evaluations(cond, expected, rng)
 
@@ -473,12 +466,12 @@ class TestRestrictedTargets:
             r = prec[np.ix_(block, rest)] @ (full[rest] - mean[rest])
             cond_mean = cond_mean - cholesky(p_bb).solve(r)
         expected = GaussianPriorTarget(cond_mean, p_bb)
-        assert_same_evaluations(gaussian_prior(mean, prec).restrict(block, full), expected, rng)
+        assert_same_evaluations(GaussianPriorTarget(mean, prec).restrict(block, full), expected, rng)
 
     @pytest.mark.parametrize("block", [[1, 4], [0, 1, 2, 3, 4, 5]])
     def test_prior_factors_block_once(self, block, monkeypatch):
         rng = np.random.default_rng(17)
-        t = gaussian_prior(rng.standard_normal(6), random_spd(6, rng))
+        t = GaussianPriorTarget(rng.standard_normal(6), random_spd(6, rng))
         shapes = []
 
         def counting_cholesky(m):
@@ -666,7 +659,7 @@ class TestLinearProjection:
         base = ConcaveQuadraticBase(np.ones((n, 1, 1)), np.zeros((n, 1)))
         # X = I means each coordinate feeds one observation: H = -I
         m = LinearProjectionModel(base, [np.eye(n)])
-        t = linear_projection_target(m)
+        t = LinearProjectionTarget(m)
         res = t.evaluate(np.zeros(n), gradient=True, hessian=True)
         np.testing.assert_array_equal(res.hessian, -np.eye(n))
         assert res.value == 0.0
@@ -675,8 +668,8 @@ class TestLinearProjection:
         rng = np.random.default_rng(9)
         for _ in range(100):
             X, y = random_logistic(rng, n=25, k=4)
-            direct = logistic_target(X, y)
-            composed = linear_projection_target(
+            direct = LogisticTarget(X, y)
+            composed = LinearProjectionTarget(
                 LinearProjectionModel(BernoulliBase(y), [X])
             )
             x = rng.standard_normal(4)
@@ -695,7 +688,7 @@ class TestLinearProjection:
         m = LinearProjectionModel(
             base, [rng.standard_normal((n, 1)), rng.standard_normal((n, 1))]
         )
-        t = linear_projection_target(m)
+        t = LinearProjectionTarget(m)
         x = rng.standard_normal(2)
         H = t.evaluate(x, hessian=True).hessian
         H_fd = fd_hessian_of_value(lambda v: t.evaluate(v).value, x)
@@ -721,6 +714,6 @@ class TestLinearProjection:
         base = ConcaveQuadraticBase(quad, rng.standard_normal((n, 2)))
         m = LinearProjectionModel(base, [X1, X2])
         assert m.full_rank_flags == (True, False)
-        H = linear_projection_target(m).evaluate(rng.standard_normal(5), hessian=True).hessian
+        H = LinearProjectionTarget(m).evaluate(rng.standard_normal(5), hessian=True).hessian
         with pytest.raises(NotPositiveDefinite):
             cholesky(-H)

@@ -5,14 +5,14 @@ from tangentmh.gibbs import BlockPartition, run_block_chain
 from tangentmh.hb import HbConfig, hb_gibbs, simulate_hb
 from tangentmh.slicer import SliceConfig, slice_gibbs_chain
 from tangentmh.tangent import ChainConfig, run_chain
-from tangentmh.targets import gaussian_prior
+from tangentmh.targets import GaussianPriorTarget
 
 TOTALS = {"hessian_failures", "final_cost"}
 GIBBS_TOTALS = TOTALS | {"block_acceptance_rate"}
 
 
 def _target():
-    return gaussian_prior(np.zeros(4), np.eye(4))
+    return GaussianPriorTarget(np.zeros(4), np.eye(4))
 
 
 def _hb(sampler):
