@@ -44,7 +44,7 @@ from .tangent import (
 from .trace import ChainTrace, run_sweeps
 from .slicer import SliceConfig, SliceError, slice_gibbs_chain, slice_step_1d
 from .gibbs import BlockPartition, block_sweep, run_block_chain
-from .hb import HbConfig, HbModelSpec, HbTrace, hb_gibbs, simulate_hb
+from .hb import HbConfig, HbModelSpec, HbState, HbTrace, hb_cycle, hb_gibbs, simulate_hb
 from .diagnostics import (
     CalibrationProfile,
     ModeFindingError,

@@ -167,19 +167,39 @@ def cholesky(m) -> CholeskyFactor:
     return CholeskyFactor(L)
 
 
-def _cholesky_lowers(stack: np.ndarray) -> np.ndarray:
+def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, dict]:
     """The lower factors of a ``(K, n, n)`` stack of symmetric matrices in
     one ``np.linalg.cholesky`` call, each equal bit for bit to
-    ``cholesky(stack[k]).lower``.  If a matrix fails ``cholesky``'s pivot
-    rule, the first such one raises ``cholesky``'s ``NotPositiveDefinite``."""
+    ``cholesky(stack[k]).lower``, and, keyed by index, the
+    ``NotPositiveDefinite`` that ``cholesky`` raises for each matrix that
+    fails its pivot rule (a NaN entry fails it).  A failed matrix's factor
+    is the identity; with no failure the dict is empty."""
     try:
         lowers = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         lowers = None
-    if lowers is None or not all(
+    if lowers is not None and all(
         map(_pivots_pass, stack.diagonal(0, 1, 2).tolist(), lowers.diagonal(0, 1, 2).tolist())
     ):
-        lowers = np.array([cholesky(a).lower for a in stack])
+        return lowers, {}
+    # some matrix failed: factor each one alone to name the failures
+    lowers = np.empty(stack.shape)
+    errors = {}
+    for k, a in enumerate(stack):
+        try:
+            lowers[k] = cholesky(a).lower
+        except NotPositiveDefinite as err:
+            lowers[k] = np.eye(a.shape[0])
+            errors[k] = err
+    return lowers, errors
+
+
+def _cholesky_lowers(stack: np.ndarray) -> np.ndarray:
+    """``_cholesky_stack``'s factors; the first matrix that fails
+    ``cholesky``'s pivot rule raises its ``NotPositiveDefinite``."""
+    lowers, errors = _cholesky_stack(stack)
+    if errors:
+        raise next(iter(errors.values()))
     return lowers
 
 

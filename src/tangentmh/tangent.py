@@ -20,6 +20,7 @@ from .linalg import (
     _LOG_2PI,
     PIVOT_RTOL,
     NotPositiveDefinite,
+    _cholesky_stack,
     _upper_solve,
     cholesky,
 )
@@ -59,7 +60,9 @@ class _NonFiniteNewtonMean(ValueError):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """How one MH transition was decided."""
+    """How one MH transition was decided; for a stack of points,
+    ``accepted``, ``log_ratio`` and ``hessian_failure`` are ``(J,)`` arrays,
+    one entry per group."""
 
     accepted: bool
     log_ratio: float
@@ -143,11 +146,102 @@ def _fit_proposal(x: np.ndarray, res: EvalResult) -> _Proposal | _ScalarProposal
     return _ScalarProposal(x, res) if x.shape[0] == 1 else _Proposal(x, res)
 
 
+class _StackedProposal:
+    """``_Proposal`` for a ``(J, m)`` stack of points, one per independent
+    target: Newton means ``mean`` (J, m), lower precision factors ``lower``
+    and their inverses ``inverse`` (J, m, m), half log-determinants
+    ``half_log_det`` (J,), the points' ``value`` (J,) and the evaluation
+    ``cost``.  Each group's negated Hessian passes ``cholesky``'s pivot
+    rule or fails alone.  ``failed`` (J,) marks a failed factor or a
+    non-finite Newton mean; such a group's factor is the identity and its
+    mean its point, so the stack's arithmetic stays finite.
+    ``raise_failure`` raises what ``_Proposal`` would raise for the first
+    failed group."""
+
+    __slots__ = ("x", "mean", "lower", "inverse", "half_log_det", "value", "cost", "failed", "_errors")
+
+    def __init__(self, x: np.ndarray, res: EvalResult):
+        lower, self._errors = _cholesky_stack(-res.hessian)
+        inverse = np.linalg.inv(lower)
+        # Newton step: (-H)^{-1} g = L^{-T} L^{-1} g; a non-finite gradient
+        # makes a non-finite mean, which fails below
+        with np.errstate(invalid="ignore", over="ignore"):
+            w = np.matmul(inverse, res.gradient[:, :, None])
+            mean = x + np.matmul(inverse.transpose(0, 2, 1), w)[:, :, 0]
+        failed = ~np.isfinite(mean).all(axis=1)
+        if self._errors:
+            failed[list(self._errors)] = True
+        if failed.any():
+            mean[failed] = x[failed]
+        self.x = x
+        self.mean = mean
+        self.lower = lower
+        self.inverse = inverse
+        self.half_log_det = np.log(lower.diagonal(0, 1, 2)).sum(axis=1)
+        self.value = res.value
+        self.cost = res.cost
+        self.failed = failed
+
+    def raise_failure(self) -> None:
+        if self.failed.any():
+            j = int(np.flatnonzero(self.failed)[0])
+            if j in self._errors:
+                raise HessianNotNegativeDefinite(self.x[j], self._errors[j].pivot) from self._errors[j]
+            raise _NonFiniteNewtonMean(f"Newton step from {self.x[j]} is not finite")
+
+    def chosen(self, accepted: np.ndarray, other: "_StackedProposal") -> "_StackedProposal":
+        """The fit at each group's next point: ``other``'s where
+        ``accepted``, this one's elsewhere.  ``accepted`` marks no failed
+        group of ``other``, and this fit has none."""
+        if accepted.all():
+            return other
+        if not accepted.any():
+            return self
+        fit = object.__new__(_StackedProposal)
+        a, a3 = accepted[:, None], accepted[:, None, None]
+        fit.x = np.where(a, other.x, self.x)
+        fit.mean = np.where(a, other.mean, self.mean)
+        fit.lower = np.where(a3, other.lower, self.lower)
+        fit.inverse = np.where(a3, other.inverse, self.inverse)
+        fit.half_log_det = np.where(accepted, other.half_log_det, self.half_log_det)
+        fit.value = np.where(accepted, other.value, self.value)
+        fit.cost = other.cost
+        fit.failed = self.failed
+        fit._errors = self._errors
+        return fit
+
+
+def _stacked_tangent_step(target, x, cached, rng):
+    """``tangent_step`` on a ``(J, m)`` stack of points (see there)."""
+    fit = cached
+    if cached is None:
+        fit = _StackedProposal(x, target.evaluate(x, gradient=True, hessian=True))
+    fit.raise_failure()
+    z = rng.standard_normal(x.shape)
+    y = fit.mean + np.matmul(fit.inverse.transpose(0, 2, 1), z[:, :, None])[:, :, 0]
+    res = target.evaluate(y, gradient=True, hessian=True)
+    cost = res.cost if cached is not None else fit.cost + res.cost
+    fit_y = _StackedProposal(y, res)
+    # log q_y(x) - log q_x(y): L_x^T (y - mean_x) is z, and the constants cancel
+    r = np.matmul(fit_y.lower.transpose(0, 2, 1), (x - fit_y.mean)[:, :, None])[:, :, 0]
+    log_ratio = (fit_y.value - fit.value) + (fit_y.half_log_det - fit.half_log_det)
+    log_ratio -= 0.5 * (np.einsum("ij,ij->i", r, r) - np.einsum("ij,ij->i", z, z))
+    log_ratio[fit_y.failed] = -math.inf
+    u = rng.random(x.shape[0])
+    accepted = (log_ratio >= 0.0) | (u < np.exp(np.minimum(log_ratio, 0.0)))
+    x_new = np.where(accepted[:, None], y, x)
+    return x_new, StepRecord(accepted, log_ratio, cost, fit_y.failed), fit.chosen(accepted, fit_y)
+
+
 def build_proposal(target: DifferentiableTarget, x) -> _Proposal | _ScalarProposal:
     """Evaluate the target at ``x`` and fit its record there: the tangent
     Gaussian (``mean`` the Newton step from ``x``, precision the negated
     Hessian as its lower factor ``lower``, ``draw``, ``log_q``) with the
     point's log-density ``value`` and evaluation ``cost``.
+
+    At a ``(J, m)`` stack of points (see ``tangent_step``) the record
+    holds one tangent Gaussian per group, and the first group that fails
+    raises.
 
     Raises
     ------
@@ -158,7 +252,12 @@ def build_proposal(target: DifferentiableTarget, x) -> _Proposal | _ScalarPropos
         If the Newton step is not finite, e.g. at an infinite gradient.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _fit_proposal(x, target.evaluate(x, gradient=True, hessian=True))
+    res = target.evaluate(x, gradient=True, hessian=True)
+    if x.ndim == 2:
+        fit = _StackedProposal(x, res)
+        fit.raise_failure()
+        return fit
+    return _fit_proposal(x, res)
 
 
 def newton_step(target: DifferentiableTarget, x) -> np.ndarray:
@@ -187,8 +286,19 @@ def tangent_step(
     rejects the proposal and flags the record as a Hessian failure
     (log_ratio -inf); either at the current point is fatal, since the chain
     cannot continue from unverifiable ground.
+
+    A ``(J, m)`` stack of points steps J independent targets together:
+    ``target.evaluate`` takes the stack and returns values ``(J,)``,
+    gradients ``(J, m)`` and Hessians ``(J, m, m)``.  Each group proposes
+    from its own tangent Gaussian.  The random stream holds one
+    ``standard_normal((J, m))``, then one ``random(J)``, always drawn;
+    group j accepts when its log ratio is >= 0 or its uniform is below
+    ``exp`` of it.  A failure at a proposed point rejects and flags that
+    group alone; one at a current point is fatal, as above.
     """
     x_old = np.atleast_1d(np.asarray(x_old, dtype=float))
+    if x_old.ndim == 2:
+        return _stacked_tangent_step(target, x_old, cached_old, rng)
     prop_old = cached_old
     if cached_old is None:
         prop_old = _fit_proposal(x_old, target.evaluate(x_old, gradient=True, hessian=True))

@@ -109,8 +109,9 @@ class DifferentiableTarget(ABC):
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape[0] != self.dim:
-            raise ValueError(f"point has length {x.shape[0]}, expected {self.dim}")
+        # a stacked target (see ``tangent_step``) takes a (J, dim) stack
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"point has length {x.shape[-1]}, expected {self.dim}")
         return x
 
 

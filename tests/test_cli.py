@@ -319,12 +319,26 @@ class TestHbBadInput:
     def test_bad_slice_width(self, tmp_path, capsys):
         assert "width" in assert_rejected("hb", tmp_path, capsys, "width = -1.0\n")
 
-    def test_chain_failure_reported_before_output(self, tmp_path, capsys):
-        # used to end in a traceback and leave an empty output directory:
+    def test_chain_failure_reported_before_output(self, tmp_path, capsys, monkeypatch):
+        # a chain failure used to end in a traceback and leave an empty
+        # output directory; here a conjugate draw is made non-finite
+        import tangentmh.hb as hb
+
+        real = hb.draw_precisions
+        monkeypatch.setattr(hb, "draw_precisions", lambda *a: np.nan * real(*a))
+        err = assert_rejected("hb", tmp_path, capsys, "", ("--seed", "7", "--quick"))
+        assert "non-finite conjugate draw" in err
+
+    def test_single_group_runs(self, tmp_path):
         # with one group, tau's Gamma conditional has shape a + 1/2, and at
-        # this seed its draws spread past the pivot tolerance of diag(tau)
-        err = assert_rejected("hb", tmp_path, capsys, "n_groups = 1\n", ("--seed", "7", "--quick"))
-        assert "not positive definite" in err
+        # this seed its draws spread over 12 orders of magnitude: past
+        # cholesky's relative pivot rule, which diag(tau) no longer meets
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("n_groups = 1\n")
+        out = tmp_path / "o"
+        assert run_cli("hb", "--config", str(cfg), "--seed", "7", "--quick", "--out", str(out)) == 0
+        summary = read_json(out / "summary.json")
+        assert summary["comparison"]["tangent"]["hessian_failures"] == 0
 
 
 class TestTheoremBadInput:
@@ -379,8 +393,8 @@ PINNED_SHA256 = {
         "table.csv": "ea3f3a02295d7b6bc0959501ea2f63e38cc6d9ad30a915e755e992c70a0d5463",
     },
     "hb": {
-        "coefficients.csv": "263fa578f3ac87a7cf27cbed5b8b021f6ebdc0aca3f049809cad3c022a291d91",
-        "summary.json": "70ce3590f8a4bd750dfe13d9b77a37c4b2e87155d1ccf63cb9600e2939ffeac6",
+        "coefficients.csv": "8fafbe2445c3c3d445e7d3a18e7fd685153416b4664fae381221602a34a7e7da",
+        "summary.json": "5bd33d35004cadeee3128692771b219a30f60737a26ff14be09e5f85ded8f74a",
     },
     "theorem": {
         "campaign.jsonl": "6d086d4d8e56461c86a84597735d317ef182308130ab866ae26ce269857790c8",

@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
+import tangentmh.hb as hb
+import tangentmh.targets as targets
+from tangentmh.diagnostics import effective_size
+from tangentmh.gibbs import BlockPartition
 from tangentmh.hb import (
     SIZE_RANGE,
     HbConfig,
     HbModelSpec,
+    HbState,
     draw_precisions,
     draw_upper_coeffs,
+    hb_cycle,
     hb_gibbs,
     simulate_hb,
 )
 from tangentmh.linalg import NotPositiveDefinite, _upper_solve, cholesky
+from tangentmh.targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget
 
 
 @pytest.fixture(scope="module")
@@ -155,18 +163,80 @@ class TestGibbs:
         trace = hb_gibbs(pinned, HbConfig(n_burnin=50, n_samples=100, seed=8))
         assert np.max(np.abs(trace.gamma)) < 0.01
 
-    @pytest.mark.parametrize("sampler", ["tangent", "slice"])
-    def test_prior_precision_factored_once_per_cycle(self, small_instance, sampler, monkeypatch):
-        # diag(tau) is checked once per cycle, not once per group, and a
-        # block restrict of a diagonal precision factors nothing
-        import tangentmh.targets as targets
-
+    def test_prior_precision_never_factored(self, small_instance, monkeypatch):
+        # diag(tau) is checked as "every tau_k finite and > 0", so neither
+        # its check nor a group's prior factors anything
         calls = []
         real = targets.cholesky
         monkeypatch.setattr(targets, "cholesky", lambda m: calls.append(1) or real(m))
         spec, _ = small_instance
-        hb_gibbs(spec, HbConfig(n_burnin=2, n_samples=3, beta_sampler=sampler, seed=9))
-        assert len(calls) == 5
+        for sampler in ("tangent", "slice"):
+            hb_gibbs(spec, HbConfig(n_burnin=2, n_samples=3, beta_sampler=sampler, seed=9))
+        assert calls == []
+
+    def test_tangent_path_builds_no_group_target(self, small_instance, monkeypatch):
+        # each block's target is the AdditiveTarget of the J groups' stacked
+        # likelihoods and priors: no per-group target is built, restricted or
+        # evaluated, and every evaluation is at the (J, m) stack of a block
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group target was built or evaluated")
+
+        for cls in (LogisticTarget, GaussianPriorTarget):
+            for name in ("__init__", "evaluate", "restrict"):
+                monkeypatch.setattr(cls, name, refuse)
+        monkeypatch.setattr(AdditiveTarget, "restrict", refuse)
+        monkeypatch.setattr(hb, "_built", refuse)
+        shapes = []
+        evaluate = AdditiveTarget.evaluate
+        monkeypatch.setattr(
+            AdditiveTarget, "evaluate", lambda self, x, **kw: shapes.append(x.shape) or evaluate(self, x, **kw)
+        )
+        spec, _ = small_instance
+        fresh = HbModelSpec(spec.designs, spec.responses, spec.upper_design)
+        trace = hb_gibbs(fresh, HbConfig(n_burnin=4, n_samples=4, block_size=4, seed=9))
+        assert trace.n_samples == 4
+        # 2 Newton cycles evaluate once per block, 6 MH cycles twice
+        assert shapes == [(4, 4), (4, 2)] * 2 + [(4, 4), (4, 4), (4, 2), (4, 2)] * 6
+        with pytest.raises(AssertionError, match="a group target was built"):
+            hb_gibbs(fresh, HbConfig(n_burnin=4, n_samples=4, beta_sampler="slice", seed=9))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("sampler", ["tangent", "slice"])
+    def test_tau_must_be_finite_and_positive(self, small_instance, bad, sampler):
+        spec, _ = small_instance
+        tau = np.full(spec.n_coeffs, 2.0)
+        tau[3] = bad
+        state = HbState(np.zeros((4, 6)), np.zeros((6, 2)), tau)
+        with pytest.raises(NotPositiveDefinite, match=r"tau\[3\]") as exc:
+            hb_cycle(spec, HbConfig(beta_sampler=sampler), state, np.random.default_rng(0))
+        assert exc.value.pivot == 3
+
+    @pytest.mark.parametrize("sampler", ["tangent", "slice"])
+    def test_tau_spread_over_many_magnitudes_runs(self, small_instance, sampler):
+        # positive definite, though cholesky's relative pivot rule refuses it
+        spec, _ = small_instance
+        tau = np.array([4e-10, 1.0, 773.0, 1e-3, 5.0, 2.0])
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(np.diag(tau))
+        state = HbState(np.zeros((4, 6)), np.zeros((6, 2)), tau)
+        new, *_ = hb_cycle(spec, HbConfig(beta_sampler=sampler), state, np.random.default_rng(0))
+        assert np.all(np.isfinite(new.beta))
+
+    def test_random_stream_layout(self, small_instance, monkeypatch):
+        # an MH cycle draws, per block in order, one (J, m) normal and J
+        # uniforms; a Newton cycle draws nothing before the conjugate draws
+        monkeypatch.setattr(hb, "draw_upper_coeffs", lambda spec, beta, tau, rng: np.zeros((6, 2)))
+        monkeypatch.setattr(hb, "draw_precisions", lambda spec, beta, gamma, rng: np.ones(6))
+        spec, _ = small_instance
+        state = HbState(np.zeros((4, 6)), np.zeros((6, 2)), np.ones(6))
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        state, *_ = hb_cycle(spec, HbConfig(block_size=4), state, rng, newton=True)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        hb_cycle(spec, HbConfig(block_size=4), state, rng)
+        for m in (4, 2):
+            ref.standard_normal((4, m))
+            ref.random(4)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_negative_burnin_refused(self, small_instance):
         # used to return uninitialised memory as tau row 0
@@ -182,3 +252,150 @@ class TestGibbs:
     def test_invalid_sampler_name(self):
         with pytest.raises(ValueError):
             HbConfig(beta_sampler="nuts")
+
+
+def group_conditional(spec, j, block, beta, prior_means, tau):
+    """Group j's block conditional as the per-group path built it."""
+    prior = GaussianPriorTarget(prior_means[j], np.diag(tau))
+    target = AdditiveTarget([LogisticTarget(spec.designs[j], spec.responses[j]), prior])
+    return target.restrict(block, beta[j]).evaluate(beta[j][block], gradient=True, hessian=True)
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestStackedConditionals:
+    """Each block's stacked target, the ``AdditiveTarget`` of the groups'
+    likelihoods and diagonal Gaussian priors, against each group's
+    ``AdditiveTarget`` of a logistic likelihood and its prior, restricted
+    to the block, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("group_size, block_size", [(120, 5), (None, 5), (None, 3), (None, 10)])
+    def test_equals_the_group_targets(self, group_size, block_size):
+        rng = np.random.default_rng(21)
+        spec, _ = simulate_hb(4, 10, 2, rng, group_size=group_size)
+        assert (len(set(spec.group_sizes)) > 1) == (group_size is None)
+        groups = spec._stacked
+        for scale in (0.1, 1.0, 5.0):
+            beta = scale * rng.standard_normal((4, 10))
+            prior_means = rng.standard_normal((4, 10))
+            tau = rng.gamma(2.0, 1.0, size=10)
+            for block in BlockPartition.contiguous(10, block_size).blocks:
+                rest = np.delete(np.arange(10), block)
+                offset = np.einsum("jk,jkn->jn", beta[:, rest], groups.xt[:, rest])
+                b = beta[:, block]
+                parts = [
+                    hb._BlockLikelihoods(groups, block, offset, b, None),
+                    hb._BlockPriors(prior_means[:, block], tau[block]),
+                ]
+                got = AdditiveTarget(parts).evaluate(b, gradient=True, hessian=True)
+                assert got.cost == EvalCost(8, 8, 8)
+                for j in range(4):
+                    want = group_conditional(spec, j, block, beta, prior_means, tau)
+                    assert_close(got.value[j], want.value)
+                    assert_close(got.gradient[j], want.gradient)
+                    assert_close(got.hessian[j], want.hessian)
+
+
+def cycle_cost(spec, cfg, state, newton=False):
+    new, _, cost, _ = hb_cycle(spec, cfg, state, np.random.default_rng(5), newton=newton)
+    return new, cost
+
+
+class TestCarry:
+    def test_w3_counters(self):
+        # c09's configuration: the counters of one block_sweep per group,
+        # whose conditionals shared their linear predictor, exactly
+        spec, _ = simulate_hb(5, 10, 2, np.random.default_rng(2026), group_size=400)
+        trace = hb_gibbs(spec, HbConfig(n_burnin=500, n_samples=500, seed=101))
+        assert trace.meta["final_cost"] == {"n_value": 27505, "n_gradient": 35000, "n_hessian": 35000}
+
+    @pytest.mark.parametrize("block_size", [3, 5, 10])
+    def test_value_counted_only_where_not_evaluated(self, small_instance, block_size):
+        # J groups, B blocks: each block evaluates J (1, 2, 2) at the current
+        # points in either mode, and J (2, 2, 2) at the proposals of an MH
+        # step, plus J likelihood values where the current points were not
+        # evaluated: every block after a Newton move, and the first block
+        # of a state that carries none (built by hand, or for another spec)
+        spec, _ = small_instance
+        cfg = HbConfig(block_size=block_size)
+        J, B = spec.n_groups, BlockPartition.contiguous(spec.n_coeffs, block_size).n_blocks
+        state = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
+        state, cost = cycle_cost(spec, cfg, state, newton=True)
+        assert cost == EvalCost(2 * J * B, 2 * J * B, 2 * J * B)
+        state, cost = cycle_cost(spec, cfg, state)
+        assert cost == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
+        carried, cost = cycle_cost(spec, cfg, state)
+        assert cost == EvalCost(3 * J * B, 4 * J * B, 4 * J * B)
+        rebuilt = HbState(carried.beta, carried.gamma, carried.tau)
+        assert cycle_cost(spec, cfg, rebuilt)[1].n_value == 3 * J * B + J
+        # a carry belongs to the spec it was evaluated under
+        other = HbModelSpec(spec.designs, spec.responses, spec.upper_design)
+        assert cycle_cost(other, cfg, carried)[1].n_value == 3 * J * B + J
+        # a Newton cycle from a carrying state skips its first block's value
+        state, cost = cycle_cost(spec, cfg, carried, newton=True)
+        assert cost == EvalCost(2 * J * B - J, 2 * J * B, 2 * J * B)
+        assert cycle_cost(spec, cfg, state)[1].n_value == 3 * J * B + J
+
+    @pytest.mark.parametrize("block_size", [3, 2])
+    def test_carry_is_the_likelihood_at_beta(self, small_instance, block_size):
+        # the value and sigma(t) carried from the last proposal evaluated
+        # equal a fresh evaluation at the state's beta (summed in another
+        # order: 1e-12 relative)
+        spec, _ = small_instance
+        cfg = HbConfig(block_size=block_size)
+        state = HbState(np.zeros((4, 6)), np.zeros((6, 2)), np.ones(6))
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            state, *_ = hb_cycle(spec, cfg, state, rng)
+            values, p = state._carry[1]
+            for j in range(4):
+                want = LogisticTarget(spec.designs[j], spec.responses[j]).evaluate(state.beta[j])
+                assert_close(values[j], want.value)
+                assert_close(p[j, : spec.group_sizes[j]], expit(spec.designs[j] @ state.beta[j]))
+
+
+class TestGeweke:
+    """Geweke's joint-distribution test of the tangent cycle (Geweke 2004).
+
+    A successive-conditional chain alternates one ``hb_cycle`` given y
+    with a fresh y | beta.  Started from an exact prior draw, every state
+    of it is distributed as the prior, so the chain means of beta, beta^2,
+    gamma, gamma^2, tau and tau^2 must match their exact prior moments.
+    Each difference is scaled by its ESS-based MCSE.  Fixed before the
+    first run: seed 606, 8,000 iterations, J = 3 groups of 20 rows, K = 2
+    coefficients in blocks of 1, L = 2, the hyperprior gamma_shape = 3,
+    gamma_rate = 2, gamma_precision = 1, and the bound max |z| < 4 over
+    the 24 statistics.
+    """
+
+    def test_successive_conditional_chain_keeps_the_prior(self):
+        rng = np.random.default_rng(606)
+        J, K, L, a, b = 3, 2, 2, 3.0, 2.0
+        base, _ = simulate_hb(J, K, L, rng, group_size=20)
+        X, Z = base.designs, base.upper_design
+        cfg = HbConfig(block_size=1)
+
+        def fresh_y(beta):
+            return [(rng.random(20) < expit(X[j] @ beta[j])).astype(float) for j in range(J)]
+
+        gamma = rng.standard_normal((K, L))
+        tau = rng.gamma(a, 1.0 / b, size=K)
+        beta = Z @ gamma.T + rng.standard_normal((J, K)) / np.sqrt(tau)
+        state = HbState(beta, gamma, tau)
+        n = 8000
+        draws = np.empty((n, J * K + K * L + K))
+        for i in range(n):
+            spec = HbModelSpec(X, fresh_y(state.beta), Z, gamma_shape=a, gamma_rate=b, gamma_precision=1.0)
+            state, *_ = hb_cycle(spec, cfg, state, rng)
+            draws[i] = np.concatenate([state.beta.ravel(), state.gamma.ravel(), state.tau])
+        stats = np.hstack([draws, draws**2])
+        beta_sq = np.repeat(np.sum(Z**2, axis=1) + b / (a - 1.0), K)  # |z_j|^2 / 1 + E[1/tau]
+        exact = np.concatenate([
+            np.zeros(J * K), np.zeros(K * L), np.full(K, a / b),
+            beta_sq, np.ones(K * L), np.full(K, a * (a + 1.0) / b**2),
+        ])
+        mcse = np.array([s.std(ddof=1) / np.sqrt(effective_size(s)) for s in stats.T])
+        z = (stats.mean(axis=0) - exact) / mcse
+        assert np.max(np.abs(z)) < 4.0, np.round(z, 2)

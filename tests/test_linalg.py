@@ -8,6 +8,7 @@ from tangentmh.linalg import (
     NotPositiveDefinite,
     SymMatrix,
     _cholesky_lowers,
+    _cholesky_stack,
     cholesky,
     mvn_logpdf,
     mvn_sample,
@@ -123,6 +124,35 @@ class TestStackedCholesky:
         with pytest.raises(NotPositiveDefinite) as exc:
             _cholesky_lowers(stack)
         assert exc.value.pivot == pivot
+
+    @pytest.mark.parametrize("bad, pivot", [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),
+        (np.diag([1.0, 1e-30]), 1),
+        (np.array([[4.0, 0.0], [np.nan, 4.0]]), 1),
+        (np.full((2, 2), np.nan), 0),
+    ])
+    def test_each_failure_named_alone(self, bad, pivot):
+        # every failing matrix gets cholesky's error and the identity; the
+        # others keep their factors bit for bit
+        rng = np.random.default_rng(13)
+        good = [random_spd(2, rng) for _ in range(3)]
+        stack = np.array([good[0], bad, good[1], -np.eye(2), good[2]])
+        lowers, errors = _cholesky_stack(stack)
+        assert sorted(errors) == [1, 3]
+        assert (errors[1].pivot, errors[3].pivot) == (pivot, 0)
+        for k in (1, 3):
+            with pytest.raises(NotPositiveDefinite) as exc:
+                cholesky(stack[k])
+            assert str(errors[k]) == str(exc.value)
+            assert np.array_equal(lowers[k], np.eye(2))
+        for k, m in zip((0, 2, 4), good):
+            assert lowers[k].tobytes() == cholesky(m).lower.tobytes()
+
+    def test_no_failure_no_errors(self):
+        stack = np.array([random_spd(3, np.random.default_rng(14)), np.eye(3)])
+        lowers, errors = _cholesky_stack(stack)
+        assert errors == {}
+        assert lowers.tobytes() == _cholesky_lowers(stack).tobytes()
 
 
 class TestMvn:

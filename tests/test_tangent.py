@@ -426,3 +426,136 @@ class TestDistributionalCorrectness:
         grid, _, cdf = poisson_quadrature([2])
         assert ks_statistic(pool.ravel(), grid, cdf) < 0.015
         assert ks_statistic(pool[:, -1], grid, cdf) < 0.02
+
+
+class PoissonStack:
+    """The count-2 Poisson log-rate density as a stacked target on a (J, 1)
+    stack of points."""
+
+    def evaluate(self, u, *, gradient=False, hessian=False):
+        rate = np.exp(u[:, 0])
+        return EvalResult(2.0 * u[:, 0] - rate, (2.0 - rate)[:, None], -rate[:, None, None])
+
+
+class GaussianStack:
+    """J Gaussian log-densities -(1/2)(x - mu_j)^T P_j (x - mu_j) as a
+    stacked target; ``plant`` edits the results at every point but
+    ``clean``."""
+
+    def __init__(self, n_groups, dim, rng, plant=None, clean=None):
+        self.mean = rng.standard_normal((n_groups, dim))
+        self.precision = np.array([random_spd(dim, rng) for _ in range(n_groups)])
+        self.plant, self.clean = plant, clean
+
+    def evaluate(self, x, *, gradient=False, hessian=False):
+        pd = np.matmul(self.precision, (x - self.mean)[:, :, None])[:, :, 0]
+        res = (-0.5 * np.einsum("ij,ij->i", x - self.mean, pd), -pd, -self.precision.copy())
+        if self.plant is not None and x is not self.clean:
+            self.plant(*res)
+        return EvalResult(*res, EvalCost(x.shape[0], x.shape[0], x.shape[0]))
+
+
+class TestStackedStep:
+    """``tangent_step`` on a (J, m) stack of points."""
+
+    def test_kernel_leaves_each_target_invariant(self):
+        # the stationarity test's 12,000 exact-start chains, as one stack
+        # whose fit at each next point is passed back
+        rng = np.random.default_rng(42)
+        n_chains, n_steps = 12000, 3
+        x = np.log(rng.gamma(2.0, 1.0, size=n_chains))[:, None]
+        target, fitted = PoissonStack(), None
+        pool = np.empty((n_chains, n_steps))
+        for s in range(n_steps):
+            x, rec, fitted = tangent_step(target, x, fitted, rng)
+            assert not rec.hessian_failure.any()
+            pool[:, s] = x[:, 0]
+        grid, _, cdf = poisson_quadrature([2])
+        assert ks_statistic(pool.ravel(), grid, cdf) < 0.015
+        assert ks_statistic(pool[:, -1], grid, cdf) < 0.02
+
+    def test_fitted_is_the_fit_at_the_new_points(self):
+        rng = np.random.default_rng(6)
+        target = PoissonStack()
+        x = np.log(rng.gamma(2.0, 1.0, size=8))[:, None]
+        fitted = build_proposal(target, x)
+        seen = set()
+        for _ in range(20):
+            x, rec, fitted = tangent_step(target, x, fitted, rng)
+            seen.add(int(rec.accepted.sum()))
+            fresh = build_proposal(target, x)
+            for name in ("x", "mean", "lower", "inverse", "half_log_det", "value"):
+                np.testing.assert_array_equal(getattr(fitted, name), getattr(fresh, name))
+        assert seen - {0, 8}, seen  # some steps accept only part of the stack
+
+    def test_counts_both_evaluations_uncached(self):
+        rng = np.random.default_rng(7)
+        target = GaussianStack(4, 2, rng)
+        x = rng.standard_normal((4, 2))
+        _, rec, fitted = tangent_step(target, x, None, rng)
+        assert rec.cost == EvalCost(8, 8, 8)
+        _, rec, _ = tangent_step(target, x, build_proposal(target, x), rng)
+        assert rec.cost == EvalCost(4, 4, 4)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_gaussian_stack_always_accepts_with_zero_log_ratio(self, dim):
+        rng = np.random.default_rng(2)
+        target = GaussianStack(6, dim, rng)
+        x = 3.0 * rng.standard_normal((6, dim))
+        for _ in range(200):
+            x, rec, _ = tangent_step(target, x, None, rng)
+            assert rec.accepted.all() and not rec.hessian_failure.any()
+            assert np.abs(rec.log_ratio).max() < 1e-9
+
+    def test_random_stream_layout(self):
+        # one (J, m) normal draw, then J uniforms, drawn even when every
+        # log ratio is >= 0
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        target = GaussianStack(4, 3, np.random.default_rng(9))
+        tangent_step(target, np.zeros((4, 3)), None, rng)
+        ref.standard_normal((4, 3))
+        ref.random(4)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("plant", ["nan_hessian", "inf_gradient"])
+    def test_failed_proposal_rejects_its_group_only(self, plant):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((5, 3))
+
+        def planted(values, grads, hessians):
+            if plant == "nan_hessian":
+                hessians[2, 1, 1] = np.nan
+            else:
+                grads[2, 0] = np.inf
+
+        target = GaussianStack(5, 3, rng, planted, x)
+        x_new, rec, _ = tangent_step(target, x, None, rng)
+        failed = rec.hessian_failure
+        assert failed.tolist() == [False, False, True, False, False]
+        assert int(failed.sum()) == 1
+        assert rec.accepted.tolist() == [True, True, False, True, True]
+        assert rec.log_ratio[2] == -np.inf
+        assert np.array_equal(x_new[2], x[2])
+        assert np.abs(rec.log_ratio[~failed]).max() < 1e-9
+
+    def test_failure_at_current_point_is_fatal(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 2))
+
+        def not_concave(values, grads, hessians):
+            hessians[1] = -hessians[1]  # positive definite: not log-concave there
+
+        target = GaussianStack(3, 2, rng, not_concave)
+        with pytest.raises(HessianNotNegativeDefinite) as exc:
+            tangent_step(target, x, None, rng)
+        assert exc.value.pivot == 0
+        assert np.array_equal(exc.value.point, x[1])
+        with pytest.raises(HessianNotNegativeDefinite):
+            build_proposal(target, x)
+
+        def infinite_gradient(values, grads, hessians):
+            grads[2, 1] = np.inf
+
+        target.plant = infinite_gradient
+        with pytest.raises(_NonFiniteNewtonMean):
+            tangent_step(target, x, None, rng)
