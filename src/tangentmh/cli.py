@@ -444,7 +444,7 @@ HB_SETTINGS = {
     "group_size": Key("count", 400, low=0, quick=150),  # 0: log-uniform sizes
     "n_burnin": Key("count", 500, low=0, quick=100),
     "n_samples": Key("count", 500, low=0, quick=100),
-    "block_size": Key("count", 5, low=1),
+    "block_size": Key("count", 10, low=1),
     "width": Key("number", 1.0, low=0, echo=False),
 }
 

@@ -2,10 +2,11 @@
 
 High-dimensional targets are split into small blocks (size 5 by default)
 and each block's conditional is updated in turn with one MH transition.
-The default is not a measured optimum: on the logistic targets of the
-benchmark and the hierarchical demo (400-1000 rows, 10 coefficients) a
-step's time is mostly the fixed cost of each target evaluation, and one
-block of 10 took less time per effective sample than two blocks of 5.
+On the logistic targets of the benchmark and the hierarchical demo
+(400-1000 rows, 10 coefficients) a step's time is mostly the fixed cost
+of each target evaluation.  The hierarchical demo's default is therefore
+one block of 10 (``HbConfig``), measured on non-acceptance seeds; the
+``benchmark`` verb keeps blocks of 5, which are not a measured optimum.
 """
 
 from __future__ import annotations

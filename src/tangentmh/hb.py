@@ -12,7 +12,12 @@ exact conjugate draws.  Given gamma and tau the beta_j are conditionally
 independent, so the tangent kernel steps all J groups together: for each
 coefficient block in turn, one ``tangent_step`` on the ``(J, m)`` stack
 of the groups' block coefficients, whose conditionals are evaluated in
-``(J, N, m)`` form.  The slice baseline updates each group's
+``(J, N, m)`` form.  The likelihood does not depend on gamma and tau,
+so what a cycle knows of it at its final beta is carried to the next:
+each group's value, and with one block over all K coefficients (the
+default) its gradient and Hessian too.  An MH cycle in one block then
+evaluates the likelihood only at the proposals, as ``run_chain`` carries
+its fitted record.  The slice baseline updates each group's
 coefficients in turn.  The group conditionals are log-concave by
 construction (projection likelihood plus Gaussian prior), so Hessian
 failures indicate a bug and are counted.
@@ -175,10 +180,12 @@ class _BlockLikelihoods(DifferentiableTarget):
     ``tangent_step``) on a block's ``(J, m)`` coefficients, the other
     coefficients' predictor ``offset`` (J, N) held fixed.
 
-    ``known`` is each group's ``(log-likelihood, sigma(t))`` at the stack
-    ``at``, or None; an evaluation at that very array reuses it and counts
-    no value, and one made there without it fills it in.  ``last`` is the
-    pair at the last stack evaluated."""
+    ``known`` is what is known of each group's likelihood at the stack
+    ``at``, or None: ``(log-likelihood, sigma(t))``, optionally followed by
+    the gradients (J, m) and Hessians (J, m, m).  An evaluation at that
+    very array reuses what it holds, counting none of it, and what it
+    computes there fills ``known`` in.  ``last`` is the same four-tuple at
+    the last stack evaluated."""
 
     def __init__(self, groups: _StackedGroups, block: slice, offset: np.ndarray, at: np.ndarray, known):
         self._groups = groups
@@ -194,26 +201,29 @@ class _BlockLikelihoods(DifferentiableTarget):
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         n_groups = x.shape[0]
-        n_value = 0
-        if x is self._at and self.known is not None:
-            values, p = self.known
+        reused = x is self._at and self.known is not None
+        if reused:
+            values, p, *derivatives = self.known
+            grads, hessians = derivatives or (None, None)
         else:
             values, p = self._groups.likelihood(self._x_bt, x, self._offset)
-            n_value = n_groups
-            if x is self._at:
-                self.known = (values, p)
-        self.last = (values, p)
-        grads = hessians = None
-        if gradient:
+            grads = hessians = None
+        n_gradient = n_hessian = 0
+        if gradient and grads is None:
             grads = np.matmul(self._x_bt, (self._groups.y - p)[:, :, None])[:, :, 0]
-        if hessian:
+            n_gradient = n_groups
+        if hessian and hessians is None:
             w = 1.0 - p
             w *= p
             np.negative(w, out=w)
             hessians = np.matmul(self._x_bt * w[:, None, :], self._x_bt.transpose(0, 2, 1))
-        cost = EvalCost(n_value, n_groups * gradient, n_groups * hessian)
+            n_hessian = n_groups
+        self.last = (values, p, grads, hessians)
+        if x is self._at:
+            self.known = self.last
+        cost = EvalCost(0 if reused else n_groups, n_gradient, n_hessian)
         # a copy: AdditiveTarget adds into its first part's value
-        return EvalResult(values.copy(), grads, hessians, cost)
+        return EvalResult(values.copy(), grads if gradient else None, hessians if hessian else None, cost)
 
 
 class _BlockPriors(DifferentiableTarget):
@@ -250,11 +260,17 @@ class HbConfig(ChainConfig):
     coefficient updates, and the beta sampler choice.  With ``"tangent"``
     every cycle takes one stacked tangent step over the J groups per
     block; with ``"slice"`` each group's coefficients take one slice sweep
-    in turn."""
+    in turn.
+
+    The default block size, 10, is one block at the hierarchical demo's
+    K = 10, chosen on non-acceptance seeds: carrying the likelihood's
+    gradient and Hessian across cycles, it needed about half the tangent
+    evaluations per effective sample of blocks of 5, and mostly less time
+    per effective sample; blocks of 2 and of 1 needed more of both."""
 
     n_burnin: int = 500
     n_samples: int = 500
-    block_size: int = 5
+    block_size: int = 10
     beta_sampler: str = "tangent"
     slice_cfg: SliceConfig = field(default_factory=SliceConfig)
     seed: int | None = None
@@ -371,8 +387,13 @@ class HbState:
     ``hb_cycle`` never writes a state's arrays.  A state it returns from an
     MH cycle also carries, for the spec it stepped, each group's
     log-likelihood and ``sigma(t)`` at beta, so that the next cycle's first
-    block need not evaluate the likelihood's value again.  A state built
-    by hand (or by ``dataclasses.replace``) carries none.
+    block need not evaluate the likelihood's value again.  When that cycle
+    stepped one block over all K coefficients, the state also carries each
+    group's likelihood gradient (J, K) and Hessian (J, K, K) at beta, and
+    a next cycle in one block evaluates only the prior at its current
+    point.  Each carried array is the one a fresh evaluation at beta
+    computes, so the carry changes the counters, never the samples.  A
+    state built by hand (or by ``dataclasses.replace``) carries none.
     """
 
     beta: np.ndarray
@@ -387,12 +408,17 @@ def _tangent_betas(spec, block_size, beta, prior_means, tau, carry, rng, newton)
     target is the ``AdditiveTarget`` of the groups' likelihoods and
     priors.
 
-    ``carry`` is each group's ``(log-likelihood, sigma(t))`` at ``beta``,
-    or None when ``beta`` has not been evaluated; the likelihood's value
-    is counted only where it is evaluated.  Returns the sweep outcome and
-    the carry at the new ``beta``, None after a Newton move."""
+    ``carry`` is what is known of each group's likelihood at ``beta``, or
+    None when ``beta`` has not been evaluated: its value and ``sigma(t)``,
+    and, when one block covers all coefficients, its gradient and Hessian.
+    Only what is not known is evaluated and counted.  Returns the sweep
+    outcome and the carry at the new ``beta``, None after a Newton move."""
     groups = spec._stacked
     n_groups, n_coeffs = beta.shape
+    # a block's derivatives are the next cycle's only when it is the only block
+    kept = 4 if block_size >= n_coeffs else 2
+    if carry is not None:
+        carry = carry[:kept]
     n_accepted = failures = 0
     cost = EvalCost()
     for start in range(0, n_coeffs, block_size):
@@ -413,8 +439,11 @@ def _tangent_betas(spec, block_size, beta, prior_means, tau, carry, rng, newton)
             continue
         beta[:, block], record, _ = tangent_step(target, b, None, rng)
         accepted = record.accepted
-        (new_values, new_p), (old_values, old_p) = likelihood.last, likelihood.known
-        carry = (np.where(accepted, new_values, old_values), np.where(accepted[:, None], new_p, old_p))
+        # each group's proposal where it accepted, its current point elsewhere
+        carry = tuple(
+            np.where(accepted.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+            for new, old in zip(likelihood.last[:kept], likelihood.known[:kept])
+        )
         cost = cost + record.cost
         n_accepted += int(accepted.sum())
         failures += int(record.hessian_failure.sum())
@@ -437,9 +466,13 @@ def hb_cycle(
     on the stack of the J groups' block coefficients (``newton=True``: the
     Newton move, which draws nothing).  Each group's likelihood value at
     its current point is evaluated only when that point has not been
-    evaluated: after a Newton move and at a state that carries none.  The
-    counters therefore equal those of one ``block_sweep`` per group, whose
-    conditionals share their linear predictor, on two blocks or one.
+    evaluated: after a Newton move and at a state that carries none.  On
+    two or more blocks the counters therefore equal those of one
+    ``block_sweep`` per group, whose conditionals share their linear
+    predictor.  In one block the likelihood's gradient and Hessian at the
+    current point come from the state's carry too, so an MH cycle from a
+    carrying state counts 3J of each kind: J for the priors at the current
+    points and 2J for the likelihoods and priors at the proposals.
     """
     bad = np.flatnonzero(~(np.isfinite(state.tau) & (state.tau > 0.0)))
     if bad.size:

@@ -393,8 +393,8 @@ PINNED_SHA256 = {
         "table.csv": "ea3f3a02295d7b6bc0959501ea2f63e38cc6d9ad30a915e755e992c70a0d5463",
     },
     "hb": {
-        "coefficients.csv": "8fafbe2445c3c3d445e7d3a18e7fd685153416b4664fae381221602a34a7e7da",
-        "summary.json": "5bd33d35004cadeee3128692771b219a30f60737a26ff14be09e5f85ded8f74a",
+        "coefficients.csv": "765dd53bebf4d3a93b966bbd9b5ef2b82cf558e01b5567e771f3496c4697a7a2",
+        "summary.json": "1f047378e794a683baca55816923c784b2cde67401231201aa3c6b33b62e5a03",
     },
     "theorem": {
         "campaign.jsonl": "6d086d4d8e56461c86a84597735d317ef182308130ab866ae26ce269857790c8",

@@ -303,99 +303,206 @@ def cycle_cost(spec, cfg, state, newton=False):
     return new, cost
 
 
+def without_derivatives(state):
+    """``state`` rebuilt by hand, carrying only the likelihood's value and
+    ``sigma(t)`` at beta (as a cycle on two or more blocks leaves it)."""
+    rebuilt = HbState(state.beta, state.gamma, state.tau)
+    spec, carry = state._carry
+    object.__setattr__(rebuilt, "_carry", (spec, carry[:2]))
+    return rebuilt
+
+
 class TestCarry:
     def test_w3_counters(self):
-        # c09's configuration: the counters of one block_sweep per group,
-        # whose conditionals shared their linear predictor, exactly
+        # c09's configuration in blocks of 5: the counters of one block_sweep
+        # per group, whose conditionals shared their linear predictor, exactly
         spec, _ = simulate_hb(5, 10, 2, np.random.default_rng(2026), group_size=400)
-        trace = hb_gibbs(spec, HbConfig(n_burnin=500, n_samples=500, seed=101))
+        trace = hb_gibbs(spec, HbConfig(n_burnin=500, n_samples=500, block_size=5, seed=101))
         assert trace.meta["final_cost"] == {"n_value": 27505, "n_gradient": 35000, "n_hessian": 35000}
 
-    @pytest.mark.parametrize("block_size", [3, 5, 10])
+    def test_w3_counters_in_one_block(self):
+        # c09's configuration: one block per group, 250 Newton cycles of
+        # (2J, 2J, 2J), then 750 MH cycles of (3J, 3J, 3J), plus J values at
+        # the first MH cycle's current points, whose carry the last Newton
+        # move dropped, and J gradients and Hessians there
+        spec, _ = simulate_hb(5, 10, 2, np.random.default_rng(2026), group_size=400)
+        trace = hb_gibbs(spec, HbConfig(n_burnin=500, n_samples=500, seed=101))
+        assert trace.meta["final_cost"] == {"n_value": 13755, "n_gradient": 13755, "n_hessian": 13755}
+
+    @pytest.mark.parametrize("block_size", [3, 5, 6, 10])
     def test_value_counted_only_where_not_evaluated(self, small_instance, block_size):
         # J groups, B blocks: each block evaluates J (1, 2, 2) at the current
         # points in either mode, and J (2, 2, 2) at the proposals of an MH
         # step, plus J likelihood values where the current points were not
         # evaluated: every block after a Newton move, and the first block
-        # of a state that carries none (built by hand, or for another spec)
+        # of a state that carries none (built by hand, or for another spec).
+        # In one block (K = 6) a carrying state also spares the J
+        # likelihood gradients and Hessians at the current points
         spec, _ = small_instance
         cfg = HbConfig(block_size=block_size)
         J, B = spec.n_groups, BlockPartition.contiguous(spec.n_coeffs, block_size).n_blocks
+        d = J if B == 1 else 0
         state = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
         state, cost = cycle_cost(spec, cfg, state, newton=True)
         assert cost == EvalCost(2 * J * B, 2 * J * B, 2 * J * B)
         state, cost = cycle_cost(spec, cfg, state)
         assert cost == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
         carried, cost = cycle_cost(spec, cfg, state)
-        assert cost == EvalCost(3 * J * B, 4 * J * B, 4 * J * B)
+        assert cost == EvalCost(3 * J * B, 4 * J * B - d, 4 * J * B - d)
         rebuilt = HbState(carried.beta, carried.gamma, carried.tau)
-        assert cycle_cost(spec, cfg, rebuilt)[1].n_value == 3 * J * B + J
+        assert cycle_cost(spec, cfg, rebuilt)[1] == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
         # a carry belongs to the spec it was evaluated under
         other = HbModelSpec(spec.designs, spec.responses, spec.upper_design)
-        assert cycle_cost(other, cfg, carried)[1].n_value == 3 * J * B + J
+        assert cycle_cost(other, cfg, carried)[1] == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
         # a Newton cycle from a carrying state skips its first block's value
+        # (and in one block the likelihood's derivatives), and carries nothing
         state, cost = cycle_cost(spec, cfg, carried, newton=True)
-        assert cost == EvalCost(2 * J * B - J, 2 * J * B, 2 * J * B)
-        assert cycle_cost(spec, cfg, state)[1].n_value == 3 * J * B + J
+        assert cost == EvalCost(2 * J * B - J, 2 * J * B - d, 2 * J * B - d)
+        assert cycle_cost(spec, cfg, state)[1] == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
 
-    @pytest.mark.parametrize("block_size", [3, 2])
+    def test_derivatives_carried_only_in_one_block(self, small_instance):
+        # a state carrying a one-block cycle's derivatives, stepped in blocks
+        # of 3, uses only the value carry, and leaves the value carry only
+        spec, _ = small_instance
+        J = spec.n_groups
+        state = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
+        state, _ = cycle_cost(spec, HbConfig(), state)
+        assert len(state._carry[1]) == 4
+        state, cost = cycle_cost(spec, HbConfig(block_size=3), state)
+        assert cost == EvalCost(6 * J, 8 * J, 8 * J)
+        assert len(state._carry[1]) == 2
+
+    @pytest.mark.parametrize("block_size", [3, 2, 6])
     def test_carry_is_the_likelihood_at_beta(self, small_instance, block_size):
         # the value and sigma(t) carried from the last proposal evaluated
         # equal a fresh evaluation at the state's beta (summed in another
-        # order: 1e-12 relative)
+        # order: 1e-12 relative); in one block (K = 6) the carry also holds
+        # the gradients and Hessians, and all four equal a fresh stacked
+        # evaluation at beta bit for bit
         spec, _ = small_instance
         cfg = HbConfig(block_size=block_size)
         state = HbState(np.zeros((4, 6)), np.zeros((6, 2)), np.ones(6))
         rng = np.random.default_rng(5)
+        n_rejected = 0
         for _ in range(4):
-            state, *_ = hb_cycle(spec, cfg, state, rng)
-            values, p = state._carry[1]
+            state, accepted, *_ = hb_cycle(spec, cfg, state, rng)
+            carry = state._carry[1]
+            values, p = carry[:2]
             for j in range(4):
                 want = LogisticTarget(spec.designs[j], spec.responses[j]).evaluate(state.beta[j])
                 assert_close(values[j], want.value)
                 assert_close(p[j, : spec.group_sizes[j]], expit(spec.designs[j] @ state.beta[j]))
+            if block_size < 6:
+                assert len(carry) == 2
+                continue
+            groups = spec._stacked
+            offset = np.matmul(np.zeros((4, 1, 6)), groups.xt)[:, 0]
+            fresh = hb._BlockLikelihoods(groups, slice(0, 6), offset, None, None)
+            fresh.evaluate(state.beta.copy(), gradient=True, hessian=True)
+            assert len(carry) == 4
+            for got, want in zip(carry, fresh.last):
+                assert got.tobytes() == want.tobytes()
+            n_rejected += 4 - accepted
+        # the one-block carry took rejected groups' arrays as well
+        assert block_size < 6 or 0 < n_rejected < 16
+
+    def test_one_block_samples_do_not_depend_on_the_carry(self, small_instance):
+        # MH cycles in one block from a state carrying the likelihood's fit,
+        # from the same state carrying only its value, and from the state
+        # rebuilt by hand each cycle: the same draws, the same beta, gamma
+        # and tau bit for bit; per cycle the carry spares J gradients and J
+        # Hessians, and the value carry J values more
+        spec, _ = small_instance
+        J, cfg = spec.n_groups, HbConfig()
+        start = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
+        start, *_ = hb_cycle(spec, cfg, start, np.random.default_rng(4))
+        chains = {"fit": start, "value": start, "none": start}
+        rebuild = {
+            "fit": lambda s: s,
+            "value": without_derivatives,
+            "none": lambda s: HbState(s.beta, s.gamma, s.tau),
+        }
+        rngs = {name: np.random.default_rng(8) for name in chains}
+        for _ in range(20):
+            costs = {}
+            for name in chains:
+                state = rebuild[name](chains[name])
+                chains[name], _, costs[name], _ = hb_cycle(spec, cfg, state, rngs[name])
+            for name in ("value", "none"):
+                for field in ("beta", "gamma", "tau"):
+                    assert getattr(chains[name], field).tobytes() == getattr(chains["fit"], field).tobytes()
+                assert rngs[name].bit_generator.state == rngs["fit"].bit_generator.state
+            assert costs["fit"] == EvalCost(3 * J, 3 * J, 3 * J)
+            assert costs["value"] == costs["fit"] + EvalCost(0, J, J)
+            assert costs["none"] == costs["fit"] + EvalCost(J, J, J)
+
+
+def successive_conditional_z(seed, n, block_size, cycles):
+    """Geweke's successive-conditional chain on the tangent cycle: J = 3
+    groups of 20 rows, K = 2, L = 2, the hyperprior gamma_shape = 3,
+    gamma_rate = 2, gamma_precision = 1.  Started from an exact prior draw,
+    each of ``n`` iterations takes ``cycles`` ``hb_cycle``s given y, then a
+    fresh y | beta.  Returns the z-scores of the chain means of beta,
+    beta^2, gamma, gamma^2, tau and tau^2 against their exact prior
+    moments, each scaled by its ESS-based MCSE, and the total cost."""
+    rng = np.random.default_rng(seed)
+    J, K, L, a, b = 3, 2, 2, 3.0, 2.0
+    base, _ = simulate_hb(J, K, L, rng, group_size=20)
+    X, Z = base.designs, base.upper_design
+    cfg = HbConfig(block_size=block_size)
+
+    def fresh_y(beta):
+        return [(rng.random(20) < expit(X[j] @ beta[j])).astype(float) for j in range(J)]
+
+    gamma = rng.standard_normal((K, L))
+    tau = rng.gamma(a, 1.0 / b, size=K)
+    beta = Z @ gamma.T + rng.standard_normal((J, K)) / np.sqrt(tau)
+    state = HbState(beta, gamma, tau)
+    cost = EvalCost()
+    draws = np.empty((n, J * K + K * L + K))
+    for i in range(n):
+        spec = HbModelSpec(X, fresh_y(state.beta), Z, gamma_shape=a, gamma_rate=b, gamma_precision=1.0)
+        for _ in range(cycles):
+            state, _, used, _ = hb_cycle(spec, cfg, state, rng)
+            cost = cost + used
+        draws[i] = np.concatenate([state.beta.ravel(), state.gamma.ravel(), state.tau])
+    stats = np.hstack([draws, draws**2])
+    beta_sq = np.repeat(np.sum(Z**2, axis=1) + b / (a - 1.0), K)  # |z_j|^2 / 1 + E[1/tau]
+    exact = np.concatenate([
+        np.zeros(J * K), np.zeros(K * L), np.full(K, a / b),
+        beta_sq, np.ones(K * L), np.full(K, a * (a + 1.0) / b**2),
+    ])
+    mcse = np.array([s.std(ddof=1) / np.sqrt(effective_size(s)) for s in stats.T])
+    return (stats.mean(axis=0) - exact) / mcse, cost
 
 
 class TestGeweke:
     """Geweke's joint-distribution test of the tangent cycle (Geweke 2004).
 
-    A successive-conditional chain alternates one ``hb_cycle`` given y
-    with a fresh y | beta.  Started from an exact prior draw, every state
-    of it is distributed as the prior, so the chain means of beta, beta^2,
-    gamma, gamma^2, tau and tau^2 must match their exact prior moments.
-    Each difference is scaled by its ESS-based MCSE.  Fixed before the
-    first run: seed 606, 8,000 iterations, J = 3 groups of 20 rows, K = 2
-    coefficients in blocks of 1, L = 2, the hyperprior gamma_shape = 3,
-    gamma_rate = 2, gamma_precision = 1, and the bound max |z| < 4 over
-    the 24 statistics.
+    A successive-conditional chain alternates ``hb_cycle``s given y with a
+    fresh y | beta.  Started from an exact prior draw, every state of it
+    is distributed as the prior, so the chain means of beta, beta^2,
+    gamma, gamma^2, tau and tau^2 must match their exact prior moments
+    (``successive_conditional_z``).  Fixed before the first run: seed 606,
+    8,000 iterations of one cycle, K = 2 coefficients in blocks of 1, and
+    the bound max |z| < 4 over the 24 statistics.
     """
 
     def test_successive_conditional_chain_keeps_the_prior(self):
-        rng = np.random.default_rng(606)
-        J, K, L, a, b = 3, 2, 2, 3.0, 2.0
-        base, _ = simulate_hb(J, K, L, rng, group_size=20)
-        X, Z = base.designs, base.upper_design
-        cfg = HbConfig(block_size=1)
+        z, _ = successive_conditional_z(606, 8000, block_size=1, cycles=1)
+        assert np.max(np.abs(z)) < 4.0, np.round(z, 2)
 
-        def fresh_y(beta):
-            return [(rng.random(20) < expit(X[j] @ beta[j])).astype(float) for j in range(J)]
 
-        gamma = rng.standard_normal((K, L))
-        tau = rng.gamma(a, 1.0 / b, size=K)
-        beta = Z @ gamma.T + rng.standard_normal((J, K)) / np.sqrt(tau)
-        state = HbState(beta, gamma, tau)
-        n = 8000
-        draws = np.empty((n, J * K + K * L + K))
-        for i in range(n):
-            spec = HbModelSpec(X, fresh_y(state.beta), Z, gamma_shape=a, gamma_rate=b, gamma_precision=1.0)
-            state, *_ = hb_cycle(spec, cfg, state, rng)
-            draws[i] = np.concatenate([state.beta.ravel(), state.gamma.ravel(), state.tau])
-        stats = np.hstack([draws, draws**2])
-        beta_sq = np.repeat(np.sum(Z**2, axis=1) + b / (a - 1.0), K)  # |z_j|^2 / 1 + E[1/tau]
-        exact = np.concatenate([
-            np.zeros(J * K), np.zeros(K * L), np.full(K, a / b),
-            beta_sq, np.ones(K * L), np.full(K, a * (a + 1.0) / b**2),
-        ])
-        mcse = np.array([s.std(ddof=1) / np.sqrt(effective_size(s)) for s in stats.T])
-        z = (stats.mean(axis=0) - exact) / mcse
+class TestGewekeOneBlock:
+    """``TestGeweke``'s chain in one block, so that the likelihood's fit
+    is carried: each iteration takes two cycles given y, and the second
+    starts from the first's carry.  Fixed before the first run: seed 707,
+    5,000 iterations of two cycles, K = 2 coefficients in one block of 2,
+    and the bound max |z| < 4 over the 24 statistics.
+    """
+
+    def test_carried_fit_keeps_the_prior(self):
+        z, cost = successive_conditional_z(707, 5000, block_size=2, cycles=2)
+        # J = 3: a first cycle (4J, 4J, 4J), as y is new; a carrying one (3J, 3J, 3J)
+        assert cost == EvalCost(5000 * 21, 5000 * 21, 5000 * 21)
         assert np.max(np.abs(z)) < 4.0, np.round(z, 2)
