@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -457,29 +458,36 @@ def cmd_hb(args, cfg: dict, s) -> int:
                               group_size=s.group_size or None)
 
     # as for chain, the output directory is made only once both chains have
-    # run: with one group, tau's Gamma conditional has shape a + 1/2, and its
-    # draws can spread past the pivot tolerance of diag(tau)'s check
+    # run and been summarized.  A slice width far off the posterior's scale
+    # can exhaust the shrinks, overflowing the target on the way (the error
+    # line says so, numpy does not), or leave the draws without variance
     traces = {}
     try:
         for name, seed in (("tangent", tangent_seed), ("slice", slice_seed)):
             hb_cfg = HbConfig(s.n_burnin, s.n_samples, block_size=s.block_size, beta_sampler=name,
                               slice_cfg=SliceConfig(width=s.width))
-            traces[name] = hb_gibbs(spec, hb_cfg, np.random.default_rng(seed))
-    except (NotPositiveDefinite, HessianNotNegativeDefinite, _NonFiniteNewtonMean, FloatingPointError) as err:
+            with np.errstate(all="ignore"):
+                traces[name] = hb_gibbs(spec, hb_cfg, np.random.default_rng(seed))
+    except (NotPositiveDefinite, HessianNotNegativeDefinite, _NonFiniteNewtonMean, FloatingPointError,
+            SliceError) as err:
         raise ConfigError(f"cannot run the {name} chain on the simulated data: {err}") from err
-    out = _Output(args, cfg)
 
     J, K = spec.n_groups, spec.n_coeffs
-    rows = []
+    rows, lines = [], []
     body = {"truth_tau": truth["tau"].tolist()}
     if s.n_samples:
         mean, mcse, comparison = {}, {}, {}
         for name, tr in traces.items():
             mean[name] = tr.beta.mean(axis=0)
             sd = tr.beta.std(axis=0, ddof=1)
-            ess = ess_per_dim(tr.beta.reshape(tr.n_samples, J * K)).reshape(J, K)
+            # a coefficient without variance reads ESS 0 in coefficients.csv
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "degenerate series")
+                ess = ess_per_dim(tr.beta.reshape(tr.n_samples, J * K)).reshape(J, K)
             mcse[name] = sd / np.sqrt(np.maximum(ess, 1e-12))
             ess_mean = float(np.mean(ess))
+            if ess_mean == 0.0:
+                raise ConfigError(f"the {name} chain's beta draws have no variance: effective sample size 0")
             evals = tr.meta["final_cost"]
             comparison[name] = {
                 "ess_mean": ess_mean,
@@ -493,8 +501,8 @@ def cmd_hb(args, cfg: dict, s) -> int:
                 for j in range(J)
                 for k in range(K)
             )
-            print(f"hb[{name}]: {tr.n_samples} cycles in {tr.wall_time:.1f}s, "
-                  f"time/independent sample {tr.wall_time / ess_mean:.3f}s")
+            lines.append(f"hb[{name}]: {tr.n_samples} cycles in {tr.wall_time:.1f}s, "
+                         f"time/independent sample {tr.wall_time / ess_mean:.3f}s")
         combo = np.sqrt(mcse["tangent"] ** 2 + mcse["slice"] ** 2)
         z = np.abs(mean["tangent"] - mean["slice"]) / combo
         lo = np.quantile(traces["tangent"].beta, 0.025, axis=0)
@@ -502,10 +510,11 @@ def cmd_hb(args, cfg: dict, s) -> int:
         body["coverage_95"] = float(np.mean((truth["beta"] >= lo) & (truth["beta"] <= hi)))
         body["max_mean_discrepancy_mcse"] = float(np.max(z))
         body["comparison"] = comparison
+    out = _Output(args, cfg)
     out.csv("coefficients.csv", "hb-coefficients",
             ["sampler", "group", "coeff", "post_mean", "post_sd", "mcse", "ess", "true_beta"], rows)
     out.summary(body)
-    print(f"hb: outputs -> {out.dir}")
+    print("\n".join(lines + [f"hb: outputs -> {out.dir}"]))
     return 0
 
 

@@ -17,10 +17,11 @@ so what a cycle knows of it at its final beta is carried to the next:
 each group's value, and with one block over all K coefficients (the
 default) its gradient and Hessian too.  An MH cycle in one block then
 evaluates the likelihood only at the proposals, as ``run_chain`` carries
-its fitted record.  The slice baseline updates each group's
-coefficients in turn.  The group conditionals are log-concave by
-construction (projection likelihood plus Gaussian prior), so Hessian
-failures indicate a bug and are counted.
+its fitted record.  The slice baseline sweeps each group in turn, each
+coordinate's line evaluated along one design column from the group's
+kept predictor.  The group conditionals are log-concave by construction
+(projection likelihood plus Gaussian prior), so Hessian failures
+indicate a bug and are counted.
 """
 
 from __future__ import annotations
@@ -33,17 +34,9 @@ from scipy.special import expit
 
 from .gibbs import BlockPartition
 from .linalg import NotPositiveDefinite, _cholesky_lowers, _upper_solve
-from .slicer import SliceConfig, slice_sweep
+from .slicer import SliceConfig, _sweep
 from .tangent import build_proposal, tangent_step
-from .targets import (
-    AdditiveTarget,
-    DifferentiableTarget,
-    EvalCost,
-    EvalResult,
-    GaussianPriorTarget,
-    LogisticTarget,
-    _built,
-)
+from .targets import AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, _row_losses
 from .trace import ChainConfig, _is_integer, run_sweeps
 
 __all__ = [
@@ -124,13 +117,8 @@ class HbModelSpec:
 
     @cached_property
     def _stacked(self) -> "_StackedGroups":
-        """The groups' data as the tangent path evaluates it."""
+        """The groups' data as both beta samplers evaluate it."""
         return _StackedGroups(self)
-
-    @cached_property
-    def _likelihoods(self) -> tuple:
-        """Each group's ``LogisticTarget``, as the slice path evaluates it."""
-        return tuple(LogisticTarget(X, y) for X, y in zip(self.designs, self.responses))
 
 
 class _StackedGroups:
@@ -145,7 +133,9 @@ class _StackedGroups:
 
     A block's columns ``x_bt`` are the view ``xt[:, block]`` (J, m, N).
     ``likelihood`` gives each group's log-likelihood and ``sigma(t)`` at
-    ``t = X_b b + offset``, in ``LogisticTarget``'s stable row form."""
+    ``t = X_b b + offset``, in ``LogisticTarget``'s stable row form.  The
+    slice path reads group j's own rows, ``xt[j, :, :N_j]`` and
+    ``not_y[j, :N_j]``, so it does no padding work."""
 
     def __init__(self, spec: HbModelSpec):
         sizes = np.array(spec.group_sizes)
@@ -155,7 +145,7 @@ class _StackedGroups:
         for j, (X, y) in enumerate(zip(spec.designs, spec.responses)):
             self.xt[j, :, : sizes[j]] = X.T
             self.y[j, : sizes[j]] = y
-        self._not_y = 1.0 - self.y
+        self.not_y = 1.0 - self.y
         self._weight = None
         if np.any(sizes < n):
             self._weight = (np.arange(n) < sizes[:, None]).astype(float)
@@ -163,13 +153,7 @@ class _StackedGroups:
     def likelihood(self, x_bt: np.ndarray, b: np.ndarray, offset: np.ndarray) -> tuple:
         t = np.matmul(b[:, None, :], x_bt)[:, 0]
         t += offset
-        e = np.abs(t)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        np.log1p(e, out=e)
-        u = np.multiply(self._not_y, t)
-        e += u
-        e -= np.minimum(t, 0.0, out=u)
+        e = _row_losses(t, self.not_y)
         if self._weight is not None:
             e *= self._weight
         return -e.sum(axis=1), expit(t)
@@ -260,7 +244,7 @@ class HbConfig(ChainConfig):
     coefficient updates, and the beta sampler choice.  With ``"tangent"``
     every cycle takes one stacked tangent step over the J groups per
     block; with ``"slice"`` each group's coefficients take one slice sweep
-    in turn.
+    in turn, whatever the block size.
 
     The default block size, 10, is one block at the hierarchical demo's
     K = 10, chosen on non-acceptance seeds: carrying the likelihood's
@@ -450,6 +434,42 @@ def _tangent_betas(spec, block_size, beta, prior_means, tau, carry, rng, newton)
     return n_accepted, cost, failures, carry
 
 
+def _slice_betas(spec, slice_cfg, beta, prior_means, tau, rng) -> EvalCost:
+    """One slice sweep per group in turn, ``beta`` updated in place; returns
+    the summed cost, 2 values (likelihood and prior) per line evaluation.
+    Coordinate d's line at v is the row terms over the group's own rows at
+    ``t + X[:, d] (v - beta_jd)`` plus the prior's ``-0.5 r . (tau r)``,
+    ``r = beta_j - mean`` with entry d at v, as the dense prior sums it.
+    ``t = X beta_j`` is formed once per sweep and moved by the changed column
+    after each update, so a handed-on value is bit for bit the next line's
+    at its start."""
+    groups, cost, two = spec._stacked, EvalCost(), EvalCost(2, 0, 0)
+    for j, n in enumerate(spec.group_sizes):
+        xt, not_y, b, mean = groups.xt[j, :, :n], groups.not_y[j, :n], beta[j], prior_means[j]
+        t, b0 = b @ xt, b.copy()
+
+        def line(d):
+            nonlocal t
+            if d:
+                t = t + xt[d - 1] * (b[d - 1] - b0[d - 1])
+            column, start = xt[d], b0[d]
+            r = b - mean
+            tau_r = tau * r
+            mean_d, tau_d = float(mean[d]), float(tau[d])
+
+            def logf(v):
+                u = column * (v - start)
+                u += t
+                r[d] = r_d = v - mean_d
+                tau_r[d] = tau_d * r_d
+                return -float(_row_losses(u, not_y).sum()) - 0.5 * float(r @ tau_r), two
+
+            return logf
+
+        cost = cost + _sweep(line, b, slice_cfg, rng)
+    return cost
+
+
 def hb_cycle(
     spec: HbModelSpec, cfg: HbConfig, state: HbState, rng: np.random.Generator, *, newton: bool = False
 ):
@@ -472,7 +492,9 @@ def hb_cycle(
     predictor.  In one block the likelihood's gradient and Hessian at the
     current point come from the state's carry too, so an MH cycle from a
     carrying state counts 3J of each kind: J for the priors at the current
-    points and 2J for the likelihoods and priors at the proposals.
+    points and 2J for the likelihoods and priors at the proposals.  On the
+    slice path (``newton`` ignored) each group takes one ``_slice_betas``
+    sweep, counted as its ``slice_sweep`` on the group's targets would be.
     """
     bad = np.flatnonzero(~(np.isfinite(state.tau) & (state.tau > 0.0)))
     if bad.size:
@@ -489,13 +511,7 @@ def hb_cycle(
             spec, cfg.block_size, beta, prior_means, tau, carry, rng, newton
         )
     else:
-        # the priors differ only in mean; each slice sweep evaluates only values
-        precision = np.diag(tau)
-        n_accepted, cost, failures = 1, EvalCost(), 0
-        for j, likelihood in enumerate(spec._likelihoods):
-            prior = _built(GaussianPriorTarget, _mean=prior_means[j], _precision=precision, _diagonal=True)
-            beta[j], _, used, _ = slice_sweep(AdditiveTarget([likelihood, prior]), beta[j], cfg.slice_cfg, rng)
-            cost = cost + used
+        n_accepted, cost, failures = 1, _slice_betas(spec, cfg.slice_cfg, beta, prior_means, tau, rng), 0
     gamma = draw_upper_coeffs(spec, beta, tau, rng)
     tau = draw_precisions(spec, beta, gamma, rng)
     if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(tau))):

@@ -88,42 +88,49 @@ def slice_step_1d(logf, x: float, f0: float, cfg: SliceConfig, rng: np.random.Ge
     raise SliceError(f"no acceptable point after {MAX_SHRINKS} shrinks at {x}")
 
 
-def slice_sweep(
-    target: DifferentiableTarget,
-    x,
-    cfg: SliceConfig,
-    rng: np.random.Generator,
-):
-    """One coordinate-wise sweep over the target; returns ``run_sweeps``'
-    sweep outcome ``(x_new, 1, cost, 0)``: a slice update never rejects and
-    fits no Hessian.
-
-    Coordinates are visited in index order; each update changes only its
-    own coordinate and evaluates the target value-only.  The sweep
-    evaluates its start point once, and each update hands the value at the
-    point it ends on to the next update, which starts there.  The cost is
-    accumulated from the target's own counters, so composite targets
-    report the sum of their parts.
-    """
-    x = np.array(x, dtype=float)
+def _sweep(line, x: np.ndarray, cfg: SliceConfig, rng: np.random.Generator) -> EvalCost:
+    """Slice-update ``x`` in place, one coordinate after another in index
+    order, and return the summed cost.  ``line(d)``, called once coordinate
+    d - 1 has moved, is coordinate d's log-density ``v -> (value, EvalCost)``
+    with the others held at ``x``.  The start point is evaluated once, and
+    each update hands the value at its end point to the next, which starts
+    there."""
     n_value = n_gradient = n_hessian = 0
-    d = 0
+    logf = line(0)
 
-    def logf(v):
-        # the target's value with coordinate d, the one being updated, at v
+    def counted(v):
         nonlocal n_value, n_gradient, n_hessian
-        x[d] = v
-        res = target.evaluate(x)
-        cost = res.cost
+        value, cost = logf(v)
         n_value += cost.n_value
         n_gradient += cost.n_gradient
         n_hessian += cost.n_hessian
-        return res.value
+        return value
 
-    f = logf(x[0])
-    for d in range(target.dim):
-        x[d], f = slice_step_1d(logf, x[d], f, cfg, rng)
-    return x, 1, EvalCost(n_value, n_gradient, n_hessian), 0
+    f = counted(x[0])
+    for d in range(x.shape[0]):
+        if d:
+            logf = line(d)
+        x[d], f = slice_step_1d(counted, x[d], f, cfg, rng)
+    return EvalCost(n_value, n_gradient, n_hessian)
+
+
+def slice_sweep(target: DifferentiableTarget, x, cfg: SliceConfig, rng: np.random.Generator):
+    """One coordinate-wise sweep (``_sweep``) over the target, evaluated
+    value-only; returns ``run_sweeps``' sweep outcome ``(x_new, 1, cost,
+    0)``: a slice update never rejects and fits no Hessian.  The cost is
+    accumulated from the target's own counters, so composite targets report
+    the sum of their parts."""
+    x = np.array(x, dtype=float)
+
+    def line(d):
+        def logf(v):
+            x[d] = v
+            res = target.evaluate(x)
+            return res.value, res.cost
+
+        return logf
+
+    return x, 1, _sweep(line, x, cfg, rng), 0
 
 
 def slice_gibbs_chain(

@@ -185,6 +185,20 @@ class _PredictorMemo:
         self.older, self.newer = self.newer, entry
 
 
+def _row_losses(t: np.ndarray, not_y: np.ndarray) -> np.ndarray:
+    """Each logistic row's negative log-likelihood at ``t``, as
+    ``log1p(exp(-|t|)) + (1 - y) t - min(t, 0)`` in two new buffers; ``t``,
+    which a memo may keep, is never written."""
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    u = np.multiply(not_y, t)
+    e += u
+    e -= np.minimum(t, 0.0, out=u)
+    return e
+
+
 class LogisticTarget(DifferentiableTarget):
     """Bernoulli-logit log-likelihood over coefficients.
 
@@ -260,16 +274,7 @@ class LogisticTarget(DifferentiableTarget):
         memo = self._memo if derivatives else None
         kept = memo.recall(t) if memo is not None else None
         if kept is None:
-            # per row log1p(exp(-|t|)) + (1 - y) t - min(t, 0), in two
-            # buffers; t and p are kept by the memo, so never written
-            e = np.abs(t)
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            np.log1p(e, out=e)
-            u = np.multiply(self._not_y, t)
-            e += u
-            e -= np.minimum(t, 0.0, out=u)
-            value = -float(e.sum())
+            value = -float(_row_losses(t, self._not_y).sum())
             p = expit(t) if derivatives else None
             if memo is not None:
                 memo.keep((t, value, p))

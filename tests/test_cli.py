@@ -329,6 +329,19 @@ class TestHbBadInput:
         err = assert_rejected("hb", tmp_path, capsys, "", ("--seed", "7", "--quick"))
         assert "non-finite conjugate draw" in err
 
+    def test_slice_shrink_failure_reported_before_output(self, tmp_path, capsys):
+        # a bracket far wider than the posterior exhausts the shrinks; the
+        # SliceError used to end in a traceback
+        err = assert_rejected("hb", tmp_path, capsys, "width = 1e308\n", ("--seed", "3", "--quick"))
+        assert "slice chain" in err and "shrinks" in err
+
+    def test_zero_ess_chain_reported_before_output(self, tmp_path, capsys):
+        # a bracket far narrower than the posterior leaves the slice draws
+        # without variance; their ESS of 0 used to raise ZeroDivisionError
+        # once the output directory had been made
+        err = assert_rejected("hb", tmp_path, capsys, "width = 1e-300\n", ("--seed", "3", "--quick"))
+        assert "slice chain" in err and "effective sample size 0" in err
+
     def test_single_group_runs(self, tmp_path):
         # with one group, tau's Gamma conditional has shape a + 1/2, and at
         # this seed its draws spread over 12 orders of magnitude: past

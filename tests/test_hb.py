@@ -174,10 +174,11 @@ class TestGibbs:
             hb_gibbs(spec, HbConfig(n_burnin=2, n_samples=3, beta_sampler=sampler, seed=9))
         assert calls == []
 
-    def test_tangent_path_builds_no_group_target(self, small_instance, monkeypatch):
-        # each block's target is the AdditiveTarget of the J groups' stacked
-        # likelihoods and priors: no per-group target is built, restricted or
-        # evaluated, and every evaluation is at the (J, m) stack of a block
+    @pytest.fixture
+    def no_group_target(self, monkeypatch):
+        """Refuse to build, restrict or evaluate any per-group target;
+        returns the list of the shapes ``AdditiveTarget`` is evaluated at."""
+
         def refuse(*args, **kwargs):
             raise AssertionError("a group target was built or evaluated")
 
@@ -185,20 +186,39 @@ class TestGibbs:
             for name in ("__init__", "evaluate", "restrict"):
                 monkeypatch.setattr(cls, name, refuse)
         monkeypatch.setattr(AdditiveTarget, "restrict", refuse)
-        monkeypatch.setattr(hb, "_built", refuse)
+        monkeypatch.setattr(targets, "_built", refuse)
         shapes = []
         evaluate = AdditiveTarget.evaluate
         monkeypatch.setattr(
             AdditiveTarget, "evaluate", lambda self, x, **kw: shapes.append(x.shape) or evaluate(self, x, **kw)
         )
+        # the control: a per-group path cannot start
+        with pytest.raises(AssertionError, match="a group target was built"):
+            AdditiveTarget([LogisticTarget(np.eye(2), np.ones(2)), GaussianPriorTarget(np.zeros(2), np.eye(2))])
+        return shapes
+
+    def test_tangent_path_builds_no_group_target(self, small_instance, no_group_target):
+        # each block's target is the AdditiveTarget of the J groups' stacked
+        # likelihoods and priors: no per-group target is built, restricted or
+        # evaluated, and every evaluation is at the (J, m) stack of a block
         spec, _ = small_instance
-        fresh = HbModelSpec(spec.designs, spec.responses, spec.upper_design)
-        trace = hb_gibbs(fresh, HbConfig(n_burnin=4, n_samples=4, block_size=4, seed=9))
+        trace = hb_gibbs(spec, HbConfig(n_burnin=4, n_samples=4, block_size=4, seed=9))
         assert trace.n_samples == 4
         # 2 Newton cycles evaluate once per block, 6 MH cycles twice
-        assert shapes == [(4, 4), (4, 2)] * 2 + [(4, 4), (4, 4), (4, 2), (4, 2)] * 6
-        with pytest.raises(AssertionError, match="a group target was built"):
-            hb_gibbs(fresh, HbConfig(n_burnin=4, n_samples=4, beta_sampler="slice", seed=9))
+        assert no_group_target == [(4, 4), (4, 2)] * 2 + [(4, 4), (4, 4), (4, 2), (4, 2)] * 6
+
+    def test_slice_path_builds_no_group_target(self, small_instance, no_group_target, monkeypatch):
+        # each coordinate's line is evaluated from the group's rows and
+        # predictor: no target is built or evaluated, not even a sum
+        def refuse(*args, **kwargs):
+            raise AssertionError("a target sum was built")
+
+        monkeypatch.setattr(AdditiveTarget, "__init__", refuse)
+        spec, _ = small_instance
+        trace = hb_gibbs(spec, HbConfig(n_burnin=4, n_samples=4, beta_sampler="slice", seed=9))
+        assert trace.n_samples == 4
+        assert np.all(np.isfinite(trace.beta))
+        assert no_group_target == []
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     @pytest.mark.parametrize("sampler", ["tangent", "slice"])
@@ -437,8 +457,8 @@ class TestCarry:
             assert costs["none"] == costs["fit"] + EvalCost(J, J, J)
 
 
-def successive_conditional_z(seed, n, block_size, cycles):
-    """Geweke's successive-conditional chain on the tangent cycle: J = 3
+def successive_conditional_z(seed, n, block_size, cycles, beta_sampler="tangent"):
+    """Geweke's successive-conditional chain on ``hb_cycle``: J = 3
     groups of 20 rows, K = 2, L = 2, the hyperprior gamma_shape = 3,
     gamma_rate = 2, gamma_precision = 1.  Started from an exact prior draw,
     each of ``n`` iterations takes ``cycles`` ``hb_cycle``s given y, then a
@@ -449,7 +469,7 @@ def successive_conditional_z(seed, n, block_size, cycles):
     J, K, L, a, b = 3, 2, 2, 3.0, 2.0
     base, _ = simulate_hb(J, K, L, rng, group_size=20)
     X, Z = base.designs, base.upper_design
-    cfg = HbConfig(block_size=block_size)
+    cfg = HbConfig(block_size=block_size, beta_sampler=beta_sampler)
 
     def fresh_y(beta):
         return [(rng.random(20) < expit(X[j] @ beta[j])).astype(float) for j in range(J)]
@@ -505,4 +525,18 @@ class TestGewekeOneBlock:
         z, cost = successive_conditional_z(707, 5000, block_size=2, cycles=2)
         # J = 3: a first cycle (4J, 4J, 4J), as y is new; a carrying one (3J, 3J, 3J)
         assert cost == EvalCost(5000 * 21, 5000 * 21, 5000 * 21)
+        assert np.max(np.abs(z)) < 4.0, np.round(z, 2)
+
+
+class TestGewekeSlice:
+    """``TestGeweke``'s chain on the slice cycle, whose line log-densities
+    are evaluated from each group's kept predictor and prior terms.  Fixed
+    before the first run: seed 808, 5,000 iterations of one cycle, K = 2,
+    and the bound max |z| < 4 over the 24 statistics.
+    """
+
+    def test_slice_cycle_keeps_the_prior(self):
+        z, cost = successive_conditional_z(808, 5000, block_size=2, cycles=1, beta_sampler="slice")
+        # value-only: 2 values per line evaluation
+        assert cost.n_gradient == cost.n_hessian == 0 and cost.n_value % 2 == 0
         assert np.max(np.abs(z)) < 4.0, np.round(z, 2)

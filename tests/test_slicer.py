@@ -43,6 +43,31 @@ def reevaluating_chain(target, x0, n_burnin, n_samples, cfg, rng):
     return run_sweeps(sweep, x0, ChainConfig(n_burnin, n_samples, 0))
 
 
+def per_group_slice_cycles(spec, cfg, rng):
+    """``hb_gibbs``'s slice cycles from beta = 0, gamma = 0, tau = 1, each
+    group's coefficients by ``slice_sweep`` on the ``AdditiveTarget`` of its
+    ``LogisticTarget`` and its ``GaussianPriorTarget``, then the conjugate
+    draws.  Returns the recorded cycles' beta, gamma and tau, and the summed
+    sweep cost."""
+    J, K, L = spec.n_groups, spec.n_coeffs, spec.n_upper
+    beta, gamma, tau = np.zeros((J, K)), np.zeros((K, L)), np.ones(K)
+    likelihoods = [LogisticTarget(X, y) for X, y in zip(spec.designs, spec.responses)]
+    kept = {"beta": [], "gamma": [], "tau": []}
+    cost = EvalCost()
+    for cycle in range(cfg.n_burnin + cfg.n_samples):
+        means = spec.upper_design @ gamma.T
+        for j in range(J):
+            target = AdditiveTarget([likelihoods[j], GaussianPriorTarget(means[j], np.diag(tau))])
+            beta[j], _, used, _ = slice_sweep(target, beta[j], cfg.slice_cfg, rng)
+            cost = cost + used
+        gamma = hb.draw_upper_coeffs(spec, beta, tau, rng)
+        tau = hb.draw_precisions(spec, beta, gamma, rng)
+        if cycle >= cfg.n_burnin:
+            for name, value in (("beta", beta), ("gamma", gamma), ("tau", tau)):
+                kept[name].append(value.copy())
+    return {name: np.array(values) for name, values in kept.items()}, cost
+
+
 def _logistic(dim, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((300, dim))
@@ -275,18 +300,19 @@ class TestKeptValue:
         assert np.array_equal(x, x_ref) and np.array_equal(x, np.zeros(2))
         assert (ref.n_value, cost.n_value) == (6, 5)
 
-    def test_hb_slice_run_bit_equal(self, monkeypatch):
-        spec, _ = hb.simulate_hb(3, 4, 2, np.random.default_rng(12), group_size=60)
+    def test_hb_slice_run_bit_equal(self):
+        # hb's slice cycle evaluates each line from the group's kept
+        # predictor; it runs the chain, counters and random stream of one
+        # slice_sweep per group on the group's public targets, at equal and
+        # at log-uniform group sizes
         cfg = hb.HbConfig(n_burnin=6, n_samples=12, block_size=2, beta_sampler="slice")
-        rng = np.random.default_rng(13)
-        got = hb.hb_gibbs(spec, cfg, rng)
-        monkeypatch.setattr(hb, "slice_sweep", reevaluating_sweep)
-        rng_ref = np.random.default_rng(13)
-        ref = hb.hb_gibbs(spec, cfg, rng_ref)
-        for name in ("beta", "gamma", "tau"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
-        # 2 values per evaluation (likelihood and prior), 3 of 4 updates
-        # per group and cycle start from a kept value
-        saved = 2 * 3 * spec.n_groups * 18
-        assert got.meta["final_cost"]["n_value"] == ref.meta["final_cost"]["n_value"] - saved
+        for group_size in (60, None):
+            spec, _ = hb.simulate_hb(3, 4, 2, np.random.default_rng(12), group_size=group_size)
+            rng = np.random.default_rng(13)
+            got = hb.hb_gibbs(spec, cfg, rng)
+            rng_ref = np.random.default_rng(13)
+            ref, ref_cost = per_group_slice_cycles(spec, cfg, rng_ref)
+            for name in ("beta", "gamma", "tau"):
+                assert getattr(got, name).tobytes() == ref[name].tobytes(), (group_size, name)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            assert got.meta["final_cost"] == {"n_value": ref_cost.n_value, "n_gradient": 0, "n_hessian": 0}
