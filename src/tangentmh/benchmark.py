@@ -67,11 +67,17 @@ class RunStats:
     wall_fee_per_effective: float
 
 
-def _stats(trace: ChainTrace, calib: CalibrationProfile) -> RunStats:
-    """Cost and mixing figures of one chain; the effective rate ESS / n may
-    exceed 1."""
+class _NoEffectiveSamples(ValueError):
+    """A chain's draws have no variance, so it has no cost per effective sample."""
+
+
+def _stats(trace: ChainTrace, calib: CalibrationProfile, name: str) -> RunStats:
+    """Cost and mixing figures of the ``name`` chain; the effective rate
+    ESS / n may exceed 1, and an ESS of 0 raises ``_NoEffectiveSamples``."""
     n = trace.n_steps
     ess_mean = float(np.mean(ess_per_dim(trace.samples)))
+    if ess_mean == 0.0:
+        raise _NoEffectiveSamples(f"the {name} chain's draws have no variance: effective sample size 0")
     rate = ess_mean / n
     cost = trace.total_cost()
     total_evals = cost["n_value"] + cost["n_gradient"] + cost["n_hessian"]
@@ -190,7 +196,7 @@ def run_benchmark(
         trace_t = run_block_chain(
             target, partition, x0, cfg, np.random.default_rng(streams[2])
         )
-        result.tangent_runs.append(_stats(trace_t, calib))
+        result.tangent_runs.append(_stats(trace_t, calib, "tangent"))
 
         trace_s = slice_gibbs_chain(
             target,
@@ -200,6 +206,6 @@ def run_benchmark(
             SliceConfig(width=result.slice_width),
             np.random.default_rng(streams[3]),
         )
-        result.slice_runs.append(_stats(trace_s, calib))
+        result.slice_runs.append(_stats(trace_s, calib, "slice"))
 
     return result

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .benchmark import DEFAULT_WIDTHS, run_benchmark
+from .benchmark import DEFAULT_WIDTHS, _NoEffectiveSamples, run_benchmark
 from .concavity import random_instances, run_campaign
 from .diagnostics import ModeFindingError, ess_per_dim, mixing_index
 from .hb import HbConfig, hb_gibbs, simulate_hb
@@ -396,11 +396,20 @@ def cmd_benchmark(args, cfg: dict, s) -> int:
         raise ConfigError(f"n_obs must be an integer >= n_coeffs = {s.n_coeffs}, got {s.n_obs}")
     # as for chain, the output directory is made only once the runs are
     # done: separable data (few rows per coefficient) has no posterior mode,
-    # and the Newton burn-in stops at a Hessian that is not negative definite
+    # and the Newton burn-in stops at a Hessian that is not negative definite.
+    # As for hb, a slice width far off the posterior's scale can exhaust the
+    # shrinks, overflowing the target on the way, or leave the draws without
+    # variance (the error line says so, numpy and effective_size do not)
     try:
-        res = run_benchmark(**vars(s))
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "degenerate series")
+            res = run_benchmark(**vars(s))
     except (HessianNotNegativeDefinite, _NonFiniteNewtonMean) as err:
         raise ConfigError(f"cannot run the tangent chain on the simulated data: {err}") from err
+    except SliceError as err:
+        raise ConfigError(f"cannot run the slice chain on the simulated data: {err}") from err
+    except _NoEffectiveSamples as err:
+        raise ConfigError(str(err)) from err
     out = _Output(args, cfg)
 
     table = res.table()
@@ -445,7 +454,6 @@ HB_SETTINGS = {
     "group_size": Key("count", 400, low=0, quick=150),  # 0: log-uniform sizes
     "n_burnin": Key("count", 500, low=0, quick=100),
     "n_samples": Key("count", 500, low=0, quick=100),
-    "block_size": Key("count", 10, low=1),
     "width": Key("number", 1.0, low=0, echo=False),
 }
 
@@ -464,7 +472,7 @@ def cmd_hb(args, cfg: dict, s) -> int:
     traces = {}
     try:
         for name, seed in (("tangent", tangent_seed), ("slice", slice_seed)):
-            hb_cfg = HbConfig(s.n_burnin, s.n_samples, block_size=s.block_size, beta_sampler=name,
+            hb_cfg = HbConfig(s.n_burnin, s.n_samples, beta_sampler=name,
                               slice_cfg=SliceConfig(width=s.width))
             with np.errstate(all="ignore"):
                 traces[name] = hb_gibbs(spec, hb_cfg, np.random.default_rng(seed))

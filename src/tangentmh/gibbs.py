@@ -4,9 +4,10 @@ High-dimensional targets are split into small blocks (size 5 by default)
 and each block's conditional is updated in turn with one MH transition.
 On the logistic targets of the benchmark and the hierarchical demo
 (400-1000 rows, 10 coefficients) a step's time is mostly the fixed cost
-of each target evaluation.  The hierarchical demo's default is therefore
-one block of 10 (``HbConfig``), measured on non-acceptance seeds; the
-``benchmark`` verb keeps blocks of 5, which are not a measured optimum.
+of each target evaluation.  The hierarchical demo therefore steps each
+group's coefficients as one block (``HbConfig``), measured on
+non-acceptance seeds; the ``benchmark`` verb keeps blocks of 5, which are
+not a measured optimum.
 """
 
 from __future__ import annotations

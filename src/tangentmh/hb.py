@@ -9,19 +9,17 @@ Model, per group j = 1..J and observation i in group j:
 
 Each cycle (``hb_cycle``) updates the beta_j, then gamma and tau by their
 exact conjugate draws.  Given gamma and tau the beta_j are conditionally
-independent, so the tangent kernel steps all J groups together: for each
-coefficient block in turn, one ``tangent_step`` on the ``(J, m)`` stack
-of the groups' block coefficients, whose conditionals are evaluated in
-``(J, N, m)`` form.  The likelihood does not depend on gamma and tau,
-so what a cycle knows of it at its final beta is carried to the next:
-each group's value, and with one block over all K coefficients (the
-default) its gradient and Hessian too.  An MH cycle in one block then
-evaluates the likelihood only at the proposals, as ``run_chain`` carries
-its fitted record.  The slice baseline sweeps each group in turn, each
-coordinate's line evaluated along one design column from the group's
-kept predictor.  The group conditionals are log-concave by construction
-(projection likelihood plus Gaussian prior), so Hessian failures
-indicate a bug and are counted.
+independent, so the tangent kernel steps all J groups together: one
+``tangent_step`` on the ``(J, K)`` stack of the groups' whole coefficient
+vectors, whose conditionals are evaluated in ``(J, N, K)`` form.  The
+likelihood does not depend on gamma and tau, so its fit at a cycle's
+final beta (value, gradient and Hessian) is carried to the next, and an
+MH cycle evaluates the likelihood only at the proposals, as
+``run_chain`` carries its fitted record.  The slice baseline sweeps each
+group in turn, each coordinate's line evaluated along one design column
+from the group's kept predictor.  The group conditionals are log-concave
+by construction (projection likelihood plus Gaussian prior), so Hessian
+failures indicate a bug and are counted.
 """
 
 from __future__ import annotations
@@ -32,12 +30,11 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .gibbs import BlockPartition
 from .linalg import NotPositiveDefinite, _cholesky_lowers, _upper_solve
 from .slicer import SliceConfig, _sweep
 from .tangent import build_proposal, tangent_step
 from .targets import AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, _row_losses
-from .trace import ChainConfig, _is_integer, run_sweeps
+from .trace import ChainConfig, run_sweeps
 
 __all__ = [
     "HbModelSpec",
@@ -127,15 +124,14 @@ class _StackedGroups:
     responses (J, N), zero in the padding.  A padding row has ``t = 0``,
     so it adds nothing to a gradient or a Hessian; its value term is
     masked by a zero weight.  At W3's shape with log-uniform group sizes
-    (three data seeds, single-thread BLAS), one padded block evaluation
+    (three data seeds, single-thread BLAS), one padded stacked evaluation
     took 0.30-0.44x the time of the same evaluation over concatenated rows
     summed per group by ``np.add.reduceat``.
 
-    A block's columns ``x_bt`` are the view ``xt[:, block]`` (J, m, N).
     ``likelihood`` gives each group's log-likelihood and ``sigma(t)`` at
-    ``t = X_b b + offset``, in ``LogisticTarget``'s stable row form.  The
-    slice path reads group j's own rows, ``xt[j, :, :N_j]`` and
-    ``not_y[j, :N_j]``, so it does no padding work."""
+    ``t = X b``, in ``LogisticTarget``'s stable row form.  The slice path
+    reads group j's own rows, ``xt[j, :, :N_j]`` and ``not_y[j, :N_j]``, so
+    it does no padding work."""
 
     def __init__(self, spec: HbModelSpec):
         sizes = np.array(spec.group_sizes)
@@ -150,57 +146,51 @@ class _StackedGroups:
         if np.any(sizes < n):
             self._weight = (np.arange(n) < sizes[:, None]).astype(float)
 
-    def likelihood(self, x_bt: np.ndarray, b: np.ndarray, offset: np.ndarray) -> tuple:
-        t = np.matmul(b[:, None, :], x_bt)[:, 0]
-        t += offset
+    def likelihood(self, b: np.ndarray) -> tuple:
+        t = np.matmul(b[:, None, :], self.xt)[:, 0]
         e = _row_losses(t, self.not_y)
         if self._weight is not None:
             e *= self._weight
         return -e.sum(axis=1), expit(t)
 
 
-class _BlockLikelihoods(DifferentiableTarget):
+class _GroupLikelihoods(DifferentiableTarget):
     """The J groups' log-likelihoods as one stacked target (see
-    ``tangent_step``) on a block's ``(J, m)`` coefficients, the other
-    coefficients' predictor ``offset`` (J, N) held fixed.
+    ``tangent_step``) on their ``(J, K)`` coefficients.
 
-    ``known`` is what is known of each group's likelihood at the stack
-    ``at``, or None: ``(log-likelihood, sigma(t))``, optionally followed by
-    the gradients (J, m) and Hessians (J, m, m).  An evaluation at that
-    very array reuses what it holds, counting none of it, and what it
-    computes there fills ``known`` in.  ``last`` is the same four-tuple at
-    the last stack evaluated."""
+    ``known`` is each group's likelihood fit at the stack ``at``, or None:
+    ``(log-likelihood, sigma(t), gradient (J, K), Hessian (J, K, K))``.  An
+    evaluation at that very array reuses what it holds, counting none of
+    it, and what it computes there becomes ``known``.  ``last`` is the same
+    four-tuple at the last stack evaluated."""
 
-    def __init__(self, groups: _StackedGroups, block: slice, offset: np.ndarray, at: np.ndarray, known):
+    def __init__(self, groups: _StackedGroups, at: np.ndarray, known):
         self._groups = groups
-        self._x_bt = groups.xt[:, block]
-        self._offset = offset
         self._at = at
         self.known = known
         self.last = None
 
     @property
     def dim(self) -> int:
-        return self._x_bt.shape[1]
+        return self._groups.xt.shape[1]
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
-        n_groups = x.shape[0]
+        n_groups, xt = x.shape[0], self._groups.xt
         reused = x is self._at and self.known is not None
         if reused:
-            values, p, *derivatives = self.known
-            grads, hessians = derivatives or (None, None)
+            values, p, grads, hessians = self.known
         else:
-            values, p = self._groups.likelihood(self._x_bt, x, self._offset)
+            values, p = self._groups.likelihood(x)
             grads = hessians = None
         n_gradient = n_hessian = 0
         if gradient and grads is None:
-            grads = np.matmul(self._x_bt, (self._groups.y - p)[:, :, None])[:, :, 0]
+            grads = np.matmul(xt, (self._groups.y - p)[:, :, None])[:, :, 0]
             n_gradient = n_groups
         if hessian and hessians is None:
             w = 1.0 - p
             w *= p
             np.negative(w, out=w)
-            hessians = np.matmul(self._x_bt * w[:, None, :], self._x_bt.transpose(0, 2, 1))
+            hessians = np.matmul(xt * w[:, None, :], xt.transpose(0, 2, 1))
             n_hessian = n_groups
         self.last = (values, p, grads, hessians)
         if x is self._at:
@@ -210,10 +200,10 @@ class _BlockLikelihoods(DifferentiableTarget):
         return EvalResult(values.copy(), grads if gradient else None, hessians if hessian else None, cost)
 
 
-class _BlockPriors(DifferentiableTarget):
-    """The J groups' diagonal Gaussian priors on a block's ``(J, m)``
-    coefficients as one stacked target: means ``mean`` (J, m) and the
-    shared precisions ``tau`` (m,)."""
+class _GroupPriors(DifferentiableTarget):
+    """The J groups' diagonal Gaussian priors on their ``(J, K)``
+    coefficients as one stacked target: means ``mean`` (J, K) and the
+    shared precisions ``tau`` (K,)."""
 
     def __init__(self, mean: np.ndarray, tau: np.ndarray):
         self._mean = mean
@@ -240,29 +230,25 @@ class _BlockPriors(DifferentiableTarget):
 @dataclass(frozen=True)
 class HbConfig(ChainConfig):
     """Cycle plan: the ``ChainConfig`` iteration plan in cycles (first half
-    of the burn-in in Newton mode by default), block size for the
-    coefficient updates, and the beta sampler choice.  With ``"tangent"``
-    every cycle takes one stacked tangent step over the J groups per
-    block; with ``"slice"`` each group's coefficients take one slice sweep
-    in turn, whatever the block size.
+    of the burn-in in Newton mode by default) and the beta sampler choice.
+    With ``"tangent"`` every cycle takes one stacked tangent step over the
+    J groups' whole coefficient vectors; with ``"slice"`` each group's
+    coefficients take one slice sweep in turn.
 
-    The default block size, 10, is one block at the hierarchical demo's
-    K = 10, chosen on non-acceptance seeds: carrying the likelihood's
-    gradient and Hessian across cycles, it needed about half the tangent
-    evaluations per effective sample of blocks of 5, and mostly less time
-    per effective sample; blocks of 2 and of 1 needed more of both."""
+    One block per group was chosen on non-acceptance seeds: carrying the
+    likelihood's gradient and Hessian across cycles, it needed about half
+    the tangent evaluations per effective sample of blocks of 5, and mostly
+    less time per effective sample; blocks of 2 and of 1 needed more of
+    both."""
 
     n_burnin: int = 500
     n_samples: int = 500
-    block_size: int = 10
     beta_sampler: str = "tangent"
     slice_cfg: SliceConfig = field(default_factory=SliceConfig)
     seed: int | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        if not (_is_integer(self.block_size) and self.block_size >= 1):
-            raise ValueError("block_size must be an integer >= 1")
         if self.beta_sampler not in ("tangent", "slice"):
             raise ValueError("beta_sampler must be 'tangent' or 'slice'")
 
@@ -368,70 +354,20 @@ def draw_precisions(
 class HbState:
     """A state of the Gibbs chain: beta (J, K), gamma (K, L) and tau (K).
 
-    ``hb_cycle`` never writes a state's arrays.  A state it returns from an
-    MH cycle also carries, for the spec it stepped, each group's
-    log-likelihood and ``sigma(t)`` at beta, so that the next cycle's first
-    block need not evaluate the likelihood's value again.  When that cycle
-    stepped one block over all K coefficients, the state also carries each
-    group's likelihood gradient (J, K) and Hessian (J, K, K) at beta, and
-    a next cycle in one block evaluates only the prior at its current
-    point.  Each carried array is the one a fresh evaluation at beta
-    computes, so the carry changes the counters, never the samples.  A
-    state built by hand (or by ``dataclasses.replace``) carries none.
+    ``hb_cycle`` never writes a state's arrays.  A state it returns from a
+    tangent MH cycle also carries, for the spec it stepped, each group's
+    log-likelihood, ``sigma(t)``, likelihood gradient (J, K) and Hessian
+    (J, K, K) at beta, so that the next cycle evaluates only the prior at
+    its current point.  Each carried array is the one a fresh evaluation
+    at beta computes, so the carry changes the counters, never the
+    samples.  A state built by hand (or by ``dataclasses.replace``) carries
+    none.
     """
 
     beta: np.ndarray
     gamma: np.ndarray
     tau: np.ndarray
     _carry: tuple | None = field(default=None, init=False, repr=False)
-
-
-def _tangent_betas(spec, block_size, beta, prior_means, tau, carry, rng, newton):
-    """One stacked ``tangent_step`` (or Newton move) per block over all J
-    groups, in block order; ``beta`` is updated in place.  Each block's
-    target is the ``AdditiveTarget`` of the groups' likelihoods and
-    priors.
-
-    ``carry`` is what is known of each group's likelihood at ``beta``, or
-    None when ``beta`` has not been evaluated: its value and ``sigma(t)``,
-    and, when one block covers all coefficients, its gradient and Hessian.
-    Only what is not known is evaluated and counted.  Returns the sweep
-    outcome and the carry at the new ``beta``, None after a Newton move."""
-    groups = spec._stacked
-    n_groups, n_coeffs = beta.shape
-    # a block's derivatives are the next cycle's only when it is the only block
-    kept = 4 if block_size >= n_coeffs else 2
-    if carry is not None:
-        carry = carry[:kept]
-    n_accepted = failures = 0
-    cost = EvalCost()
-    for start in range(0, n_coeffs, block_size):
-        block = slice(start, start + block_size)
-        # the rest's predictor X_c x_c, from the block's coefficients zeroed
-        rest = beta.copy()
-        rest[:, block] = 0.0
-        offset = np.matmul(rest[:, None, :], groups.xt)[:, 0]
-        b = beta[:, block]
-        likelihood = _BlockLikelihoods(groups, block, offset, b, carry)
-        target = AdditiveTarget([likelihood, _BlockPriors(prior_means[:, block], tau[block])])
-        if newton:
-            fit = build_proposal(target, b)
-            beta[:, block] = fit.mean
-            cost = cost + fit.cost
-            carry = None
-            n_accepted += n_groups
-            continue
-        beta[:, block], record, _ = tangent_step(target, b, None, rng)
-        accepted = record.accepted
-        # each group's proposal where it accepted, its current point elsewhere
-        carry = tuple(
-            np.where(accepted.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
-            for new, old in zip(likelihood.last[:kept], likelihood.known[:kept])
-        )
-        cost = cost + record.cost
-        n_accepted += int(accepted.sum())
-        failures += int(record.hessian_failure.sum())
-    return n_accepted, cost, failures, carry
 
 
 def _slice_betas(spec, slice_cfg, beta, prior_means, tau, rng) -> EvalCost:
@@ -476,42 +412,49 @@ def hb_cycle(
     """One Gibbs cycle from ``state``: the beta_j, then gamma, then tau.
 
     Returns ``(state, n_accepted, cost, hessian_failures)``, with
-    ``n_accepted`` the accepted group blocks on the tangent path (J per
-    block in Newton mode) and 1 on the slice path.  The tau of ``state``
-    must be finite and positive, which makes ``diag(tau)`` a valid prior
-    precision; otherwise ``NotPositiveDefinite`` names the first bad
-    coordinate.
+    ``n_accepted`` the accepted groups on the tangent path (J in Newton
+    mode) and 1 on the slice path.  The tau of ``state`` must be finite and
+    positive, which makes ``diag(tau)`` a valid prior precision; otherwise
+    ``NotPositiveDefinite`` names the first bad coordinate.
 
-    On the tangent path each coefficient block takes one ``tangent_step``
-    on the stack of the J groups' block coefficients (``newton=True``: the
-    Newton move, which draws nothing).  Each group's likelihood value at
-    its current point is evaluated only when that point has not been
-    evaluated: after a Newton move and at a state that carries none.  On
-    two or more blocks the counters therefore equal those of one
-    ``block_sweep`` per group, whose conditionals share their linear
-    predictor.  In one block the likelihood's gradient and Hessian at the
-    current point come from the state's carry too, so an MH cycle from a
-    carrying state counts 3J of each kind: J for the priors at the current
-    points and 2J for the likelihoods and priors at the proposals.  On the
-    slice path (``newton`` ignored) each group takes one ``_slice_betas``
-    sweep, counted as its ``slice_sweep`` on the group's targets would be.
+    On the tangent path beta takes one ``tangent_step`` on the ``(J, K)``
+    stack of the groups' coefficients, whose target is the
+    ``AdditiveTarget`` of their likelihoods and priors (``newton=True``:
+    the Newton move, which draws nothing).  The likelihood's fit at the
+    current point is evaluated only when the state carries none: after a
+    Newton move, and at a state built by hand or for another spec.  An MH
+    cycle from a carrying state therefore counts 3J of each kind: J for
+    the priors at the current points and 2J for the likelihoods and priors
+    at the proposals.  On the slice path (``newton`` ignored) each group
+    takes one ``_slice_betas`` sweep, counted as its ``slice_sweep`` on the
+    group's targets would be.
     """
     bad = np.flatnonzero(~(np.isfinite(state.tau) & (state.tau > 0.0)))
     if bad.size:
         k = int(bad[0])
         raise NotPositiveDefinite(k, f"prior precision tau[{k}] = {state.tau[k]} is not finite and positive")
     tau = state.tau
-    beta = state.beta.copy()
     prior_means = spec.upper_design @ state.gamma.T
     carry = None
-    if cfg.beta_sampler == "tangent":
-        if state._carry is not None and state._carry[0] is spec:
-            carry = state._carry[1]
-        n_accepted, cost, failures, carry = _tangent_betas(
-            spec, cfg.block_size, beta, prior_means, tau, carry, rng, newton
-        )
-    else:
+    if cfg.beta_sampler == "slice":
+        beta = state.beta.copy()
         n_accepted, cost, failures = 1, _slice_betas(spec, cfg.slice_cfg, beta, prior_means, tau, rng), 0
+    else:
+        known = state._carry[1] if state._carry is not None and state._carry[0] is spec else None
+        likelihood = _GroupLikelihoods(spec._stacked, state.beta, known)
+        target = AdditiveTarget([likelihood, _GroupPriors(prior_means, tau)])
+        if newton:
+            fit = build_proposal(target, state.beta)
+            beta, n_accepted, cost, failures = fit.mean, spec.n_groups, fit.cost, 0
+        else:
+            beta, record, _ = tangent_step(target, state.beta, None, rng)
+            accepted = record.accepted
+            # each group's proposal where it accepted, its current point elsewhere
+            carry = tuple(
+                np.where(accepted.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+                for new, old in zip(likelihood.last, likelihood.known)
+            )
+            n_accepted, cost, failures = int(accepted.sum()), record.cost, int(record.hessian_failure.sum())
     gamma = draw_upper_coeffs(spec, beta, tau, rng)
     tau = draw_precisions(spec, beta, gamma, rng)
     if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(tau))):
@@ -527,8 +470,8 @@ def hb_gibbs(
 ) -> HbTrace:
     """Run ``hb_cycle`` from beta = 0, gamma = 0, tau = 1.
 
-    The update order is fixed (beta blocks, gamma, tau) for
-    reproducibility; this is a valid systematic-scan Gibbs sampler.
+    The update order is fixed (beta, gamma, tau) for reproducibility;
+    this is a valid systematic-scan Gibbs sampler.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -542,9 +485,7 @@ def hb_gibbs(
 
     # the chain state packs beta (J*K), gamma (K*L) and tau (K)
     x0 = np.concatenate([state.beta.ravel(), state.gamma.ravel(), state.tau])
-    tangent = cfg.beta_sampler == "tangent"
-    n_blocks = BlockPartition.contiguous(K, cfg.block_size).n_blocks
-    tr = run_sweeps(cycle, x0, cfg, J * n_blocks if tangent else None)
+    tr = run_sweeps(cycle, x0, cfg, J if cfg.beta_sampler == "tangent" else None)
     n = tr.n_steps
     beta, gamma, tau = np.split(tr.samples, [J * K, J * K + K * L], axis=1)
     return HbTrace(

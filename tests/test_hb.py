@@ -5,7 +5,6 @@ from scipy.special import expit
 import tangentmh.hb as hb
 import tangentmh.targets as targets
 from tangentmh.diagnostics import effective_size
-from tangentmh.gibbs import BlockPartition
 from tangentmh.hb import (
     SIZE_RANGE,
     HbConfig,
@@ -198,14 +197,14 @@ class TestGibbs:
         return shapes
 
     def test_tangent_path_builds_no_group_target(self, small_instance, no_group_target):
-        # each block's target is the AdditiveTarget of the J groups' stacked
+        # the target is the AdditiveTarget of the J groups' stacked
         # likelihoods and priors: no per-group target is built, restricted or
-        # evaluated, and every evaluation is at the (J, m) stack of a block
+        # evaluated, and every evaluation is at the (J, K) stack
         spec, _ = small_instance
-        trace = hb_gibbs(spec, HbConfig(n_burnin=4, n_samples=4, block_size=4, seed=9))
+        trace = hb_gibbs(spec, HbConfig(n_burnin=4, n_samples=4, seed=9))
         assert trace.n_samples == 4
-        # 2 Newton cycles evaluate once per block, 6 MH cycles twice
-        assert no_group_target == [(4, 4), (4, 2)] * 2 + [(4, 4), (4, 4), (4, 2), (4, 2)] * 6
+        # 2 Newton cycles evaluate once, 6 MH cycles twice
+        assert no_group_target == [(4, 6)] * (2 + 2 * 6)
 
     def test_slice_path_builds_no_group_target(self, small_instance, no_group_target, monkeypatch):
         # each coordinate's line is evaluated from the group's rows and
@@ -242,21 +241,22 @@ class TestGibbs:
         new, *_ = hb_cycle(spec, HbConfig(beta_sampler=sampler), state, np.random.default_rng(0))
         assert np.all(np.isfinite(new.beta))
 
-    def test_random_stream_layout(self, small_instance, monkeypatch):
-        # an MH cycle draws, per block in order, one (J, m) normal and J
-        # uniforms; a Newton cycle draws nothing before the conjugate draws
-        monkeypatch.setattr(hb, "draw_upper_coeffs", lambda spec, beta, tau, rng: np.zeros((6, 2)))
-        monkeypatch.setattr(hb, "draw_precisions", lambda spec, beta, gamma, rng: np.ones(6))
-        spec, _ = small_instance
-        state = HbState(np.zeros((4, 6)), np.zeros((6, 2)), np.ones(6))
+    def test_random_stream_layout(self, monkeypatch):
+        # an MH cycle draws one (J, K) normal and J uniforms, in one block
+        # also at K = 12; a Newton cycle draws nothing before the conjugate
+        # draws
+        monkeypatch.setattr(hb, "draw_upper_coeffs", lambda spec, beta, tau, rng: np.zeros((12, 2)))
+        monkeypatch.setattr(hb, "draw_precisions", lambda spec, beta, gamma, rng: np.ones(12))
+        spec, _ = simulate_hb(4, 12, 2, np.random.default_rng(12), group_size=120)
+        state = HbState(np.zeros((4, 12)), np.zeros((12, 2)), np.ones(12))
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        state, *_ = hb_cycle(spec, HbConfig(block_size=4), state, rng, newton=True)
+        state, *_ = hb_cycle(spec, HbConfig(), state, rng, newton=True)
         assert rng.bit_generator.state == ref.bit_generator.state
-        hb_cycle(spec, HbConfig(block_size=4), state, rng)
-        for m in (4, 2):
-            ref.standard_normal((4, m))
+        for _ in range(2):
+            state, *_ = hb_cycle(spec, HbConfig(), state, rng)
+            ref.standard_normal((4, 12))
             ref.random(4)
-        assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_negative_burnin_refused(self, small_instance):
         # used to return uninitialised memory as tau row 0
@@ -274,11 +274,11 @@ class TestGibbs:
             HbConfig(beta_sampler="nuts")
 
 
-def group_conditional(spec, j, block, beta, prior_means, tau):
-    """Group j's block conditional as the per-group path built it."""
+def group_conditional(spec, j, beta, prior_means, tau):
+    """Group j's conditional as the per-group path built it."""
     prior = GaussianPriorTarget(prior_means[j], np.diag(tau))
     target = AdditiveTarget([LogisticTarget(spec.designs[j], spec.responses[j]), prior])
-    return target.restrict(block, beta[j]).evaluate(beta[j][block], gradient=True, hessian=True)
+    return target.evaluate(beta[j], gradient=True, hessian=True)
 
 
 def assert_close(got, want):
@@ -286,36 +286,28 @@ def assert_close(got, want):
 
 
 class TestStackedConditionals:
-    """Each block's stacked target, the ``AdditiveTarget`` of the groups'
+    """The stacked target, the ``AdditiveTarget`` of the groups'
     likelihoods and diagonal Gaussian priors, against each group's
-    ``AdditiveTarget`` of a logistic likelihood and its prior, restricted
-    to the block, to 1e-12 relative."""
+    ``AdditiveTarget`` of a logistic likelihood and its prior, to 1e-12
+    relative."""
 
-    @pytest.mark.parametrize("group_size, block_size", [(120, 5), (None, 5), (None, 3), (None, 10)])
-    def test_equals_the_group_targets(self, group_size, block_size):
+    @pytest.mark.parametrize("group_size, n_coeffs", [(120, 5), (None, 5), (None, 3), (None, 10)])
+    def test_equals_the_group_targets(self, group_size, n_coeffs):
         rng = np.random.default_rng(21)
-        spec, _ = simulate_hb(4, 10, 2, rng, group_size=group_size)
+        spec, _ = simulate_hb(4, n_coeffs, 2, rng, group_size=group_size)
         assert (len(set(spec.group_sizes)) > 1) == (group_size is None)
-        groups = spec._stacked
         for scale in (0.1, 1.0, 5.0):
-            beta = scale * rng.standard_normal((4, 10))
-            prior_means = rng.standard_normal((4, 10))
-            tau = rng.gamma(2.0, 1.0, size=10)
-            for block in BlockPartition.contiguous(10, block_size).blocks:
-                rest = np.delete(np.arange(10), block)
-                offset = np.einsum("jk,jkn->jn", beta[:, rest], groups.xt[:, rest])
-                b = beta[:, block]
-                parts = [
-                    hb._BlockLikelihoods(groups, block, offset, b, None),
-                    hb._BlockPriors(prior_means[:, block], tau[block]),
-                ]
-                got = AdditiveTarget(parts).evaluate(b, gradient=True, hessian=True)
-                assert got.cost == EvalCost(8, 8, 8)
-                for j in range(4):
-                    want = group_conditional(spec, j, block, beta, prior_means, tau)
-                    assert_close(got.value[j], want.value)
-                    assert_close(got.gradient[j], want.gradient)
-                    assert_close(got.hessian[j], want.hessian)
+            beta = scale * rng.standard_normal((4, n_coeffs))
+            prior_means = rng.standard_normal((4, n_coeffs))
+            tau = rng.gamma(2.0, 1.0, size=n_coeffs)
+            parts = [hb._GroupLikelihoods(spec._stacked, beta, None), hb._GroupPriors(prior_means, tau)]
+            got = AdditiveTarget(parts).evaluate(beta, gradient=True, hessian=True)
+            assert got.cost == EvalCost(8, 8, 8)
+            for j in range(4):
+                want = group_conditional(spec, j, beta, prior_means, tau)
+                assert_close(got.value[j], want.value)
+                assert_close(got.gradient[j], want.gradient)
+                assert_close(got.hessian[j], want.hessian)
 
 
 def cycle_cost(spec, cfg, state, newton=False):
@@ -323,23 +315,7 @@ def cycle_cost(spec, cfg, state, newton=False):
     return new, cost
 
 
-def without_derivatives(state):
-    """``state`` rebuilt by hand, carrying only the likelihood's value and
-    ``sigma(t)`` at beta (as a cycle on two or more blocks leaves it)."""
-    rebuilt = HbState(state.beta, state.gamma, state.tau)
-    spec, carry = state._carry
-    object.__setattr__(rebuilt, "_carry", (spec, carry[:2]))
-    return rebuilt
-
-
 class TestCarry:
-    def test_w3_counters(self):
-        # c09's configuration in blocks of 5: the counters of one block_sweep
-        # per group, whose conditionals shared their linear predictor, exactly
-        spec, _ = simulate_hb(5, 10, 2, np.random.default_rng(2026), group_size=400)
-        trace = hb_gibbs(spec, HbConfig(n_burnin=500, n_samples=500, block_size=5, seed=101))
-        assert trace.meta["final_cost"] == {"n_value": 27505, "n_gradient": 35000, "n_hessian": 35000}
-
     def test_w3_counters_in_one_block(self):
         # c09's configuration: one block per group, 250 Newton cycles of
         # (2J, 2J, 2J), then 750 MH cycles of (3J, 3J, 3J), plus J values at
@@ -349,115 +325,88 @@ class TestCarry:
         trace = hb_gibbs(spec, HbConfig(n_burnin=500, n_samples=500, seed=101))
         assert trace.meta["final_cost"] == {"n_value": 13755, "n_gradient": 13755, "n_hessian": 13755}
 
-    @pytest.mark.parametrize("block_size", [3, 5, 6, 10])
-    def test_value_counted_only_where_not_evaluated(self, small_instance, block_size):
-        # J groups, B blocks: each block evaluates J (1, 2, 2) at the current
-        # points in either mode, and J (2, 2, 2) at the proposals of an MH
-        # step, plus J likelihood values where the current points were not
-        # evaluated: every block after a Newton move, and the first block
-        # of a state that carries none (built by hand, or for another spec).
-        # In one block (K = 6) a carrying state also spares the J
-        # likelihood gradients and Hessians at the current points
-        spec, _ = small_instance
-        cfg = HbConfig(block_size=block_size)
-        J, B = spec.n_groups, BlockPartition.contiguous(spec.n_coeffs, block_size).n_blocks
-        d = J if B == 1 else 0
-        state = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
+    @pytest.mark.parametrize("n_coeffs", [3, 5, 6, 10, 12])
+    def test_value_counted_only_where_not_evaluated(self, n_coeffs):
+        # J groups of K coefficients in one block, whatever K (K = 12 too):
+        # a cycle evaluates J (1, 1, 1) priors at the current points in
+        # either mode, and J (2, 2, 2) at the proposals of an MH step, plus
+        # J (1, 1, 1) likelihoods where the current points were not
+        # evaluated: after a Newton move, and at a state that carries none
+        # (built by hand, or for another spec)
+        spec, _ = simulate_hb(4, n_coeffs, 2, np.random.default_rng(n_coeffs), group_size=120)
+        J, cfg = spec.n_groups, HbConfig()
+        state = HbState(np.zeros((J, n_coeffs)), np.zeros((n_coeffs, 2)), np.ones(n_coeffs))
         state, cost = cycle_cost(spec, cfg, state, newton=True)
-        assert cost == EvalCost(2 * J * B, 2 * J * B, 2 * J * B)
+        assert cost == EvalCost(2 * J, 2 * J, 2 * J)
         state, cost = cycle_cost(spec, cfg, state)
-        assert cost == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
+        assert cost == EvalCost(4 * J, 4 * J, 4 * J)
         carried, cost = cycle_cost(spec, cfg, state)
-        assert cost == EvalCost(3 * J * B, 4 * J * B - d, 4 * J * B - d)
+        assert cost == EvalCost(3 * J, 3 * J, 3 * J)
         rebuilt = HbState(carried.beta, carried.gamma, carried.tau)
-        assert cycle_cost(spec, cfg, rebuilt)[1] == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
+        assert cycle_cost(spec, cfg, rebuilt)[1] == EvalCost(4 * J, 4 * J, 4 * J)
         # a carry belongs to the spec it was evaluated under
         other = HbModelSpec(spec.designs, spec.responses, spec.upper_design)
-        assert cycle_cost(other, cfg, carried)[1] == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
-        # a Newton cycle from a carrying state skips its first block's value
-        # (and in one block the likelihood's derivatives), and carries nothing
+        assert cycle_cost(other, cfg, carried)[1] == EvalCost(4 * J, 4 * J, 4 * J)
+        # a Newton cycle from a carrying state evaluates only the priors, and
+        # carries nothing
         state, cost = cycle_cost(spec, cfg, carried, newton=True)
-        assert cost == EvalCost(2 * J * B - J, 2 * J * B - d, 2 * J * B - d)
-        assert cycle_cost(spec, cfg, state)[1] == EvalCost(3 * J * B + J, 4 * J * B, 4 * J * B)
+        assert cost == EvalCost(J, J, J)
+        assert cycle_cost(spec, cfg, state)[1] == EvalCost(4 * J, 4 * J, 4 * J)
 
-    def test_derivatives_carried_only_in_one_block(self, small_instance):
-        # a state carrying a one-block cycle's derivatives, stepped in blocks
-        # of 3, uses only the value carry, and leaves the value carry only
-        spec, _ = small_instance
-        J = spec.n_groups
-        state = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
-        state, _ = cycle_cost(spec, HbConfig(), state)
-        assert len(state._carry[1]) == 4
-        state, cost = cycle_cost(spec, HbConfig(block_size=3), state)
-        assert cost == EvalCost(6 * J, 8 * J, 8 * J)
-        assert len(state._carry[1]) == 2
-
-    @pytest.mark.parametrize("block_size", [3, 2, 6])
-    def test_carry_is_the_likelihood_at_beta(self, small_instance, block_size):
+    @pytest.mark.parametrize("n_coeffs", [3, 2, 6])
+    def test_carry_is_the_likelihood_at_beta(self, small_instance, n_coeffs):
         # the value and sigma(t) carried from the last proposal evaluated
-        # equal a fresh evaluation at the state's beta (summed in another
-        # order: 1e-12 relative); in one block (K = 6) the carry also holds
-        # the gradients and Hessians, and all four equal a fresh stacked
-        # evaluation at beta bit for bit
+        # equal a fresh LogisticTarget evaluation at the state's beta (summed
+        # in another order: 1e-12 relative), and all four carried arrays, the
+        # gradients and Hessians too, equal a fresh stacked evaluation at
+        # beta bit for bit; on the first K columns of the small instance
         spec, _ = small_instance
-        cfg = HbConfig(block_size=block_size)
-        state = HbState(np.zeros((4, 6)), np.zeros((6, 2)), np.ones(6))
+        spec = HbModelSpec([X[:, :n_coeffs] for X in spec.designs], spec.responses, spec.upper_design)
+        state = HbState(np.zeros((4, n_coeffs)), np.zeros((n_coeffs, 2)), np.ones(n_coeffs))
         rng = np.random.default_rng(5)
         n_rejected = 0
         for _ in range(4):
-            state, accepted, *_ = hb_cycle(spec, cfg, state, rng)
+            state, accepted, *_ = hb_cycle(spec, HbConfig(), state, rng)
             carry = state._carry[1]
             values, p = carry[:2]
             for j in range(4):
                 want = LogisticTarget(spec.designs[j], spec.responses[j]).evaluate(state.beta[j])
                 assert_close(values[j], want.value)
                 assert_close(p[j, : spec.group_sizes[j]], expit(spec.designs[j] @ state.beta[j]))
-            if block_size < 6:
-                assert len(carry) == 2
-                continue
-            groups = spec._stacked
-            offset = np.matmul(np.zeros((4, 1, 6)), groups.xt)[:, 0]
-            fresh = hb._BlockLikelihoods(groups, slice(0, 6), offset, None, None)
+            fresh = hb._GroupLikelihoods(spec._stacked, None, None)
             fresh.evaluate(state.beta.copy(), gradient=True, hessian=True)
             assert len(carry) == 4
             for got, want in zip(carry, fresh.last):
                 assert got.tobytes() == want.tobytes()
             n_rejected += 4 - accepted
-        # the one-block carry took rejected groups' arrays as well
-        assert block_size < 6 or 0 < n_rejected < 16
+        # at K = 6 the carry took rejected groups' arrays as well
+        assert n_coeffs < 6 or 0 < n_rejected < 16
 
     def test_one_block_samples_do_not_depend_on_the_carry(self, small_instance):
-        # MH cycles in one block from a state carrying the likelihood's fit,
-        # from the same state carrying only its value, and from the state
-        # rebuilt by hand each cycle: the same draws, the same beta, gamma
-        # and tau bit for bit; per cycle the carry spares J gradients and J
-        # Hessians, and the value carry J values more
+        # MH cycles from a state carrying the likelihood's fit and from the
+        # state rebuilt by hand each cycle: the same draws, the same beta,
+        # gamma and tau bit for bit; per cycle the carry spares J values, J
+        # gradients and J Hessians
         spec, _ = small_instance
         J, cfg = spec.n_groups, HbConfig()
         start = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
         start, *_ = hb_cycle(spec, cfg, start, np.random.default_rng(4))
-        chains = {"fit": start, "value": start, "none": start}
-        rebuild = {
-            "fit": lambda s: s,
-            "value": without_derivatives,
-            "none": lambda s: HbState(s.beta, s.gamma, s.tau),
-        }
+        chains = {"fit": start, "none": start}
+        rebuild = {"fit": lambda s: s, "none": lambda s: HbState(s.beta, s.gamma, s.tau)}
         rngs = {name: np.random.default_rng(8) for name in chains}
         for _ in range(20):
             costs = {}
             for name in chains:
                 state = rebuild[name](chains[name])
                 chains[name], _, costs[name], _ = hb_cycle(spec, cfg, state, rngs[name])
-            for name in ("value", "none"):
-                for field in ("beta", "gamma", "tau"):
-                    assert getattr(chains[name], field).tobytes() == getattr(chains["fit"], field).tobytes()
-                assert rngs[name].bit_generator.state == rngs["fit"].bit_generator.state
+            for field in ("beta", "gamma", "tau"):
+                assert getattr(chains["none"], field).tobytes() == getattr(chains["fit"], field).tobytes()
+            assert rngs["none"].bit_generator.state == rngs["fit"].bit_generator.state
             assert costs["fit"] == EvalCost(3 * J, 3 * J, 3 * J)
-            assert costs["value"] == costs["fit"] + EvalCost(0, J, J)
             assert costs["none"] == costs["fit"] + EvalCost(J, J, J)
 
 
-def successive_conditional_z(seed, n, block_size, cycles, beta_sampler="tangent"):
+def successive_conditional_z(seed, n, cycles, beta_sampler="tangent"):
     """Geweke's successive-conditional chain on ``hb_cycle``: J = 3
     groups of 20 rows, K = 2, L = 2, the hyperprior gamma_shape = 3,
     gamma_rate = 2, gamma_precision = 1.  Started from an exact prior draw,
@@ -469,7 +418,7 @@ def successive_conditional_z(seed, n, block_size, cycles, beta_sampler="tangent"
     J, K, L, a, b = 3, 2, 2, 3.0, 2.0
     base, _ = simulate_hb(J, K, L, rng, group_size=20)
     X, Z = base.designs, base.upper_design
-    cfg = HbConfig(block_size=block_size, beta_sampler=beta_sampler)
+    cfg = HbConfig(beta_sampler=beta_sampler)
 
     def fresh_y(beta):
         return [(rng.random(20) < expit(X[j] @ beta[j])).astype(float) for j in range(J)]
@@ -503,26 +452,31 @@ class TestGeweke:
     fresh y | beta.  Started from an exact prior draw, every state of it
     is distributed as the prior, so the chain means of beta, beta^2,
     gamma, gamma^2, tau and tau^2 must match their exact prior moments
-    (``successive_conditional_z``).  Fixed before the first run: seed 606,
-    8,000 iterations of one cycle, K = 2 coefficients in blocks of 1, and
-    the bound max |z| < 4 over the 24 statistics.
+    (``successive_conditional_z``).  Each iteration takes one cycle, so
+    every cycle starts from a state that carries no likelihood fit.  Seed
+    606, 8,000 iterations, K = 2 coefficients and the bound max |z| < 4
+    over the 24 statistics were fixed before its first run, when the cycle
+    stepped blocks of 1; it now steps each group's coefficients as one
+    block.
     """
 
     def test_successive_conditional_chain_keeps_the_prior(self):
-        z, _ = successive_conditional_z(606, 8000, block_size=1, cycles=1)
+        z, cost = successive_conditional_z(606, 8000, cycles=1)
+        # J = 3: each cycle (4J, 4J, 4J), as y is new
+        assert cost == EvalCost(8000 * 12, 8000 * 12, 8000 * 12)
         assert np.max(np.abs(z)) < 4.0, np.round(z, 2)
 
 
 class TestGewekeOneBlock:
-    """``TestGeweke``'s chain in one block, so that the likelihood's fit
-    is carried: each iteration takes two cycles given y, and the second
-    starts from the first's carry.  Fixed before the first run: seed 707,
-    5,000 iterations of two cycles, K = 2 coefficients in one block of 2,
-    and the bound max |z| < 4 over the 24 statistics.
+    """``TestGeweke``'s chain with the likelihood's fit carried: each
+    iteration takes two cycles given y, and the second starts from the
+    first's carry.  Fixed before the first run: seed 707, 5,000 iterations
+    of two cycles, K = 2 coefficients, and the bound max |z| < 4 over the
+    24 statistics.
     """
 
     def test_carried_fit_keeps_the_prior(self):
-        z, cost = successive_conditional_z(707, 5000, block_size=2, cycles=2)
+        z, cost = successive_conditional_z(707, 5000, cycles=2)
         # J = 3: a first cycle (4J, 4J, 4J), as y is new; a carrying one (3J, 3J, 3J)
         assert cost == EvalCost(5000 * 21, 5000 * 21, 5000 * 21)
         assert np.max(np.abs(z)) < 4.0, np.round(z, 2)
@@ -536,7 +490,7 @@ class TestGewekeSlice:
     """
 
     def test_slice_cycle_keeps_the_prior(self):
-        z, cost = successive_conditional_z(808, 5000, block_size=2, cycles=1, beta_sampler="slice")
+        z, cost = successive_conditional_z(808, 5000, cycles=1, beta_sampler="slice")
         # value-only: 2 values per line evaluation
         assert cost.n_gradient == cost.n_hessian == 0 and cost.n_value % 2 == 0
         assert np.max(np.abs(z)) < 4.0, np.round(z, 2)

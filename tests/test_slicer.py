@@ -305,7 +305,7 @@ class TestKeptValue:
         # predictor; it runs the chain, counters and random stream of one
         # slice_sweep per group on the group's public targets, at equal and
         # at log-uniform group sizes
-        cfg = hb.HbConfig(n_burnin=6, n_samples=12, block_size=2, beta_sampler="slice")
+        cfg = hb.HbConfig(n_burnin=6, n_samples=12, beta_sampler="slice")
         for group_size in (60, None):
             spec, _ = hb.simulate_hb(3, 4, 2, np.random.default_rng(12), group_size=group_size)
             rng = np.random.default_rng(13)
