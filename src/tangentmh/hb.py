@@ -16,8 +16,9 @@ likelihood does not depend on gamma and tau, so its fit at a cycle's
 final beta (value, gradient and Hessian) is carried to the next, and an
 MH cycle evaluates the likelihood only at the proposals, as
 ``run_chain`` carries its fitted record.  The slice baseline sweeps each
-group in turn, each coordinate's line evaluated along one design column
-from the group's kept predictor.  The group conditionals are log-concave
+group in turn along the coordinate lines of the group's
+``LogisticTarget`` (its kept predictor moved by one design column per
+update), with the diagonal prior added as a scalar (``_slice_betas``).  The group conditionals are log-concave
 by construction (projection likelihood plus Gaussian prior), so Hessian
 failures indicate a bug and are counted.
 """
@@ -30,10 +31,10 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .linalg import NotPositiveDefinite, _cholesky_lowers, _upper_solve
+from .linalg import NotPositiveDefinite, _cholesky_lowers
 from .slicer import SliceConfig, _sweep
 from .tangent import build_proposal, tangent_step
-from .targets import AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, _row_losses
+from .targets import AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, LogisticTarget, _row_losses
 from .trace import ChainConfig, run_sweeps
 
 __all__ = [
@@ -130,8 +131,8 @@ class _StackedGroups:
 
     ``likelihood`` gives each group's log-likelihood and ``sigma(t)`` at
     ``t = X b``, in ``LogisticTarget``'s stable row form.  The slice path
-    reads group j's own rows, ``xt[j, :, :N_j]`` and ``not_y[j, :N_j]``, so
-    it does no padding work."""
+    walks the coordinate lines of ``targets[j]``, group j's
+    ``LogisticTarget`` over its own rows, so it does no padding work."""
 
     def __init__(self, spec: HbModelSpec):
         sizes = np.array(spec.group_sizes)
@@ -142,6 +143,7 @@ class _StackedGroups:
             self.xt[j, :, : sizes[j]] = X.T
             self.y[j, : sizes[j]] = y
         self.not_y = 1.0 - self.y
+        self.targets = tuple(LogisticTarget(X, y) for X, y in zip(spec.designs, spec.responses))
         self._weight = None
         if np.any(sizes < n):
             self._weight = (np.arange(n) < sizes[:, None]).astype(float)
@@ -316,25 +318,21 @@ def draw_upper_coeffs(
     against ``tau_k Z^T beta[:, k]``.  The K precisions are factored as
     one ``(K, L, L)`` stack in one ``np.linalg.cholesky`` call, under
     ``cholesky``'s pivot rule (a failing precision raises its
-    ``NotPositiveDefinite`` before any draw), every right-hand side comes
-    from one stacked product and every normal from one ``(K, L)`` draw.
-    Each result equals the per-coefficient factor, solve and
-    ``standard_normal(L)`` draw bit for bit, and the generator ends in the
-    same state.
+    ``NotPositiveDefinite`` before any draw), and every normal comes from
+    one ``(K, L)`` draw.  With ``L_k`` the factor, right-hand side ``h_k``
+    and normal ``z_k``, the draw is ``L_k^-T (L_k^-1 h_k + z_k)`` through
+    the stacked inverse factors: the mean plus the same square root of the
+    covariance as two triangular solves per coefficient, equal to them to
+    rounding.
     """
     Z = spec.upper_design
     precisions = tau[:, None, None] * (Z.T @ Z) + spec.gamma_precision * np.eye(spec.n_upper)
-    lowers = _cholesky_lowers(precisions)
-    # the K matrix-vector products Z^T beta[:, k] as one stacked call; the
-    # matrix product Z^T beta sums differently at L = 1 or 4
-    rhs = tau[:, None] * np.matmul(Z.T, beta.T[:, :, None])[:, :, 0]
+    inverses = np.linalg.inv(_cholesky_lowers(precisions))
+    rhs = tau[:, None] * (beta.T @ Z)
     z = rng.standard_normal((spec.n_coeffs, spec.n_upper))
-    gamma = np.empty((spec.n_coeffs, spec.n_upper))
-    for k, lower in enumerate(lowers):
-        upper = lower.T
-        mean = _upper_solve(upper, _upper_solve(upper, rhs[k], 1), 0)
-        gamma[k] = mean + _upper_solve(upper, z[k], 0)
-    return gamma
+    w = np.matmul(inverses, rhs[:, :, None])[:, :, 0]
+    w += z
+    return np.matmul(inverses.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
 
 
 def draw_precisions(
@@ -347,7 +345,7 @@ def draw_precisions(
     resid = beta - spec.upper_design @ gamma.T
     shape = spec.gamma_shape + 0.5 * spec.n_groups
     rates = spec.gamma_rate + 0.5 * np.sum(resid**2, axis=0)
-    return rng.gamma(shape, scale=1.0 / rates)
+    return rng.standard_gamma(shape, size=spec.n_coeffs) * (1.0 / rates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,38 +370,35 @@ class HbState:
 
 def _slice_betas(spec, slice_cfg, beta, prior_means, tau, rng) -> EvalCost:
     """One slice sweep per group in turn, ``beta`` updated in place; returns
-    the summed cost, 2 values (likelihood and prior) per line evaluation.
-    Coordinate d's line at v is the row terms over the group's own rows at
-    ``t + X[:, d] (v - beta_jd)`` plus the prior's ``-0.5 r . (tau r)``,
-    ``r = beta_j - mean`` with entry d at v, as the dense prior sums it.
-    ``t = X beta_j`` is formed once per sweep and moved by the changed column
-    after each update, so a handed-on value is bit for bit the next line's
-    at its start."""
-    groups, cost, two = spec._stacked, EvalCost(), EvalCost(2, 0, 0)
-    for j, n in enumerate(spec.group_sizes):
-        xt, not_y, b, mean = groups.xt[j, :, :n], groups.not_y[j, :n], beta[j], prior_means[j]
-        t, b0 = b @ xt, b.copy()
+    the summed cost, 2 values (likelihood and prior) per evaluation, as
+    ``slice_sweep`` on the group's targets counts them.  Coordinate d's
+    line is the ``coordinate_lines`` line of the group's ``LogisticTarget``
+    plus the diagonal prior as a scalar, ``-0.5 (rest + tau_d r_d^2)`` with
+    ``r = beta_j - mean`` and ``rest`` the other coordinates' ``tau_k
+    r_k^2``, summed once per coordinate.  A sweep's start value adds the
+    prior's ``-0.5 r . (tau r)``."""
+    n = 0
+    for j, target in enumerate(spec._stacked.targets):
+        b, mean = beta[j], prior_means[j]
+        likelihood, f, _ = target.coordinate_lines(b)
+        r = b - mean
+        f -= 0.5 * float(r @ (tau * r))
 
         def line(d):
-            nonlocal t
-            if d:
-                t = t + xt[d - 1] * (b[d - 1] - b0[d - 1])
-            column, start = xt[d], b0[d]
+            lik = likelihood(d)
             r = b - mean
-            tau_r = tau * r
-            mean_d, tau_d = float(mean[d]), float(tau[d])
+            terms = tau * r * r
+            terms[d] = 0.0
+            rest, mean_d, tau_d = float(terms.sum()), float(mean[d]), float(tau[d])
 
             def logf(v):
-                u = column * (v - start)
-                u += t
-                r[d] = r_d = v - mean_d
-                tau_r[d] = tau_d * r_d
-                return -float(_row_losses(u, not_y).sum()) - 0.5 * float(r @ tau_r), two
+                r_d = v - mean_d
+                return lik(v) - 0.5 * (rest + tau_d * r_d * r_d)
 
             return logf
 
-        cost = cost + _sweep(line, b, slice_cfg, rng)
-    return cost
+        n += 1 + _sweep(line, f, b, slice_cfg, rng)
+    return EvalCost(2 * n, 0, 0)
 
 
 def hb_cycle(

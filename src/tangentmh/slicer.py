@@ -1,10 +1,15 @@
 """Univariate slice sampler with stepout, plus a coordinate-wise Gibbs wrapper.
 
 This is the tuning-light baseline the efficiency benchmark compares
-against.  A coordinate update evaluates the full target log-density (value
-only), one value-unit per evaluation in the counters.  It is handed the
-value at its start point, which the sweep's previous update ended on, so
-only a sweep's start point is evaluated outside an update.
+against.  A sweep updates one coordinate after another, each along its
+line through the current point: ``DifferentiableTarget.coordinate_lines``
+gives the lines, the log-density at the sweep's start point and the
+counters of one value-only evaluation.  By default a line splices the
+coordinate in and evaluates the full target; a ``LogisticTarget`` keeps
+its linear predictor and moves it by one design column.  An update is
+handed the value at its start point, which the previous update ended on,
+so only a sweep's start point is evaluated outside an update.  The sweep
+counts the evaluations it makes and multiplies the counters once.
 """
 
 from __future__ import annotations
@@ -51,6 +56,12 @@ def slice_step_1d(logf, x: float, f0: float, cfg: SliceConfig, rng: np.random.Ge
     split randomly between the two sides, which keeps the update reversible
     even when the budget is exhausted.
     """
+    return _step(logf, x, f0, cfg, rng)[:2]
+
+
+def _step(logf, x: float, f0: float, cfg: SliceConfig, rng: np.random.Generator):
+    """``slice_step_1d``'s update; returns ``(x_new, logf(x_new), calls)``
+    with ``calls`` the number of ``logf`` evaluations it made."""
     x = float(x)
     if not np.isfinite(f0):
         raise SliceError(f"log-density not finite at current point {x}")
@@ -62,75 +73,60 @@ def slice_step_1d(logf, x: float, f0: float, cfg: SliceConfig, rng: np.random.Ge
     right = left + w
     j = int(np.floor(cfg.max_stepout * rng.random()))
     k = (cfg.max_stepout - 1) - j
+    calls = 0
     while j > 0:
+        calls += 1
         if logf(left) <= log_y:
             break
         left -= w
         j -= 1
     while k > 0:
+        calls += 1
         if logf(right) <= log_y:
             break
         right += w
         k -= 1
 
-    for _ in range(MAX_SHRINKS):
+    for shrinks in range(1, MAX_SHRINKS + 1):
         x1 = left + rng.random() * (right - left)
         f1 = float(logf(x1))
         if f1 > log_y:
-            return x1, f1
+            return x1, f1, calls + shrinks
         if x1 < x:
             left = x1
         elif x1 > x:
             right = x1
         else:
             # the slice always contains the current point
-            return x, f0
+            return x, f0, calls + shrinks
     raise SliceError(f"no acceptable point after {MAX_SHRINKS} shrinks at {x}")
 
 
-def _sweep(line, x: np.ndarray, cfg: SliceConfig, rng: np.random.Generator) -> EvalCost:
+def _sweep(line, f: float, x: np.ndarray, cfg: SliceConfig, rng: np.random.Generator) -> int:
     """Slice-update ``x`` in place, one coordinate after another in index
-    order, and return the summed cost.  ``line(d)``, called once coordinate
-    d - 1 has moved, is coordinate d's log-density ``v -> (value, EvalCost)``
-    with the others held at ``x``.  The start point is evaluated once, and
-    each update hands the value at its end point to the next, which starts
-    there."""
-    n_value = n_gradient = n_hessian = 0
-    logf = line(0)
-
-    def counted(v):
-        nonlocal n_value, n_gradient, n_hessian
-        value, cost = logf(v)
-        n_value += cost.n_value
-        n_gradient += cost.n_gradient
-        n_hessian += cost.n_hessian
-        return value
-
-    f = counted(x[0])
+    order, from the log-density ``f`` at ``x``; returns the number of line
+    evaluations.  ``line(d)``, called once coordinate d - 1 has moved, is
+    coordinate d's log-density ``v -> value`` with the others held at
+    ``x``.  Each update hands the value at its end point to the next, which
+    starts there."""
+    calls = 0
     for d in range(x.shape[0]):
-        if d:
-            logf = line(d)
-        x[d], f = slice_step_1d(counted, x[d], f, cfg, rng)
-    return EvalCost(n_value, n_gradient, n_hessian)
+        x[d], f, n = _step(line(d), x[d], f, cfg, rng)
+        calls += n
+    return calls
 
 
 def slice_sweep(target: DifferentiableTarget, x, cfg: SliceConfig, rng: np.random.Generator):
-    """One coordinate-wise sweep (``_sweep``) over the target, evaluated
-    value-only; returns ``run_sweeps``' sweep outcome ``(x_new, 1, cost,
-    0)``: a slice update never rejects and fits no Hessian.  The cost is
-    accumulated from the target's own counters, so composite targets report
-    the sum of their parts."""
+    """One coordinate-wise sweep (``_sweep``) along the target's
+    ``coordinate_lines``; returns ``run_sweeps``' sweep outcome ``(x_new,
+    1, cost, 0)``: a slice update never rejects and fits no Hessian.  The
+    cost is the start point's evaluation and each line evaluation, each
+    counted as one value-only evaluation of the target, so composite
+    targets report the sum of their parts."""
     x = np.array(x, dtype=float)
-
-    def line(d):
-        def logf(v):
-            x[d] = v
-            res = target.evaluate(x)
-            return res.value, res.cost
-
-        return logf
-
-    return x, 1, _sweep(line, x, cfg, rng), 0
+    line, f, cost = target.coordinate_lines(x)
+    n = 1 + _sweep(line, f, x, cfg, rng)
+    return x, 1, EvalCost(n * cost.n_value, n * cost.n_gradient, n * cost.n_hessian), 0
 
 
 def slice_gibbs_chain(

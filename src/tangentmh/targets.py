@@ -4,13 +4,15 @@ A target is anything exposing ``dim`` and ``evaluate(x, gradient=, hessian=)``
 returning the log-density value (always up to an additive constant; each
 concrete target documents which constant it drops), optionally with gradient
 and Hessian, plus evaluation-cost counters.  Targets are immutable after
-construction, except for two exact caches on a ``LogisticTarget``: the
-conditionals it builds share the linear predictor, value and ``sigma(t)``
-of their two most recent derivative evaluations, and its ``restrict``
-keeps each block's design columns.  Concurrent evaluation stays correct,
-since a cached value is reused only for a bit-identical linear predictor
-and a block's columns are the same whoever builds them; the worst a race
-can do is a miss, or build a block's columns twice.
+construction, except for three exact caches on a ``LogisticTarget``:
+the conditionals it builds share the linear predictor, value and
+``sigma(t)`` of their two most recent derivative evaluations, its
+``restrict`` keeps each block's design columns, and its first
+``coordinate_lines`` keeps the transposed design and column sums its
+lines read.  Concurrent evaluation stays correct, since a cached value
+is reused only for a bit-identical linear predictor and a block's
+columns and the line sums are the same whoever builds them; the worst a
+race can do is a miss, or build them twice.
 Counters are returned per call, never accumulated in shared state.  A
 ``LogisticTarget`` keeps ``1 - y`` with its responses; one built by its
 constructor without an offset stores none, rather than an array of zeros.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr
@@ -105,6 +108,28 @@ class DifferentiableTarget(ABC):
         cheaper equivalent form (possibly shifted by an additive constant).
         """
         return _Spliced(self, block, full)
+
+    def coordinate_lines(self, x: np.ndarray):
+        """The lines through ``x`` that a slice sweep (``slicer._sweep``)
+        walks, with ``x`` a float vector the sweep updates in place.
+
+        Returns ``(line, value, cost)``: ``line(d)``, called once coordinate
+        d - 1 has moved, is coordinate d's log-density ``v -> float`` with
+        the other coordinates held at ``x``; ``value`` is the log-density at
+        ``x`` and ``cost`` the counters of one value-only evaluation, the
+        same for every point.  The default splices ``v`` into ``x`` and
+        evaluates the target, so a line's values are the target's own.
+        """
+        start = self.evaluate(x)
+
+        def line(d):
+            def logf(v):
+                x[d] = v
+                return self.evaluate(x).value
+
+            return logf
+
+        return line, start.value, start.cost
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64):
@@ -234,6 +259,12 @@ class LogisticTarget(DifferentiableTarget):
     sweep evaluates each block's likelihood once.  Results are those of a
     fresh evaluation bit for bit.  Value-only evaluations, and every
     evaluation of a constructed target, neither read nor write the memo.
+
+    ``coordinate_lines`` evaluates a slice sweep's lines at the cost of
+    their row arithmetic: the predictor at the sweep's start, moved by one
+    column after each update, and per-target column sums cached on first
+    use, with no matrix product per point.  Its start value is
+    ``evaluate``'s; line values agree with it to rounding.
     """
 
     def __init__(self, X, y, offset=None):
@@ -296,6 +327,52 @@ class LogisticTarget(DifferentiableTarget):
             hess,
             _COSTS[kept is None, gradient, hessian],
         )
+
+    @cached_property
+    def _line_columns(self) -> tuple:
+        """``X^T`` in C order, so that each column is contiguous, ``(1 - y) X``
+        and the column sums of ``X``, for ``coordinate_lines``."""
+        return np.ascontiguousarray(self._X.T), self._not_y @ self._X, self._X.sum(axis=0)
+
+    def coordinate_lines(self, x):
+        """The lines from the predictor ``t = X x`` (+ offset) at the
+        sweep's start, moved by the changed column after each update.
+        Coordinate d's line at ``v`` is the row terms at ``u = t + delta
+        X_d``, ``delta = v - x_d``.  With ``A = (1 - y) . t`` and ``S_t =
+        sum t`` formed once per coordinate, ``B_d = (1 - y) . X_d`` and
+        ``S_d = sum X_d`` cached, and ``sum min(u, 0) = (sum u - sum |u|) /
+        2``, it is
+        ``-(sum log1p(exp(-|u|)) + A + delta B_d - (S_t + delta S_d - sum |u|) / 2)``:
+        ``u`` formed in one buffer, then one ``|u|`` pass and its sum,
+        ``exp`` and ``log1p`` in place and a sum.  The start value is
+        ``evaluate``'s; line values agree with it to rounding, not bit for
+        bit."""
+        t = self._X @ x
+        if self._offset is not None:
+            t += self._offset
+        xt, col_not_y, col_sums = self._line_columns
+        not_y, start, u = self._not_y, x.copy(), np.empty_like(t)
+
+        def line(d):
+            if d:
+                np.add(t, xt[d - 1] * (x[d - 1] - start[d - 1]), out=t)
+            column, x_d, b_d, s_d = xt[d], float(start[d]), float(col_not_y[d]), float(col_sums[d])
+            a, s_t = float(not_y @ t), float(t.sum())
+
+            def logf(v):
+                delta = v - x_d
+                np.multiply(column, delta, out=u)
+                np.add(u, t, out=u)
+                np.abs(u, out=u)
+                s_u = float(u.sum())
+                np.negative(u, out=u)
+                np.exp(u, out=u)
+                np.log1p(u, out=u)
+                return -(float(u.sum()) + a + delta * b_d - 0.5 * (s_t + delta * s_d - s_u))
+
+            return logf
+
+        return line, -float(_row_losses(t, not_y).sum()), _COSTS[1, 0, 0]
 
     def restrict(self, block, full) -> "LogisticTarget":
         block = np.asarray(block, dtype=int)

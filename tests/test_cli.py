@@ -419,8 +419,8 @@ PINNED_SHA256 = {
         "table.csv": "ea3f3a02295d7b6bc0959501ea2f63e38cc6d9ad30a915e755e992c70a0d5463",
     },
     "hb": {
-        "coefficients.csv": "9daf301475d47afe854fa0c404d6112fff97333696e7b9c1155e89133f6be910",
-        "summary.json": "437a4a98cd0e358624c6c36e53ff611101eb4d07e67530262151b4b758652519",
+        "coefficients.csv": "d0a0f8b6c98cf1b4accadcc45e70c76c2cb9912fce389ed9cf9b55e6be758cd5",
+        "summary.json": "7e9a84854cb6b0986bee9df7c2784e0caf0c36de06e419b68c3060dd69f90736",
     },
     "theorem": {
         "campaign.jsonl": "6d086d4d8e56461c86a84597735d317ef182308130ab866ae26ce269857790c8",

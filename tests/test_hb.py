@@ -108,7 +108,8 @@ class TestStackedUpperDraw:
                 got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
                 got = draw_upper_coeffs(spec, beta, tau, got_rng)
                 ref = upper_coeffs_loop(spec, beta, tau, ref_rng)
-                assert got.tobytes() == ref.tobytes()
+                # the same square root through inverse factors: equal to rounding
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-3, -np.inf, np.nan])

@@ -269,10 +269,30 @@ class TestKeptValue:
             assert np.array_equal(got.n_value, ref.n_value)
 
     def test_sweep_evaluates_each_start_point_once(self):
+        # spies on the start point and every line evaluation, each as the
+        # full vector it stands for
         target = _logistic(4, 33)
         seen = []
-        evaluate = target.evaluate
-        target.evaluate = lambda x, **kw: seen.append(np.array(x)) or evaluate(x, **kw)
+        coordinate_lines = target.coordinate_lines
+
+        def spied(x):
+            line, value, cost = coordinate_lines(x)
+            seen.append(x.copy())
+
+            def spied_line(d):
+                logf = line(d)
+
+                def spied_logf(v):
+                    point = x.copy()
+                    point[d] = v
+                    seen.append(point)
+                    return logf(v)
+
+                return spied_logf
+
+            return spied_line, value, cost
+
+        target.coordinate_lines = spied
         x, _, cost, _ = slice_sweep(target, np.zeros(4), SliceConfig(0.7), np.random.default_rng(2))
         assert cost.n_value == len(seen)
         # consecutive evaluations never repeat a vector

@@ -648,6 +648,58 @@ class TestLogisticAgainstReference:
             assert bits(t) == t_bits and bits(p) == p_bits
 
 
+class TestCoordinateLines:
+    """A slice sweep's coordinate lines against full evaluations at the
+    same points, coordinate after coordinate as the sweep moves them."""
+
+    @staticmethod
+    def walk(target, x, rng):
+        """(line value, evaluate value) pairs along every coordinate of a
+        sweep from ``x``, each coordinate then moved to its last point."""
+        x = np.array(x, dtype=float)
+        line, value, cost = target.coordinate_lines(x)
+        pairs = [(value, target.evaluate(x).value)]
+        for d in range(target.dim):
+            logf = line(d)
+            for v in x[d] + rng.normal(0.0, 1.0, 4):
+                point = x.copy()
+                point[d] = v
+                pairs.append((logf(v), target.evaluate(point).value))
+            x[d] = v
+        return pairs, cost
+
+    @pytest.mark.parametrize("with_offset", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 700.0])
+    def test_logistic_line_matches_evaluate(self, with_offset, scale):
+        rng = np.random.default_rng(int(scale) + with_offset)
+        X, y = random_logistic(rng, n=400, k=6)
+        offset = rng.standard_normal(400) if with_offset else None
+        # the predictor's scale is set by the design's
+        target = LogisticTarget(scale * X, y, offset)
+        pairs, cost = self.walk(target, rng.normal(0.0, 0.5, 6), rng)
+        assert cost == EvalCost(1, 0, 0)
+        # the start value is evaluate's own; the line's agree to rounding
+        assert pairs[0][0] == pairs[0][1]
+        got, ref = np.array(pairs).T
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_conditional_line_matches_evaluate(self):
+        rng = np.random.default_rng(5)
+        X, y = random_logistic(rng, n=200, k=6)
+        full = rng.normal(0.0, 0.5, 6)
+        target = LogisticTarget(X, y).restrict(np.array([1, 4]), full)
+        got, ref = np.array(self.walk(target, full[[1, 4]], rng)[0]).T
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_default_line_is_evaluate(self):
+        rng = np.random.default_rng(6)
+        prior = GaussianPriorTarget(rng.standard_normal(3), random_spd(3, rng))
+        target = AdditiveTarget([prior, prior])
+        pairs, cost = self.walk(target, rng.standard_normal(3), rng)
+        assert cost == EvalCost(2, 0, 0)
+        assert all(a == b for a, b in pairs)
+
+
 class TestLinearProjection:
     def test_rejects_asymmetric_quadratic(self):
         # values would read the full matrix and Hessians its lower triangle
