@@ -15,12 +15,11 @@ vectors, whose conditionals are evaluated in ``(J, N, K)`` form.  The
 likelihood does not depend on gamma and tau, so its fit at a cycle's
 final beta (value, gradient and Hessian) is carried to the next, and an
 MH cycle evaluates the likelihood only at the proposals, as
-``run_chain`` carries its fitted record.  The slice baseline sweeps each
-group in turn along the coordinate lines of the group's
-``LogisticTarget`` (its kept predictor moved by one design column per
-update), with the diagonal prior added as a scalar (``_slice_betas``).  The group conditionals are log-concave
-by construction (projection likelihood plus Gaussian prior), so Hessian
-failures indicate a bug and are counted.
+``run_chain`` carries its fitted record.  The slice baseline takes one
+``slice_sweep`` per group in turn on the ``AdditiveTarget`` of its
+``LogisticTarget`` and diagonal ``GaussianPriorTarget``.  The group
+conditionals are log-concave by construction (projection likelihood plus
+Gaussian prior), so Hessian failures indicate a bug and are counted.
 """
 
 from __future__ import annotations
@@ -32,9 +31,10 @@ import numpy as np
 from scipy.special import expit
 
 from .linalg import NotPositiveDefinite, _cholesky_lowers
-from .slicer import SliceConfig, _sweep
+from .slicer import SliceConfig, slice_sweep
 from .tangent import build_proposal, tangent_step
-from .targets import AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, LogisticTarget, _row_losses
+from .targets import (AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, GaussianPriorTarget,
+                      LogisticTarget, _built, _row_losses)
 from .trace import ChainConfig, run_sweeps
 
 __all__ = [
@@ -93,9 +93,12 @@ class HbModelSpec:
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "upper_design", upper)
-        object.__setattr__(self, "gamma_shape", float(self.gamma_shape))
-        object.__setattr__(self, "gamma_rate", float(self.gamma_rate))
-        object.__setattr__(self, "gamma_precision", float(self.gamma_precision))
+        for name in ("gamma_shape", "gamma_rate", "gamma_precision"):
+            value = float(getattr(self, name))
+            # 0 is allowed: the per-cycle pivot rule refuses a singular gamma precision
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def n_groups(self) -> int:
@@ -131,8 +134,8 @@ class _StackedGroups:
 
     ``likelihood`` gives each group's log-likelihood and ``sigma(t)`` at
     ``t = X b``, in ``LogisticTarget``'s stable row form.  The slice path
-    walks the coordinate lines of ``targets[j]``, group j's
-    ``LogisticTarget`` over its own rows, so it does no padding work."""
+    sweeps ``targets[j]``, group j's ``LogisticTarget`` over its own rows,
+    plus the group's prior, so it does no padding work."""
 
     def __init__(self, spec: HbModelSpec):
         sizes = np.array(spec.group_sizes)
@@ -368,39 +371,6 @@ class HbState:
     _carry: tuple | None = field(default=None, init=False, repr=False)
 
 
-def _slice_betas(spec, slice_cfg, beta, prior_means, tau, rng) -> EvalCost:
-    """One slice sweep per group in turn, ``beta`` updated in place; returns
-    the summed cost, 2 values (likelihood and prior) per evaluation, as
-    ``slice_sweep`` on the group's targets counts them.  Coordinate d's
-    line is the ``coordinate_lines`` line of the group's ``LogisticTarget``
-    plus the diagonal prior as a scalar, ``-0.5 (rest + tau_d r_d^2)`` with
-    ``r = beta_j - mean`` and ``rest`` the other coordinates' ``tau_k
-    r_k^2``, summed once per coordinate.  A sweep's start value adds the
-    prior's ``-0.5 r . (tau r)``."""
-    n = 0
-    for j, target in enumerate(spec._stacked.targets):
-        b, mean = beta[j], prior_means[j]
-        likelihood, f, _ = target.coordinate_lines(b)
-        r = b - mean
-        f -= 0.5 * float(r @ (tau * r))
-
-        def line(d):
-            lik = likelihood(d)
-            r = b - mean
-            terms = tau * r * r
-            terms[d] = 0.0
-            rest, mean_d, tau_d = float(terms.sum()), float(mean[d]), float(tau[d])
-
-            def logf(v):
-                r_d = v - mean_d
-                return lik(v) - 0.5 * (rest + tau_d * r_d * r_d)
-
-            return logf
-
-        n += 1 + _sweep(line, f, b, slice_cfg, rng)
-    return EvalCost(2 * n, 0, 0)
-
-
 def hb_cycle(
     spec: HbModelSpec, cfg: HbConfig, state: HbState, rng: np.random.Generator, *, newton: bool = False
 ):
@@ -421,8 +391,8 @@ def hb_cycle(
     cycle from a carrying state therefore counts 3J of each kind: J for
     the priors at the current points and 2J for the likelihoods and priors
     at the proposals.  On the slice path (``newton`` ignored) each group
-    takes one ``_slice_betas`` sweep, counted as its ``slice_sweep`` on the
-    group's targets would be.
+    takes one ``slice_sweep`` on the ``AdditiveTarget`` of its
+    ``LogisticTarget`` and its diagonal prior, built unfactored.
     """
     bad = np.flatnonzero(~(np.isfinite(state.tau) & (state.tau > 0.0)))
     if bad.size:
@@ -432,8 +402,14 @@ def hb_cycle(
     prior_means = spec.upper_design @ state.gamma.T
     carry = None
     if cfg.beta_sampler == "slice":
-        beta = state.beta.copy()
-        n_accepted, cost, failures = 1, _slice_betas(spec, cfg.slice_cfg, beta, prior_means, tau, rng), 0
+        # tau is checked above, so diag(tau) needs no factoring
+        precision, beta, cost = np.diag(tau), np.empty_like(state.beta), EvalCost()
+        for j, likelihood in enumerate(spec._stacked.targets):
+            prior = _built(GaussianPriorTarget, _mean=prior_means[j], _precision=precision, _diagonal=True)
+            target = AdditiveTarget([likelihood, prior])
+            beta[j], _, used, _ = slice_sweep(target, state.beta[j], cfg.slice_cfg, rng)
+            cost = cost + used
+        n_accepted, failures = 1, 0
     else:
         known = state._carry[1] if state._carry is not None and state._carry[0] is spec else None
         likelihood = _GroupLikelihoods(spec._stacked, state.beta, known)

@@ -4,12 +4,12 @@ This is the tuning-light baseline the efficiency benchmark compares
 against.  A sweep updates one coordinate after another, each along its
 line through the current point: ``DifferentiableTarget.coordinate_lines``
 gives the lines, the log-density at the sweep's start point and the
-counters of one value-only evaluation.  By default a line splices the
-coordinate in and evaluates the full target; a ``LogisticTarget`` keeps
-its linear predictor and moves it by one design column.  An update is
-handed the value at its start point, which the previous update ended on,
-so only a sweep's start point is evaluated outside an update.  The sweep
-counts the evaluations it makes and multiplies the counters once.
+counters of one value-only evaluation (see the targets for their lines).
+Every slice baseline, hb's per-group sweeps included, runs
+``slice_sweep``.  Each update (``slice_step_1d``) is handed the value at
+its start point, which the previous update ended on, so only a sweep's
+start point is evaluated outside an update.  An update returns how many
+line evaluations it made; the sweep multiplies the counters once.
 """
 
 from __future__ import annotations
@@ -52,16 +52,11 @@ def slice_step_1d(logf, x: float, f0: float, cfg: SliceConfig, rng: np.random.Ge
     """One stepout-then-shrink slice update leaving exp(logf) invariant.
 
     ``f0`` is ``logf(x)``, which the caller already holds.  Returns
-    ``(x_new, logf(x_new))``.  The expansion budget ``cfg.max_stepout`` is
-    split randomly between the two sides, which keeps the update reversible
-    even when the budget is exhausted.
+    ``(x_new, logf(x_new), n_calls)`` with ``n_calls`` the number of
+    ``logf`` evaluations it made.  The expansion budget ``cfg.max_stepout``
+    is split randomly between the two sides, which keeps the update
+    reversible even when the budget is exhausted.
     """
-    return _step(logf, x, f0, cfg, rng)[:2]
-
-
-def _step(logf, x: float, f0: float, cfg: SliceConfig, rng: np.random.Generator):
-    """``slice_step_1d``'s update; returns ``(x_new, logf(x_new), calls)``
-    with ``calls`` the number of ``logf`` evaluations it made."""
     x = float(x)
     if not np.isfinite(f0):
         raise SliceError(f"log-density not finite at current point {x}")
@@ -102,30 +97,21 @@ def _step(logf, x: float, f0: float, cfg: SliceConfig, rng: np.random.Generator)
     raise SliceError(f"no acceptable point after {MAX_SHRINKS} shrinks at {x}")
 
 
-def _sweep(line, f: float, x: np.ndarray, cfg: SliceConfig, rng: np.random.Generator) -> int:
-    """Slice-update ``x`` in place, one coordinate after another in index
-    order, from the log-density ``f`` at ``x``; returns the number of line
-    evaluations.  ``line(d)``, called once coordinate d - 1 has moved, is
-    coordinate d's log-density ``v -> value`` with the others held at
-    ``x``.  Each update hands the value at its end point to the next, which
-    starts there."""
-    calls = 0
-    for d in range(x.shape[0]):
-        x[d], f, n = _step(line(d), x[d], f, cfg, rng)
-        calls += n
-    return calls
-
-
 def slice_sweep(target: DifferentiableTarget, x, cfg: SliceConfig, rng: np.random.Generator):
-    """One coordinate-wise sweep (``_sweep``) along the target's
-    ``coordinate_lines``; returns ``run_sweeps``' sweep outcome ``(x_new,
-    1, cost, 0)``: a slice update never rejects and fits no Hessian.  The
-    cost is the start point's evaluation and each line evaluation, each
-    counted as one value-only evaluation of the target, so composite
-    targets report the sum of their parts."""
+    """One coordinate-wise sweep along the target's ``coordinate_lines``:
+    ``slice_step_1d`` on each coordinate in index order, each update
+    starting from the value at which the previous one ended.  Returns
+    ``run_sweeps``' sweep outcome ``(x_new, 1, cost, 0)``: a slice update
+    never rejects and fits no Hessian.  The cost is the start point's
+    evaluation and each line evaluation, each counted as one value-only
+    evaluation of the target, so composite targets report the sum of their
+    parts."""
     x = np.array(x, dtype=float)
     line, f, cost = target.coordinate_lines(x)
-    n = 1 + _sweep(line, f, x, cfg, rng)
+    n = 1
+    for d in range(x.shape[0]):
+        x[d], f, calls = slice_step_1d(line(d), x[d], f, cfg, rng)
+        n += calls
     return x, 1, EvalCost(n * cost.n_value, n * cost.n_gradient, n * cost.n_hessian), 0
 
 

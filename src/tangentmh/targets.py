@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 from scipy.linalg import qr
@@ -110,7 +111,7 @@ class DifferentiableTarget(ABC):
         return _Spliced(self, block, full)
 
     def coordinate_lines(self, x: np.ndarray):
-        """The lines through ``x`` that a slice sweep (``slicer._sweep``)
+        """The lines through ``x`` that a slice sweep (``slice_sweep``)
         walks, with ``x`` a float vector the sweep updates in place.
 
         Returns ``(line, value, cost)``: ``line(d)``, called once coordinate
@@ -489,6 +490,25 @@ class GaussianPriorTarget(DifferentiableTarget):
     def third_derivative(self, x) -> float:
         return 0.0
 
+    def coordinate_lines(self, x):
+        """A diagonal precision ``diag(tau)``'s line is the scalar ``-0.5
+        (rest + tau_d r_d^2)``, with ``r = x - mean`` and ``rest`` the other
+        coordinates' ``tau_k r_k^2`` summed once per coordinate; its start
+        value is ``evaluate``'s.  Any other precision keeps the default."""
+        if not self._diagonal:
+            return super().coordinate_lines(x)
+        self._check_point(x)  # the lines never call evaluate, which checks it
+        tau, mean = self._precision.diagonal(), self._mean
+
+        def line(d):
+            r = x - mean
+            terms = tau * r * r
+            terms[d] = 0.0
+            rest, mean_d, tau_d = float(terms.sum()), float(mean[d]), float(tau[d])
+            return lambda v: -0.5 * (rest + tau_d * (v - mean_d) * (v - mean_d))
+
+        return line, -0.5 * float((x - mean) @ (tau * (x - mean))), _COSTS[1, 0, 0]
+
     def restrict(self, block, full) -> "GaussianPriorTarget":
         block = np.asarray(block, dtype=int)
         mean = self._mean[block]
@@ -549,6 +569,24 @@ class AdditiveTarget(DifferentiableTarget):
             n_gradient += cost.n_gradient
             n_hessian += cost.n_hessian
         return EvalResult(value, grad, hess, EvalCost(n_value, n_gradient, n_hessian))
+
+    def coordinate_lines(self, x):
+        """The parts' lines, start values and counters, each summed in part
+        order as ``evaluate`` sums them."""
+        lines, values, costs = zip(*(p.coordinate_lines(x) for p in self._parts))
+
+        def line(d):
+            first, *others = [part(d) for part in lines]
+
+            def logf(v):
+                value = first(v)
+                for other in others:
+                    value += other(v)
+                return value
+
+            return logf
+
+        return line, reduce(add, values), reduce(add, costs)
 
     def restrict(self, block, full) -> "AdditiveTarget":
         # every part's conditional has the block's dimension: nothing to check

@@ -56,6 +56,20 @@ class TestSpec:
         with pytest.raises(ValueError):
             HbModelSpec([np.zeros((2, 1))], [np.array([0.0, 2.0])], np.ones((1, 1)))
 
+    @pytest.mark.parametrize("bad", [-10.0, -1.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["gamma_shape", "gamma_rate", "gamma_precision"])
+    def test_rejects_bad_hyperparameters(self, name, bad):
+        # each used to fail mid-chain, under numpy's or another quantity's name
+        spec, _ = simulate_hb(3, 4, 2, np.random.default_rng(1), group_size=50)
+        with pytest.raises(ValueError, match=name):
+            HbModelSpec(spec.designs, spec.responses, spec.upper_design, **{name: bad})
+
+    def test_zero_gamma_rate_runs(self):
+        spec, _ = simulate_hb(3, 4, 2, np.random.default_rng(1), group_size=50)
+        spec = HbModelSpec(spec.designs, spec.responses, spec.upper_design, gamma_rate=0.0)
+        trace = hb_gibbs(spec, HbConfig(4, 6), np.random.default_rng(2))
+        assert np.all(np.isfinite(trace.tau))
+
 
 class TestConjugateUpdates:
     def test_precision_draw_matches_gamma_posterior_mean(self, small_instance):
@@ -207,18 +221,32 @@ class TestGibbs:
         # 2 Newton cycles evaluate once, 6 MH cycles twice
         assert no_group_target == [(4, 6)] * (2 + 2 * 6)
 
-    def test_slice_path_builds_no_group_target(self, small_instance, no_group_target, monkeypatch):
-        # each coordinate's line is evaluated from the group's rows and
-        # predictor: no target is built or evaluated, not even a sum
+    def test_slice_path_is_one_slice_sweep_per_group(self, small_instance, monkeypatch):
+        # each cycle calls slice_sweep, through hb's module global, once per
+        # group on its likelihood plus a diagonal prior; their lines evaluate
+        # no target, and the prior is never factored
         def refuse(*args, **kwargs):
-            raise AssertionError("a target sum was built")
+            raise AssertionError("a target was evaluated or a precision factored")
 
-        monkeypatch.setattr(AdditiveTarget, "__init__", refuse)
+        for cls in (LogisticTarget, GaussianPriorTarget, AdditiveTarget):
+            monkeypatch.setattr(cls, "evaluate", refuse)
+        monkeypatch.setattr(targets, "cholesky", refuse)
+        with pytest.raises(AssertionError, match="factored"):
+            GaussianPriorTarget(np.zeros(2), np.eye(2))
+        swept, per_cycle = [], []
+        sweep, draw = hb.slice_sweep, hb.draw_upper_coeffs
+        monkeypatch.setattr(hb, "slice_sweep", lambda target, *args: swept.append(target) or sweep(target, *args))
+        monkeypatch.setattr(hb, "draw_upper_coeffs", lambda *args: per_cycle.append(len(swept)) or draw(*args))
         spec, _ = small_instance
         trace = hb_gibbs(spec, HbConfig(n_burnin=4, n_samples=4, beta_sampler="slice", seed=9))
         assert trace.n_samples == 4
         assert np.all(np.isfinite(trace.beta))
-        assert no_group_target == []
+        J = spec.n_groups
+        assert per_cycle == [J * (c + 1) for c in range(8)]
+        for i, target in enumerate(swept):
+            likelihood, prior = target._parts
+            assert likelihood is spec._stacked.targets[i % J]
+            assert prior._diagonal
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     @pytest.mark.parametrize("sampler", ["tangent", "slice"])

@@ -7,6 +7,7 @@ import tangentmh.hb as hb
 from tangentmh.slicer import SliceConfig, SliceError, slice_gibbs_chain, slice_step_1d, slice_sweep
 from tangentmh.targets import (
     AdditiveTarget,
+    DifferentiableTarget,
     EvalCost,
     GaussianPriorTarget,
     LogisticTarget,
@@ -32,7 +33,7 @@ def reevaluating_sweep(target, x, cfg, rng):
             return res.value
 
         f0 = logf(x[d])
-        x_new, _ = slice_step_1d(logf, x[d], f0, cfg, rng)
+        x_new, _, _ = slice_step_1d(logf, x[d], f0, cfg, rng)
         x[d] = x_new
         work[d] = x_new
     return x, 1, EvalCost(n_value, 0, 0), 0
@@ -47,8 +48,10 @@ def per_group_slice_cycles(spec, cfg, rng):
     """``hb_gibbs``'s slice cycles from beta = 0, gamma = 0, tau = 1, each
     group's coefficients by ``slice_sweep`` on the ``AdditiveTarget`` of its
     ``LogisticTarget`` and its ``GaussianPriorTarget``, then the conjugate
-    draws.  Returns the recorded cycles' beta, gamma and tau, and the summed
-    sweep cost."""
+    draws.  The sum walks the base-class default lines, which splice each
+    point in and evaluate the full target, not the parts' own lines.
+    Returns the recorded cycles' beta, gamma and tau, and the summed sweep
+    cost."""
     J, K, L = spec.n_groups, spec.n_coeffs, spec.n_upper
     beta, gamma, tau = np.zeros((J, K)), np.zeros((K, L)), np.ones(K)
     likelihoods = [LogisticTarget(X, y) for X, y in zip(spec.designs, spec.responses)]
@@ -58,6 +61,7 @@ def per_group_slice_cycles(spec, cfg, rng):
         means = spec.upper_design @ gamma.T
         for j in range(J):
             target = AdditiveTarget([likelihoods[j], GaussianPriorTarget(means[j], np.diag(tau))])
+            target.coordinate_lines = partial(DifferentiableTarget.coordinate_lines, target)
             beta[j], _, used, _ = slice_sweep(target, beta[j], cfg.slice_cfg, rng)
             cost = cost + used
         gamma = hb.draw_upper_coeffs(spec, beta, tau, rng)
@@ -127,7 +131,7 @@ class TestStep1d:
         x = f = 0.0
         vals = np.empty(100000)
         for i in range(vals.size):
-            x, f = slice_step_1d(lambda v: -0.5 * v * v, x, f, cfg, rng)
+            x, f, _ = slice_step_1d(lambda v: -0.5 * v * v, x, f, cfg, rng)
             vals[i] = x
         assert abs(vals.mean()) < 0.02
         assert abs(vals.var() - 1.0) < 0.05
@@ -140,10 +144,11 @@ class TestStep1d:
             return -0.5 * v * v
 
         rng = np.random.default_rng(1)
-        x, f = slice_step_1d(logf, 0.0, 0.0, SliceConfig(), rng)
+        x, f, n_calls = slice_step_1d(logf, 0.0, 0.0, SliceConfig(), rng)
         # the start point's value is the caller's; the last call is at the
-        # returned point, whose value comes back exactly
+        # returned point, whose value comes back exactly; every call is counted
         assert calls and 0.0 not in calls and calls[-1] == x
+        assert n_calls == len(calls)
         assert f == logf(x)
 
     def test_degenerate_width_returns_current_point_region(self):
@@ -153,13 +158,13 @@ class TestStep1d:
             return -0.5 * v * v
 
         rng = np.random.default_rng(2)
-        x, f = slice_step_1d(logf, 1.25, logf(1.25), SliceConfig(width=1e-300), rng)
+        x, f, _ = slice_step_1d(logf, 1.25, logf(1.25), SliceConfig(width=1e-300), rng)
         assert x == pytest.approx(1.25, abs=1e-290)
         assert f == logf(x)
 
         # an exponential draw of 0 puts the level at f(x): the first shrink
         # point is x itself, not above the level, and the update hands back
-        # x with the caller's value
+        # x with the caller's value after that one evaluation
         class Draws:
             def standard_exponential(self):
                 return 0.0
@@ -167,7 +172,7 @@ class TestStep1d:
             def random(self):
                 return 0.5
 
-        assert slice_step_1d(logf, 1.25, logf(1.25), SliceConfig(1.0, 1), Draws()) == (1.25, logf(1.25))
+        assert slice_step_1d(logf, 1.25, logf(1.25), SliceConfig(1.0, 1), Draws()) == (1.25, logf(1.25), 1)
 
     def test_nonfinite_current_point_raises(self):
         rng = np.random.default_rng(3)
@@ -182,7 +187,7 @@ class TestStep1d:
         f = t.evaluate([x]).value
         vals = np.empty(100000)
         for i in range(vals.size):
-            x, f = slice_step_1d(lambda v: t.evaluate([v]).value, x, f, cfg, rng)
+            x, f, _ = slice_step_1d(lambda v: t.evaluate([v]).value, x, f, cfg, rng)
             vals[i] = x
         grid, _, cdf = poisson_quadrature([2])
         assert ks_statistic(vals, grid, cdf) < 0.01
@@ -322,9 +327,9 @@ class TestKeptValue:
 
     def test_hb_slice_run_bit_equal(self):
         # hb's slice cycle evaluates each line from the group's kept
-        # predictor; it runs the chain, counters and random stream of one
-        # slice_sweep per group on the group's public targets, at equal and
-        # at log-uniform group sizes
+        # predictor and its prior's scalar; it runs the chain, counters and
+        # random stream of one slice_sweep per group on the group's public
+        # targets evaluated in full, at equal and at log-uniform group sizes
         cfg = hb.HbConfig(n_burnin=6, n_samples=12, beta_sampler="slice")
         for group_size in (60, None):
             spec, _ = hb.simulate_hb(3, 4, 2, np.random.default_rng(12), group_size=group_size)

@@ -699,6 +699,50 @@ class TestCoordinateLines:
         assert cost == EvalCost(2, 0, 0)
         assert all(a == b for a, b in pairs)
 
+    def test_diagonal_prior_line_matches_evaluate(self):
+        rng = np.random.default_rng(7)
+        prior = GaussianPriorTarget(rng.standard_normal(5), np.diag(rng.uniform(0.1, 5.0, 5)))
+        pairs, cost = self.walk(prior, rng.standard_normal(5), rng)
+        assert cost == EvalCost(1, 0, 0)
+        # the start value is evaluate's own; the scalar line's agree to rounding
+        assert pairs[0][0] == pairs[0][1]
+        got, ref = np.array(pairs).T
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        # as evaluate does, the lines refuse a point of another length
+        # rather than broadcast it against the mean
+        for length in (1, 6):
+            with pytest.raises(ValueError, match="point has length"):
+                prior.coordinate_lines(np.zeros(length))
+
+    def test_dense_prior_and_its_restrict_keep_the_default_line(self):
+        rng = np.random.default_rng(8)
+        prior = GaussianPriorTarget(rng.standard_normal(4), random_spd(4, rng))
+        full = rng.standard_normal(4)
+        for target in (prior, prior.restrict(np.array([0, 2]), full)):
+            pairs, cost = self.walk(target, full[: target.dim], rng)
+            assert cost == EvalCost(1, 0, 0)
+            assert all(a == b for a, b in pairs)
+
+    def test_additive_line_sums_its_parts(self):
+        # a group's slice target in hb: its likelihood plus a diagonal prior
+        rng = np.random.default_rng(9)
+        X, y = random_logistic(rng, n=300, k=5)
+        parts = [LogisticTarget(X, y), GaussianPriorTarget(rng.standard_normal(5), np.diag(rng.uniform(0.5, 3.0, 5)))]
+        target = AdditiveTarget(parts)
+        x = rng.normal(0.0, 0.5, 5)
+        # each walk moves its own copy of the point, as a sweep would
+        points = [x.copy() for _ in range(3)]
+        (line, value, cost), *part_lines = [t.coordinate_lines(p) for t, p in zip([target, *parts], points)]
+        assert cost == EvalCost(2, 0, 0)
+        assert value == target.evaluate(x).value
+        assert value == part_lines[0][1] + part_lines[1][1]
+        for d in range(target.dim):
+            logf, lik, prior = line(d), part_lines[0][0](d), part_lines[1][0](d)
+            for v in x[d] + rng.normal(0.0, 1.0, 4):
+                assert logf(v) == lik(v) + prior(v)
+            for point in points:
+                point[d] = v
+
 
 class TestLinearProjection:
     def test_rejects_asymmetric_quadratic(self):
