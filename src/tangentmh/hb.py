@@ -81,15 +81,21 @@ class HbModelSpec:
         if len(designs) != len(responses) or len(designs) < 1:
             raise ValueError("need matching designs and responses, one per group")
         k = designs[0].shape[1]
-        for X, y in zip(designs, responses):
+        for j, (X, y) in enumerate(zip(designs, responses)):
             if X.shape[1] != k:
                 raise ValueError("all groups must share the coefficient dimension")
             if y.shape != (X.shape[0],) or not np.all((y == 0) | (y == 1)):
                 raise ValueError("responses must be binary, one per design row")
+            if not np.isfinite(X).all():
+                raise ValueError(f"designs must be finite: group {j}'s design has a non-finite entry")
         if upper.shape[0] != len(designs) or upper.ndim != 2:
             raise ValueError("upper design needs one row per group")
         if upper.shape[1] < 1:
             raise ValueError("upper design needs at least one column")
+        finite_rows = np.isfinite(upper).all(axis=1)
+        if not finite_rows.all():
+            j = int(np.flatnonzero(~finite_rows)[0])
+            raise ValueError(f"upper_design must be finite: group {j}'s row has a non-finite entry")
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "upper_design", upper)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .linalg import (
     _upper_solve,
     cholesky,
 )
-from .targets import DifferentiableTarget, EvalCost, EvalResult
+from .targets import DifferentiableTarget, EvalCost, EvalResult, _as_points
 from .trace import ChainConfig, ChainTrace, run_sweeps
 
 __all__ = [
@@ -58,11 +58,11 @@ class _NonFiniteNewtonMean(ValueError):
     """The Newton step from a point is not finite (e.g. an infinite gradient)."""
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """How one MH transition was decided; for a stack of points,
     ``accepted``, ``log_ratio`` and ``hessian_failure`` are ``(J,)`` arrays,
-    one entry per group."""
+    one entry per group.  Immutable, and built at a tuple's cost: every
+    step returns one."""
 
     accepted: bool
     log_ratio: float
@@ -74,9 +74,11 @@ class _Proposal:
     """One fitted point: the tangent Gaussian at ``x`` plus the point's
     log-density ``value`` and evaluation ``cost``.  ``mean`` is the Newton
     step from ``x``; the precision, the negated Hessian, is held as its
-    lower Cholesky factor.  The fit checks the mean's finiteness and takes
-    the half log-determinant once; ``draw`` and ``log_q`` are
-    ``mvn_sample`` and ``mvn_logpdf``."""
+    lower Cholesky factor ``L``.  The fit checks the mean's finiteness and
+    takes the half log-determinant once.  ``draw`` is ``mean + L^{-T} z``
+    for one ``standard_normal(m)`` draw ``z``, solved against ``L^T``;
+    ``log_q(x)`` is ``-(m/2) log(2 pi) + half_log_det - |z|^2 / 2`` with
+    ``z = L^T (x - mean)``."""
 
     __slots__ = ("mean", "lower", "half_log_det", "value", "cost")
 
@@ -107,12 +109,13 @@ class _Proposal:
 class _ScalarProposal:
     """``_Proposal`` at dim 1 in float arithmetic, bit-identical to it:
     ``np.linalg.cholesky`` of a 1x1 matrix is ``sqrt`` and a 1x1 ``dtrtrs``
-    divides by the factor (multiplying by its reciprocal is not identical)."""
+    divides by the factor (multiplying by its reciprocal is not identical).
+    ``mean`` and ``lower`` are built as arrays only when read."""
 
-    __slots__ = ("mean", "_m", "_l", "half_log_det", "value", "cost")
+    __slots__ = ("_m", "_l", "half_log_det", "value", "cost")
 
     def __init__(self, x: np.ndarray, res: EvalResult):
-        a = -float(res.hessian[0, 0])
+        a = -res.hessian.item()
         # cholesky's pivot rule: a non-finite entry, a failed factorization
         # or l*l at or below the relative tolerance
         if not (math.isfinite(a) and a > 0.0):
@@ -120,10 +123,9 @@ class _ScalarProposal:
         l = math.sqrt(a)
         if not l * l > PIVOT_RTOL * a:
             raise HessianNotNegativeDefinite(x, 0)
-        m = float(x[0]) + (float(res.gradient[0]) / l) / l
+        m = x.item() + (res.gradient.item() / l) / l
         if not math.isfinite(m):
             raise _NonFiniteNewtonMean(f"Newton step from {x} is not finite")
-        self.mean = np.array([m])
         self._m = m
         self._l = l
         self.half_log_det = float(np.log(l))
@@ -131,14 +133,20 @@ class _ScalarProposal:
         self.cost = res.cost
 
     @property
+    def mean(self) -> np.ndarray:
+        return np.array([self._m])
+
+    @property
     def lower(self) -> np.ndarray:
         return np.array([[self._l]])
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return self._m + rng.standard_normal(1) / self._l
+        z = rng.standard_normal(1)
+        z[0] = self._m + z.item() / self._l
+        return z
 
     def log_q(self, x: np.ndarray) -> float:
-        z = self._l * (float(x[0]) - self._m)
+        z = self._l * (x.item() - self._m)
         return -0.5 * _LOG_2PI + self.half_log_det - 0.5 * (z * z)
 
 
@@ -251,7 +259,7 @@ def build_proposal(target: DifferentiableTarget, x) -> _Proposal | _ScalarPropos
     ValueError
         If the Newton step is not finite, e.g. at an infinite gradient.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _as_points(x)
     res = target.evaluate(x, gradient=True, hessian=True)
     if x.ndim == 2:
         fit = _StackedProposal(x, res)
@@ -296,7 +304,7 @@ def tangent_step(
     ``exp`` of it.  A failure at a proposed point rejects and flags that
     group alone; one at a current point is fatal, as above.
     """
-    x_old = np.atleast_1d(np.asarray(x_old, dtype=float))
+    x_old = _as_points(x_old)
     if x_old.ndim == 2:
         return _stacked_tangent_step(target, x_old, cached_old, rng)
     prop_old = cached_old

@@ -26,6 +26,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import qr
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-10
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,21 @@ class EvalCost:
 _COSTS = {(v, g, h): EvalCost(v, g, h) for v in (0, 1) for g in (0, 1) for h in (0, 1)}
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Log-density value with optional derivatives and the cost incurred."""
+class EvalResult(NamedTuple):
+    """Log-density value with optional derivatives and the cost incurred.
+    Immutable, and built at a tuple's cost: every evaluation returns one."""
 
     value: float
     gradient: np.ndarray | None = None
     hessian: np.ndarray | None = None
     cost: EvalCost = _COSTS[0, 0, 0]
+
+
+def _as_points(x) -> np.ndarray:
+    """``np.atleast_1d(np.asarray(x, dtype=float))``, calling neither on a float array of 1 or more dims."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim:
+        return x
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 class DifferentiableTarget(ABC):
@@ -133,8 +142,7 @@ class DifferentiableTarget(ABC):
         return line, start.value, start.cost
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
-        if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _as_points(x)
         # a stacked target (see ``tangent_step``) takes a (J, dim) stack
         if x.shape[-1] != self.dim:
             raise ValueError(f"point has length {x.shape[-1]}, expected {self.dim}")
@@ -348,6 +356,7 @@ class LogisticTarget(DifferentiableTarget):
         ``exp`` and ``log1p`` in place and a sum.  The start value is
         ``evaluate``'s; line values agree with it to rounding, not bit for
         bit."""
+        self._check_point(x)  # the lines never call evaluate, which checks it
         t = self._X @ x
         if self._offset is not None:
             t += self._offset
@@ -426,11 +435,15 @@ class PoissonLogRateTarget(DifferentiableTarget):
         return self._total
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
-        u = float(self._check_point(x)[0])
+        # a float point of length 1 needs neither wrapping nor a length check
+        if not (type(x) is np.ndarray and x.shape == (1,) and x.dtype is _FLOAT):
+            x = self._check_point(x)
+        u = float(x[0])
         rate_sum = self._n * np.exp(u)
         value = self._total * u - rate_sum
-        grad = np.array([self._total - rate_sum]) if gradient else None
-        hess = np.array([[-rate_sum]]) if hessian else None
+        # ndmin builds the same arrays as a nested list, at half the cost
+        grad = np.array(self._total - rate_sum, ndmin=1) if gradient else None
+        hess = np.array(-rate_sum, ndmin=2) if hessian else None
         return EvalResult(value, grad, hess, _COSTS[1, gradient, hessian])
 
     def third_derivative(self, x) -> float:

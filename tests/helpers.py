@@ -1,5 +1,7 @@
 """Shared independent oracles for the test suite."""
 
+import hashlib
+
 import numpy as np
 
 
@@ -47,3 +49,12 @@ def ar1_series(n, rho, rng):
     for i in range(1, n):
         x[i] = rho * x[i - 1] + c * z[i]
     return x
+
+
+def trace_sha256(trace):
+    """SHA-256 of a chain trace's samples, acceptance flags and cumulative
+    counters, in that order."""
+    h = hashlib.sha256()
+    for a in (trace.samples, trace.accepted, trace.n_value, trace.n_gradient, trace.n_hessian):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()

@@ -64,6 +64,21 @@ class TestSpec:
         with pytest.raises(ValueError, match=name):
             HbModelSpec(spec.designs, spec.responses, spec.upper_design, **{name: bad})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, group", [("designs", 2), ("upper_design", 1)])
+    def test_rejects_non_finite_design(self, field, group, bad):
+        # a non-finite upper design used to fail in cycle 1 under the
+        # sampler's name, a non-finite group design when the stacked data
+        # was first built
+        spec, _ = simulate_hb(3, 4, 2, np.random.default_rng(1), group_size=50)
+        designs, upper = [X.copy() for X in spec.designs], spec.upper_design.copy()
+        if field == "designs":
+            designs[group][7, 1] = bad
+        else:
+            upper[group, 1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite: group {group}'s"):
+            HbModelSpec(designs, spec.responses, upper)
+
     def test_zero_gamma_rate_runs(self):
         spec, _ = simulate_hb(3, 4, 2, np.random.default_rng(1), group_size=50)
         spec = HbModelSpec(spec.designs, spec.responses, spec.upper_design, gamma_rate=0.0)

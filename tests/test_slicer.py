@@ -15,7 +15,7 @@ from tangentmh.targets import (
 )
 from tangentmh.trace import ChainConfig, run_sweeps
 
-from helpers import ks_statistic, poisson_quadrature
+from helpers import ks_statistic, poisson_quadrature, trace_sha256
 
 
 def reevaluating_sweep(target, x, cfg, rng):
@@ -245,6 +245,15 @@ class TestGibbsChain:
         a = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(), np.random.default_rng(9))
         b = slice_gibbs_chain(t, [0.0, 0.0], 10, 100, SliceConfig(), np.random.default_rng(9))
         assert np.array_equal(a.samples, b.samples)
+
+    def test_w1_chain_pinned(self):
+        # W1's slice chain (c04's target, start and seed, width 1), short:
+        # samples, acceptance flags and counters keep their bits
+        t = poisson_lograte_target([2])
+        trace = slice_gibbs_chain(t, np.array([np.log(2.0)]), 50, 2000, SliceConfig(width=1.0),
+                                  np.random.default_rng(41))
+        assert trace.total_cost() == {"n_value": 12421, "n_gradient": 0, "n_hessian": 0}
+        assert trace_sha256(trace) == "6ad23efe91af4884eaa58cff9402cd64eff5d92689bba1fcec454c73efb340c6"
 
 
 class TestKeptValue:

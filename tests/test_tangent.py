@@ -13,6 +13,7 @@ from tangentmh.targets import (
 from tangentmh.tangent import (
     ChainConfig,
     HessianNotNegativeDefinite,
+    StepRecord,
     _fit_proposal,
     _NonFiniteNewtonMean,
     _Proposal,
@@ -23,7 +24,7 @@ from tangentmh.tangent import (
     tangent_step,
 )
 
-from helpers import ks_statistic, poisson_quadrature, random_spd
+from helpers import ks_statistic, poisson_quadrature, random_spd, trace_sha256
 
 
 class TestBuildProposal:
@@ -183,6 +184,21 @@ class TestProposalRecord:
             assert scalar == (_NonFiniteNewtonMean, None)
 
 
+class TestRecordsImmutable:
+    def test_step_record_fields_cannot_be_assigned(self):
+        _, rec, _ = tangent_step(poisson_lograte_target([2]), [0.5], None, np.random.default_rng(0))
+        assert isinstance(rec, StepRecord)
+        for name in StepRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+
+    def test_step_record_construction(self):
+        cost = EvalCost(1, 1, 1)
+        rec = StepRecord(True, -0.5, cost)
+        assert rec == StepRecord(accepted=True, log_ratio=-0.5, cost=cost, hessian_failure=False)
+        assert (rec.accepted, rec.log_ratio, rec.cost, rec.hessian_failure) == (True, -0.5, cost, False)
+
+
 class TestNewton:
     def test_quadratic_one_step_from_anywhere(self):
         rng = np.random.default_rng(1)
@@ -310,6 +326,14 @@ class TestRunChain:
         b = run_chain(t, [-1.0], cfg, np.random.default_rng(2024))
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.accepted, b.accepted)
+
+    def test_w1_chain_pinned(self):
+        # W1's tangent chain (c04's target, start and seed, 5 Newton steps),
+        # short: samples, acceptance flags and counters keep their bits
+        t = poisson_lograte_target([2])
+        trace = run_chain(t, np.array([np.log(2.0)]), ChainConfig(50, 2000, n_newton=5), np.random.default_rng(42))
+        assert trace.total_cost() == {"n_value": 2051, "n_gradient": 2051, "n_hessian": 2051}
+        assert trace_sha256(trace) == "ff63b1b20e74c18ad71fc1b0289454a167559bc9a7e1acfedbf1d461e8982469"
 
     def test_newton_phase_failure_is_fatal(self):
         # all-zero counts leave the likelihood flat in the limit: Newton

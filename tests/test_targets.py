@@ -9,6 +9,7 @@ from scipy.special import expit
 import tangentmh.targets as targets_module
 from tangentmh.fdiff import fd_gradient, fd_hessian_of_gradient, fd_hessian_of_value
 from tangentmh.linalg import NotPositiveDefinite, cholesky
+from tangentmh.slicer import SliceConfig, slice_sweep
 from tangentmh.targets import (
     AdditiveTarget,
     BernoulliBase,
@@ -44,6 +45,22 @@ def check_derivatives(target, x, grad_rtol=1e-5, hess_rtol=1e-4):
     )
     hscale = max(np.linalg.norm(res.hessian, "fro"), 1e-8)
     assert np.linalg.norm(res.hessian - h_fd, "fro") / hscale < hess_rtol
+
+
+class TestEvalResult:
+    def test_eval_result_is_immutable(self):
+        res = GaussianPriorTarget(np.zeros(2), np.eye(2)).evaluate(np.ones(2), gradient=True, hessian=True)
+        assert isinstance(res, EvalResult)
+        for name in EvalResult._fields:
+            with pytest.raises(AttributeError):
+                setattr(res, name, None)
+
+    def test_eval_result_construction(self):
+        g, h = np.ones(1), -np.ones((1, 1))
+        res = EvalResult(1.5, g, h, EvalCost(1, 1, 1))
+        assert res == EvalResult(value=1.5, gradient=g, hessian=h, cost=EvalCost(1, 1, 1))
+        bare = EvalResult(2.0)
+        assert (bare.value, bare.gradient, bare.hessian, bare.cost) == (2.0, None, None, EvalCost(0, 0, 0))
 
 
 class TestLogistic:
@@ -713,6 +730,17 @@ class TestCoordinateLines:
         for length in (1, 6):
             with pytest.raises(ValueError, match="point has length"):
                 prior.coordinate_lines(np.zeros(length))
+
+    def test_logistic_lines_refuse_a_point_of_another_length(self):
+        # a slice sweep from such a point used to fail inside numpy's matmul
+        rng = np.random.default_rng(9)
+        X, y = random_logistic(rng, n=20, k=3)
+        target = LogisticTarget(X, y)
+        for length in (1, 4):
+            with pytest.raises(ValueError, match=f"point has length {length}, expected 3"):
+                target.coordinate_lines(np.zeros(length))
+        with pytest.raises(ValueError, match="point has length 1, expected 3"):
+            slice_sweep(target, [0.0], SliceConfig(), np.random.default_rng(1))
 
     def test_dense_prior_and_its_restrict_keep_the_default_line(self):
         rng = np.random.default_rng(8)
