@@ -56,10 +56,10 @@ RANK_RTOL = 1e-10
 _FLOAT = np.dtype(float)
 
 
-@dataclass(frozen=True)
-class EvalCost:
-    """Per-call evaluation counters.  Frozen, so the leaf targets return
-    shared instances rather than building one per call."""
+class EvalCost(NamedTuple):
+    """Per-call evaluation counters.  Immutable, so the leaf targets return
+    shared instances rather than building one per call, and built at a
+    tuple's cost where a sum needs a new one.  ``+`` adds field by field."""
 
     n_value: int = 0
     n_gradient: int = 0
@@ -129,6 +129,10 @@ class DifferentiableTarget(ABC):
         ``x`` and ``cost`` the counters of one value-only evaluation, the
         same for every point.  The default splices ``v`` into ``x`` and
         evaluates the target, so a line's values are the target's own.
+        ``LogisticTarget``, ``PoissonLogRateTarget``, a ``GaussianPriorTarget``
+        with a diagonal precision and ``AdditiveTarget`` have their own
+        lines; a dense ``GaussianPriorTarget``, ``LinearProjectionTarget``
+        and the default ``restrict``'s conditionals keep this one.
         """
         start = self.evaluate(x)
 
@@ -414,14 +418,16 @@ class PoissonLogRateTarget(DifferentiableTarget):
     parameterization keeps the domain unconstrained and puts the mode at
     ``log(mean(y))`` when the counts are not all zero.  All derivatives are
     available in closed form, including the third (``-N exp(u)``), which is
-    what the mixing diagnostics need.
+    what the mixing diagnostics need.  Its slice line is ``v -> total * v
+    - n exp(v)`` (see ``coordinate_lines``), ``evaluate``'s own arithmetic.
     """
 
     def __init__(self, y):
         y = np.atleast_1d(np.asarray(y))
         if y.size < 1:
             raise ValueError("need at least one observation")
-        if np.any(y < 0) or np.any(y != np.floor(y)):
+        # inf equals its own floor, so the integer check alone passes it
+        if not np.all(np.isfinite(y)) or np.any(y < 0) or np.any(y != np.floor(y)):
             raise ValueError("observations must be non-negative integers")
         self._n = int(y.size)
         self._total = float(np.sum(y))
@@ -445,6 +451,18 @@ class PoissonLogRateTarget(DifferentiableTarget):
         grad = np.array(self._total - rate_sum, ndmin=1) if gradient else None
         hess = np.array(-rate_sum, ndmin=2) if hessian else None
         return EvalResult(value, grad, hess, _COSTS[1, gradient, hessian])
+
+    def coordinate_lines(self, x):
+        """The one line ``v -> total * v - n exp(v)``: ``evaluate``'s
+        operations in its order, ``np.exp`` included (``math.exp`` does not
+        always match it bit for bit), so line values equal ``evaluate``'s bit
+        for bit, the start value included."""
+        total, n, exp = self._total, self._n, np.exp
+
+        def logf(v):
+            return total * v - n * exp(v)
+
+        return lambda d: logf, logf(float(self._check_point(x)[0])), _COSTS[1, 0, 0]
 
     def third_derivative(self, x) -> float:
         u = float(np.atleast_1d(x)[0])

@@ -179,6 +179,12 @@ class TestStep1d:
         with pytest.raises(SliceError):
             slice_step_1d(lambda v: -np.inf, 0.0, -np.inf, SliceConfig(), rng)
 
+    @pytest.mark.parametrize("f0", [np.nan, np.inf, np.float64(np.nan), np.float64(np.inf)], ids=repr)
+    def test_nan_or_infinite_start_value_raises(self, f0):
+        rng = np.random.default_rng(3)
+        with pytest.raises(SliceError, match="not finite"):
+            slice_step_1d(lambda v: -0.5 * v * v, 0.0, f0, SliceConfig(), rng)
+
     def test_poisson_ks_against_quadrature(self):
         t = poisson_lograte_target([2])
         rng = np.random.default_rng(4)

@@ -135,10 +135,16 @@ def metric_stats(parent: list[float], change: list[float], better: str | None, b
 
 
 def summarise(runs: dict, benchmark: dict, traced: bool) -> dict:
-    """The series' block: per-side statuses, digests and metric statistics."""
+    """The series' block: per-side statuses, digests and metric statistics.
+
+    A run that crashed before printing its record stays in ``status`` and
+    ``failed``; it has no digests, no reference time and no metrics, so
+    ``digests_equal_across_sides`` is false and each metric's statistics
+    are taken over the pairs in which both runs report it."""
     end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
-    first = runs["parent"][0]["record"]
+    recorded = {s: [r["record"] for r in runs[s] if r["record"]] for s in SIDES}
+    first = next(iter(recorded["parent"] + recorded["change"]), {})
     digests = {s: [r["record"].get("digests") for r in runs[s]] for s in SIDES}
     block = {
         "workload_seeds": first.get("workload_seeds"),
@@ -153,22 +159,30 @@ def summarise(runs: dict, benchmark: dict, traced: bool) -> dict:
     }
     if not traced:
         block["reference_ms_median"] = {
-            s: round(statistics.median(r["record"]["setup_s"]["reference_ms"] for r in runs[s]), 3) for s in SIDES
+            s: round(statistics.median(r["setup_s"]["reference_ms"] for r in recorded[s]), 3) if recorded[s] else None
+            for s in SIDES
         }
-    names = [n for n in runs["parent"][0]["result"]["metrics"]
-             if all(n in r["result"]["metrics"] for s in SIDES for r in runs[s])]
+    pairs = [(p["result"].get("metrics", {}), c["result"].get("metrics", {}))
+             for p, c in zip(runs["parent"], runs["change"])]
     metrics = {}
-    for name in names:
-        values = {s: [r["result"]["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
+    for name in dict.fromkeys(n for pair in pairs for side in pair for n in side):
+        both = [(p[name]["value"], c[name]["value"]) for p, c in pairs if name in p and name in c]
+        if not both:
+            continue
+        parent, change = (list(side) for side in zip(*both))
         bound = end_to_end[name]["bound"] if name in end_to_end else None
-        metrics[name] = metric_stats(values["parent"], values["change"], directions.get(name), bound)
+        metrics[name] = metric_stats(parent, change, directions.get(name), bound)
     block["metrics"] = metrics
     return block
 
 
 def check_claim(block: dict, metric: str, target: float, better: str) -> dict:
-    stats = block["metrics"][metric]
+    """The claim rule on one series; a pair with a crashed run counts as
+    one in which the change is not better."""
     pairs = block["pairs"]
+    stats = block["metrics"].get(metric)
+    if stats is None:  # no pair has both runs' figure
+        return {"metric": metric, "target_ratio": target, "pairs": pairs, "pairs_change_better": 0, "met": False}
     wins = stats["pairs_change_lower"] if better == "lower" else stats["pairs_change_higher"]
     gap = abs(stats["change_median"] - stats["parent_median"])
     ratio = stats["change_median"] / stats["parent_median"]
@@ -263,7 +277,7 @@ def main(argv=None) -> int:
         result = check_claim(block, *claim)
         data.setdefault("claim", {}).setdefault("results", {})[key] = result
         print(f"claim {claim[0]} on {key}: {'met' if result['met'] else 'not met'} "
-              f"(x{result['change_over_parent']}, better in {result['pairs_change_better']} of {result['pairs']})",
+              f"(x{result.get('change_over_parent')}, better in {result['pairs_change_better']} of {result['pairs']})",
               file=sys.stderr)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     for name, stats in block["metrics"].items():
