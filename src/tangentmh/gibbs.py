@@ -2,23 +2,29 @@
 
 High-dimensional targets are split into small blocks (size 5 by default)
 and each block's conditional is updated in turn with one MH transition.
+The sweep carries the parent target's evaluation at the current point,
+with gradient and Hessian, from block to block and from sweep to sweep:
+a block's tangent fit at its current point is read from the carried
+sub-gradient and principal sub-Hessian, and the step evaluates the
+parent once, at the proposal spliced into the current point.  An
+accepted step hands that evaluation on; a rejected one keeps the carried
+one.  So an MH block step costs one full evaluation of the parent,
+whatever the block size, and a chain pays one more at its first MH step.
 On the logistic targets of the benchmark and the hierarchical demo
-(400-1000 rows, 10 coefficients) a step's time is mostly the fixed cost
-of each target evaluation.  The hierarchical demo therefore steps each
-group's coefficients as one block (``HbConfig``), measured on
-non-acceptance seeds; the ``benchmark`` verb keeps blocks of 5, which are
-not a measured optimum.
+(400-1000 rows, 10 coefficients) a step's time is mostly that
+evaluation.  The hierarchical demo steps each group's coefficients as
+one block (``HbConfig``), measured on non-acceptance seeds; the
+``benchmark`` verb keeps blocks of 5, which are not a measured optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .targets import DifferentiableTarget, EvalCost
-from .tangent import build_proposal, tangent_step
+from .targets import DifferentiableTarget, EvalCost, EvalResult, _block_result, _Spliced
+from .tangent import _fit_proposal, tangent_step
 from .trace import ChainConfig, ChainTrace, _is_integer, run_sweeps
 
 __all__ = [
@@ -73,40 +79,54 @@ def block_sweep(
     rng: np.random.Generator,
     *,
     newton: bool = False,
+    current: EvalResult | None = None,
 ):
-    """One pass over all blocks; returns ``run_sweeps``' sweep outcome.
+    """One pass over all blocks; returns ``run_sweeps``' sweep outcome
+    followed by the parent's evaluation at the new point.
 
-    The outcome is ``(x_new, n_accepted, cost, hessian_failures)``:
+    The outcome is ``(x_new, n_accepted, cost, hessian_failures, current)``:
     ``n_accepted`` counts the accepted blocks (every block in Newton mode),
-    ``cost`` sums the blocks' evaluation counters and ``hessian_failures``
-    counts the proposals rejected for a failed tangent fit.
+    ``cost`` sums the sweep's evaluation counters, ``hessian_failures``
+    counts the proposals rejected for a failed tangent fit, and
+    ``current`` is the parent's evaluation at ``x_new``, with gradient
+    and Hessian, or None after a Newton sweep.
 
-    Uses each target's ``restrict`` so conditionals of structured targets
-    (projection likelihoods, Gaussian priors) evaluate at block cost
-    instead of parent cost.  With ``newton=True`` every block takes the
-    deterministic Newton step instead of an MH transition.
+    ``current``, the parent's evaluation at ``x`` with gradient and
+    Hessian (as a previous sweep returned it), saves the sweep from
+    evaluating its start point; with None the sweep evaluates it first.
+    Each block's tangent fit at its current point is read from the
+    carried evaluation, and ``tangent_step`` evaluates the parent at the
+    proposal spliced into the current point (``DifferentiableTarget.restrict``'s
+    conditional); an accepted step carries that evaluation to the next
+    block.  With ``newton=True`` every block takes the deterministic
+    Newton step from its carried fit instead of an MH transition, and
+    the next block evaluates its moved point.
     """
     if partition.dim != parent.dim:
         raise ValueError("partition must cover the parent dimension")
     x = np.array(x, dtype=float)
-    n_accepted = n_value = n_gradient = n_hessian = failures = 0
+    n_accepted = failures = 0
+    cost = EvalCost()
     for block in partition.blocks:
-        cond = parent.restrict(block, x)
+        if current is None:
+            current = parent.evaluate(x, gradient=True, hessian=True)
+            cost += current.cost
+        x_block = x[block]
+        fit = _fit_proposal(x_block, _block_result(current, block))
         if newton:
-            fit = build_proposal(cond, x[block])
             x[block] = fit.mean
-            cost = fit.cost
             n_accepted += 1
-        else:
-            b_new, rec, _ = tangent_step(cond, x[block], None, rng)
+            current = None
+            continue
+        cond = _Spliced(parent, block, x)
+        b_new, rec, _ = tangent_step(cond, x_block, fit, rng)
+        if rec.accepted:
             x[block] = b_new
-            n_accepted += rec.accepted
-            failures += rec.hessian_failure
-            cost = rec.cost
-        n_value += cost.n_value
-        n_gradient += cost.n_gradient
-        n_hessian += cost.n_hessian
-    return x, n_accepted, EvalCost(n_value, n_gradient, n_hessian), failures
+            current = cond.last
+            n_accepted += 1
+        failures += rec.hessian_failure
+        cost += rec.cost
+    return x, n_accepted, cost, failures, current
 
 
 def run_block_chain(
@@ -119,6 +139,15 @@ def run_block_chain(
     """Gibbs chain of block sweeps; one recorded row per sweep.
 
     The first ``cfg.newton_iterations`` burn-in sweeps run every block in
-    Newton mode, mirroring the single-chain protocol.
+    Newton mode, mirroring the single-chain protocol.  Each sweep takes
+    the parent's evaluation that the previous sweep returned, as
+    ``run_chain`` carries its fitted record.
     """
-    return run_sweeps(partial(block_sweep, target, partition, rng=rng), x0, cfg, partition.n_blocks)
+    current = None
+
+    def sweep(x, newton=False):
+        nonlocal current
+        *outcome, current = block_sweep(target, partition, x, rng, newton=newton, current=current)
+        return outcome
+
+    return run_sweeps(sweep, x0, cfg, partition.n_blocks)

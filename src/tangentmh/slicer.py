@@ -8,7 +8,7 @@ counters of one value-only evaluation.  ``LogisticTarget``,
 ``PoissonLogRateTarget`` (the line ``v -> total * v - n exp(v)``), a
 diagonal ``GaussianPriorTarget`` and ``AdditiveTarget`` have their own
 lines; a dense ``GaussianPriorTarget``, ``LinearProjectionTarget`` and
-the default ``restrict``'s conditionals evaluate the target at the
+``restrict``'s conditionals evaluate the target at the
 spliced point.  Every slice baseline, hb's per-group sweeps included,
 runs ``slice_sweep``.  Each update (``slice_step_1d``) is handed the value at
 its start point, which the previous update ended on, so only a sweep's

@@ -4,20 +4,16 @@ A target is anything exposing ``dim`` and ``evaluate(x, gradient=, hessian=)``
 returning the log-density value (always up to an additive constant; each
 concrete target documents which constant it drops), optionally with gradient
 and Hessian, plus evaluation-cost counters.  Targets are immutable after
-construction, except for three exact caches on a ``LogisticTarget``:
-the conditionals it builds share the linear predictor, value and
-``sigma(t)`` of their two most recent derivative evaluations, its
-``restrict`` keeps each block's design columns, and its first
-``coordinate_lines`` keeps the transposed design and column sums its
-lines read.  Concurrent evaluation stays correct, since a cached value
-is reused only for a bit-identical linear predictor and a block's
-columns and the line sums are the same whoever builds them; the worst a
-race can do is a miss, or build them twice.
+construction, except for two tables a ``LogisticTarget`` builds from its
+design on first use: its first Hessian builds the products of each row's
+upper-triangle coordinate pairs, and its first ``coordinate_lines`` the
+transposed design and column sums its lines read.  Both are the same
+whoever builds them, so concurrent evaluation stays correct; the worst a
+race can do is build one twice.
 Counters are returned per call, never accumulated in shared state.  A
 ``LogisticTarget`` keeps ``1 - y`` with its responses; one built by its
 constructor without an offset stores none, rather than an array of zeros.
-An evaluation writes only the arrays it creates, never one a target or
-the memo holds.
+An evaluation writes only the arrays it creates, never one a target holds.
 """
 
 from __future__ import annotations
@@ -110,12 +106,13 @@ class DifferentiableTarget(ABC):
     def restrict(self, block: np.ndarray, full: np.ndarray) -> "DifferentiableTarget":
         """Target over the ``block`` coordinates with the rest frozen at ``full``.
 
-        The default implementation splices the block into a copy of ``full``
-        and evaluates the parent: values equal the parent's at the spliced
+        The conditional splices the block into a copy of ``full`` and
+        evaluates the parent: values equal the parent's at the spliced
         vector exactly, the gradient is the block sub-gradient and the
         Hessian the principal submatrix, and each call costs a full parent
-        evaluation.  Subclasses override this when the conditional admits a
-        cheaper equivalent form (possibly shifted by an additive constant).
+        evaluation.  It keeps the parent's whole result at the last point
+        it evaluated as ``last``, which a block sweep carries to its next
+        block.
         """
         return _Spliced(self, block, full)
 
@@ -132,7 +129,7 @@ class DifferentiableTarget(ABC):
         ``LogisticTarget``, ``PoissonLogRateTarget``, a ``GaussianPriorTarget``
         with a diagonal precision and ``AdditiveTarget`` have their own
         lines; a dense ``GaussianPriorTarget``, ``LinearProjectionTarget``
-        and the default ``restrict``'s conditionals keep this one.
+        and ``restrict``'s conditionals keep this one.
         """
         start = self.evaluate(x)
 
@@ -153,13 +150,6 @@ class DifferentiableTarget(ABC):
         return x
 
 
-def _complement(dim: int, block: np.ndarray) -> np.ndarray:
-    """Boolean mask of the coordinates outside ``block``."""
-    rest = np.ones(dim, dtype=bool)
-    rest[block] = False
-    return rest
-
-
 def _is_diagonal(a: np.ndarray) -> bool:
     """Whether every off-diagonal entry of a positive-definite ``a`` is zero
     (its diagonal entries are positive, so nonzero)."""
@@ -174,8 +164,18 @@ def _built(cls, **attrs):
     return target
 
 
+def _block_result(res: EvalResult, block: np.ndarray) -> EvalResult:
+    """A parent's result over ``block``: its value and cost, the
+    sub-gradient and the principal sub-Hessian of the derivatives it holds."""
+    grad = None if res.gradient is None else res.gradient[block]
+    # np.ix_'s grid, without its per-call cost
+    hess = None if res.hessian is None else res.hessian[block[:, None], block]
+    return EvalResult(res.value, grad, hess, res.cost)
+
+
 class _Spliced(DifferentiableTarget):
-    """``parent`` over the ``block`` coordinates, the rest frozen at ``full``."""
+    """``parent`` over the ``block`` coordinates, the rest frozen at ``full``;
+    ``last`` is the parent's result at the last point evaluated."""
 
     def __init__(self, parent: DifferentiableTarget, block, full):
         self._parent = parent
@@ -183,6 +183,7 @@ class _Spliced(DifferentiableTarget):
         self._full = np.array(full, dtype=float)
         if self._full.shape[0] != parent.dim:
             raise ValueError("frozen vector must have the parent's dimension")
+        self.last = None
 
     @property
     def dim(self) -> int:
@@ -192,41 +193,14 @@ class _Spliced(DifferentiableTarget):
         b = self._check_point(x)
         full = self._full.copy()
         full[self._block] = b
-        res = self._parent.evaluate(full, gradient=gradient, hessian=hessian)
-        grad = res.gradient[self._block] if gradient else None
-        hess = res.hessian[np.ix_(self._block, self._block)] if hessian else None
-        return EvalResult(res.value, grad, hess, res.cost)
-
-
-class _PredictorMemo:
-    """The linear predictor ``t``, value and ``sigma(t)`` of the two most
-    recent derivative evaluations among one ``LogisticTarget``'s
-    conditionals, newest last."""
-
-    __slots__ = ("older", "newer")
-
-    def __init__(self):
-        self.older = self.newer = None
-
-    def recall(self, t: np.ndarray):
-        """The kept ``(t, value, p)`` whose ``t`` equals this one exactly,
-        made the newest; None if there is none."""
-        for kept in (self.newer, self.older):
-            # one entry first: a proposal always misses, and cheaply
-            if kept is not None and t.size and kept[0][0] == t[0] and np.array_equal(kept[0], t):
-                if kept is self.older:
-                    self.older, self.newer = self.newer, kept
-                return kept
-        return None
-
-    def keep(self, entry: tuple) -> None:
-        self.older, self.newer = self.newer, entry
+        self.last = self._parent.evaluate(full, gradient=gradient, hessian=hessian)
+        return _block_result(self.last, self._block)
 
 
 def _row_losses(t: np.ndarray, not_y: np.ndarray) -> np.ndarray:
     """Each logistic row's negative log-likelihood at ``t``, as
-    ``log1p(exp(-|t|)) + (1 - y) t - min(t, 0)`` in two new buffers; ``t``,
-    which a memo may keep, is never written."""
+    ``log1p(exp(-|t|)) + (1 - y) t - min(t, 0)`` in two new buffers; ``t``
+    is never written."""
     e = np.abs(t)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -249,29 +223,19 @@ class LogisticTarget(DifferentiableTarget):
     ``-X^T diag(sigma (1 - sigma)) X``, negative semi-definite everywhere
     and negative definite when X has full column rank.  No constant is
     dropped.  Design and offset must be finite.  The target keeps ``1 - y``
-    beside ``y``; constructed without an offset it stores none (``t = X b``),
-    and its conditionals start from ``X_c x_c`` alone.  Each evaluation
-    forms the row terms in two N-vectors of its own and the Hessian in
-    place, with every operation's operands and order as in
-    ``-(X * w[:, None]).T @ X`` symmetrized by ``0.5 (h + h^T)``.
+    beside ``y``; constructed without an offset it stores none
+    (``t = X b``).  Each evaluation forms the row terms in two N-vectors
+    of its own.
 
-    ``restrict`` keeps each block's columns ``X[:, block]`` and
-    ``X[:, rest]`` on the parent, keyed by the block, and reuses them for
-    every later conditional over the same block; they are kept as numpy's
-    fancy indexing returns them (Fortran order), since a C-ordered copy
-    would make the matrix-vector products sum in another order.
-
-    The conditionals that ``restrict`` builds share the ``t``, value and
-    ``sigma(t)`` of their two most recent evaluations with derivatives.
-    Asked for derivatives at a ``t`` equal to a kept one, a conditional
-    reuses that value and ``sigma(t)``, computes only the gradient and
-    Hessian, and counts no value evaluation (``EvalCost(0, ...)``).  A
-    conditional's ``t`` is ``X_b b + (offset + X_c x_c)``; with one block,
-    or two blocks and no offset, elementwise addition commuting makes each
-    block step's current ``t`` the one the previous step kept, so a block
-    sweep evaluates each block's likelihood once.  Results are those of a
-    fresh evaluation bit for bit.  Value-only evaluations, and every
-    evaluation of a constructed target, neither read nor write the memo.
+    The Hessian is a sum over rows in which only the weight
+    ``w = sigma (1 - sigma)`` moves: ``-sum_n w_n x_n x_n^T``.  The first
+    Hessian builds a table of each row's upper-triangle products
+    ``x_ni x_nj`` (i <= j), a C-ordered ``(P, N)`` array with
+    ``P = K (K + 1) / 2``, so a Hessian is one matrix-vector product
+    ``rows @ w`` expanded to an exactly symmetric ``(K, K)`` matrix.  The
+    table costs ``(K + 1) / 2`` times the design's bytes, about 440 KB at
+    1000 rows and 10 coefficients, and agrees with
+    ``-(X * w[:, None]).T @ X`` to rounding.
 
     ``coordinate_lines`` evaluates a slice sweep's lines at the cost of
     their row arithmetic: the predictor at the sweep's start, moved by one
@@ -301,9 +265,6 @@ class LogisticTarget(DifferentiableTarget):
                 raise ValueError("offset must be one entry per design row")
             if not np.all(np.isfinite(self._offset)):
                 raise ValueError("offset entries must be finite")
-        self._memo = None  # the memo this target reads: only a conditional has one
-        self._conditional_memo = None  # made by the first restrict
-        self._columns = {}  # block.tobytes() -> (X[:, block], X[:, rest], rest)
 
     @property
     def dim(self) -> int:
@@ -314,32 +275,30 @@ class LogisticTarget(DifferentiableTarget):
         t = self._X @ b
         if self._offset is not None:
             t += self._offset
-        derivatives = gradient or hessian
-        memo = self._memo if derivatives else None
-        kept = memo.recall(t) if memo is not None else None
-        if kept is None:
-            value = -float(_row_losses(t, self._not_y).sum())
-            p = expit(t) if derivatives else None
-            if memo is not None:
-                memo.keep((t, value, p))
-        else:
-            _, value, p = kept
+        value = -float(_row_losses(t, self._not_y).sum())
+        p = expit(t) if gradient or hessian else None
         grad = self._X.T @ (self._y - p) if gradient else None
         hess = None
         if hessian:
-            # -(1 - p) p: X (-w) is -(X w) bit for bit, signed zeros included
             w = 1.0 - p
             w *= p
-            np.negative(w, out=w)
-            hess = (self._X * w[:, None]).T @ self._X
-            hess += hess.T
-            hess *= 0.5
-        return EvalResult(
-            value,
-            grad,
-            hess,
-            _COSTS[kept is None, gradient, hessian],
-        )
+            rows, pairs = self._hessian_rows
+            h = rows @ w
+            np.negative(h, out=h)
+            hess = h[pairs]
+        return EvalResult(value, grad, hess, _COSTS[1, gradient, hessian])
+
+    @cached_property
+    def _hessian_rows(self) -> tuple:
+        """The ``(P, N)`` table of the rows' upper-triangle products
+        ``x_ni x_nj``, pair by pair in ``np.triu_indices`` order, and the
+        ``(K, K)`` index of each Hessian entry's pair, the same for
+        ``(i, j)`` and ``(j, i)``."""
+        i, j = np.triu_indices(self.dim)
+        xt = self._X.T
+        pairs = np.empty((self.dim, self.dim), dtype=np.intp)
+        pairs[i, j] = pairs[j, i] = np.arange(i.size)
+        return xt[i] * xt[j], pairs
 
     @cached_property
     def _line_columns(self) -> tuple:
@@ -388,27 +347,6 @@ class LogisticTarget(DifferentiableTarget):
 
         return line, -float(_row_losses(t, not_y).sum()), _COSTS[1, 0, 0]
 
-    def restrict(self, block, full) -> "LogisticTarget":
-        block = np.asarray(block, dtype=int)
-        key = block.tobytes()
-        columns = self._columns.get(key)
-        if columns is None:
-            # a race only builds the same columns twice
-            rest = _complement(self.dim, block)
-            columns = self._columns[key] = (self._X[:, block], self._X[:, rest], rest)
-        x_b, x_rest, rest = columns
-        offset = x_rest @ np.asarray(full, dtype=float)[rest]
-        if self._offset is not None:
-            offset = self._offset + offset
-        # one memo per design and responses: a conditional passes on its own
-        memo = self._memo
-        if memo is None:
-            memo = self._conditional_memo = self._conditional_memo or _PredictorMemo()
-        # columns of a checked design and the same responses need no second check
-        return _built(
-            LogisticTarget, _X=x_b, _y=self._y, _not_y=self._not_y, _offset=offset, _memo=memo, _columns={}
-        )
-
 
 class PoissonLogRateTarget(DifferentiableTarget):
     """Poisson log-likelihood in the log-rate parameterization.
@@ -429,8 +367,12 @@ class PoissonLogRateTarget(DifferentiableTarget):
         # inf equals its own floor, so the integer check alone passes it
         if not np.all(np.isfinite(y)) or np.any(y < 0) or np.any(y != np.floor(y)):
             raise ValueError("observations must be non-negative integers")
+        with np.errstate(over="ignore"):
+            total = float(np.sum(y))
+        if total == np.inf:
+            raise ValueError("total count is not finite: the counts sum past the float range")
         self._n = int(y.size)
-        self._total = float(np.sum(y))
+        self._total = total
 
     @property
     def dim(self) -> int:
@@ -491,9 +433,6 @@ class GaussianPriorTarget(DifferentiableTarget):
 
     The normalizing constant is dropped.  The precision is validated as a
     ``SymMatrix`` and checked to be positive definite at construction.
-    ``restrict`` factors the block precision once, for the conditional
-    mean; a precision that is exactly diagonal restricts to the block mean
-    and the block diagonal, with no factorization.
     """
 
     def __init__(self, mean, precision):
@@ -539,26 +478,6 @@ class GaussianPriorTarget(DifferentiableTarget):
             return lambda v: -0.5 * (rest + tau_d * (v - mean_d) * (v - mean_d))
 
         return line, -0.5 * float((x - mean) @ (tau * (x - mean))), _COSTS[1, 0, 0]
-
-    def restrict(self, block, full) -> "GaussianPriorTarget":
-        block = np.asarray(block, dtype=int)
-        mean = self._mean[block]
-        if self._diagonal:
-            # P_bc is zero, so the mean needs no shift; a positive diagonal
-            # needs no factorization to be positive definite
-            p_bb = np.diag(self._precision.diagonal()[block])
-            return _built(GaussianPriorTarget, _mean=mean, _precision=p_bb, _diagonal=True)
-        rest = _complement(self.dim, block)
-        # a principal submatrix of a checked precision is symmetric; its
-        # factorization is the positive-definiteness check
-        p_bb = self._precision[np.ix_(block, block)]
-        factor = cholesky(p_bb)
-        if rest.any():
-            full = np.asarray(full, dtype=float)
-            # conditional mean m_b - P_bb^{-1} P_bc (x_c - m_c); value shifts by a constant
-            r = self._precision[np.ix_(block, rest)] @ (full[rest] - self._mean[rest])
-            mean = mean - factor.solve(r)
-        return _built(GaussianPriorTarget, _mean=mean, _precision=p_bb, _diagonal=_is_diagonal(p_bb))
 
 
 class AdditiveTarget(DifferentiableTarget):
@@ -618,11 +537,6 @@ class AdditiveTarget(DifferentiableTarget):
             return logf
 
         return line, reduce(add, values), reduce(add, costs)
-
-    def restrict(self, block, full) -> "AdditiveTarget":
-        # every part's conditional has the block's dimension: nothing to check
-        parts = [p.restrict(block, full) for p in self._parts]
-        return _built(AdditiveTarget, _parts=parts, _dim=parts[0].dim)
 
 
 class BaseFamily(ABC):

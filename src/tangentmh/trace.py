@@ -85,8 +85,9 @@ def run_sweeps(sweep, x0, cfg: ChainConfig, n_blocks=None) -> ChainTrace:
     """Newton sweeps, MH burn-in sweeps, then ``cfg.n_samples`` recorded ones.
 
     ``sweep(x)`` returns ``(x_new, n_accepted, cost, hessian_failures)``,
-    the outcome that ``tangent.run_chain``'s step, ``gibbs.block_sweep``
-    and ``slicer.slice_sweep`` all return.  The first
+    the outcome that ``tangent.run_chain``'s step and ``slicer.slice_sweep``
+    return, and ``gibbs.block_sweep`` returns ahead of its carried
+    evaluation.  The first
     ``cfg.newton_iterations`` of the ``cfg.n_burnin + cfg.n_samples`` calls
     are ``sweep(x, newton=True)``; a sampler without a Newton mode is run
     with ``cfg.newton_iterations == 0``.  Counters and Hessian failures are

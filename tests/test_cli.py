@@ -414,9 +414,9 @@ PINNED_SHA256 = {
         "summary.json": "243ecba1eb6c83545ea2b185d773c2620b137056d355b119aaf18a1506800900",
     },
     "benchmark": {
-        "runs.csv": "f4fe9c2478a5b29b790adc77b20e897b0cbd9315a8f5d1c012cfbd842aae481b",
-        "summary.json": "088d62f829b884a5831450fdee56a79fe9814c49ca08b81aa11dd179312923e9",
-        "table.csv": "ea3f3a02295d7b6bc0959501ea2f63e38cc6d9ad30a915e755e992c70a0d5463",
+        "runs.csv": "03112c9d3b353cb59b51aa755b98853896216e9ebd7eba557bf020c6b372670e",
+        "summary.json": "33c66c306c887df3b28f1b67fc3e64f19f9526a15107777c9f554f1bf38744e5",
+        "table.csv": "705977aa938b90e4493c89eea158f93b97b3d915545ab0bc7097e0aa8480f4e6",
     },
     "hb": {
         "coefficients.csv": "d0a0f8b6c98cf1b4accadcc45e70c76c2cb9912fce389ed9cf9b55e6be758cd5",

@@ -372,9 +372,6 @@ class TestRunChain:
                     EvalCost(1, int(gradient), int(hessian)),
                 )
 
-            def restrict(self, block, full):
-                return self
-
         cfg = ChainConfig(200, 0, n_newton=0)
         single = run_chain(Quartic(), [0.0], cfg, np.random.default_rng(0))
         blocked = run_block_chain(
