@@ -34,6 +34,18 @@ __all__ = [
 ]
 
 
+class _CarryingConditional(_Spliced):
+    """A block's spliced conditional that keeps the parent's whole result
+    at the last point it evaluated as ``last``, for the sweep to carry.
+    Local to one block step, never shared."""
+
+    last = None
+
+    def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
+        self.last = self._parent_result(x, gradient, hessian)
+        return _block_result(self.last, self._block)
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Ordered disjoint index blocks covering 0..dim-1."""
@@ -118,7 +130,7 @@ def block_sweep(
             n_accepted += 1
             current = None
             continue
-        cond = _Spliced(parent, block, x)
+        cond = _CarryingConditional(parent, block, x)
         b_new, rec, _ = tangent_step(cond, x_block, fit, rng)
         if rec.accepted:
             x[block] = b_new

@@ -6,10 +6,11 @@ concrete target documents which constant it drops), optionally with gradient
 and Hessian, plus evaluation-cost counters.  Targets are immutable after
 construction, except for two tables a ``LogisticTarget`` builds from its
 design on first use: its first Hessian builds the products of each row's
-upper-triangle coordinate pairs, and its first ``coordinate_lines`` the
-transposed design and column sums its lines read.  Both are the same
-whoever builds them, so concurrent evaluation stays correct; the worst a
-race can do is build one twice.
+upper-triangle coordinate pairs (designs of at most 15 columns and a
+32 MiB table), and its first ``coordinate_lines`` the transposed design
+and column sums its lines read.  Both are the same whoever builds them,
+so concurrent evaluation stays correct; the worst a race can do is build
+one twice.
 Counters are returned per call, never accumulated in shared state.  A
 ``LogisticTarget`` keeps ``1 - y`` with its responses; one built by its
 constructor without an offset stores none, rather than an array of zeros.
@@ -110,9 +111,8 @@ class DifferentiableTarget(ABC):
         evaluates the parent: values equal the parent's at the spliced
         vector exactly, the gradient is the block sub-gradient and the
         Hessian the principal submatrix, and each call costs a full parent
-        evaluation.  It keeps the parent's whole result at the last point
-        it evaluated as ``last``, which a block sweep carries to its next
-        block.
+        evaluation.  The conditional holds no state beyond its block and
+        frozen vector.
         """
         return _Spliced(self, block, full)
 
@@ -174,8 +174,7 @@ def _block_result(res: EvalResult, block: np.ndarray) -> EvalResult:
 
 
 class _Spliced(DifferentiableTarget):
-    """``parent`` over the ``block`` coordinates, the rest frozen at ``full``;
-    ``last`` is the parent's result at the last point evaluated."""
+    """``parent`` over the ``block`` coordinates, the rest frozen at ``full``."""
 
     def __init__(self, parent: DifferentiableTarget, block, full):
         self._parent = parent
@@ -183,18 +182,19 @@ class _Spliced(DifferentiableTarget):
         self._full = np.array(full, dtype=float)
         if self._full.shape[0] != parent.dim:
             raise ValueError("frozen vector must have the parent's dimension")
-        self.last = None
 
     @property
     def dim(self) -> int:
         return self._block.size
 
-    def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
-        b = self._check_point(x)
+    def _parent_result(self, x, gradient: bool, hessian: bool) -> EvalResult:
+        """The parent's whole result at ``x`` spliced into the frozen vector."""
         full = self._full.copy()
-        full[self._block] = b
-        self.last = self._parent.evaluate(full, gradient=gradient, hessian=hessian)
-        return _block_result(self.last, self._block)
+        full[self._block] = self._check_point(x)
+        return self._parent.evaluate(full, gradient=gradient, hessian=hessian)
+
+    def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
+        return _block_result(self._parent_result(x, gradient, hessian), self._block)
 
 
 def _row_losses(t: np.ndarray, not_y: np.ndarray) -> np.ndarray:
@@ -209,6 +209,20 @@ def _row_losses(t: np.ndarray, not_y: np.ndarray) -> np.ndarray:
     e += u
     e -= np.minimum(t, 0.0, out=u)
     return e
+
+
+# the row-product Hessian table's regime (``LogisticTarget``): timed against
+# ``(X * w).T @ X`` at 1,000, 10,000 and 100,000 rows with single-thread
+# BLAS, the table was faster at every row count up to 15 coefficients, and
+# slower at 20 with 100,000 rows and at 30 from 10,000 rows; the byte bound
+# caps its memory at tall designs
+_TABLE_MAX_K = 15
+_TABLE_MAX_BYTES = 32 << 20
+
+
+def _table_fits(n_rows: int, k: int) -> bool:
+    """Whether a ``(K (K + 1) / 2, N)`` row-product table is built."""
+    return k <= _TABLE_MAX_K and k * (k + 1) // 2 * n_rows * _FLOAT.itemsize <= _TABLE_MAX_BYTES
 
 
 class LogisticTarget(DifferentiableTarget):
@@ -228,14 +242,16 @@ class LogisticTarget(DifferentiableTarget):
     of its own.
 
     The Hessian is a sum over rows in which only the weight
-    ``w = sigma (1 - sigma)`` moves: ``-sum_n w_n x_n x_n^T``.  The first
-    Hessian builds a table of each row's upper-triangle products
-    ``x_ni x_nj`` (i <= j), a C-ordered ``(P, N)`` array with
-    ``P = K (K + 1) / 2``, so a Hessian is one matrix-vector product
-    ``rows @ w`` expanded to an exactly symmetric ``(K, K)`` matrix.  The
-    table costs ``(K + 1) / 2`` times the design's bytes, about 440 KB at
-    1000 rows and 10 coefficients, and agrees with
-    ``-(X * w[:, None]).T @ X`` to rounding.
+    ``w = sigma (1 - sigma)`` moves: ``-sum_n w_n x_n x_n^T``.  For up to
+    15 coefficients and a table of at most 32 MiB, the first Hessian
+    builds a table of each row's upper-triangle products ``x_ni x_nj``
+    (i <= j), a C-ordered ``(P, N)`` array with ``P = K (K + 1) / 2``, so
+    a Hessian is one matrix-vector product ``rows @ w`` expanded to an
+    exactly symmetric ``(K, K)`` matrix.  The table costs ``(K + 1) / 2``
+    times the design's bytes, about 440 KB at 1000 rows and 10
+    coefficients, and agrees with ``-(X * w[:, None]).T @ X`` to
+    rounding.  Wider or taller designs, where the table would be slower
+    or too large, form that product and its symmetric part instead.
 
     ``coordinate_lines`` evaluates a slice sweep's lines at the cost of
     their row arithmetic: the predictor at the sweep's start, moved by one
@@ -282,18 +298,27 @@ class LogisticTarget(DifferentiableTarget):
         if hessian:
             w = 1.0 - p
             w *= p
-            rows, pairs = self._hessian_rows
-            h = rows @ w
-            np.negative(h, out=h)
-            hess = h[pairs]
+            table = self._hessian_rows
+            if table is None:
+                np.negative(w, out=w)
+                hess = (self._X * w[:, None]).T @ self._X
+                hess += hess.T
+                hess *= 0.5
+            else:
+                rows, pairs = table
+                h = rows @ w
+                np.negative(h, out=h)
+                hess = h[pairs]
         return EvalResult(value, grad, hess, _COSTS[1, gradient, hessian])
 
     @cached_property
-    def _hessian_rows(self) -> tuple:
+    def _hessian_rows(self) -> tuple | None:
         """The ``(P, N)`` table of the rows' upper-triangle products
         ``x_ni x_nj``, pair by pair in ``np.triu_indices`` order, and the
         ``(K, K)`` index of each Hessian entry's pair, the same for
-        ``(i, j)`` and ``(j, i)``."""
+        ``(i, j)`` and ``(j, i)``; None outside ``_table_fits``."""
+        if not _table_fits(*self._X.shape):
+            return None
         i, j = np.triu_indices(self.dim)
         xt = self._X.T
         pairs = np.empty((self.dim, self.dim), dtype=np.intp)

@@ -155,6 +155,33 @@ class TestLogistic:
         rows, _ = target._hessian_rows
         assert rows.shape == (k * (k + 1) // 2, 200) and rows.flags.c_contiguous
 
+    @pytest.mark.parametrize("k, max_bytes", [(16, None), (3, 3 * 200 * 8 - 1)])
+    def test_designs_past_the_table_bound_build_no_table(self, k, max_bytes, monkeypatch):
+        # a design wider than the measured table regime, or one whose
+        # table would pass the byte bound (here lowered just below a
+        # 200-row, 3-column table's 4,800 bytes), forms the weighted
+        # product instead and keeps no table
+        if max_bytes is not None:
+            monkeypatch.setattr(targets_module, "_TABLE_MAX_BYTES", max_bytes)
+        rng = np.random.default_rng(50 + k)
+        X, y = random_logistic(rng, n=200, k=k)
+        target = LogisticTarget(X, y)
+        for _ in range(3):
+            b = rng.standard_normal(k) / np.sqrt(k)
+            h = target.evaluate(b, hessian=True).hessian
+            w = expit(X @ b) * (1.0 - expit(X @ b))
+            assert h.shape == (k, k) and np.array_equal(h, h.T)
+            np.testing.assert_allclose(h, -(X * w[:, None]).T @ X, rtol=1e-12)
+        assert target._hessian_rows is None
+
+    def test_table_regime_bounds(self):
+        # the largest table is 15 columns and 32 MiB: 120 pairs of 8 bytes
+        # over 34,952 rows
+        assert targets_module._table_fits(34_952, 15)
+        assert not targets_module._table_fits(34_953, 15)
+        assert not targets_module._table_fits(10, 16)
+        assert not targets_module._table_fits(100_000, 100)
+
     def test_hessian_table_shared_across_threads_stays_exact(self):
         # threads racing on a fresh target's first Hessians may build the
         # row-product table twice, never read a partial one; rows enough
@@ -197,6 +224,17 @@ class TestLogistic:
                 got = LogisticTarget(np.array([[1.0]]), np.array([y])).evaluate([t]).value
                 want = -((1.0 - y) * t + softplus)
                 assert abs(got - want) <= 2 * np.spacing(max(abs((1.0 - y) * t), softplus)), (t, y)
+
+    def test_restrict_keeps_no_state(self):
+        # a conditional may be shared: evaluating it writes none of its fields
+        rng = np.random.default_rng(4)
+        X, y = random_logistic(rng, n=30, k=6)
+        r = LogisticTarget(X, y).restrict(np.array([0, 3]), rng.standard_normal(6))
+        before = {name: np.copy(v) for name, v in vars(r).items() if isinstance(v, np.ndarray)}
+        names = set(vars(r))
+        r.evaluate(rng.standard_normal(2), gradient=True, hessian=True)
+        assert set(vars(r)) == names
+        assert all(np.array_equal(vars(r)[name], v) for name, v in before.items())
 
     def test_restrict_matches_splice(self):
         rng = np.random.default_rng(3)
