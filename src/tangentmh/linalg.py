@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 __all__ = [
     "NotPositiveDefinite",
@@ -72,11 +72,11 @@ class SymMatrix:
         return np.array(self.a, dtype=dtype) if dtype else self.a
 
 
-def _upper_solve(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """Solve ``upper x = b`` (``trans=0``) or ``upper^T x = b`` (``trans=1``)
-    with LAPACK ``dtrtrs``: the call ``scipy.linalg.solve_triangular`` makes
-    for a C-ordered lower factor, without its argument checks."""
-    x, info = dtrtrs(upper, b, lower=0, trans=trans)
+def _lower_solve(lower: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """Solve ``L x = b`` (``trans=0``) or ``L^T x = b`` (``trans=1``) with
+    LAPACK ``dtrtrs``, as ``scipy.linalg.solve_triangular`` does without its
+    checks; ``cholesky``'s Fortran-ordered ``L`` is passed without a copy."""
+    x, info = dtrtrs(lower, b, lower=1, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (dtrtrs info {info})")
     return x
@@ -84,7 +84,7 @@ def _upper_solve(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the factored matrix."""
+    """Lower-triangular factor L, in LAPACK's Fortran order, with L @ L.T the factored matrix."""
 
     lower: np.ndarray
 
@@ -99,8 +99,7 @@ class CholeskyFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (L L^T) x = b by two triangular solves."""
-        upper = self.lower.T
-        return _upper_solve(upper, _upper_solve(upper, b, 1), 0)
+        return _lower_solve(self.lower, _lower_solve(self.lower, b, 0), 1)
 
 
 def _pivots_pass(a_diagonal: list, l_diagonal: list) -> bool:
@@ -118,10 +117,11 @@ def _pivots_pass(a_diagonal: list, l_diagonal: list) -> bool:
 def cholesky(m) -> CholeskyFactor:
     """Factor a symmetric matrix as L L^T with L lower triangular.
 
-    The fast path is one ``np.linalg.cholesky`` call, with the pivot rule
-    checked on Python floats: every pivot squared must exceed the
-    tolerance, so a NaN pivot (a non-finite lower entry) never passes.
-    Otherwise the matrix is refactored column by column to name the pivot.
+    The fast path is one LAPACK ``dpotrf`` call (not numpy's wrapper, four
+    times its cost at 5x5), with the pivot rule checked on Python floats:
+    every pivot squared must exceed the tolerance, so a NaN pivot (a
+    non-finite lower entry) never passes.  Otherwise the matrix is
+    refactored column by column to name the pivot.  ``m`` is never written.
 
     Parameters
     ----------
@@ -142,20 +142,26 @@ def cholesky(m) -> CholeskyFactor:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
-    try:
-        L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is not None and _pivots_pass(a.diagonal().tolist(), L.diagonal().tolist()):
-        return CholeskyFactor(L)
+    return CholeskyFactor(_factor_lower(a))
+
+
+def _factor_lower(a: np.ndarray) -> np.ndarray:
+    """``cholesky``'s factor of a square float matrix, unchecked."""
+    lower, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
+    if info == 0 and _pivots_pass(a.diagonal().tolist(), lower.diagonal().tolist()):
+        return lower
+    return _factor_by_columns(a)
+
+
+def _factor_by_columns(a: np.ndarray) -> np.ndarray:
+    """``cholesky``'s factor column by column, naming the first row with a
+    non-finite lower entry or the first pivot at or below the tolerance."""
     bad_rows = np.flatnonzero(~np.isfinite(np.tril(a)).all(axis=1))
     if bad_rows.size:
         raise NotPositiveDefinite(int(bad_rows[0]), f"non-finite entry in row {bad_rows[0]}")
-    # failed or a pivot fell below the relative threshold: rerun column by
-    # column to name the offending pivot
     tol = PIVOT_RTOL * max(0.0, *a.diagonal().tolist())
     n = a.shape[0]
-    L = np.zeros((n, n))  # C order like np.linalg.cholesky, as _upper_solve assumes
+    L = np.zeros((n, n), order="F")
     for j in range(n):
         pivot = a[j, j] - L[j, :j] @ L[j, :j]
         if pivot <= tol:
@@ -164,16 +170,16 @@ def cholesky(m) -> CholeskyFactor:
         L[j, j] = ljj
         if j + 1 < n:
             L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / ljj
-    return CholeskyFactor(L)
+    return L
 
 
 def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, dict]:
     """The lower factors of a ``(K, n, n)`` stack of symmetric matrices in
-    one ``np.linalg.cholesky`` call, each equal bit for bit to
-    ``cholesky(stack[k]).lower``, and, keyed by index, the
-    ``NotPositiveDefinite`` that ``cholesky`` raises for each matrix that
-    fails its pivot rule (a NaN entry fails it).  A failed matrix's factor
-    is the identity; with no failure the dict is empty."""
+    one ``np.linalg.cholesky`` call, each equal bit for bit to numpy's
+    ``np.linalg.cholesky(stack[k])`` (not to ``cholesky``'s LAPACK factor),
+    and, keyed by index, the ``NotPositiveDefinite`` that ``cholesky``
+    raises for each matrix that fails its pivot rule (a NaN entry fails
+    it).  A failed matrix's factor is the identity."""
     try:
         lowers = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
@@ -182,15 +188,17 @@ def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, dict]:
         map(_pivots_pass, stack.diagonal(0, 1, 2).tolist(), lowers.diagonal(0, 1, 2).tolist())
     ):
         return lowers, {}
-    # some matrix failed: factor each one alone to name the failures
+    # some matrix failed: cholesky names the failures, numpy factors the rest
     lowers = np.empty(stack.shape)
     errors = {}
     for k, a in enumerate(stack):
         try:
-            lowers[k] = cholesky(a).lower
+            cholesky(a)
         except NotPositiveDefinite as err:
             lowers[k] = np.eye(a.shape[0])
             errors[k] = err
+        else:
+            lowers[k] = np.linalg.cholesky(a)
     return lowers, errors
 
 
@@ -243,4 +251,4 @@ def mvn_sample(d: MvnDistribution, rng: np.random.Generator) -> np.ndarray:
     standard-normal variates.
     """
     z = rng.standard_normal(d.dim)
-    return d.mean + _upper_solve(d.factor.lower.T, z, 0)
+    return d.mean + _lower_solve(d.factor.lower, z, 1)

@@ -21,8 +21,8 @@ from .linalg import (
     PIVOT_RTOL,
     NotPositiveDefinite,
     _cholesky_stack,
-    _upper_solve,
-    cholesky,
+    _factor_lower,
+    _lower_solve,
 )
 from .targets import DifferentiableTarget, EvalCost, EvalResult, _as_points
 from .trace import ChainConfig, ChainTrace, run_sweeps
@@ -74,32 +74,37 @@ class _Proposal:
     """One fitted point: the tangent Gaussian at ``x`` plus the point's
     log-density ``value`` and evaluation ``cost``.  ``mean`` is the Newton
     step from ``x``; the precision, the negated Hessian, is held as its
-    lower Cholesky factor ``L``.  The fit checks the mean's finiteness and
-    takes the half log-determinant once.  ``draw`` is ``mean + L^{-T} z``
-    for one ``standard_normal(m)`` draw ``z``, solved against ``L^T``;
-    ``log_q(x)`` is ``-(m/2) log(2 pi) + half_log_det - |z|^2 / 2`` with
-    ``z = L^T (x - mean)``."""
+    lower Cholesky factor ``L`` (``cholesky``'s, without its argument
+    checks).  The fit checks the mean's finiteness and takes the half
+    log-determinant once.  ``propose`` draws ``mean + L^{-T} z`` for one
+    ``standard_normal(m)`` draw ``z`` with its log density
+    ``-(m/2) log(2 pi) + half_log_det - |z|^2 / 2``; ``log_q(x)`` is the
+    same with ``z = L^T (x - mean)``."""
 
     __slots__ = ("mean", "lower", "half_log_det", "value", "cost")
 
     def __init__(self, x: np.ndarray, res: EvalResult):
         try:
-            factor = cholesky(-res.hessian)
+            lower = _factor_lower(-res.hessian)
         except NotPositiveDefinite as err:
             raise HessianNotNegativeDefinite(x, err.pivot) from err
         # Newton step: mean = x + (-H)^{-1} g, solved against the factor
-        mean = x + factor.solve(res.gradient)
+        mean = x + _lower_solve(lower, _lower_solve(lower, res.gradient, 0), 1)
         if not all(map(math.isfinite, mean.tolist())):
             raise _NonFiniteNewtonMean(f"Newton step from {x} is not finite")
         self.mean = mean
-        self.lower = factor.lower
-        self.half_log_det = float(np.log(factor.lower.diagonal()).sum())
+        self.lower = lower
+        self.half_log_det = float(np.log(lower.diagonal()).sum())
         self.value = res.value
         self.cost = res.cost
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
+    def propose(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         z = rng.standard_normal(self.mean.shape[0])
-        return self.mean + _upper_solve(self.lower.T, z, 0)
+        y = self.mean + _lower_solve(self.lower, z, 1)
+        return y, -0.5 * z.shape[0] * _LOG_2PI + self.half_log_det - 0.5 * float(z @ z)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return self.propose(rng)[0]
 
     def log_q(self, x: np.ndarray) -> float:
         z = self.lower.T @ (x - self.mean)
@@ -108,9 +113,10 @@ class _Proposal:
 
 class _ScalarProposal:
     """``_Proposal`` at dim 1 in float arithmetic, bit-identical to it:
-    ``np.linalg.cholesky`` of a 1x1 matrix is ``sqrt`` and a 1x1 ``dtrtrs``
-    divides by the factor (multiplying by its reciprocal is not identical).
-    ``mean`` and ``lower`` are built as arrays only when read."""
+    ``dpotrf`` of a 1x1 matrix is ``sqrt`` and a 1x1 ``dtrtrs`` divides by
+    the factor (multiplying by its reciprocal is not identical).  ``mean``
+    and ``lower`` are built as arrays only when read.  ``propose`` takes
+    its log density from the draw, as ``log_q`` does, not from ``z``."""
 
     __slots__ = ("_m", "_l", "half_log_det", "value", "cost")
 
@@ -140,10 +146,14 @@ class _ScalarProposal:
     def lower(self) -> np.ndarray:
         return np.array([[self._l]])
 
+    def propose(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+        y = rng.standard_normal(1)
+        y[0] = self._m + y.item() / self._l
+        z = self._l * (y.item() - self._m)
+        return y, -0.5 * _LOG_2PI + self.half_log_det - 0.5 * (z * z)
+
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(1)
-        z[0] = self._m + z.item() / self._l
-        return z
+        return self.propose(rng)[0]
 
     def log_q(self, x: np.ndarray) -> float:
         z = self._l * (x.item() - self._m)
@@ -244,7 +254,7 @@ def _stacked_tangent_step(target, x, cached, rng):
 def build_proposal(target: DifferentiableTarget, x) -> _Proposal | _ScalarProposal:
     """Evaluate the target at ``x`` and fit its record there: the tangent
     Gaussian (``mean`` the Newton step from ``x``, precision the negated
-    Hessian as its lower factor ``lower``, ``draw``, ``log_q``) with the
+    Hessian as its lower factor ``lower``, ``propose``, ``log_q``) with the
     point's log-density ``value`` and evaluation ``cost``.
 
     At a ``(J, m)`` stack of points (see ``tangent_step``) the record
@@ -288,7 +298,9 @@ def tangent_step(
     ``cached_old=None``, which re-evaluates it (the two are mathematically
     identical).  The acceptance ratio is formed in log space and a ratio
     >= 1 short-circuits before the uniform deviate is drawn, keeping the
-    random stream layout reproducible.
+    random stream layout reproducible.  ``log q`` at the draw comes from
+    its normals (``_Proposal.propose``): on a Gaussian target, whose exact
+    log ratio is 0, the sign of its rounding decides if a uniform is drawn.
 
     A Hessian failure or a non-finite Newton step at the *proposed* point
     rejects the proposal and flags the record as a Hessian failure
@@ -311,8 +323,7 @@ def tangent_step(
     if cached_old is None:
         prop_old = _fit_proposal(x_old, target.evaluate(x_old, gradient=True, hessian=True))
 
-    x_prop = prop_old.draw(rng)
-    log_q_prop = prop_old.log_q(x_prop)
+    x_prop, log_q_prop = prop_old.propose(rng)
 
     res_prop = target.evaluate(x_prop, gradient=True, hessian=True)
     # the current point's evaluation is paid here only when it was not cached

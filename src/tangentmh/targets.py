@@ -63,11 +63,9 @@ class EvalCost(NamedTuple):
     n_hessian: int = 0
 
     def __add__(self, other: "EvalCost") -> "EvalCost":
-        return EvalCost(
-            self.n_value + other.n_value,
-            self.n_gradient + other.n_gradient,
-            self.n_hessian + other.n_hessian,
-        )
+        v, g, h = self
+        dv, dg, dh = other
+        return EvalCost(v + dv, g + dg, h + dh)
 
 
 # the counters of one leaf evaluation, keyed (value, gradient, hessian)
@@ -529,9 +527,9 @@ class AdditiveTarget(DifferentiableTarget):
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         x = self._check_point(x)
         parts = iter(self._parts)
-        res = next(parts).evaluate(x, gradient=gradient, hessian=hessian)
-        value, grad, hess, cost = res.value, res.gradient, res.hessian, res.cost
-        n_value, n_gradient, n_hessian = cost.n_value, cost.n_gradient, cost.n_hessian
+        value, grad, hess, (n_value, n_gradient, n_hessian) = next(parts).evaluate(
+            x, gradient=gradient, hessian=hessian
+        )
         for p in parts:
             res = p.evaluate(x, gradient=gradient, hessian=hessian)
             value += res.value
@@ -539,10 +537,8 @@ class AdditiveTarget(DifferentiableTarget):
                 grad = grad + res.gradient
             if hessian:
                 hess = hess + res.hessian
-            cost = res.cost
-            n_value += cost.n_value
-            n_gradient += cost.n_gradient
-            n_hessian += cost.n_hessian
+            dv, dg, dh = res.cost
+            n_value, n_gradient, n_hessian = n_value + dv, n_gradient + dg, n_hessian + dh
         return EvalResult(value, grad, hess, EvalCost(n_value, n_gradient, n_hessian))
 
     def coordinate_lines(self, x):

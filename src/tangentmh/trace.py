@@ -111,9 +111,8 @@ def run_sweeps(sweep, x0, cfg: ChainConfig, n_blocks=None) -> ChainTrace:
     t0 = time.perf_counter()
     for k in range(n_burnin + n):
         x, n_accepted, cost, failed = sweep(x, newton=True) if k < n_newton else sweep(x)
-        n_value += cost.n_value
-        n_gradient += cost.n_gradient
-        n_hessian += cost.n_hessian
+        dv, dg, dh = cost
+        n_value, n_gradient, n_hessian = n_value + dv, n_gradient + dg, n_hessian + dh
         failures += failed
         i = k - n_burnin
         if i < 0:

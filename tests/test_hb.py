@@ -16,7 +16,7 @@ from tangentmh.hb import (
     hb_gibbs,
     simulate_hb,
 )
-from tangentmh.linalg import NotPositiveDefinite, _upper_solve, cholesky
+from tangentmh.linalg import NotPositiveDefinite, _lower_solve, cholesky
 from tangentmh.targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget
 
 
@@ -121,7 +121,7 @@ def upper_coeffs_loop(spec, beta, tau, rng):
     for k in range(spec.n_coeffs):
         factor = cholesky(tau[k] * ztz + spec.gamma_precision * eye)
         mean = factor.solve(tau[k] * (Z.T @ beta[:, k]))
-        gamma[k] = mean + _upper_solve(factor.lower.T, rng.standard_normal(spec.n_upper), 0)
+        gamma[k] = mean + _lower_solve(factor.lower, rng.standard_normal(spec.n_upper), 1)
     return gamma
 
 

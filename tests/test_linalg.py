@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from tangentmh.linalg import (
+    PIVOT_RTOL,
     CholeskyFactor,
     MvnDistribution,
     NotPositiveDefinite,
     SymMatrix,
     _cholesky_lowers,
     _cholesky_stack,
+    _factor_by_columns,
     cholesky,
     mvn_logpdf,
     mvn_sample,
@@ -106,13 +110,85 @@ class TestCholesky:
         np.testing.assert_allclose(x, np.linalg.solve(m, b), rtol=1e-10)
 
 
+@st.composite
+def square_matrices(draw):
+    """A (kind, matrix, expected pivot) triple: a symmetric positive
+    definite matrix, an indefinite one, one whose pivot ``j`` is positive
+    but below ``PIVOT_RTOL`` times its largest diagonal entry, or a
+    positive definite one with a non-finite lower entry in row ``j``;
+    in C or Fortran order, scaled by a power of ten."""
+    kind = draw(st.sampled_from(["spd", "indefinite", "tiny_pivot", "non_finite"]))
+    n = draw(st.integers(2 if kind == "tiny_pivot" else 1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = draw(st.integers(0, n - 1))
+    pivot = None
+    if kind == "indefinite":
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        eig = rng.uniform(0.5, 2.0, n)
+        eig[j] = -eig[j]
+        a = (q * eig) @ q.T
+    elif kind == "tiny_pivot":
+        lower = np.tril(rng.standard_normal((n, n)), -1) + np.diag(rng.uniform(1.0, 2.0, n))
+        lower[j, j] = np.sqrt(PIVOT_RTOL * 10.0 ** rng.uniform(-18.0, -1.0))
+        a, pivot = lower @ lower.T, j
+    else:
+        a = random_spd(n, rng)
+    if kind == "non_finite":
+        a[j, draw(st.integers(0, j))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        pivot = j
+    a = a * 10.0 ** draw(st.integers(-6, 6))
+    return kind, np.asarray(a, order=draw(st.sampled_from("CF"))), pivot
+
+
+def _factor_outcome(factor, a):
+    """The factor, or the failure as (exception type, pivot, message)."""
+    try:
+        return factor(a)
+    except NotPositiveDefinite as err:
+        return (type(err), err.pivot, str(err))
+
+
+class TestCholeskyProperties:
+    """The LAPACK fast path against the column-by-column path that names
+    failing pivots, and against numpy's factor."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(square_matrices())
+    def test_fast_path_agrees_with_column_path(self, case):
+        kind, a, pivot = case
+        before = a.copy(order="A")
+        got = _factor_outcome(lambda m: cholesky(m).lower, a)
+        ref = _factor_outcome(_factor_by_columns, a)
+        assert a.flags.f_contiguous == before.flags.f_contiguous
+        assert a.tobytes(order="A") == before.tobytes(order="A")
+        if kind == "spd":
+            assert not isinstance(ref, tuple)
+            expected = np.linalg.cholesky(a)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+            assert got.flags.f_contiguous
+        else:
+            assert isinstance(ref, tuple) and got == ref
+            if pivot is not None:
+                assert got[1] == pivot
+
+
 class TestStackedCholesky:
     def test_equals_each_factor(self):
         rng = np.random.default_rng(12)
         for dim in (1, 2, 3, 5):
             stack = np.array([random_spd(dim, rng) * s for s in (1e-3, 1.0, 1e3, 2.0)])
             lowers = _cholesky_lowers(stack)
-            assert lowers.tobytes() == np.array([cholesky(m).lower for m in stack]).tobytes()
+            assert lowers.tobytes() == np.array([np.linalg.cholesky(m) for m in stack]).tobytes()
+
+    def test_failure_keeps_numpy_factors(self):
+        # at 10x10 numpy's factor and cholesky's LAPACK one differ in the
+        # last bit for some matrices; a failure elsewhere in the stack
+        # keeps numpy's for each passing matrix
+        rng = np.random.default_rng(15)
+        good = [random_spd(10, rng) for _ in range(40)]
+        lowers, errors = _cholesky_stack(np.array(good + [-np.eye(10)]))
+        assert sorted(errors) == [40]
+        assert lowers[:40].tobytes() == np.array([np.linalg.cholesky(m) for m in good]).tobytes()
 
     @pytest.mark.parametrize("bad, pivot", [
         (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),  # indefinite
@@ -146,7 +222,7 @@ class TestStackedCholesky:
             assert str(errors[k]) == str(exc.value)
             assert np.array_equal(lowers[k], np.eye(2))
         for k, m in zip((0, 2, 4), good):
-            assert lowers[k].tobytes() == cholesky(m).lower.tobytes()
+            assert lowers[k].tobytes() == np.linalg.cholesky(m).tobytes()
 
     def test_no_failure_no_errors(self):
         stack = np.array([random_spd(3, np.random.default_rng(14)), np.eye(3)])
@@ -229,8 +305,9 @@ class TestMvn:
 
 
 class TestBitIdentity:
-    """The direct LAPACK calls and the stored log-determinant reproduce the
-    earlier ``solve_triangular`` and diagonal-sum results bit for bit."""
+    """The direct LAPACK calls and the stored log-determinant reproduce
+    ``solve_triangular`` on the factor's own (Fortran) layout and the
+    diagonal sum bit for bit."""
 
     def _factors(self):
         rng = np.random.default_rng(8)
@@ -240,14 +317,15 @@ class TestBitIdentity:
 
     def test_solve_and_sample_match_solve_triangular(self):
         for f, rng in self._factors():
+            assert f.lower.flags.f_contiguous
             b = rng.standard_normal(f.dim) * 10.0 ** rng.uniform(-3, 3)
             y = solve_triangular(f.lower, b, lower=True, check_finite=False)
-            expected = solve_triangular(f.lower.T, y, lower=False, check_finite=False)
+            expected = solve_triangular(f.lower, y, trans="T", lower=True, check_finite=False)
             assert np.array_equal(f.solve(b), expected)
             d = MvnDistribution(rng.standard_normal(f.dim), f)
             seed = int(rng.integers(2**32))
             z = np.random.default_rng(seed).standard_normal(f.dim)
-            expected = d.mean + solve_triangular(f.lower.T, z, lower=False, check_finite=False)
+            expected = d.mean + solve_triangular(f.lower, z, trans="T", lower=True, check_finite=False)
             assert np.array_equal(mvn_sample(d, np.random.default_rng(seed)), expected)
 
     def test_log_det_and_logpdf_match_diagonal_sum(self):

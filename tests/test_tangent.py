@@ -163,7 +163,33 @@ class TestProposalRecord:
             h = -random_spd(dim, rng)
             rec = _fit_proposal(x, EvalResult(0.0, g, h))
             assert isinstance(rec, _Proposal)
+            # the record holds cholesky's factor in its own (Fortran) layout
+            assert rec.lower.flags.f_contiguous
+            assert rec.lower.tobytes(order="F") == cholesky(-h).lower.tobytes(order="F")
             self._check_equal(rec, x, g, h, i, rng.standard_normal(dim))
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_log_q_at_own_draw_from_its_normals(self, dim):
+        # propose's log q comes from the draw's normals, log_q's from the
+        # draw itself: equal to rounding, with the same draw and stream
+        rng = np.random.default_rng(100 + dim)
+        for i in range(50):
+            h = -random_spd(dim, rng) * 10.0 ** rng.uniform(-3, 3)
+            rec = _fit_proposal(rng.standard_normal(dim), EvalResult(0.0, rng.standard_normal(dim), h))
+            a, b = np.random.default_rng(i), np.random.default_rng(i)
+            y, log_q_y = rec.propose(a)
+            assert np.array_equal(y, rec.draw(b))
+            assert a.bit_generator.state == b.bit_generator.state
+            np.testing.assert_allclose(log_q_y, rec.log_q(y), rtol=1e-12)
+
+    def test_scalar_log_q_at_own_draw_bit_identical(self):
+        rng = np.random.default_rng(16)
+        for i in range(2000):
+            x, g, h = rng.standard_normal(1), rng.standard_normal(1), -(10.0 ** rng.uniform(-8, 8, (1, 1)))
+            rec = _fit_proposal(x, EvalResult(0.0, g, h))
+            y, log_q_y = rec.propose(np.random.default_rng(i))
+            assert np.array_equal(y, rec.draw(np.random.default_rng(i)))
+            assert log_q_y == rec.log_q(y)
 
     @pytest.mark.parametrize(
         "g, h",
