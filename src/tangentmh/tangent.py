@@ -103,9 +103,6 @@ class _Proposal:
         y = self.mean + _lower_solve(self.lower, z, 1)
         return y, -0.5 * z.shape[0] * _LOG_2PI + self.half_log_det - 0.5 * float(z @ z)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return self.propose(rng)[0]
-
     def log_q(self, x: np.ndarray) -> float:
         z = self.lower.T @ (x - self.mean)
         return -0.5 * self.mean.shape[0] * _LOG_2PI + self.half_log_det - 0.5 * float(z @ z)
@@ -152,9 +149,6 @@ class _ScalarProposal:
         z = self._l * (y.item() - self._m)
         return y, -0.5 * _LOG_2PI + self.half_log_det - 0.5 * (z * z)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return self.propose(rng)[0]
-
     def log_q(self, x: np.ndarray) -> float:
         z = self._l * (x.item() - self._m)
         return -0.5 * _LOG_2PI + self.half_log_det - 0.5 * (z * z)
@@ -174,7 +168,8 @@ class _StackedProposal:
     non-finite Newton mean; such a group's factor is the identity and its
     mean its point, so the stack's arithmetic stays finite.
     ``raise_failure`` raises what ``_Proposal`` would raise for the first
-    failed group."""
+    failed group.  A stacked step fits one at its current points, unless
+    passed one, and one at its proposals, and returns neither."""
 
     __slots__ = ("x", "mean", "lower", "inverse", "half_log_det", "value", "cost", "failed", "_errors")
 
@@ -207,27 +202,6 @@ class _StackedProposal:
                 raise HessianNotNegativeDefinite(self.x[j], self._errors[j].pivot) from self._errors[j]
             raise _NonFiniteNewtonMean(f"Newton step from {self.x[j]} is not finite")
 
-    def chosen(self, accepted: np.ndarray, other: "_StackedProposal") -> "_StackedProposal":
-        """The fit at each group's next point: ``other``'s where
-        ``accepted``, this one's elsewhere.  ``accepted`` marks no failed
-        group of ``other``, and this fit has none."""
-        if accepted.all():
-            return other
-        if not accepted.any():
-            return self
-        fit = object.__new__(_StackedProposal)
-        a, a3 = accepted[:, None], accepted[:, None, None]
-        fit.x = np.where(a, other.x, self.x)
-        fit.mean = np.where(a, other.mean, self.mean)
-        fit.lower = np.where(a3, other.lower, self.lower)
-        fit.inverse = np.where(a3, other.inverse, self.inverse)
-        fit.half_log_det = np.where(accepted, other.half_log_det, self.half_log_det)
-        fit.value = np.where(accepted, other.value, self.value)
-        fit.cost = other.cost
-        fit.failed = self.failed
-        fit._errors = self._errors
-        return fit
-
 
 def _stacked_tangent_step(target, x, cached, rng):
     """``tangent_step`` on a ``(J, m)`` stack of points (see there)."""
@@ -248,7 +222,7 @@ def _stacked_tangent_step(target, x, cached, rng):
     u = rng.random(x.shape[0])
     accepted = (log_ratio >= 0.0) | (u < np.exp(np.minimum(log_ratio, 0.0)))
     x_new = np.where(accepted[:, None], y, x)
-    return x_new, StepRecord(accepted, log_ratio, cost, fit_y.failed), fit.chosen(accepted, fit_y)
+    return x_new, StepRecord(accepted, log_ratio, cost, fit_y.failed), None
 
 
 def build_proposal(target: DifferentiableTarget, x) -> _Proposal | _ScalarProposal:
@@ -288,7 +262,7 @@ def tangent_step(
     x_old,
     cached_old: _Proposal | _ScalarProposal | None,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, StepRecord, _Proposal | _ScalarProposal]:
+) -> tuple[np.ndarray, StepRecord, _Proposal | _ScalarProposal | None]:
     """One MH transition with tangent Gaussian proposals.
 
     Returns ``(x_new, record, fitted)``, where ``fitted`` is the record
@@ -314,7 +288,11 @@ def tangent_step(
     ``standard_normal((J, m))``, then one ``random(J)``, always drawn;
     group j accepts when its log ratio is >= 0 or its uniform is below
     ``exp`` of it.  A failure at a proposed point rejects and flags that
-    group alone; one at a current point is fatal, as above.
+    group alone; one at a current point is fatal, as above.  A stacked
+    step takes a ``cached_old`` fitted by ``build_proposal`` but returns
+    None for ``fitted``: its one caller, the hierarchical model's Gibbs
+    cycle, moves each group's prior between steps and so refits every
+    cycle.
     """
     x_old = _as_points(x_old)
     if x_old.ndim == 2:

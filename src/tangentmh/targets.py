@@ -110,8 +110,14 @@ class DifferentiableTarget(ABC):
         vector exactly, the gradient is the block sub-gradient and the
         Hessian the principal submatrix, and each call costs a full parent
         evaluation.  The conditional holds no state beyond its block and
-        frozen vector.
+        frozen vector.  The block must be nonempty distinct indices in
+        ``0..dim-1``; any other raises ``ValueError``.
         """
+        block = np.asarray(block, dtype=int)
+        indices = block.tolist()
+        if not (block.ndim == 1 and indices and 0 <= min(indices) and max(indices) < self.dim
+                and len(set(indices)) == len(indices)):
+            raise ValueError(f"block must be nonempty distinct indices in 0..{self.dim - 1}, got {indices}")
         return _Spliced(self, block, full)
 
     def coordinate_lines(self, x: np.ndarray):
@@ -454,12 +460,15 @@ def replicated_poisson_target(obs: int, n_copies: int) -> PoissonLogRateTarget:
 class GaussianPriorTarget(DifferentiableTarget):
     """Gaussian log-density ``-(1/2)(x - m)^T P (x - m)`` in precision form.
 
-    The normalizing constant is dropped.  The precision is validated as a
-    ``SymMatrix`` and checked to be positive definite at construction.
+    The normalizing constant is dropped.  The mean must be finite; the
+    precision is validated as a ``SymMatrix`` and checked to be positive
+    definite at construction.
     """
 
     def __init__(self, mean, precision):
         self._mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        if not np.isfinite(self._mean).all():
+            raise ValueError("mean must be finite")
         prec = precision if isinstance(precision, SymMatrix) else SymMatrix(precision)
         self._precision = prec.a
         if self._precision.shape[0] != self._mean.shape[0]:

@@ -58,3 +58,14 @@ def trace_sha256(trace):
     for a in (trace.samples, trace.accepted, trace.n_value, trace.n_gradient, trace.n_hessian):
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def hb_trace_sha256(trace):
+    """SHA-256 of a hierarchical chain's beta, gamma and tau draws and its
+    final counters, in that order."""
+    h = hashlib.sha256()
+    for a in (trace.beta, trace.gamma, trace.tau):
+        h.update(np.ascontiguousarray(a).tobytes())
+    cost = trace.meta["final_cost"]
+    h.update(np.array([cost["n_value"], cost["n_gradient"], cost["n_hessian"]], dtype=np.int64).tobytes())
+    return h.hexdigest()

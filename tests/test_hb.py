@@ -19,6 +19,8 @@ from tangentmh.hb import (
 from tangentmh.linalg import NotPositiveDefinite, _lower_solve, cholesky
 from tangentmh.targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget
 
+from helpers import hb_trace_sha256
+
 
 @pytest.fixture(scope="module")
 def small_instance():
@@ -206,7 +208,8 @@ class TestGibbs:
     @pytest.fixture
     def no_group_target(self, monkeypatch):
         """Refuse to build, restrict or evaluate any per-group target;
-        returns the list of the shapes ``AdditiveTarget`` is evaluated at."""
+        returns the list of the shapes ``AdditiveTarget`` is evaluated at,
+        each with its parts' types."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a group target was built or evaluated")
@@ -216,25 +219,26 @@ class TestGibbs:
                 monkeypatch.setattr(cls, name, refuse)
         monkeypatch.setattr(AdditiveTarget, "restrict", refuse)
         monkeypatch.setattr(targets, "_built", refuse)
-        shapes = []
+        calls = []
         evaluate = AdditiveTarget.evaluate
         monkeypatch.setattr(
-            AdditiveTarget, "evaluate", lambda self, x, **kw: shapes.append(x.shape) or evaluate(self, x, **kw)
+            AdditiveTarget, "evaluate",
+            lambda self, x, **kw: calls.append((x.shape, [type(p) for p in self._parts])) or evaluate(self, x, **kw),
         )
         # the control: a per-group path cannot start
         with pytest.raises(AssertionError, match="a group target was built"):
             AdditiveTarget([LogisticTarget(np.eye(2), np.ones(2)), GaussianPriorTarget(np.zeros(2), np.eye(2))])
-        return shapes
+        return calls
 
     def test_tangent_path_builds_no_group_target(self, small_instance, no_group_target):
-        # the target is the AdditiveTarget of the J groups' stacked
-        # likelihoods and priors: no per-group target is built, restricted or
+        # the target is the J groups' stacked conditionals, the one part of
+        # an AdditiveTarget: no per-group target is built, restricted or
         # evaluated, and every evaluation is at the (J, K) stack
         spec, _ = small_instance
         trace = hb_gibbs(spec, HbConfig(n_burnin=4, n_samples=4, seed=9))
         assert trace.n_samples == 4
         # 2 Newton cycles evaluate once, 6 MH cycles twice
-        assert no_group_target == [(4, 6)] * (2 + 2 * 6)
+        assert no_group_target == [((4, 6), [hb._GroupConditionals])] * (2 + 2 * 6)
 
     def test_slice_path_is_one_slice_sweep_per_group(self, small_instance, monkeypatch):
         # each cycle calls slice_sweep, through hb's module global, once per
@@ -330,10 +334,11 @@ def assert_close(got, want):
 
 
 class TestStackedConditionals:
-    """The stacked target, the ``AdditiveTarget`` of the groups'
-    likelihoods and diagonal Gaussian priors, against each group's
-    ``AdditiveTarget`` of a logistic likelihood and its prior, to 1e-12
-    relative."""
+    """The stacked target, the groups' likelihoods plus their diagonal
+    Gaussian priors, against each group's ``AdditiveTarget`` of a
+    logistic likelihood and its prior, to 1e-12 relative, and against
+    the stacked likelihood plus the prior's own terms, added as
+    ``AdditiveTarget`` adds them, bit for bit."""
 
     @pytest.mark.parametrize("group_size, n_coeffs", [(120, 5), (None, 5), (None, 3), (None, 10)])
     def test_equals_the_group_targets(self, group_size, n_coeffs):
@@ -344,14 +349,37 @@ class TestStackedConditionals:
             beta = scale * rng.standard_normal((4, n_coeffs))
             prior_means = rng.standard_normal((4, n_coeffs))
             tau = rng.gamma(2.0, 1.0, size=n_coeffs)
-            parts = [hb._GroupLikelihoods(spec._stacked, beta, None), hb._GroupPriors(prior_means, tau)]
-            got = AdditiveTarget(parts).evaluate(beta, gradient=True, hessian=True)
+            got = hb._GroupConditionals(spec._stacked, prior_means, tau, beta, None).evaluate(
+                beta, gradient=True, hessian=True
+            )
             assert got.cost == EvalCost(8, 8, 8)
             for j in range(4):
                 want = group_conditional(spec, j, beta, prior_means, tau)
                 assert_close(got.value[j], want.value)
                 assert_close(got.gradient[j], want.gradient)
                 assert_close(got.hessian[j], want.hessian)
+
+    @pytest.mark.parametrize("n_coeffs", [1, 3, 10])
+    def test_equals_the_sum_of_its_parts_bit_for_bit(self, n_coeffs):
+        # the prior's value, gradient -tau d and Hessian -diag(tau), whose
+        # off-diagonal entries are -0.0, each added to the likelihood's
+        rng = np.random.default_rng(22)
+        spec, _ = simulate_hb(4, n_coeffs, 2, rng)
+        for scale in (1e-3, 1.0, 5.0):
+            beta = scale * rng.standard_normal((4, n_coeffs))
+            prior_means = rng.standard_normal((4, n_coeffs))
+            tau = rng.gamma(2.0, 1.0, size=n_coeffs) * 10.0 ** rng.uniform(-3, 3, n_coeffs)
+            values, grads, hessians = spec._stacked.likelihood(beta, True, True)
+            d = beta - prior_means
+            pd = tau * d
+            prior_hessian = np.full((4, n_coeffs, n_coeffs), -0.0)
+            prior_hessian[:, np.arange(n_coeffs), np.arange(n_coeffs)] = -tau
+            got = hb._GroupConditionals(spec._stacked, prior_means, tau, None, None).evaluate(
+                beta, gradient=True, hessian=True
+            )
+            assert got.value.tobytes() == (values + -0.5 * np.einsum("ij,ij->i", d, pd)).tobytes()
+            assert got.gradient.tobytes() == (grads + -pd).tobytes()
+            assert got.hessian.tobytes() == (hessians + prior_hessian).tobytes()
 
 
 def cycle_cost(spec, cfg, state, newton=False):
@@ -360,6 +388,17 @@ def cycle_cost(spec, cfg, state, newton=False):
 
 
 class TestCarry:
+    @pytest.mark.parametrize("sampler, seed, digest", [
+        ("tangent", 101, "f7de4dfd808357dd9fa953d8e91ab304d446bf2e572117881bc67fd1aabce50b"),
+        ("slice", 202, "15e2ff46445bfeea74d0f67270d62b2beffebf0aa762a40a40a03eef36ab3bc4"),
+    ])
+    def test_w3_chain_pinned(self, sampler, seed, digest):
+        # W3's chains (c09's data and chain seeds), short: beta, gamma, tau
+        # and the final counters keep their bits
+        spec, _ = simulate_hb(5, 10, 2, np.random.default_rng(2026), group_size=400)
+        trace = hb_gibbs(spec, HbConfig(n_burnin=20, n_samples=30, beta_sampler=sampler, seed=seed))
+        assert hb_trace_sha256(trace) == digest
+
     def test_w3_counters_in_one_block(self):
         # c09's configuration: one block per group, 250 Newton cycles of
         # (2J, 2J, 2J), then 750 MH cycles of (3J, 3J, 3J), plus J values at
@@ -399,11 +438,11 @@ class TestCarry:
 
     @pytest.mark.parametrize("n_coeffs", [3, 2, 6])
     def test_carry_is_the_likelihood_at_beta(self, small_instance, n_coeffs):
-        # the value and sigma(t) carried from the last proposal evaluated
-        # equal a fresh LogisticTarget evaluation at the state's beta (summed
-        # in another order: 1e-12 relative), and all four carried arrays, the
-        # gradients and Hessians too, equal a fresh stacked evaluation at
-        # beta bit for bit; on the first K columns of the small instance
+        # the value, gradient and Hessian carried from the last proposal
+        # evaluated equal a fresh LogisticTarget evaluation at the state's
+        # beta (summed in another order: 1e-12 relative), and a fresh
+        # stacked evaluation at beta bit for bit; on the first K columns of
+        # the small instance
         spec, _ = small_instance
         spec = HbModelSpec([X[:, :n_coeffs] for X in spec.designs], spec.responses, spec.upper_design)
         state = HbState(np.zeros((4, n_coeffs)), np.zeros((n_coeffs, 2)), np.ones(n_coeffs))
@@ -412,15 +451,15 @@ class TestCarry:
         for _ in range(4):
             state, accepted, *_ = hb_cycle(spec, HbConfig(), state, rng)
             carry = state._carry[1]
-            values, p = carry[:2]
+            assert len(carry) == 3
             for j in range(4):
-                want = LogisticTarget(spec.designs[j], spec.responses[j]).evaluate(state.beta[j])
-                assert_close(values[j], want.value)
-                assert_close(p[j, : spec.group_sizes[j]], expit(spec.designs[j] @ state.beta[j]))
-            fresh = hb._GroupLikelihoods(spec._stacked, None, None)
-            fresh.evaluate(state.beta.copy(), gradient=True, hessian=True)
-            assert len(carry) == 4
-            for got, want in zip(carry, fresh.last):
+                want = LogisticTarget(spec.designs[j], spec.responses[j]).evaluate(
+                    state.beta[j], gradient=True, hessian=True
+                )
+                for got, expected in zip(carry, want[:3]):
+                    assert_close(got[j], expected)
+            fresh = spec._stacked.likelihood(state.beta.copy(), True, True)
+            for got, want in zip(carry, fresh):
                 assert got.tobytes() == want.tobytes()
             n_rejected += 4 - accepted
         # at K = 6 the carry took rejected groups' arrays as well

@@ -313,6 +313,12 @@ class TestGaussianPrior:
         np.testing.assert_allclose(res.gradient, [-4.0])
         np.testing.assert_allclose(res.hessian, [[-4.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected_at_construction(self, bad):
+        # used to evaluate to a NaN or infinite value and gradient
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianPriorTarget([bad, 0.0], np.eye(2))
+
     def test_indefinite_precision_rejected_at_construction(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianPriorTarget(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -486,6 +492,17 @@ class TestRestrictedTargets:
     the parent; its conditional must agree with the same conditional built
     through the public constructors, to rounding and, for a prior, up to
     an additive constant."""
+
+    @pytest.mark.parametrize("block", [[], [0, 0], [2, 1, 2], [0, 3], [0, 5], [-1, 0], [[0, 1]]])
+    def test_bad_block_refused(self, block):
+        # a repeated index used to count its coordinate twice in the
+        # gradient, an out-of-range one to fail at the first evaluate
+        rng = np.random.default_rng(16)
+        X, y = random_logistic(rng, n=20, k=3)
+        prior = GaussianPriorTarget(np.zeros(3), np.eye(3))
+        for parent in (LogisticTarget(X, y), prior, AdditiveTarget([LogisticTarget(X, y), prior])):
+            with pytest.raises(ValueError, match=r"block must be nonempty distinct indices in 0\.\.2"):
+                parent.restrict(block, np.zeros(3))
 
     @pytest.mark.parametrize("block", RESTRICT_BLOCKS)
     def test_logistic_matches_public_construction(self, block):
