@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import DifferentiableTarget, EvalCost, EvalResult, _block_result, _Spliced
+from .targets import DifferentiableTarget, EvalCost, EvalResult, _block_result, _index_array, _Spliced
 from .tangent import _fit_proposal, tangent_step
 from .trace import ChainConfig, ChainTrace, _is_integer, run_sweeps
 
@@ -48,12 +48,13 @@ class _CarryingConditional(_Spliced):
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Ordered disjoint index blocks covering 0..dim-1."""
+    """Ordered disjoint blocks of integer indices covering 0..dim-1; a
+    float or boolean index raises ``ValueError``."""
 
     blocks: tuple
 
     def __init__(self, blocks):
-        blocks = tuple(np.asarray(b, dtype=int) for b in blocks)
+        blocks = tuple(_index_array(b) for b in blocks)
         seen = np.concatenate(blocks) if blocks else np.array([], dtype=int)
         dim = seen.size
         if dim == 0 or np.any(np.sort(seen) != np.arange(dim)):

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .linalg import NotPositiveDefinite, _cholesky_lowers
+from .linalg import NotPositiveDefinite, _cholesky_lowers, _inv_kernel
 from .slicer import SliceConfig, slice_sweep
 from .tangent import build_proposal, tangent_step
 from .targets import (AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, GaussianPriorTarget,
@@ -128,6 +128,13 @@ class HbModelSpec:
     def _stacked(self) -> "_StackedGroups":
         """The groups' data as both beta samplers evaluate it."""
         return _StackedGroups(self)
+
+    @cached_property
+    def _upper_gram(self) -> tuple:
+        """``Z^T Z`` and ``gamma_precision I``, the parts of every gamma
+        precision ``draw_upper_coeffs`` forms."""
+        Z = self.upper_design
+        return Z.T @ Z, self.gamma_precision * np.eye(self.n_upper)
 
 
 class _StackedGroups:
@@ -310,8 +317,11 @@ def draw_upper_coeffs(
 
     For coefficient k the posterior is Gaussian with precision
     ``tau_k Z^T Z + gamma_precision I`` and mean solving that precision
-    against ``tau_k Z^T beta[:, k]``.  The K precisions are factored as
-    one ``(K, L, L)`` stack in one ``np.linalg.cholesky`` call, under
+    against ``tau_k Z^T beta[:, k]``; ``Z^T Z`` and ``gamma_precision I``
+    are formed once per spec.  The K precisions are factored as one
+    ``(K, L, L)`` stack by numpy's stacked Cholesky kernel and the factors
+    inverted by its stacked inverse kernel (``linalg``'s, each bit for bit
+    what ``np.linalg.cholesky`` and ``np.linalg.inv`` return), under
     ``cholesky``'s pivot rule (a failing precision raises its
     ``NotPositiveDefinite`` before any draw), and every normal comes from
     one ``(K, L)`` draw.  With ``L_k`` the factor, right-hand side ``h_k``
@@ -320,10 +330,11 @@ def draw_upper_coeffs(
     covariance as two triangular solves per coefficient, equal to them to
     rounding.
     """
-    Z = spec.upper_design
-    precisions = tau[:, None, None] * (Z.T @ Z) + spec.gamma_precision * np.eye(spec.n_upper)
-    inverses = np.linalg.inv(_cholesky_lowers(precisions))
-    rhs = tau[:, None] * (beta.T @ Z)
+    gram, ridge = spec._upper_gram
+    precisions = tau[:, None, None] * gram + ridge
+    with np.errstate(all="ignore"):
+        inverses = _inv_kernel(_cholesky_lowers(precisions))
+    rhs = tau[:, None] * (beta.T @ spec.upper_design)
     z = rng.standard_normal((spec.n_coeffs, spec.n_upper))
     w = np.matmul(inverses, rhs[:, :, None])[:, :, 0]
     w += z

@@ -4,6 +4,17 @@ Everything here works in the *precision* parameterization: a Gaussian is
 stored as a mean plus the Cholesky factor of its precision matrix.  The
 sampler produces precisions directly (as negated Hessians), so factoring
 the precision avoids ever forming an explicit covariance or inverse.
+
+A single matrix is factored by LAPACK ``dpotrf`` (``cholesky``).  A stack
+of matrices, as the hierarchical model's stacked step and its conjugate
+gamma draw make, is factored and its factors inverted by numpy's own
+stacked kernels (``_cholesky_kernel`` and ``_inv_kernel``, the gufuncs
+behind ``np.linalg.cholesky`` and ``np.linalg.inv``), called without
+numpy's wrappers.  The kernels return a matrix they cannot factor or
+invert as NaN and raise numpy's ``invalid`` flag, which the wrappers turn
+into ``LinAlgError``; their callers here run them under
+``np.errstate(all="ignore")`` instead, and ``cholesky``'s pivot rule,
+which NaN never passes, gives each matrix its verdict.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 __all__ = [
@@ -30,6 +42,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # diagonal entry; smaller pivots are treated as genuine indefiniteness
 # rather than roundoff.
 PIVOT_RTOL = 1e-12
+
+# numpy's stacked lower Cholesky and inverse gufuncs, bit for bit what
+# np.linalg.cholesky and np.linalg.inv return, at a fraction of the cost for
+# small matrices; a failure is a NaN matrix and a floating-point warning
+_cholesky_kernel = _umath_linalg.cholesky_lo
+_inv_kernel = _umath_linalg.inv
 
 
 class NotPositiveDefinite(Exception):
@@ -103,10 +121,11 @@ class CholeskyFactor:
 
 
 def _pivots_pass(a_diagonal: list, l_diagonal: list) -> bool:
-    """``cholesky``'s pivot rule on Python floats: every pivot ``L_jj``
-    squared exceeds ``PIVOT_RTOL`` times the largest diagonal entry of the
-    factored matrix.  A NaN pivot fails the comparison, and a NaN diagonal
-    entry of the matrix makes its own pivot NaN, so ``max`` may skip it."""
+    """``cholesky``'s pivot rule for one matrix, on Python floats: every
+    pivot ``L_jj`` squared exceeds ``PIVOT_RTOL`` times the largest
+    diagonal entry of the factored matrix.  A NaN pivot fails the
+    comparison, and a NaN diagonal entry of the matrix makes its own pivot
+    NaN, so ``max`` may skip it."""
     tol = PIVOT_RTOL * max(0.0, *a_diagonal)
     for d in l_diagonal:
         if not d * d > tol:
@@ -175,36 +194,41 @@ def _factor_by_columns(a: np.ndarray) -> np.ndarray:
 
 def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, dict]:
     """The lower factors of a ``(K, n, n)`` stack of symmetric matrices in
-    one ``np.linalg.cholesky`` call, each equal bit for bit to numpy's
+    one ``_cholesky_kernel`` call, each equal bit for bit to numpy's
     ``np.linalg.cholesky(stack[k])`` (not to ``cholesky``'s LAPACK factor),
     and, keyed by index, the ``NotPositiveDefinite`` that ``cholesky``
-    raises for each matrix that fails its pivot rule (a NaN entry fails
-    it).  A failed matrix's factor is the identity."""
-    try:
-        lowers = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        lowers = None
-    if lowers is not None and all(
-        map(_pivots_pass, stack.diagonal(0, 1, 2).tolist(), lowers.diagonal(0, 1, 2).tolist())
-    ):
+    raises for each matrix that fails its pivot rule.  Call it under
+    ``np.errstate(all="ignore")``: the kernel warns on a matrix it cannot
+    factor.
+
+    The pivot rule is one comparison over the stack: each matrix's smallest
+    pivot squared exceeds ``PIVOT_RTOL`` times the larger of 0 and its
+    largest diagonal entry.  A NaN pivot (a failed or non-finite factor)
+    fails it, and so does a NaN diagonal entry, whose own pivot is NaN.
+    Only a matrix that fails goes to ``cholesky``, which names its pivot; a
+    failed matrix's factor is the identity.  Should ``cholesky`` pass one
+    the kernel failed (the two LAPACKs disagree at the tolerance), its
+    verdict and its factor stand."""
+    lowers = _cholesky_kernel(stack)
+    pivots = lowers.diagonal(0, 1, 2)
+    tol = PIVOT_RTOL * np.maximum.reduce(stack.diagonal(0, 1, 2), axis=1, initial=0.0)
+    passed = (np.minimum.reduce(pivots * pivots, axis=1) > tol).tolist()
+    if all(passed):
         return lowers, {}
-    # some matrix failed: cholesky names the failures, numpy factors the rest
-    lowers = np.empty(stack.shape)
     errors = {}
-    for k, a in enumerate(stack):
+    for k in [k for k, ok in enumerate(passed) if not ok]:
         try:
-            cholesky(a)
+            lowers[k] = cholesky(stack[k]).lower
         except NotPositiveDefinite as err:
-            lowers[k] = np.eye(a.shape[0])
+            lowers[k] = np.eye(stack.shape[1])
             errors[k] = err
-        else:
-            lowers[k] = np.linalg.cholesky(a)
     return lowers, errors
 
 
 def _cholesky_lowers(stack: np.ndarray) -> np.ndarray:
-    """``_cholesky_stack``'s factors; the first matrix that fails
-    ``cholesky``'s pivot rule raises its ``NotPositiveDefinite``."""
+    """``_cholesky_stack``'s factors, under the same error state; the first
+    matrix that fails ``cholesky``'s pivot rule raises its
+    ``NotPositiveDefinite``."""
     lowers, errors = _cholesky_stack(stack)
     if errors:
         raise next(iter(errors.values()))

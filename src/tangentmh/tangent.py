@@ -22,6 +22,7 @@ from .linalg import (
     NotPositiveDefinite,
     _cholesky_stack,
     _factor_lower,
+    _inv_kernel,
     _lower_solve,
 )
 from .targets import DifferentiableTarget, EvalCost, EvalResult, _as_points
@@ -169,16 +170,22 @@ class _StackedProposal:
     mean its point, so the stack's arithmetic stays finite.
     ``raise_failure`` raises what ``_Proposal`` would raise for the first
     failed group.  A stacked step fits one at its current points, unless
-    passed one, and one at its proposals, and returns neither."""
+    passed one, and one at its proposals, and returns neither.
+
+    The factors come from ``_cholesky_stack`` and their inverses from
+    numpy's stacked inverse kernel, each bit for bit what
+    ``np.linalg.cholesky`` and ``np.linalg.inv`` return, without their
+    wrappers' per-call checks; the fit runs under one
+    ``np.errstate(all="ignore")``, which the kernels need (see ``linalg``)."""
 
     __slots__ = ("x", "mean", "lower", "inverse", "half_log_det", "value", "cost", "failed", "_errors")
 
     def __init__(self, x: np.ndarray, res: EvalResult):
-        lower, self._errors = _cholesky_stack(-res.hessian)
-        inverse = np.linalg.inv(lower)
-        # Newton step: (-H)^{-1} g = L^{-T} L^{-1} g; a non-finite gradient
-        # makes a non-finite mean, which fails below
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(all="ignore"):
+            lower, self._errors = _cholesky_stack(-res.hessian)
+            inverse = _inv_kernel(lower)
+            # Newton step: (-H)^{-1} g = L^{-T} L^{-1} g; a non-finite gradient
+            # makes a non-finite mean, which fails below
             w = np.matmul(inverse, res.gradient[:, :, None])
             mean = x + np.matmul(inverse.transpose(0, 2, 1), w)[:, :, 0]
         failed = ~np.isfinite(mean).all(axis=1)

@@ -30,6 +30,7 @@ from scipy.linalg import qr
 from scipy.special import expit
 
 from .linalg import SymMatrix, cholesky
+from .trace import _is_integer
 
 __all__ = [
     "EvalCost",
@@ -82,6 +83,17 @@ class EvalResult(NamedTuple):
     cost: EvalCost = _COSTS[0, 0, 0]
 
 
+def _index_array(block) -> np.ndarray:
+    """``block`` as an integer index array.  Float and boolean indices are
+    refused by ``trace._is_integer``'s rule (numpy integers pass), since a
+    cast would truncate the one and read the other as 0 or 1."""
+    idx = block if isinstance(block, np.ndarray) else np.asarray(block, dtype=object)
+    kind = idx.dtype.kind
+    if not (kind in "iu" or idx.size == 0 or (kind == "O" and all(map(_is_integer, idx.flat)))):
+        raise ValueError(f"block indices must be integers, not floats or booleans, got {idx.tolist()}")
+    return np.asarray(idx, dtype=int)
+
+
 def _as_points(x) -> np.ndarray:
     """``np.atleast_1d(np.asarray(x, dtype=float))``, calling neither on a float array of 1 or more dims."""
     if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim:
@@ -110,10 +122,11 @@ class DifferentiableTarget(ABC):
         vector exactly, the gradient is the block sub-gradient and the
         Hessian the principal submatrix, and each call costs a full parent
         evaluation.  The conditional holds no state beyond its block and
-        frozen vector.  The block must be nonempty distinct indices in
-        ``0..dim-1``; any other raises ``ValueError``.
+        frozen vector.  The block must be nonempty distinct integer
+        indices in ``0..dim-1``; any other, a float or boolean index
+        included, raises ``ValueError``.
         """
-        block = np.asarray(block, dtype=int)
+        block = _index_array(block)
         indices = block.tolist()
         if not (block.ndim == 1 and indices and 0 <= min(indices) and max(indices) < self.dim
                 and len(set(indices)) == len(indices)):
@@ -147,10 +160,16 @@ class DifferentiableTarget(ABC):
         return line, start.value, start.cost
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as one float point of length ``dim``; a stack is refused."""
         x = _as_points(x)
-        # a stacked target (see ``tangent_step``) takes a (J, dim) stack
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"point has length {x.shape[-1]}, expected {self.dim}")
+        if x.shape != (self.dim,):
+            if x.ndim == 1:
+                raise ValueError(f"point has length {x.shape[0]}, expected {self.dim}")
+            raise ValueError(
+                f"{type(self).__name__} takes one point of length {self.dim}, got an array of shape "
+                f"{x.shape}; only AdditiveTarget and the hierarchical model's group conditionals "
+                "take a (J, m) stack of points"
+            )
         return x
 
 
@@ -534,7 +553,10 @@ class AdditiveTarget(DifferentiableTarget):
         return self._dim
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
-        x = self._check_point(x)
+        x = _as_points(x)
+        # a (J, dim) stack of points passes to parts that take one (see ``tangent_step``)
+        if x.shape[-1] != self._dim:
+            raise ValueError(f"point has length {x.shape[-1]}, expected {self._dim}")
         parts = iter(self._parts)
         value, grad, hess, (n_value, n_gradient, n_hessian) = next(parts).evaluate(
             x, gradient=gradient, hessian=hessian

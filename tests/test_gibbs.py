@@ -35,6 +35,17 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             BlockPartition([[0, 1], [1, 2]])
 
+    @pytest.mark.parametrize("blocks", [[[0.5, 1.2], [2.9]], [[True, False], [2]], [[0, 1], [2.0]],
+                                        [np.array([0.0, 1.0]), [2]]])
+    def test_rejects_float_and_boolean_indices(self, blocks):
+        # a cast used to accept [[0.5, 1.2], [2.9]] as [[0, 1], [2]]
+        with pytest.raises(ValueError, match="block indices must be integers, not floats or booleans"):
+            BlockPartition(blocks)
+
+    def test_accepts_numpy_integer_indices(self):
+        p = BlockPartition([[np.int64(1), np.int32(0)], np.array([2], dtype=np.uint16)])
+        assert [b.tolist() for b in p.blocks] == [[1, 0], [2]]
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             BlockPartition([[0, 1], []])

@@ -157,6 +157,34 @@ class TestStackedUpperDraw:
         assert str(got.value) == str(ref.value)
 
 
+class TestKernelPath:
+    """hb's stacked factorizations and inverses run on numpy's kernels,
+    never through ``np.linalg.cholesky`` or ``np.linalg.inv``."""
+
+    @pytest.mark.parametrize("sampler, newton", [("tangent", False), ("tangent", True), ("slice", False)])
+    def test_cycle_calls_no_numpy_wrapper(self, small_instance, monkeypatch, sampler, newton):
+        spec, _ = small_instance
+        state = HbState(np.zeros((4, 6)), np.zeros((6, 2)), np.ones(6))
+        ref, *_ = hb_cycle(spec, HbConfig(beta_sampler=sampler), state, np.random.default_rng(1), newton=newton)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy's linalg wrapper called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        got, *_ = hb_cycle(spec, HbConfig(beta_sampler=sampler), state, np.random.default_rng(1), newton=newton)
+        for field in ("beta", "gamma", "tau"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+
+    def test_gram_parts_cached_per_spec(self, small_instance):
+        spec, _ = small_instance
+        gram, ridge = spec._upper_gram
+        Z = spec.upper_design
+        assert spec._upper_gram[0] is gram
+        assert gram.tobytes() == (Z.T @ Z).tobytes()
+        assert ridge.tobytes() == (spec.gamma_precision * np.eye(spec.n_upper)).tobytes()
+
+
 class TestGibbs:
     def test_zero_samples(self, small_instance):
         spec, _ = small_instance

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+from tangentmh.hb import simulate_hb
 from tangentmh.linalg import (
     PIVOT_RTOL,
     CholeskyFactor,
@@ -13,6 +14,7 @@ from tangentmh.linalg import (
     _cholesky_lowers,
     _cholesky_stack,
     _factor_by_columns,
+    _inv_kernel,
     cholesky,
     mvn_logpdf,
     mvn_sample,
@@ -172,13 +174,39 @@ class TestCholeskyProperties:
                 assert got[1] == pivot
 
 
+def _stack_outcome(stack):
+    """``_cholesky_stack`` under the error state its callers set."""
+    with np.errstate(all="ignore"):
+        return _cholesky_stack(stack)
+
+
 class TestStackedCholesky:
+    """The stacked factors and inverses from numpy's kernels, against
+    numpy's public wrappers and ``cholesky``'s verdicts, matrix by matrix."""
+
+    @staticmethod
+    def assert_numpy_bytes(stack, lowers):
+        for m, lower in zip(stack, lowers):
+            assert lower.tobytes() == np.linalg.cholesky(m).tobytes()
+        inverses = _inv_kernel(lowers)
+        for lower, inverse in zip(lowers, inverses):
+            assert inverse.tobytes() == np.linalg.inv(lower).tobytes()
+
     def test_equals_each_factor(self):
+        # factors and raw inverses, matrix by matrix, at dims 1-10
         rng = np.random.default_rng(12)
-        for dim in (1, 2, 3, 5):
-            stack = np.array([random_spd(dim, rng) * s for s in (1e-3, 1.0, 1e3, 2.0)])
-            lowers = _cholesky_lowers(stack)
-            assert lowers.tobytes() == np.array([np.linalg.cholesky(m) for m in stack]).tobytes()
+        for dim in range(1, 11):
+            stack = np.array([random_spd(dim, rng) * s for s in (1e-3, 1.0, 1e3, 2.0) for _ in range(5)])
+            self.assert_numpy_bytes(stack, _cholesky_lowers(stack))
+
+    def test_gamma_precision_stack_equals_numpy(self):
+        # the hierarchical demo's (K, L, L) = (10, 2, 2) gamma precisions
+        spec, _ = simulate_hb(5, 10, 2, np.random.default_rng(2026), group_size=400)
+        tau = np.random.default_rng(3).gamma(4.0, 1.0, size=10)
+        gram, ridge = spec._upper_gram
+        stack = tau[:, None, None] * gram + ridge
+        assert stack.shape == (10, 2, 2)
+        self.assert_numpy_bytes(stack, _cholesky_lowers(stack))
 
     def test_failure_keeps_numpy_factors(self):
         # at 10x10 numpy's factor and cholesky's LAPACK one differ in the
@@ -186,7 +214,7 @@ class TestStackedCholesky:
         # keeps numpy's for each passing matrix
         rng = np.random.default_rng(15)
         good = [random_spd(10, rng) for _ in range(40)]
-        lowers, errors = _cholesky_stack(np.array(good + [-np.eye(10)]))
+        lowers, errors = _stack_outcome(np.array(good + [-np.eye(10)]))
         assert sorted(errors) == [40]
         assert lowers[:40].tobytes() == np.array([np.linalg.cholesky(m) for m in good]).tobytes()
 
@@ -197,7 +225,7 @@ class TestStackedCholesky:
     ])
     def test_first_failing_matrix_raises_its_pivot(self, bad, pivot):
         stack = np.array([np.eye(2), bad, -np.eye(2)])
-        with pytest.raises(NotPositiveDefinite) as exc:
+        with pytest.raises(NotPositiveDefinite) as exc, np.errstate(all="ignore"):
             _cholesky_lowers(stack)
         assert exc.value.pivot == pivot
 
@@ -213,7 +241,7 @@ class TestStackedCholesky:
         rng = np.random.default_rng(13)
         good = [random_spd(2, rng) for _ in range(3)]
         stack = np.array([good[0], bad, good[1], -np.eye(2), good[2]])
-        lowers, errors = _cholesky_stack(stack)
+        lowers, errors = _stack_outcome(stack)
         assert sorted(errors) == [1, 3]
         assert (errors[1].pivot, errors[3].pivot) == (pivot, 0)
         for k in (1, 3):
@@ -223,6 +251,25 @@ class TestStackedCholesky:
             assert np.array_equal(lowers[k], np.eye(2))
         for k, m in zip((0, 2, 4), good):
             assert lowers[k].tobytes() == np.linalg.cholesky(m).tobytes()
+
+    def test_indefinite_nan_and_inf_named_as_cholesky_names_them(self):
+        # the pivots and messages the parent's wrapper path gave
+        rng = np.random.default_rng(16)
+        good = [random_spd(3, rng) for _ in range(2)]
+        stack = np.array([good[0], np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan),
+                          np.diag([1.0, np.inf, 1.0]), good[1]])
+        lowers, errors = _stack_outcome(stack)
+        assert {k: (e.pivot, str(e)) for k, e in errors.items()} == {
+            1: (2, "matrix not positive definite (pivot 2)"),
+            2: (0, "non-finite entry in row 0"),
+            3: (1, "non-finite entry in row 1"),
+        }
+        for k in (1, 2, 3):
+            with pytest.raises(NotPositiveDefinite) as exc:
+                cholesky(stack[k])
+            assert (errors[k].pivot, str(errors[k])) == (exc.value.pivot, str(exc.value))
+            assert np.array_equal(lowers[k], np.eye(3))
+        self.assert_numpy_bytes(stack[[0, 4]], lowers[[0, 4]])
 
     def test_no_failure_no_errors(self):
         stack = np.array([random_spd(3, np.random.default_rng(14)), np.eye(3)])

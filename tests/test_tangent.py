@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -572,6 +574,41 @@ class TestStackedStep:
         assert rec.log_ratio[2] == -np.inf
         assert np.array_equal(x_new[2], x[2])
         assert np.abs(rec.log_ratio[~failed]).max() < 1e-9
+
+    def test_stacked_fit_equals_numpy_per_group(self):
+        # the fit's factors and inverses are numpy's wrappers' bytes, group by group
+        rng = np.random.default_rng(5)
+        target = GaussianStack(6, 4, rng)
+        fit = build_proposal(target, rng.standard_normal((6, 4)))
+        for precision, lower, inverse in zip(target.precision, fit.lower, fit.inverse):
+            assert lower.tobytes() == np.linalg.cholesky(precision).tobytes()
+            assert inverse.tobytes() == np.linalg.inv(lower).tobytes()
+
+    def test_failed_factors_warn_nowhere(self):
+        # an indefinite, a NaN and an infinite-diagonal negated Hessian:
+        # rejected at the proposals and fatal at the current points, with
+        # the pivot cholesky names and without a warning
+        bad = {1: (np.diag([-1.0, -1.0, 1.0]), 2), 2: (np.full((3, 3), np.nan), 0),
+               3: (np.diag([-1.0, -np.inf, -1.0]), 1)}
+
+        def planted(groups):
+            def plant(values, grads, hessians):
+                for j in groups:
+                    hessians[j] = bad[j][0]
+            return plant
+
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((5, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_new, rec, _ = tangent_step(GaussianStack(5, 3, rng, planted(bad), x), x, None, rng)
+            assert rec.hessian_failure.tolist() == [False, True, True, True, False]
+            assert np.array_equal(x_new[1:4], x[1:4])
+            for j, (_, pivot) in bad.items():
+                with pytest.raises(HessianNotNegativeDefinite) as exc:
+                    build_proposal(GaussianStack(5, 3, rng, planted([j])), x)
+                assert exc.value.pivot == pivot
+                assert np.array_equal(exc.value.point, x[j])
 
     def test_failure_at_current_point_is_fatal(self):
         rng = np.random.default_rng(4)

@@ -11,7 +11,7 @@ import tangentmh.targets as targets_module
 from tangentmh.fdiff import fd_gradient, fd_hessian_of_gradient, fd_hessian_of_value
 from tangentmh.linalg import NotPositiveDefinite, cholesky
 from tangentmh.slicer import SliceConfig, slice_sweep
-from tangentmh.tangent import newton_step
+from tangentmh.tangent import build_proposal, newton_step, tangent_step
 from tangentmh.targets import (
     AdditiveTarget,
     BernoulliBase,
@@ -436,6 +436,26 @@ class TestAdditive:
         with pytest.raises(ValueError):
             t._check_point(np.zeros(2))
 
+    def test_leaf_targets_refuse_a_stack(self):
+        # each used to fail inside numpy, with a message that named no shape
+        rng = np.random.default_rng(9)
+        X, y = random_logistic(rng, n=30, k=2)
+        leaves = [(LogisticTarget(X, y), 2), (GaussianPriorTarget(np.zeros(3), np.eye(3)), 3),
+                  (PoissonLogRateTarget([2, 3]), 1)]
+        for target, dim in leaves:
+            stack = np.zeros((30, dim))
+            message = (rf"{type(target).__name__} takes one point of length {dim}, got an array of shape "
+                       rf"\(30, {dim}\); only AdditiveTarget .* take a \(J, m\) stack")
+            for call in (
+                lambda: target.evaluate(stack),
+                lambda: target.evaluate(stack, gradient=True, hessian=True),
+                lambda: AdditiveTarget([target]).evaluate(stack),
+                lambda: build_proposal(target, stack),
+                lambda: tangent_step(target, stack, None, np.random.default_rng(0)),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    call()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             AdditiveTarget(
@@ -503,6 +523,28 @@ class TestRestrictedTargets:
         for parent in (LogisticTarget(X, y), prior, AdditiveTarget([LogisticTarget(X, y), prior])):
             with pytest.raises(ValueError, match=r"block must be nonempty distinct indices in 0\.\.2"):
                 parent.restrict(block, np.zeros(3))
+
+    @pytest.mark.parametrize("block", [
+        [0.9, 1.7], [True, False], [0, True], np.array([0.0, 1.0]), np.array([True, False, True]), [1.0],
+    ])
+    def test_float_and_boolean_indices_refused(self, block):
+        # a cast used to truncate the floats ([0.9, 1.7] conditioned on
+        # [0, 1]) and read booleans as 0 and 1
+        rng = np.random.default_rng(16)
+        X, y = random_logistic(rng, n=20, k=3)
+        prior = GaussianPriorTarget(np.zeros(3), np.eye(3))
+        for parent in (LogisticTarget(X, y), prior, AdditiveTarget([LogisticTarget(X, y), prior])):
+            with pytest.raises(ValueError, match="block indices must be integers, not floats or booleans"):
+                parent.restrict(block, np.zeros(3))
+
+    @pytest.mark.parametrize("block", [
+        [np.int64(2), np.int32(0)], np.array([2, 0], dtype=np.uint8), (2, 0), range(2, -1, -2),
+        np.array([2, 0], dtype=object),
+    ])
+    def test_integer_indices_of_any_kind_accepted(self, block):
+        cond = GaussianPriorTarget(np.zeros(3), np.diag([1.0, 2.0, 3.0])).restrict(block, np.zeros(3))
+        assert cond.dim == 2
+        np.testing.assert_array_equal(cond.evaluate([1.0, 1.0], hessian=True).hessian, -np.diag([3.0, 1.0]))
 
     @pytest.mark.parametrize("block", RESTRICT_BLOCKS)
     def test_logistic_matches_public_construction(self, block):
