@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import DifferentiableTarget
-from .tangent import newton_step
+from .tangent import HessianNotNegativeDefinite, _NonFiniteNewtonMean, newton_step
 from .trace import ChainTrace
 
 __all__ = [
@@ -148,7 +148,9 @@ def mixing_index(target, x0: float = 0.0) -> float:
     ------
     ModeFindingError
         If Newton diverges or fails to converge (e.g. an all-zero Poisson
-        count vector, whose mode sits at -infinity).
+        count vector, whose mode sits at -infinity), or cannot step from a
+        point: a Hessian that is not negative definite there (a flat tail,
+        where ``exp`` underflows) or a non-finite Newton step.
     """
     if target.dim != 1:
         raise ValueError("mixing index is defined for univariate targets")
@@ -159,7 +161,10 @@ def mixing_index(target, x0: float = 0.0) -> float:
             raise ModeFindingError(f"log-density not finite at {x[0]}")
         if abs(res.gradient[0]) < 1e-10:
             break
-        x = newton_step(target, x)
+        try:
+            x = newton_step(target, x)
+        except (HessianNotNegativeDefinite, _NonFiniteNewtonMean) as err:
+            raise ModeFindingError(f"Newton search failed at {x[0]}: {err}") from err
         if not np.all(np.isfinite(x)) or abs(x[0]) > 1e12:
             raise ModeFindingError("Newton iteration diverged")
     else:

@@ -26,6 +26,7 @@ failures indicate a bug and are counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -350,7 +351,7 @@ def draw_precisions(
     """
     resid = beta - spec.upper_design @ gamma.T
     shape = spec.gamma_shape + 0.5 * spec.n_groups
-    rates = spec.gamma_rate + 0.5 * np.sum(resid**2, axis=0)
+    rates = spec.gamma_rate + 0.5 * (resid**2).sum(axis=0)
     return rng.standard_gamma(shape, size=spec.n_coeffs) * (1.0 / rates)
 
 
@@ -396,11 +397,16 @@ def hb_cycle(
     the proposals.  On the slice path (``newton`` ignored) each group takes
     one ``slice_sweep`` on the ``AdditiveTarget`` of its ``LogisticTarget``
     and its diagonal prior, built unfactored.
+
+    The checks run on whole arrays and build nothing when they pass: tau
+    is checked as a Python list, the conjugate draws by one finiteness
+    test each, and the carry after an MH step is the likelihood terms at
+    the proposals when every group accepted, those at the current points
+    when none did, and ``np.where``'s choice between them otherwise.
     """
-    bad = np.flatnonzero(~(np.isfinite(state.tau) & (state.tau > 0.0)))
-    if bad.size:
-        k = int(bad[0])
-        raise NotPositiveDefinite(k, f"prior precision tau[{k}] = {state.tau[k]} is not finite and positive")
+    for k, t in enumerate(state.tau.tolist()):
+        if not (math.isfinite(t) and t > 0.0):
+            raise NotPositiveDefinite(k, f"prior precision tau[{k}] = {state.tau[k]} is not finite and positive")
     tau = state.tau
     prior_means = spec.upper_design @ state.gamma.T
     carry = None
@@ -425,15 +431,21 @@ def hb_cycle(
         else:
             beta, record, _ = tangent_step(traced, state.beta, None, rng)
             accepted = record.accepted
+            n_accepted, cost = int(np.count_nonzero(accepted)), record.cost
+            failures = int(np.count_nonzero(record.hessian_failure))
             # each group's proposal where it accepted, its current point elsewhere
-            carry = tuple(
-                np.where(accepted.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
-                for new, old in zip(target.last, target.known)
-            )
-            n_accepted, cost, failures = int(accepted.sum()), record.cost, int(record.hessian_failure.sum())
+            if n_accepted == spec.n_groups:
+                carry = target.last
+            elif n_accepted == 0:
+                carry = target.known
+            else:
+                carry = tuple(
+                    np.where(accepted.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+                    for new, old in zip(target.last, target.known)
+                )
     gamma = draw_upper_coeffs(spec, beta, tau, rng)
     tau = draw_precisions(spec, beta, gamma, rng)
-    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(tau))):
+    if not (np.isfinite(gamma).all() and np.isfinite(tau).all()):
         raise FloatingPointError("non-finite conjugate draw")
     new = HbState(beta, gamma, tau)
     if carry is not None:

@@ -14,7 +14,8 @@ numpy's wrappers.  The kernels return a matrix they cannot factor or
 invert as NaN and raise numpy's ``invalid`` flag, which the wrappers turn
 into ``LinAlgError``; their callers here run them under
 ``np.errstate(all="ignore")`` instead, and ``cholesky``'s pivot rule,
-which NaN never passes, gives each matrix its verdict.
+which NaN never passes, gives each matrix its verdict: one comparison
+for the whole stack when it passes, matrix by matrix when it does not.
 """
 
 from __future__ import annotations
@@ -201,20 +202,26 @@ def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, dict]:
     ``np.errstate(all="ignore")``: the kernel warns on a matrix it cannot
     factor.
 
-    The pivot rule is one comparison over the stack: each matrix's smallest
-    pivot squared exceeds ``PIVOT_RTOL`` times the larger of 0 and its
-    largest diagonal entry.  A NaN pivot (a failed or non-finite factor)
-    fails it, and so does a NaN diagonal entry, whose own pivot is NaN.
-    Only a matrix that fails goes to ``cholesky``, which names its pivot; a
-    failed matrix's factor is the identity.  Should ``cholesky`` pass one
-    the kernel failed (the two LAPACKs disagree at the tolerance), its
-    verdict and its factor stand."""
+    The stack passes whole when its smallest pivot squared exceeds
+    ``PIVOT_RTOL`` times the larger of 0 and its largest diagonal entry:
+    then every matrix passes its own rule, since its smallest pivot is no
+    smaller and its largest diagonal entry no larger (the kernel's pivots
+    are positive or NaN, and rounding is monotone).  A NaN pivot (a failed
+    or non-finite factor) or a NaN diagonal entry fails this verdict.  Only
+    then is the rule checked matrix by matrix: each matrix's smallest
+    pivot squared against ``PIVOT_RTOL`` times the larger of 0 and its own
+    largest diagonal entry.  Only a matrix that fails goes to ``cholesky``,
+    which names its pivot; a failed matrix's factor is the identity.
+    Should ``cholesky`` pass one the kernel failed (the two LAPACKs
+    disagree at the tolerance), its verdict and its factor stand."""
     lowers = _cholesky_kernel(stack)
+    smallest = float(np.minimum.reduce(lowers.diagonal(0, 1, 2), None, initial=np.inf))
+    largest = float(np.maximum.reduce(stack.diagonal(0, 1, 2), None, initial=0.0))
+    if smallest * smallest > PIVOT_RTOL * largest:
+        return lowers, {}
     pivots = lowers.diagonal(0, 1, 2)
     tol = PIVOT_RTOL * np.maximum.reduce(stack.diagonal(0, 1, 2), axis=1, initial=0.0)
     passed = (np.minimum.reduce(pivots * pivots, axis=1) > tol).tolist()
-    if all(passed):
-        return lowers, {}
     errors = {}
     for k in [k for k, ok in enumerate(passed) if not ok]:
         try:

@@ -167,18 +167,23 @@ class _StackedProposal:
     ``cost``.  Each group's negated Hessian passes ``cholesky``'s pivot
     rule or fails alone.  ``failed`` (J,) marks a failed factor or a
     non-finite Newton mean; such a group's factor is the identity and its
-    mean its point, so the stack's arithmetic stays finite.
-    ``raise_failure`` raises what ``_Proposal`` would raise for the first
-    failed group.  A stacked step fits one at its current points, unless
-    passed one, and one at its proposals, and returns neither.
+    mean its point, so the stack's arithmetic stays finite.  ``any_failed``
+    is True when some group failed.  ``raise_failure`` raises what
+    ``_Proposal`` would raise for the first failed group.  A stacked step
+    fits one at its current points, unless passed one, and one at its
+    proposals, and returns neither.
 
     The factors come from ``_cholesky_stack`` and their inverses from
     numpy's stacked inverse kernel, each bit for bit what
     ``np.linalg.cholesky`` and ``np.linalg.inv`` return, without their
     wrappers' per-call checks; the fit runs under one
-    ``np.errstate(all="ignore")``, which the kernels need (see ``linalg``)."""
+    ``np.errstate(all="ignore")``, which the kernels need (see ``linalg``).
+    The means are tested for finiteness as one stack; the per-group flags
+    are built from the rows only when that test or the pivot rule fails,
+    and are all False otherwise."""
 
-    __slots__ = ("x", "mean", "lower", "inverse", "half_log_det", "value", "cost", "failed", "_errors")
+    __slots__ = ("x", "mean", "lower", "inverse", "half_log_det", "value", "cost", "failed", "any_failed",
+                 "_errors")
 
     def __init__(self, x: np.ndarray, res: EvalResult):
         with np.errstate(all="ignore"):
@@ -188,11 +193,13 @@ class _StackedProposal:
             # makes a non-finite mean, which fails below
             w = np.matmul(inverse, res.gradient[:, :, None])
             mean = x + np.matmul(inverse.transpose(0, 2, 1), w)[:, :, 0]
-        failed = ~np.isfinite(mean).all(axis=1)
-        if self._errors:
+            any_failed = bool(self._errors) or not np.isfinite(mean).all()
+        if any_failed:
+            failed = ~np.isfinite(mean).all(axis=1)
             failed[list(self._errors)] = True
-        if failed.any():
             mean[failed] = x[failed]
+        else:
+            failed = np.zeros(x.shape[0], dtype=bool)
         self.x = x
         self.mean = mean
         self.lower = lower
@@ -201,9 +208,10 @@ class _StackedProposal:
         self.value = res.value
         self.cost = res.cost
         self.failed = failed
+        self.any_failed = any_failed
 
     def raise_failure(self) -> None:
-        if self.failed.any():
+        if self.any_failed:
             j = int(np.flatnonzero(self.failed)[0])
             if j in self._errors:
                 raise HessianNotNegativeDefinite(self.x[j], self._errors[j].pivot) from self._errors[j]
@@ -225,7 +233,8 @@ def _stacked_tangent_step(target, x, cached, rng):
     r = np.matmul(fit_y.lower.transpose(0, 2, 1), (x - fit_y.mean)[:, :, None])[:, :, 0]
     log_ratio = (fit_y.value - fit.value) + (fit_y.half_log_det - fit.half_log_det)
     log_ratio -= 0.5 * (np.einsum("ij,ij->i", r, r) - np.einsum("ij,ij->i", z, z))
-    log_ratio[fit_y.failed] = -math.inf
+    if fit_y.any_failed:
+        log_ratio[fit_y.failed] = -math.inf
     u = rng.random(x.shape[0])
     accepted = (log_ratio >= 0.0) | (u < np.exp(np.minimum(log_ratio, 0.0)))
     x_new = np.where(accepted[:, None], y, x)

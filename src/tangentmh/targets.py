@@ -19,6 +19,7 @@ An evaluation writes only the arrays it creates, never one a target holds.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -406,6 +407,9 @@ class PoissonLogRateTarget(DifferentiableTarget):
     available in closed form, including the third (``-N exp(u)``), which is
     what the mixing diagnostics need.  Its slice line is ``v -> total * v
     - n exp(v)`` (see ``coordinate_lines``), ``evaluate``'s own arithmetic.
+    Above ``709 - log n``, where ``n exp(u)`` may pass the float range, the
+    same arithmetic runs with numpy's overflow warning off: value,
+    gradient and Hessian are then -inf.
     """
 
     def __init__(self, y):
@@ -421,6 +425,8 @@ class PoissonLogRateTarget(DifferentiableTarget):
             raise ValueError("total count is not finite: the counts sum past the float range")
         self._n = int(y.size)
         self._total = total
+        # below this log-rate n * exp(u) is finite
+        self._exp_limit = 709.0 - math.log(self._n)
 
     @property
     def dim(self) -> int:
@@ -435,7 +441,11 @@ class PoissonLogRateTarget(DifferentiableTarget):
         if not (type(x) is np.ndarray and x.shape == (1,) and x.dtype is _FLOAT):
             x = self._check_point(x)
         u = float(x[0])
-        rate_sum = self._n * np.exp(u)
+        if u > self._exp_limit:
+            with np.errstate(over="ignore"):
+                rate_sum = self._n * np.exp(u)
+        else:
+            rate_sum = self._n * np.exp(u)
         value = self._total * u - rate_sum
         # ndmin builds the same arrays as a nested list, at half the cost
         grad = np.array(self._total - rate_sum, ndmin=1) if gradient else None
@@ -446,10 +456,14 @@ class PoissonLogRateTarget(DifferentiableTarget):
         """The one line ``v -> total * v - n exp(v)``: ``evaluate``'s
         operations in its order, ``np.exp`` included (``math.exp`` does not
         always match it bit for bit), so line values equal ``evaluate``'s bit
-        for bit, the start value included."""
-        total, n, exp = self._total, self._n, np.exp
+        for bit, the start value included, and ``evaluate``'s overflow
+        branch."""
+        total, n, exp, limit = self._total, self._n, np.exp, self._exp_limit
 
         def logf(v):
+            if v > limit:
+                with np.errstate(over="ignore"):
+                    return total * v - n * exp(v)
             return total * v - n * exp(v)
 
         return lambda d: logf, logf(float(self._check_point(x)[0])), _COSTS[1, 0, 0]
@@ -535,7 +549,8 @@ class AdditiveTarget(DifferentiableTarget):
     """Sum of targets sharing one dimension; values, derivatives and
     evaluation counters all add, in part order and starting from the first
     part's result (no zero arrays): a sum whose every term is ``-0.0``
-    stays ``-0.0``."""
+    stays ``-0.0``.  A sum of one part checks the point's length and
+    returns that part's result as it is."""
 
     def __init__(self, parts):
         parts = list(parts)
@@ -557,6 +572,8 @@ class AdditiveTarget(DifferentiableTarget):
         # a (J, dim) stack of points passes to parts that take one (see ``tangent_step``)
         if x.shape[-1] != self._dim:
             raise ValueError(f"point has length {x.shape[-1]}, expected {self._dim}")
+        if len(self._parts) == 1:
+            return self._parts[0].evaluate(x, gradient=gradient, hessian=hessian)
         parts = iter(self._parts)
         value, grad, hess, (n_value, n_gradient, n_hessian) = next(parts).evaluate(
             x, gradient=gradient, hessian=hessian

@@ -218,6 +218,22 @@ class TestMixingIndexFromDivergentStart:
         assert status == 2 and not out.exists()
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_slice_chain_from_a_flat_tail_reports_the_mode(self, tmp_path):
+        # exp(-800) is 0: no Newton step from x0, where the slice chain
+        # reaches the mode; it exited 2 naming the Hessian at -800
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sampler = slice\nx0 = -800\nn_burnin = 500\n")
+        out = tmp_path / "o"
+        assert run_cli("chain", "--config", str(cfg), "--seed", "7", "--out", str(out)) == 0
+        assert read_json(out / "summary.json")["mixing_index"] == pytest.approx(2**-0.5, rel=1e-9)
+
+    def test_quick_slice_chain_from_a_flat_tail_fails_in_one_line(self, tmp_path, capsys):
+        # a quick chain has not left the tail, so the retry from its median fails too
+        status, out = self.run(tmp_path, "sampler = slice\nx0 = -800\n")
+        err = capsys.readouterr().err
+        assert status == 2 and not out.exists()
+        assert err.startswith("error: cannot run from x0 = -800") and err.count("\n") == 1, err
+
     def test_empty_slice_chain_has_no_median_to_retry_from(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("sampler = slice\nx0 = -20\nn_burnin = 10\nn_samples = 0\n")

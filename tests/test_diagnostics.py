@@ -11,11 +11,14 @@ from tangentmh.diagnostics import (
     mixing_index,
 )
 from tangentmh.targets import (
+    DifferentiableTarget,
+    EvalCost,
+    EvalResult,
     GaussianPriorTarget,
     poisson_lograte_target,
     replicated_poisson_target,
 )
-from tangentmh.tangent import ChainConfig, run_chain
+from tangentmh.tangent import ChainConfig, HessianNotNegativeDefinite, _NonFiniteNewtonMean, run_chain
 
 from helpers import ar1_series
 
@@ -103,6 +106,24 @@ class TestFee:
             calibrate(t, np.zeros(2), 50)
 
 
+class OneDimTarget(DifferentiableTarget):
+    """A 1-D log-density with value 0, a fixed gradient and Hessian -1;
+    ``fail_hessian`` makes a Hessian evaluation raise ZeroDivisionError."""
+
+    def __init__(self, gradient, fail_hessian=False):
+        self._gradient, self._fail = gradient, fail_hessian
+
+    @property
+    def dim(self):
+        return 1
+
+    def evaluate(self, x, *, gradient=False, hessian=False):
+        if hessian and self._fail:
+            raise ZeroDivisionError("no Hessian")
+        return EvalResult(0.0, np.array([self._gradient]) if gradient else None,
+                          np.array([[-1.0]]) if hessian else None, EvalCost(1, gradient, hessian))
+
+
 class TestMixingIndex:
     def test_poisson_single_count_2(self):
         t = poisson_lograte_target([2])
@@ -125,6 +146,23 @@ class TestMixingIndex:
         t = poisson_lograte_target([0, 0, 0])
         with pytest.raises(ModeFindingError):
             mixing_index(t)
+
+    def test_flat_tail_start_is_a_mode_finding_error(self):
+        # exp(-800) is 0, so the Hessian there is 0: the Newton search fails
+        # at its first step, and says where
+        with pytest.raises(ModeFindingError, match=r"-800\.0") as exc:
+            mixing_index(poisson_lograte_target([2]), -800.0)
+        assert isinstance(exc.value.__cause__, HessianNotNegativeDefinite)
+
+    def test_non_finite_newton_step_is_a_mode_finding_error(self):
+        t = OneDimTarget(gradient=np.inf)
+        with pytest.raises(ModeFindingError, match="Newton search failed at 0.5") as exc:
+            mixing_index(t, 0.5)
+        assert isinstance(exc.value.__cause__, _NonFiniteNewtonMean)
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(ZeroDivisionError):
+            mixing_index(OneDimTarget(gradient=1.0, fail_hessian=True), 0.5)
 
     def test_multivariate_rejected(self):
         t = GaussianPriorTarget(np.zeros(2), np.eye(2))

@@ -17,6 +17,7 @@ from tangentmh.hb import (
     simulate_hb,
 )
 from tangentmh.linalg import NotPositiveDefinite, _lower_solve, cholesky
+from tangentmh.tangent import tangent_step
 from tangentmh.targets import AdditiveTarget, EvalCost, GaussianPriorTarget, LogisticTarget
 
 from helpers import hb_trace_sha256
@@ -415,6 +416,29 @@ def cycle_cost(spec, cfg, state, newton=False):
     return new, cost
 
 
+class SteeredRng:
+    """Draws as ``rng`` draws, except in an MH cycle's stacked step: its
+    uniforms are 0, so that every group with a finite log ratio accepts,
+    and its normals of shape ``step_shape`` are NaN in the ``rejected``
+    groups, whose proposals then fail their fit and are rejected."""
+
+    def __init__(self, rng, step_shape, rejected):
+        self._rng, self._shape, self._rejected = rng, step_shape, rejected
+
+    def standard_normal(self, size):
+        z = self._rng.standard_normal(size)
+        if size == self._shape:
+            z[self._rejected] = np.nan
+        return z
+
+    def random(self, size):
+        self._rng.random(size)
+        return np.zeros(size)
+
+    def standard_gamma(self, *args, **kwargs):
+        return self._rng.standard_gamma(*args, **kwargs)
+
+
 class TestCarry:
     @pytest.mark.parametrize("sampler, seed, digest", [
         ("tangent", 101, "f7de4dfd808357dd9fa953d8e91ab304d446bf2e572117881bc67fd1aabce50b"),
@@ -492,6 +516,36 @@ class TestCarry:
             n_rejected += 4 - accepted
         # at K = 6 the carry took rejected groups' arrays as well
         assert n_coeffs < 6 or 0 < n_rejected < 16
+
+    @pytest.mark.parametrize("rejected", [[], [0, 1, 2, 3], [1, 3], [0]])
+    def test_carry_is_where_of_last_and_known_whatever_accepts(self, small_instance, monkeypatch, rejected):
+        # every group accepting, none, and a mix: the carried arrays are
+        # np.where's choice between the proposals' and the current points'
+        # likelihood terms, byte for byte, and a fresh evaluation at beta
+        spec, _ = small_instance
+        J = spec.n_groups
+        state = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            state, *_ = hb_cycle(spec, HbConfig(), state, rng)
+        steps = []
+
+        def watched(target, x, cached, rng):
+            out = tangent_step(target, x, cached, rng)
+            steps.append((target._parts[0], out[1]))
+            return out
+
+        monkeypatch.setattr(hb, "tangent_step", watched)
+        new, n_accepted, _, failures = hb_cycle(spec, HbConfig(), state, SteeredRng(rng, (J, 6), rejected))
+        ((conditionals, record),) = steps
+        assert record.accepted.tolist() == [j not in rejected for j in range(J)]
+        assert (n_accepted, failures) == (J - len(rejected), len(rejected))
+        assert type(n_accepted) is int and type(failures) is int
+        want = [np.where(record.accepted.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+                for a, b in zip(conditionals.last, conditionals.known)]
+        fresh = spec._stacked.likelihood(new.beta.copy(), True, True)
+        for got, where, evaluated in zip(new._carry[1], want, fresh):
+            assert got.tobytes() == where.tobytes() == evaluated.tobytes()
 
     def test_one_block_samples_do_not_depend_on_the_carry(self, small_instance):
         # MH cycles from a state carrying the likelihood's fit and from the

@@ -11,10 +11,12 @@ from tangentmh.linalg import (
     MvnDistribution,
     NotPositiveDefinite,
     SymMatrix,
+    _cholesky_kernel,
     _cholesky_lowers,
     _cholesky_stack,
     _factor_by_columns,
     _inv_kernel,
+    _pivots_pass,
     cholesky,
     mvn_logpdf,
     mvn_sample,
@@ -276,6 +278,86 @@ class TestStackedCholesky:
         lowers, errors = _cholesky_stack(stack)
         assert errors == {}
         assert lowers.tobytes() == _cholesky_lowers(stack).tobytes()
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A ``(K, n, n)`` stack at a common scale from 1e-8 to 1e8 whose
+    matrices differ in scale by none, up to 10 or up to 1e8 either way:
+    positive definite ones, and among them, by kind, one whose
+    last pivot squared lies within a factor of 2 of ``PIVOT_RTOL`` times
+    its largest diagonal entry, one full of NaN, one with an infinite
+    diagonal entry and one with a zero or negative diagonal entry."""
+    n = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(["spd"] * 3 + ["near_tol", "nan", "inf_diag", "non_positive_diag"]),
+                          min_size=1, max_size=6))
+    spread = draw(st.sampled_from([0.0, 1.0, 8.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-8.0, 8.0)
+    stack = []
+    for kind in kinds:
+        j = int(rng.integers(n))
+        if kind == "near_tol":
+            lower = np.tril(rng.standard_normal((n, n)), -1) * 1e-3 + np.eye(n)
+            lower[-1, -1] = np.sqrt(PIVOT_RTOL * rng.uniform(0.5, 2.0))
+            a = lower @ lower.T
+        else:
+            a = random_spd(n, rng)
+        if kind == "nan":
+            a[:] = np.nan
+        elif kind == "inf_diag":
+            a[j, j] = np.inf
+        elif kind == "non_positive_diag":
+            a[j, j] = -rng.uniform(0.0, 1.0) if rng.random() < 0.5 else 0.0
+        stack.append(a * (scale * 10.0 ** rng.uniform(-spread, spread)))
+    return np.array(stack)
+
+
+def _matrix_by_matrix(stack):
+    """``_cholesky_stack``'s contract, one matrix at a time: the kernel's
+    factor where ``_pivots_pass`` passes it, else ``cholesky``'s factor or
+    the identity and its error as (pivot, message)."""
+    lowers, errors = [], {}
+    with np.errstate(all="ignore"):
+        for k, a in enumerate(stack):
+            lower = _cholesky_kernel(a)
+            if not _pivots_pass(a.diagonal().tolist(), lower.diagonal().tolist()):
+                try:
+                    lower = cholesky(a).lower
+                except NotPositiveDefinite as err:
+                    lower, errors[k] = np.eye(a.shape[0]), (err.pivot, str(err))
+            lowers.append(lower)
+    return np.array(lowers), errors
+
+
+class TestStackVerdict:
+    """The one verdict for a whole stack against the pivot rule applied
+    matrix by matrix."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mixed_stacks())
+    def test_same_factors_and_errors_as_each_matrix_alone(self, stack):
+        lowers, errors = _stack_outcome(stack)
+        want_lowers, want_errors = _matrix_by_matrix(stack)
+        assert lowers.tobytes() == want_lowers.tobytes()
+        assert {k: (e.pivot, str(e)) for k, e in errors.items()} == want_errors
+
+    def test_scales_far_apart_each_pass_alone(self):
+        # 1e-8 against 1e8: the stack's verdict fails, each matrix's rule passes
+        rng = np.random.default_rng(17)
+        stack = np.array([random_spd(4, rng) * 1e-8, random_spd(4, rng) * 1e8])
+        lowers, errors = _stack_outcome(stack)
+        assert errors == {}
+        assert lowers.tobytes() == _cholesky_kernel(stack).tobytes()
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_pivot_at_the_tolerance(self, factor):
+        # a last pivot squared of factor * PIVOT_RTOL against a largest diagonal
+        # entry of 1: refused below the tolerance, accepted above it
+        stack = np.array([np.eye(3), np.diag([1.0, 1.0, factor * PIVOT_RTOL])])
+        lowers, errors = _stack_outcome(stack)
+        assert sorted(errors) == ([1] if factor < 1.0 else [])
+        assert _matrix_by_matrix(stack)[0].tobytes() == lowers.tobytes()
 
 
 class TestMvn:

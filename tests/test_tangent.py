@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangentmh.diagnostics import effective_size
 from tangentmh.linalg import MvnDistribution, cholesky, mvn_logpdf, mvn_sample
@@ -20,6 +22,7 @@ from tangentmh.tangent import (
     _NonFiniteNewtonMean,
     _Proposal,
     _ScalarProposal,
+    _StackedProposal,
     build_proposal,
     newton_step,
     run_chain,
@@ -609,6 +612,41 @@ class TestStackedStep:
                     build_proposal(GaussianStack(5, 3, rng, planted([j])), x)
                 assert exc.value.pivot == pivot
                 assert np.array_equal(exc.value.point, x[j])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(["ok", "ok", "inf", "-inf", "nan", "indefinite"]), min_size=6, max_size=6))
+    def test_failed_flags_are_each_group_alone(self, n_groups, dim, seed, kinds):
+        # a stacked fit with infinite or NaN gradient entries and indefinite
+        # Hessians flags exactly the groups whose one-point fit raises, and
+        # raises for the first of them what that fit raises
+        rng = np.random.default_rng(seed)
+        target = GaussianStack(n_groups, dim, rng)
+        x = rng.standard_normal((n_groups, dim))
+        values, grads, hessians, cost = target.evaluate(x, gradient=True, hessian=True)
+        for j, kind in enumerate(kinds[:n_groups]):
+            if kind == "indefinite":
+                hessians[j, -1, -1] = -hessians[j, -1, -1]
+            elif kind != "ok":
+                grads[j, rng.integers(dim)] = float(kind)
+        fit = _StackedProposal(x, EvalResult(values, grads, hessians, cost))
+        alone = []
+        for j in range(n_groups):
+            try:
+                _Proposal(x[j], EvalResult(values[j], grads[j], hessians[j], cost))
+                alone.append(None)
+            except (HessianNotNegativeDefinite, _NonFiniteNewtonMean) as err:
+                alone.append(err)
+        assert fit.failed.tolist() == [err is not None for err in alone]
+        assert fit.any_failed is any(err is not None for err in alone)
+        assert np.array_equal(fit.mean[fit.failed], x[fit.failed])
+        first = next((err for err in alone if err is not None), None)
+        if first is None:
+            fit.raise_failure()
+        else:
+            with pytest.raises(type(first)) as exc:
+                fit.raise_failure()
+            assert str(exc.value) == str(first)
 
     def test_failure_at_current_point_is_fatal(self):
         rng = np.random.default_rng(4)

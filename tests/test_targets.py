@@ -292,6 +292,37 @@ class TestPoissonLogRate:
             PoissonLogRateTarget([1e308, 1e308])
         assert PoissonLogRateTarget([1e308, 7e307]).total_count == 1e308 + 7e307
 
+    @pytest.mark.parametrize("counts", [[2], [3, 0, 2], [1] * 1000])
+    def test_beyond_exp_range_is_minus_inf_without_a_warning(self, counts):
+        # n exp(u) overflows past 709.78 - log n; evaluate([710.0]) warned, an
+        # error under tier-1's warning filter
+        t = PoissonLogRateTarget(counts)
+        line, _, _ = t.coordinate_lines([0.0])
+        logf = line(0)
+        for u in (710.0, 800.0, 1e300):
+            res = t.evaluate([u], gradient=True, hessian=True)
+            assert (res.value, res.gradient[0], res.hessian[0, 0]) == (-np.inf, -np.inf, -np.inf)
+            assert logf(u) == -np.inf
+            assert t.coordinate_lines([u])[1] == -np.inf
+
+    @pytest.mark.parametrize("counts", [[2], [3, 0, 2], [1] * 1000])
+    def test_below_and_across_the_overflow_branch_bit_for_bit(self, counts):
+        # evaluate's and the line's arithmetic on both sides of 709 - log n,
+        # against the formula computed here
+        t = PoissonLogRateTarget(counts)
+        n, total = len(counts), float(sum(counts))
+        limit = 709.0 - np.log(n)
+        logf = t.coordinate_lines([0.0])[0](0)
+        points = np.concatenate([np.linspace(-40.0, 5.0, 201), [limit, np.nextafter(limit, np.inf)],
+                                 np.linspace(limit - 1.0, limit + 0.7, 50)])
+        for u in points.tolist():
+            rate_sum = n * np.exp(u)
+            want = (total * u - rate_sum, total - rate_sum, -rate_sum)
+            res = t.evaluate([u], gradient=True, hessian=True)
+            got = (res.value, res.gradient[0], res.hessian[0, 0])
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert np.float64(logf(u)).tobytes() == np.float64(want[0]).tobytes()
+
     def test_derivatives(self):
         rng = np.random.default_rng(4)
         t = poisson_lograte_target([3, 0, 2, 5])
@@ -455,6 +486,26 @@ class TestAdditive:
             ):
                 with pytest.raises(ValueError, match=message):
                     call()
+
+    def test_one_part_returns_its_part_result(self):
+        # the part's value, gradient and Hessian bytes and its counters,
+        # after the sum's own length check
+        rng = np.random.default_rng(11)
+        X, y = random_logistic(rng, n=30, k=3)
+        parts = [PoissonLogRateTarget([2, 3]), LogisticTarget(X, y),
+                 GaussianPriorTarget(np.zeros(3), random_spd(3, rng)),
+                 GaussianPriorTarget(np.ones(3), np.diag([1.0, 2.0, 3.0]))]
+        for part in parts:
+            x = rng.standard_normal(part.dim)
+            for gradient, hessian in ((False, False), (True, False), (False, True), (True, True)):
+                want = part.evaluate(x, gradient=gradient, hessian=hessian)
+                got = AdditiveTarget([part]).evaluate(x, gradient=gradient, hessian=hessian)
+                for a, b in zip(got[:3], want[:3]):
+                    assert (a is None) == (b is None)
+                    assert a is None or np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                assert type(got.cost) is EvalCost and got.cost == want.cost
+            with pytest.raises(ValueError, match="point has length"):
+                AdditiveTarget([part]).evaluate(np.zeros(part.dim + 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
