@@ -399,10 +399,8 @@ def hb_cycle(
     and its diagonal prior, built unfactored.
 
     The checks run on whole arrays and build nothing when they pass: tau
-    is checked as a Python list, the conjugate draws by one finiteness
-    test each, and the carry after an MH step is the likelihood terms at
-    the proposals when every group accepted, those at the current points
-    when none did, and ``np.where``'s choice between them otherwise.
+    is checked as a Python list and the conjugate draws by one finiteness
+    test each.
     """
     for k, t in enumerate(state.tau.tolist()):
         if not (math.isfinite(t) and t > 0.0):
@@ -431,18 +429,12 @@ def hb_cycle(
         else:
             beta, record, _ = tangent_step(traced, state.beta, None, rng)
             accepted = record.accepted
-            n_accepted, cost = int(np.count_nonzero(accepted)), record.cost
-            failures = int(np.count_nonzero(record.hessian_failure))
             # each group's proposal where it accepted, its current point elsewhere
-            if n_accepted == spec.n_groups:
-                carry = target.last
-            elif n_accepted == 0:
-                carry = target.known
-            else:
-                carry = tuple(
-                    np.where(accepted.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
-                    for new, old in zip(target.last, target.known)
-                )
+            carry = tuple(
+                np.where(accepted.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+                for new, old in zip(target.last, target.known)
+            )
+            n_accepted, cost, failures = int(accepted.sum()), record.cost, int(record.hessian_failure.sum())
     gamma = draw_upper_coeffs(spec, beta, tau, rng)
     tau = draw_precisions(spec, beta, gamma, rng)
     if not (np.isfinite(gamma).all() and np.isfinite(tau).all()):

@@ -407,9 +407,9 @@ class PoissonLogRateTarget(DifferentiableTarget):
     available in closed form, including the third (``-N exp(u)``), which is
     what the mixing diagnostics need.  Its slice line is ``v -> total * v
     - n exp(v)`` (see ``coordinate_lines``), ``evaluate``'s own arithmetic.
-    Above ``709 - log n``, where ``n exp(u)`` may pass the float range, the
-    same arithmetic runs with numpy's overflow warning off: value,
-    gradient and Hessian are then -inf.
+    Above ``709 - log n`` the same arithmetic runs with numpy's overflow
+    warning off, and once ``n exp(u)`` overflows (from about ``709.78 -
+    log n``, and at ``u = inf``) value, gradient and Hessian are -inf.
     """
 
     def __init__(self, y):
@@ -444,9 +444,11 @@ class PoissonLogRateTarget(DifferentiableTarget):
         if u > self._exp_limit:
             with np.errstate(over="ignore"):
                 rate_sum = self._n * np.exp(u)
+            # total * u may overflow too, and inf - inf is NaN
+            value = -rate_sum if rate_sum == np.inf else self._total * u - rate_sum
         else:
             rate_sum = self._n * np.exp(u)
-        value = self._total * u - rate_sum
+            value = self._total * u - rate_sum
         # ndmin builds the same arrays as a nested list, at half the cost
         grad = np.array(self._total - rate_sum, ndmin=1) if gradient else None
         hess = np.array(-rate_sum, ndmin=2) if hessian else None
@@ -463,7 +465,8 @@ class PoissonLogRateTarget(DifferentiableTarget):
         def logf(v):
             if v > limit:
                 with np.errstate(over="ignore"):
-                    return total * v - n * exp(v)
+                    rate_sum = n * exp(v)
+                return -rate_sum if rate_sum == np.inf else total * v - rate_sum
             return total * v - n * exp(v)
 
         return lambda d: logf, logf(float(self._check_point(x)[0])), _COSTS[1, 0, 0]
@@ -549,8 +552,7 @@ class AdditiveTarget(DifferentiableTarget):
     """Sum of targets sharing one dimension; values, derivatives and
     evaluation counters all add, in part order and starting from the first
     part's result (no zero arrays): a sum whose every term is ``-0.0``
-    stays ``-0.0``.  A sum of one part checks the point's length and
-    returns that part's result as it is."""
+    stays ``-0.0``."""
 
     def __init__(self, parts):
         parts = list(parts)
@@ -572,8 +574,6 @@ class AdditiveTarget(DifferentiableTarget):
         # a (J, dim) stack of points passes to parts that take one (see ``tangent_step``)
         if x.shape[-1] != self._dim:
             raise ValueError(f"point has length {x.shape[-1]}, expected {self._dim}")
-        if len(self._parts) == 1:
-            return self._parts[0].evaluate(x, gradient=gradient, hessian=hessian)
         parts = iter(self._parts)
         value, grad, hess, (n_value, n_gradient, n_hessian) = next(parts).evaluate(
             x, gradient=gradient, hessian=hessian

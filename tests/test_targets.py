@@ -305,6 +305,17 @@ class TestPoissonLogRate:
             assert logf(u) == -np.inf
             assert t.coordinate_lines([u])[1] == -np.inf
 
+    @pytest.mark.parametrize("counts", [[1e10], [1e306], [0]])
+    @pytest.mark.parametrize("u", [1e300, np.inf])
+    def test_total_times_u_overflowing_with_the_rates_is_minus_inf(self, counts, u):
+        # total * u overflows to inf together with n exp(u), and inf - inf
+        # was NaN with an 'invalid' warning
+        t = PoissonLogRateTarget(counts)
+        res = t.evaluate([u], gradient=True, hessian=True)
+        assert (res.value, res.gradient[0], res.hessian[0, 0]) == (-np.inf, -np.inf, -np.inf)
+        assert t.coordinate_lines([0.0])[0](0)(u) == -np.inf
+        assert t.coordinate_lines([u])[1] == -np.inf
+
     @pytest.mark.parametrize("counts", [[2], [3, 0, 2], [1] * 1000])
     def test_below_and_across_the_overflow_branch_bit_for_bit(self, counts):
         # evaluate's and the line's arithmetic on both sides of 709 - log n,
