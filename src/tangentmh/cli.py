@@ -173,13 +173,14 @@ class _Output:
 class Key(NamedTuple):
     """One setting of a verb.
 
-    ``kind`` is ``"count"`` (an integer >= ``low``; an integral float such
-    as 20.0 counts), ``"number"`` (finite, and > ``low`` if one is given),
-    ``"path"``, a tuple of the allowed strings, or ``"count list"`` /
-    ``"number list"``: one value or a comma list, each entry checked.
-    ``quick`` replaces the value under ``--quick``.  The config echo that
-    every output file carries holds the keys the config file sets, plus
-    the defaults that are not None and have ``echo`` set.
+    ``kind`` is ``"count"`` (an integer from ``low`` to ``COUNT_MAX``; an
+    integral float such as 20.0 counts), ``"number"`` (finite, and >
+    ``low`` if one is given), ``"path"``, a tuple of the allowed strings,
+    or ``"count list"`` / ``"number list"``: one value or a comma list,
+    each entry checked.  ``quick`` replaces the value under ``--quick``.
+    The config echo that every output file carries holds the keys the
+    config file sets, plus the defaults that are not None and have
+    ``echo`` set.
     """
 
     kind: str | tuple
@@ -190,6 +191,8 @@ class Key(NamedTuple):
 
 
 SEED = Key("count", low=0)
+# the largest count, int64's maximum: numpy takes every count as an int64
+COUNT_MAX = np.iinfo(np.int64).max
 
 
 def _settings(args, table: dict) -> tuple[dict, SimpleNamespace]:
@@ -244,8 +247,8 @@ def _check(key: str, spec: Key, value):
         ok = isinstance(value, str)
         need = "a file path"
     elif kind == "count":
-        ok = real and (isinstance(value, int) or value.is_integer()) and value >= spec.low
-        need = f"an integer >= {spec.low}"
+        ok = real and (isinstance(value, int) or value.is_integer()) and spec.low <= value <= COUNT_MAX
+        need = f"an integer >= {spec.low} and <= {COUNT_MAX}"
     else:
         ok = real and abs(value) <= sys.float_info.max and (spec.low is None or value > spec.low)
         need = "a finite number" + ("" if spec.low is None else f" > {spec.low}")
@@ -341,14 +344,7 @@ def cmd_chain(args, cfg: dict, s) -> int:
                 slice_cfg = SliceConfig(s.width, s.max_stepout)
                 trace = slice_gibbs_chain(target, x0, s.n_burnin, s.n_samples, slice_cfg, rng)
             if target.dim == 1 and hasattr(target, "third_derivative"):
-                try:
-                    mixing = mixing_index(target, x0=float(x0[0]))
-                except ModeFindingError:
-                    # Newton may diverge from a start the chain itself left
-                    # behind (a slice chain from x0 = -20): retry from its median
-                    if not trace.n_steps:
-                        raise
-                    mixing = mixing_index(target, x0=float(np.median(trace.samples[:, 0])))
+                mixing = mixing_index(target)
     except (HessianNotNegativeDefinite, _NonFiniteNewtonMean, SliceError, ModeFindingError) as err:
         raise ConfigError(f"cannot run from x0 = {cfg['x0']!r}: {err}") from err
     out = _Output(args, cfg, data_files)
@@ -564,15 +560,14 @@ MIXING_SETTINGS = {
 
 def cmd_mixing_scan(args, cfg: dict, s) -> int:
     chain_cfg = ChainConfig(n_burnin=s.n_burnin, n_samples=s.n_steps)
-    out = _Output(args, cfg)
-
     rows = []
     for n_obs, child in zip(s.n_list, np.random.SeedSequence(s.seed).spawn(len(s.n_list))):
         target = replicated_poisson_target(s.obs, n_obs)
         eta0 = mixing_index(target)
         trace = run_chain(target, [target.mode()], chain_cfg, np.random.default_rng(child))
         rows.append([n_obs, eta0, trace.acceptance_rate(), trace.n_steps])
-
+    # as for chain, the output directory is made only once the scan is done
+    out = _Output(args, cfg)
     out.csv("mixing_scan.csv", "mixing-scan",
             ["n_obs", "mixing_index", "acceptance_rate", "n_steps"], rows)
     out.summary({"rows": [

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import DifferentiableTarget
-from .tangent import HessianNotNegativeDefinite, _NonFiniteNewtonMean, newton_step
 from .trace import ChainTrace
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
 
 # ESS may exceed the nominal sample count (antithetic chains), capped here.
 ESS_CAP_FACTOR = 1.5
-# Newton iterations allowed to locate the mode for the mixing index
-MODE_MAX_ITER = 200
 
 
 def _autocorrelations(x: np.ndarray) -> np.ndarray:
@@ -134,49 +131,31 @@ def fee(trace: ChainTrace, calib: CalibrationProfile) -> float:
 
 
 class ModeFindingError(Exception):
-    """Newton iteration failed to locate a finite mode."""
+    """A univariate target has no mode, or is not concave at its mode."""
 
 
-def mixing_index(target, x0: float = 0.0) -> float:
+def mixing_index(target) -> float:
     """Third-derivative mixing index at the mode of a univariate target.
 
-    Newton iteration runs to ``|f'| < 1e-10``; the index is
-    ``|f'''(mode)| * (-f''(mode))^(-3/2)``.  Small values predict good
-    mixing for the tangent-proposal kernel; Gaussians score exactly 0.
+    The index is ``|f'''(m)| * (-f''(m))^(-3/2)`` at the target's own mode
+    ``m = target.mode()``, from one evaluation with the Hessian.  Small
+    values predict good mixing for the tangent-proposal kernel; Gaussians
+    score exactly 0.
 
     Raises
     ------
     ModeFindingError
-        If Newton diverges or fails to converge (e.g. an all-zero Poisson
-        count vector, whose mode sits at -infinity), or cannot step from a
-        point: a Hessian that is not negative definite there (a flat tail,
-        where ``exp`` underflows) or a non-finite Newton step.
+        If the target has no mode (``mode()`` raises ValueError, as for
+        all-zero Poisson counts) or its curvature there is not negative.
     """
     if target.dim != 1:
         raise ValueError("mixing index is defined for univariate targets")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    for _ in range(MODE_MAX_ITER):
-        res = target.evaluate(x, gradient=True)
-        if not np.isfinite(res.value):
-            raise ModeFindingError(f"log-density not finite at {x[0]}")
-        if abs(res.gradient[0]) < 1e-10:
-            break
-        try:
-            x = newton_step(target, x)
-        except (HessianNotNegativeDefinite, _NonFiniteNewtonMean) as err:
-            raise ModeFindingError(f"Newton search failed at {x[0]}: {err}") from err
-        if not np.all(np.isfinite(x)) or abs(x[0]) > 1e12:
-            raise ModeFindingError("Newton iteration diverged")
-    else:
-        raise ModeFindingError(f"no convergence within {MODE_MAX_ITER} Newton iterations")
-    res = target.evaluate(x, gradient=True, hessian=True)
-    curv = res.hessian[0, 0]
-    if curv >= 0:
-        raise ModeFindingError("non-concave curvature at the located mode")
-    # a vanishing gradient is not enough: on a flat plateau (e.g. all-zero
-    # counts) gradient and curvature vanish together while the Newton step
-    # stays O(1), so demand the step itself has converged
-    if abs(res.gradient[0] / curv) > 1e-8 * (1.0 + abs(x[0])):
-        raise ModeFindingError("gradient criterion met on a flat plateau, not a mode")
-    third = target.third_derivative(x[0])
-    return float(abs(third) * (-curv) ** -1.5)
+    try:
+        mode = target.mode()
+    except ValueError as err:
+        raise ModeFindingError(str(err)) from err
+    m = np.atleast_1d(np.asarray(mode, dtype=float))
+    curv = target.evaluate(m, hessian=True).hessian[0, 0]
+    if not curv < 0:
+        raise ModeFindingError(f"curvature {curv} at the mode {m[0]} is not negative")
+    return float(abs(target.third_derivative(m)) * (-curv) ** -1.5)

@@ -12,9 +12,8 @@ and column sums its lines read.  Both are the same whoever builds them,
 so concurrent evaluation stays correct; the worst a race can do is build
 one twice.
 Counters are returned per call, never accumulated in shared state.  A
-``LogisticTarget`` keeps ``1 - y`` with its responses; one built by its
-constructor without an offset stores none, rather than an array of zeros.
-An evaluation writes only the arrays it creates, never one a target holds.
+``LogisticTarget`` keeps ``1 - y`` with its responses.  An evaluation
+writes only the arrays it creates, never one a target holds.
 """
 
 from __future__ import annotations
@@ -253,17 +252,16 @@ class LogisticTarget(DifferentiableTarget):
     """Bernoulli-logit log-likelihood over coefficients.
 
     ``value(b) = -sum_i [(1 - y_i) t_i + log(1 + exp(-t_i))]`` with
-    ``t = X b + offset``; each row is evaluated in the stable form
+    ``t = X b``; each row is evaluated in the stable form
     ``(1 - y) t + log1p(exp(-|t|)) + max(-t, 0)``, so coefficients with
     ``|t| > 700`` do not overflow; its last two terms are within 2 ulp of
     ``np.logaddexp(0, -t)``.
     Gradient is ``X^T (y - sigma(t))`` and Hessian
     ``-X^T diag(sigma (1 - sigma)) X``, negative semi-definite everywhere
     and negative definite when X has full column rank.  No constant is
-    dropped.  Design and offset must be finite.  The target keeps ``1 - y``
-    beside ``y``; constructed without an offset it stores none
-    (``t = X b``).  Each evaluation forms the row terms in two N-vectors
-    of its own.
+    dropped.  The design must be finite.  The target keeps ``1 - y``
+    beside ``y``.  Each evaluation forms the row terms in two N-vectors of
+    its own.
 
     The Hessian is a sum over rows in which only the weight
     ``w = sigma (1 - sigma)`` moves: ``-sum_n w_n x_n x_n^T``.  For up to
@@ -284,7 +282,7 @@ class LogisticTarget(DifferentiableTarget):
     ``evaluate``'s; line values agree with it to rounding.
     """
 
-    def __init__(self, X, y, offset=None):
+    def __init__(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2:
@@ -298,13 +296,6 @@ class LogisticTarget(DifferentiableTarget):
         self._X = X
         self._y = y
         self._not_y = 1.0 - y
-        self._offset = None
-        if offset is not None:
-            self._offset = np.asarray(offset, dtype=float)
-            if self._offset.shape != (X.shape[0],):
-                raise ValueError("offset must be one entry per design row")
-            if not np.all(np.isfinite(self._offset)):
-                raise ValueError("offset entries must be finite")
 
     @property
     def dim(self) -> int:
@@ -313,8 +304,6 @@ class LogisticTarget(DifferentiableTarget):
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         b = self._check_point(x)
         t = self._X @ b
-        if self._offset is not None:
-            t += self._offset
         value = -float(_row_losses(t, self._not_y).sum())
         p = expit(t) if gradient or hessian else None
         grad = self._X.T @ (self._y - p) if gradient else None
@@ -356,13 +345,12 @@ class LogisticTarget(DifferentiableTarget):
         return np.ascontiguousarray(self._X.T), self._not_y @ self._X, self._X.sum(axis=0)
 
     def coordinate_lines(self, x):
-        """The lines from the predictor ``t = X x`` (+ offset) at the
-        sweep's start, moved by the changed column after each update.
-        Coordinate d's line at ``v`` is the row terms at ``u = t + delta
-        X_d``, ``delta = v - x_d``.  With ``A = (1 - y) . t`` and ``S_t =
-        sum t`` formed once per coordinate, ``B_d = (1 - y) . X_d`` and
-        ``S_d = sum X_d`` cached, and ``sum min(u, 0) = (sum u - sum |u|) /
-        2``, it is
+        """The lines from the predictor ``t = X x`` at the sweep's start,
+        moved by the changed column after each update.  Coordinate d's line
+        at ``v`` is the row terms at ``u = t + delta X_d``, ``delta = v -
+        x_d``.  With ``A = (1 - y) . t`` and ``S_t = sum t`` formed once
+        per coordinate, ``B_d = (1 - y) . X_d`` and ``S_d = sum X_d``
+        cached, and ``sum min(u, 0) = (sum u - sum |u|) / 2``, it is
         ``-(sum log1p(exp(-|u|)) + A + delta B_d - (S_t + delta S_d - sum |u|) / 2)``:
         ``u`` formed in one buffer, then one ``|u|`` pass and its sum,
         ``exp`` and ``log1p`` in place and a sum.  The start value is
@@ -370,8 +358,6 @@ class LogisticTarget(DifferentiableTarget):
         bit."""
         self._check_point(x)  # the lines never call evaluate, which checks it
         t = self._X @ x
-        if self._offset is not None:
-            t += self._offset
         xt, col_not_y, col_sums = self._line_columns
         not_y, start, u = self._not_y, x.copy(), np.empty_like(t)
 
@@ -527,6 +513,10 @@ class GaussianPriorTarget(DifferentiableTarget):
 
     def third_derivative(self, x) -> float:
         return 0.0
+
+    def mode(self) -> np.ndarray:
+        """The mode, which is the mean (a copy)."""
+        return self._mean.copy()
 
     def coordinate_lines(self, x):
         """A diagonal precision ``diag(tau)``'s line is the scalar ``-0.5

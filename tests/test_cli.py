@@ -198,7 +198,9 @@ class TestChainBadInput:
 
 
 class TestMixingIndexFromDivergentStart:
-    """Newton from x0 = -20 steps to 9.7e8 on the single-count target."""
+    """The index is taken at the target's own mode, so a start the chain
+    leaves, or never leaves, does not move it (Newton from x0 = -20 steps
+    to 9.7e8 on the single-count target)."""
 
     def run(self, tmp_path, config_text):
         cfg = tmp_path / "c.cfg"
@@ -227,21 +229,31 @@ class TestMixingIndexFromDivergentStart:
         assert run_cli("chain", "--config", str(cfg), "--seed", "7", "--out", str(out)) == 0
         assert read_json(out / "summary.json")["mixing_index"] == pytest.approx(2**-0.5, rel=1e-9)
 
-    def test_quick_slice_chain_from_a_flat_tail_fails_in_one_line(self, tmp_path, capsys):
-        # a quick chain has not left the tail, so the retry from its median fails too
+    def test_quick_slice_chain_from_a_flat_tail_fails_in_one_line(self, tmp_path):
+        # a quick chain has not left the tail; it exited 2 when the index
+        # was searched for from there
         status, out = self.run(tmp_path, "sampler = slice\nx0 = -800\n")
-        err = capsys.readouterr().err
-        assert status == 2 and not out.exists()
-        assert err.startswith("error: cannot run from x0 = -800") and err.count("\n") == 1, err
+        assert status == 0
+        assert read_json(out / "summary.json")["mixing_index"] == pytest.approx(2**-0.5, rel=1e-15)
 
-    def test_empty_slice_chain_has_no_median_to_retry_from(self, tmp_path, capsys):
+    def test_empty_slice_chain_has_no_median_to_retry_from(self, tmp_path):
+        # no samples, and none are needed: it exited 2 when the index was
+        # searched for from x0
         cfg = tmp_path / "c.cfg"
         cfg.write_text("sampler = slice\nx0 = -20\nn_burnin = 10\nn_samples = 0\n")
         out = tmp_path / "o"
-        assert run_cli("chain", "--config", str(cfg), "--seed", "7", "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "log-density not finite" in err and err.count("\n") == 1, err
-        assert not out.exists()
+        assert run_cli("chain", "--config", str(cfg), "--seed", "7", "--out", str(out)) == 0
+        assert read_json(out / "summary.json")["mixing_index"] == pytest.approx(2**-0.5, rel=1e-15)
+
+    def test_index_is_the_same_from_every_start(self, tmp_path):
+        indices = []
+        for x0 in ("0", "-20", "-800"):
+            (tmp_path / x0).mkdir()
+            status, out = self.run(tmp_path / x0, f"sampler = slice\nx0 = {x0}\n")
+            assert status == 0
+            indices.append(read_json(out / "summary.json")["mixing_index"])
+        assert indices == [indices[0]] * 3
+        assert indices[0] == pytest.approx(2**-0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("x0", ["-20", "800"])
@@ -388,6 +400,36 @@ class TestMixingScanBadInput:
         assert key in assert_rejected("mixing-scan", tmp_path, capsys, f"{key} = 0\n")
 
 
+# a count past int64's maximum ended in a traceback (an OverflowError, or
+# numpy's "Maximum allowed dimension exceeded") with exit 1, and
+# mixing-scan left an empty output directory
+@pytest.mark.parametrize("verb, config_text", [
+    ("chain", "counts = 1e300\n"),
+    ("chain", "counts = 2, 1e300\n"),
+    ("chain", "target = replicated-poisson\nobs = 1e300\n"),
+    ("chain", "target = replicated-poisson\nobs = 9223372036854775808\n"),
+    ("hb", "n_groups = 1e300\n"),
+    ("hb", "n_upper = 1e300\n"),
+    ("benchmark", "n_obs = 1e300\n"),
+    ("theorem", "trials = 1e300\n"),
+    ("mixing-scan", "n_list = 1e300\n"),
+    ("mixing-scan", "obs = 1e300\n"),
+], ids=lambda v: v.replace("\n", " ").strip() if isinstance(v, str) else v)
+def test_count_past_int64_is_refused(verb, config_text, tmp_path, capsys):
+    key = config_text.strip().splitlines()[-1].split(" =")[0]
+    err = assert_rejected(verb, tmp_path, capsys, config_text, ("--seed", "7", "--quick"))
+    assert f"{key} must be an integer >= " in err and "<= 9223372036854775807" in err
+
+
+def test_count_at_int64_max_is_accepted(tmp_path):
+    # the bound itself is a count; the scan's chains start at the mode
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("obs = 9223372036854775807\nn_list = 1\n")
+    out = tmp_path / "o"
+    assert run_cli("mixing-scan", "--config", str(cfg), "--seed", "7", "--quick", "--out", str(out)) == 0
+    assert read_json(out / "summary.json")["rows"][0]["mixing_index"] == pytest.approx(2.0**-31.5, rel=1e-12)
+
+
 class TestBenchmarkBadInput:
     @pytest.mark.parametrize(
         "key, value", [("n_runs", 0), ("n_samples", 5), ("block_size", 0), ("n_obs", 3)]
@@ -427,7 +469,7 @@ PINNED_SHA256 = {
     "chain": {
         "samples.csv": "f1209d869fdeb3ad239c10067c6bc6eb6ad49e86057b3f789d4f0090c3bc8e39",
         "steps.csv": "18f0855c90389a8f38d55fd16b13e60f8494c354791c203a4aad5b8e4e899966",
-        "summary.json": "243ecba1eb6c83545ea2b185d773c2620b137056d355b119aaf18a1506800900",
+        "summary.json": "3c2dad6e2fad9e64fc96d6e0f285b43afa61cf8be5814c8e85e179ff03a70899",
     },
     "benchmark": {
         "runs.csv": "03112c9d3b353cb59b51aa755b98853896216e9ebd7eba557bf020c6b372670e",
@@ -521,6 +563,28 @@ class TestMixingScan:
         assert etas[100] == pytest.approx(0.1, abs=1e-10)
         acc = [r["acceptance_rate"] for r in rows]
         assert acc[0] < acc[1] < acc[2]
+
+    @pytest.mark.parametrize("obs", [200, 1000])
+    def test_large_observations_scan(self, tmp_path, obs):
+        # the Newton search for the mode ran out of iterations from 200 on
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"obs = {obs}\n")
+        out = tmp_path / "o"
+        assert run_cli("mixing-scan", "--config", str(cfg), "--seed", "7", "--quick", "--out", str(out)) == 0
+        for row in read_json(out / "summary.json")["rows"]:
+            assert row["mixing_index"] == pytest.approx((obs * row["n_obs"]) ** -0.5, rel=1e-12)
+
+    def test_failed_scan_makes_no_output_directory(self, tmp_path, monkeypatch):
+        import tangentmh.cli as cli
+
+        def fail(*args):
+            raise ZeroDivisionError("scan failed")
+
+        monkeypatch.setattr(cli, "run_chain", fail)
+        out = tmp_path / "o"
+        with pytest.raises(ZeroDivisionError):
+            run_cli("mixing-scan", "--seed", "7", "--quick", "--out", str(out))
+        assert not out.exists()
 
     def test_single_observation_of_two(self, tmp_path):
         cfg = tmp_path / "m.cfg"

@@ -18,7 +18,7 @@ from tangentmh.targets import (
     poisson_lograte_target,
     replicated_poisson_target,
 )
-from tangentmh.tangent import ChainConfig, HessianNotNegativeDefinite, _NonFiniteNewtonMean, run_chain
+from tangentmh.tangent import ChainConfig, run_chain
 
 from helpers import ar1_series
 
@@ -107,11 +107,12 @@ class TestFee:
 
 
 class OneDimTarget(DifferentiableTarget):
-    """A 1-D log-density with value 0, a fixed gradient and Hessian -1;
-    ``fail_hessian`` makes a Hessian evaluation raise ZeroDivisionError."""
+    """A 1-D log-density with value 0, a fixed gradient and Hessian
+    ``curvature``, and its mode at 0.5; ``fail_hessian`` makes a Hessian
+    evaluation raise ZeroDivisionError."""
 
-    def __init__(self, gradient, fail_hessian=False):
-        self._gradient, self._fail = gradient, fail_hessian
+    def __init__(self, gradient, fail_hessian=False, curvature=-1.0):
+        self._gradient, self._fail, self._curvature = gradient, fail_hessian, curvature
 
     @property
     def dim(self):
@@ -121,13 +122,25 @@ class OneDimTarget(DifferentiableTarget):
         if hessian and self._fail:
             raise ZeroDivisionError("no Hessian")
         return EvalResult(0.0, np.array([self._gradient]) if gradient else None,
-                          np.array([[-1.0]]) if hessian else None, EvalCost(1, gradient, hessian))
+                          np.array([[self._curvature]]) if hessian else None, EvalCost(1, gradient, hessian))
+
+    def mode(self):
+        return 0.5
+
+    def third_derivative(self, x):
+        return 1.0
 
 
 class TestMixingIndex:
     def test_poisson_single_count_2(self):
         t = poisson_lograte_target([2])
         assert mixing_index(t) == pytest.approx(0.7071067811865476, abs=1e-3)
+
+    @pytest.mark.parametrize("obs", [1, 2, 200, 1000, 10**6])
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_replicated_poisson_is_exact_at_its_mode(self, obs, n):
+        # (obs N)^(-1/2): the mode log(obs) is the target's own, not a search's
+        assert mixing_index(replicated_poisson_target(obs, n)) == pytest.approx((obs * n) ** -0.5, rel=1e-12)
 
     def test_replicated_scaling_law(self):
         # eta0 * sqrt(N) constant across replication counts
@@ -140,29 +153,33 @@ class TestMixingIndex:
 
     def test_gaussian_is_zero(self):
         t = GaussianPriorTarget([3.0], np.array([[2.5]]))
-        assert mixing_index(t, x0=-5.0) == 0.0
+        assert mixing_index(t) == 0.0
+        np.testing.assert_array_equal(t.mode(), [3.0])
 
     def test_all_zero_counts_diverges(self):
         t = poisson_lograte_target([0, 0, 0])
         with pytest.raises(ModeFindingError):
             mixing_index(t)
 
-    def test_flat_tail_start_is_a_mode_finding_error(self):
-        # exp(-800) is 0, so the Hessian there is 0: the Newton search fails
-        # at its first step, and says where
-        with pytest.raises(ModeFindingError, match=r"-800\.0") as exc:
-            mixing_index(poisson_lograte_target([2]), -800.0)
-        assert isinstance(exc.value.__cause__, HessianNotNegativeDefinite)
+    @pytest.mark.parametrize("curvature", [0.0, 2.0, np.nan])
+    def test_curvature_not_negative_at_the_mode_is_a_mode_finding_error(self, curvature):
+        with pytest.raises(ModeFindingError, match=r"not negative"):
+            mixing_index(OneDimTarget(gradient=0.0, curvature=curvature))
 
-    def test_non_finite_newton_step_is_a_mode_finding_error(self):
-        t = OneDimTarget(gradient=np.inf)
-        with pytest.raises(ModeFindingError, match="Newton search failed at 0.5") as exc:
-            mixing_index(t, 0.5)
-        assert isinstance(exc.value.__cause__, _NonFiniteNewtonMean)
+    def test_one_evaluation_with_the_hessian_at_the_mode(self):
+        calls = []
+
+        class Recording(OneDimTarget):
+            def evaluate(self, x, *, gradient=False, hessian=False):
+                calls.append((np.asarray(x).tolist(), gradient, hessian))
+                return super().evaluate(x, gradient=gradient, hessian=hessian)
+
+        assert mixing_index(Recording(gradient=0.0)) == 1.0
+        assert calls == [([0.5], False, True)]
 
     def test_other_errors_pass_through(self):
         with pytest.raises(ZeroDivisionError):
-            mixing_index(OneDimTarget(gradient=1.0, fail_hessian=True), 0.5)
+            mixing_index(OneDimTarget(gradient=1.0, fail_hessian=True))
 
     def test_multivariate_rejected(self):
         t = GaussianPriorTarget(np.zeros(2), np.eye(2))

@@ -132,12 +132,6 @@ class TestLogistic:
         with pytest.raises(ValueError):
             LogisticTarget(np.eye(2), np.array([0.0, 2.0]))
 
-    @pytest.mark.parametrize("offset", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
-    def test_rejects_non_finite_offset(self, offset):
-        # every value would be NaN
-        with pytest.raises(ValueError):
-            LogisticTarget(np.eye(2), [0.0, 1.0], offset=offset)
-
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("k", [1, 2, 10])
     def test_table_hessian_matches_the_weighted_product(self, k, order):
@@ -612,12 +606,12 @@ class TestRestrictedTargets:
     def test_logistic_matches_public_construction(self, block):
         rng = np.random.default_rng(15)
         X, y = random_logistic(rng, n=40, k=6)
-        offset = rng.standard_normal(40)
         full = rng.standard_normal(6)
         block = np.array(block)
         rest = np.setdiff1d(np.arange(6), block)
-        expected = LogisticTarget(X[:, block], y, offset=offset + X[:, rest] @ full[rest])
-        assert_close_evaluations(LogisticTarget(X, y, offset).restrict(block, full), expected, rng)
+        # the frozen coordinates enter the block's predictor as an offset
+        expected = ReferenceLogistic(X[:, block], y, offset=X[:, rest] @ full[rest])
+        assert_close_evaluations(LogisticTarget(X, y).restrict(block, full), expected, rng)
 
     @pytest.mark.parametrize("block", RESTRICT_BLOCKS)
     def test_diagonal_prior_matches_public_construction(self, block, monkeypatch):
@@ -755,13 +749,16 @@ class TestLogisticAgainstReference:
     for bit.  The Hessian, a matrix-vector product on the row-product
     table, equals the reference's product to rounding."""
 
-    @pytest.mark.parametrize("with_offset", [False, True], ids=["constructed", "offset"])
+    @pytest.mark.parametrize("restricted", [False, True], ids=["constructed", "restricted"])
     @pytest.mark.parametrize("case", LOGISTIC_CASES)
-    def test_bit_equal_to_reference(self, case, with_offset):
+    def test_bit_equal_to_reference(self, case, restricted):
+        # a conditional over every coordinate, in order, is its parent
         X, y, full = LOGISTIC_CASES[case]
         rng = np.random.default_rng(32)
-        offset = rng.standard_normal(X.shape[0]) if with_offset else None
-        sweep_both(LogisticTarget(X, y, offset), ReferenceLogistic(X, y, offset), full.copy(), rng)
+        target = LogisticTarget(X, y)
+        if restricted:
+            target = target.restrict(np.arange(X.shape[1]), np.zeros(X.shape[1]))
+        sweep_both(target, ReferenceLogistic(X, y), full.copy(), rng)
 
     def test_cases_reach_the_rows_they_name(self):
         X, _, full = LOGISTIC_CASES["beyond exp"]
@@ -773,26 +770,23 @@ class TestLogisticAgainstReference:
         assert np.all(X[:10] @ full == 0.0)
 
     def test_constructed_target_stores_no_offset(self):
+        # the design, the responses and 1 - y, nothing else until first use
         X, y, full = LOGISTIC_CASES["random"]
         target = LogisticTarget(X, y)
-        assert target._offset is None
+        assert sorted(vars(target)) == ["_X", "_not_y", "_y"]
         assert np.array_equal(target._not_y, 1.0 - y)
 
     def test_kept_arrays_are_never_written(self):
         # the arrays a target keeps, its Hessian table included, are shared
         # by every evaluation: each must keep its bytes through all of them
-        for with_offset in (False, True):
-            X, y, full = LOGISTIC_CASES["random"]
-            rng = np.random.default_rng(33)
-            offset = rng.standard_normal(X.shape[0]) if with_offset else None
-            target = LogisticTarget(X, y, offset)
-            target.evaluate(full, hessian=True)
-            kept = [target._X, target._y, target._not_y, *target._hessian_rows]
-            if with_offset:
-                kept.append(target._offset)
-            before = [a.tobytes() for a in kept]
-            sweep_both(target, ReferenceLogistic(X, y, offset), full.copy(), rng)
-            assert [a.tobytes() for a in kept] == before
+        X, y, full = LOGISTIC_CASES["random"]
+        rng = np.random.default_rng(33)
+        target = LogisticTarget(X, y)
+        target.evaluate(full, hessian=True)
+        kept = [target._X, target._y, target._not_y, *target._hessian_rows]
+        before = [a.tobytes() for a in kept]
+        sweep_both(target, ReferenceLogistic(X, y), full.copy(), rng)
+        assert [a.tobytes() for a in kept] == before
 
 
 def line_contract_targets():
@@ -831,14 +825,15 @@ class TestCoordinateLines:
             x[d] = v
         return pairs, cost
 
-    @pytest.mark.parametrize("with_offset", [False, True])
+    @pytest.mark.parametrize("fortran", [False, True])
     @pytest.mark.parametrize("scale", [1.0, 30.0, 700.0])
-    def test_logistic_line_matches_evaluate(self, with_offset, scale):
-        rng = np.random.default_rng(int(scale) + with_offset)
+    def test_logistic_line_matches_evaluate(self, fortran, scale):
+        rng = np.random.default_rng(int(scale))
         X, y = random_logistic(rng, n=400, k=6)
-        offset = rng.standard_normal(400) if with_offset else None
-        # the predictor's scale is set by the design's
-        target = LogisticTarget(scale * X, y, offset)
+        # the predictor's scale is set by the design's; a Fortran-ordered
+        # design's transpose is already the contiguous X^T the lines read
+        X = np.asfortranarray(scale * X) if fortran else scale * X
+        target = LogisticTarget(X, y)
         pairs, cost = self.walk(target, rng.normal(0.0, 0.5, 6), rng)
         assert cost == EvalCost(1, 0, 0)
         # the start value is evaluate's own; the line's agree to rounding

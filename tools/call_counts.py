@@ -46,13 +46,13 @@ from tangentmh.gibbs import BlockPartition, run_block_chain  # noqa: E402
 from tangentmh.hb import HbConfig, hb_gibbs, simulate_hb  # noqa: E402
 from tangentmh.slicer import SliceConfig, slice_gibbs_chain  # noqa: E402
 from tangentmh.tangent import ChainConfig, run_chain  # noqa: E402
-from tangentmh.targets import LogisticTarget, poisson_lograte_target  # noqa: E402
+from tangentmh.targets import LogisticTarget, PoissonLogRateTarget  # noqa: E402
 
 WORKLOADS = ("poisson-1d", "logistic-blocks", "hb-groups")
 
 
 def poisson_chains(tiny: bool) -> dict:
-    target, x0 = poisson_lograte_target([2]), np.array([np.log(2.0)])
+    target, x0 = PoissonLogRateTarget([2]), np.array([np.log(2.0)])
     return {
         "tangent": lambda b, n: run_chain(target, x0, ChainConfig(b, n), np.random.default_rng(42)),
         "slice": lambda b, n: slice_gibbs_chain(target, x0, b, n, SliceConfig(width=1.0), np.random.default_rng(41)),
@@ -79,7 +79,8 @@ def hb_chains(tiny: bool) -> dict:
     spec, _ = simulate_hb(*shape[:3], np.random.default_rng(2026), group_size=shape[3])
     return {
         sampler: (lambda b, n, sampler=sampler, seed=seed:
-                  hb_gibbs(spec, HbConfig(n_burnin=b, n_samples=n, beta_sampler=sampler, seed=seed)))
+                  hb_gibbs(spec, HbConfig(n_burnin=b, n_samples=n, beta_sampler=sampler),
+                           np.random.default_rng(seed)))
         for sampler, seed in (("tangent", 101), ("slice", 202))
     }
 
