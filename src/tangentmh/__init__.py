@@ -25,7 +25,6 @@ from .targets import (
     EvalCost,
     EvalResult,
     GaussianPriorTarget,
-    LinearProjectionModel,
     LinearProjectionTarget,
     LogisticTarget,
     PoissonLogRateTarget,

@@ -8,7 +8,9 @@ Hessian only semi-definite.  This module makes the claim executable: each
 instance assembles the Hessian two independent ways, verifies the
 observation-wise decomposition of the quadratic form, and then either
 factors the negated Hessian (certificate) or produces an explicit flat
-direction from the design null spaces (witness).
+direction from the design null spaces (witness).  ``build_target`` makes
+each instance's ``LinearProjectionTarget(base, designs)``, whose design
+ranks decide which of the two is expected.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .targets import (
     RANK_RTOL,
     BernoulliBase,
     ConcaveQuadraticBase,
-    LinearProjectionModel,
     LinearProjectionTarget,
 )
 
@@ -33,7 +34,7 @@ __all__ = [
     "ConcavityInstance",
     "InstanceRecord",
     "CampaignReport",
-    "build_model",
+    "build_target",
     "run_instance",
     "run_campaign",
     "random_instances",
@@ -87,8 +88,8 @@ def _design(n_obs: int, k: int, deficiency: int, rng: np.random.Generator) -> np
     return X
 
 
-def build_model(inst: ConcavityInstance, rng: np.random.Generator) -> LinearProjectionModel:
-    """Materialize the designs and base family of an instance."""
+def build_target(inst: ConcavityInstance, rng: np.random.Generator) -> LinearProjectionTarget:
+    """The composed target of an instance's base family and designs."""
     designs = [
         _design(inst.n_obs, k, d, rng)
         for k, d in zip(inst.group_dims, inst.deficiencies)
@@ -100,7 +101,7 @@ def build_model(inst: ConcavityInstance, rng: np.random.Generator) -> LinearProj
         raw = rng.standard_normal((inst.n_obs, J, J))
         quad = np.einsum("ijk,ilk->ijl", raw, raw) + 0.1 * np.eye(J)
         base = ConcaveQuadraticBase(quad, rng.standard_normal((inst.n_obs, J)))
-    return LinearProjectionModel(base, designs)
+    return LinearProjectionTarget(base, designs)
 
 
 @dataclass(frozen=True)
@@ -176,28 +177,27 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     per-observation projections of p.
     """
     rng = np.random.default_rng(inst.seed)
-    model = build_model(inst, rng)
-    target = LinearProjectionTarget(model)
-    beta = rng.standard_normal(model.dim)
+    target = build_target(inst, rng)
+    beta = rng.standard_normal(target.dim)
 
     H = target.evaluate(beta, hessian=True).hessian
     h_norm = float(np.linalg.norm(H, "fro"))
     H_fd = fd_hessian_of_value(lambda b: target.evaluate(b).value, beta)
     fd_err = float(np.linalg.norm(H - H_fd, "fro") / max(h_norm, 1e-30))
 
-    _, _, hessians = model.base.evaluate(model.projections(beta), hessian=True)
+    _, _, hessians = target.base.evaluate(target.projections(beta), hessian=True)
     identity_err = 0.0
     for _ in range(trials):
-        p = rng.standard_normal(model.dim)
+        p = rng.standard_normal(target.dim)
         p /= np.linalg.norm(p)
-        Q = model.projections(p)
+        Q = target.projections(p)
         rhs = float(np.einsum("ij,ijk,ik->", Q, hessians, Q))
         identity_err = max(identity_err, abs(float(p @ H @ p) - rhs))
 
     expected = "certificate" if inst.expects_certificate else "witness"
     witness_rel = float("nan")
     detail = ""
-    if model.all_full_rank:
+    if target.all_full_rank:
         try:
             cholesky(-H)
         except NotPositiveDefinite as err:
@@ -210,7 +210,7 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
         if not inst.expects_certificate:
             w = np.concatenate([
                 np.zeros(X.shape[1]) if full else null_space(X, rcond=RANK_RTOL)[:, 0]
-                for X, full in zip(model.designs, model.full_rank_flags)
+                for X, full in zip(target.designs, target.full_rank_flags)
             ])
             witness_rel = abs(float(w @ H @ w)) / max(h_norm * float(w @ w), 1e-300)
 

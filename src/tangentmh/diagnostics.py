@@ -68,8 +68,6 @@ def effective_size(series) -> float:
     tau = -1.0
     prev = np.inf
     for m in range(n // 2):
-        if 2 * m + 1 >= n:
-            break
         pair = rho[2 * m] + rho[2 * m + 1]
         if pair <= 0.0:
             break

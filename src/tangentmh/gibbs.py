@@ -80,10 +80,6 @@ class BlockPartition:
         idx = np.arange(dim)
         return cls([idx[i : i + block_size] for i in range(0, dim, block_size)])
 
-    @classmethod
-    def single(cls, dim: int) -> "BlockPartition":
-        return cls([np.arange(dim)])
-
 
 def block_sweep(
     parent: DifferentiableTarget,

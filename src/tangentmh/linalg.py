@@ -208,9 +208,8 @@ def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, dict]:
     smaller and its largest diagonal entry no larger (the kernel's pivots
     are positive or NaN, and rounding is monotone).  A NaN pivot (a failed
     or non-finite factor) or a NaN diagonal entry fails this verdict.  Only
-    then is the rule checked matrix by matrix: each matrix's smallest
-    pivot squared against ``PIVOT_RTOL`` times the larger of 0 and its own
-    largest diagonal entry.  Only a matrix that fails goes to ``cholesky``,
+    then is each matrix checked by ``cholesky``'s own rule
+    (``_pivots_pass``).  Only a matrix that fails goes to ``cholesky``,
     which names its pivot; a failed matrix's factor is the identity.
     Should ``cholesky`` pass one the kernel failed (the two LAPACKs
     disagree at the tolerance), its verdict and its factor stand."""
@@ -219,11 +218,10 @@ def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, dict]:
     largest = float(np.maximum.reduce(stack.diagonal(0, 1, 2), None, initial=0.0))
     if smallest * smallest > PIVOT_RTOL * largest:
         return lowers, {}
-    pivots = lowers.diagonal(0, 1, 2)
-    tol = PIVOT_RTOL * np.maximum.reduce(stack.diagonal(0, 1, 2), axis=1, initial=0.0)
-    passed = (np.minimum.reduce(pivots * pivots, axis=1) > tol).tolist()
     errors = {}
-    for k in [k for k, ok in enumerate(passed) if not ok]:
+    for k in range(stack.shape[0]):
+        if _pivots_pass(stack[k].diagonal().tolist(), lowers[k].diagonal().tolist()):
+            continue
         try:
             lowers[k] = cholesky(stack[k]).lower
         except NotPositiveDefinite as err:

@@ -12,7 +12,10 @@ and column sums its lines read.  Both are the same whoever builds them,
 so concurrent evaluation stays correct; the worst a race can do is build
 one twice.
 Counters are returned per call, never accumulated in shared state.  A
-``LogisticTarget`` keeps ``1 - y`` with its responses.  An evaluation
+``LogisticTarget`` keeps ``1 - y`` with its responses.
+``LinearProjectionTarget(base, designs)`` composes a per-observation
+``BaseFamily`` with one design matrix per argument, and holds the
+designs' column ranks for the concavity campaigns.  An evaluation
 writes only the arrays it creates, never one a target holds.
 """
 
@@ -20,8 +23,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
@@ -45,7 +48,6 @@ __all__ = [
     "BaseFamily",
     "BernoulliBase",
     "ConcaveQuadraticBase",
-    "LinearProjectionModel",
     "LinearProjectionTarget",
     "column_rank",
 ]
@@ -699,95 +701,54 @@ def column_rank(X: np.ndarray) -> int:
     return int(np.sum(np.abs(np.diag(R)) > tol))
 
 
-@dataclass(frozen=True)
-class LinearProjectionModel:
-    """Composition data: base family plus one design matrix per argument.
+class LinearProjectionTarget(DifferentiableTarget):
+    """Composed log-density ``sum_i f^i(<x_1^i, b_1>, ..., <x_J^i, b_J>)``
+    of a base family and one design matrix per argument, over the stacked
+    coefficient vector ``(b_1, ..., b_J)``, assembling block gradients and
+    Hessians by the chain rule.  Column ranks of the designs are computed at
+    construction; ``all_full_rank`` is the hypothesis under which the
+    composed Hessian stays negative definite."""
 
-    The composed log-density is ``sum_i f^i(<x_1^i, b_1>, ..., <x_J^i, b_J>)``
-    over the stacked coefficient vector ``(b_1, ..., b_J)``.  Column ranks of
-    the designs are computed at construction; ``all_full_rank`` is the
-    hypothesis under which the composed Hessian stays negative definite.
-    """
-
-    base: BaseFamily
-    designs: tuple
-    ranks: tuple = field(init=False)
-
-    def __post_init__(self):
-        designs = tuple(np.asarray(X, dtype=float) for X in self.designs)
-        if len(designs) != self.base.n_args:
+    def __init__(self, base: BaseFamily, designs):
+        designs = tuple(np.asarray(X, dtype=float) for X in designs)
+        if len(designs) != base.n_args:
             raise ValueError("need one design per base-family argument")
         for X in designs:
-            if X.ndim != 2 or X.shape[0] != self.base.n_obs:
+            if X.ndim != 2 or X.shape[0] != base.n_obs:
                 raise ValueError("each design needs one row per observation")
-        object.__setattr__(self, "designs", designs)
-        object.__setattr__(self, "ranks", tuple(column_rank(X) for X in designs))
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.designs)
-
-    @property
-    def group_dims(self) -> tuple:
-        return tuple(X.shape[1] for X in self.designs)
+        self.base = base
+        self.designs = designs
+        self.ranks = tuple(column_rank(X) for X in designs)
+        self.full_rank_flags = tuple(r == X.shape[1] for r, X in zip(self.ranks, designs))
+        self.all_full_rank = all(self.full_rank_flags)
+        # block j of the stacked coefficients is offsets[j]:offsets[j + 1]
+        self._offsets = list(accumulate((X.shape[1] for X in designs), initial=0))
 
     @property
     def dim(self) -> int:
-        return sum(self.group_dims)
-
-    @property
-    def full_rank_flags(self) -> tuple:
-        return tuple(r == X.shape[1] for r, X in zip(self.ranks, self.designs))
-
-    @property
-    def all_full_rank(self) -> bool:
-        return all(self.full_rank_flags)
-
-    def split(self, beta: np.ndarray) -> list:
-        beta = np.asarray(beta, dtype=float)
-        out = []
-        start = 0
-        for k in self.group_dims:
-            out.append(beta[start : start + k])
-            start += k
-        return out
+        return self._offsets[-1]
 
     def projections(self, beta: np.ndarray) -> np.ndarray:
         """The N x J matrix of per-observation linear projections."""
-        blocks = self.split(beta)
-        return np.column_stack([X @ b for X, b in zip(self.designs, blocks)])
-
-
-class LinearProjectionTarget(DifferentiableTarget):
-    """Composed log-density over the stacked coefficients of ``model``,
-    assembling block gradients and Hessians by the chain rule."""
-
-    def __init__(self, model: LinearProjectionModel):
-        self._model = model
-
-    @property
-    def dim(self) -> int:
-        return self._model.dim
+        beta = np.asarray(beta, dtype=float)
+        offs = self._offsets
+        return np.column_stack([X @ beta[offs[j] : offs[j + 1]] for j, X in enumerate(self.designs)])
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
         beta = self._check_point(x)
-        m = self._model
-        U = m.projections(beta)
-        values, grads, hessians = m.base.evaluate(U, gradient=gradient, hessian=hessian)
+        designs, offs = self.designs, self._offsets
+        U = self.projections(beta)
+        values, grads, hessians = self.base.evaluate(U, gradient=gradient, hessian=hessian)
         value = float(np.sum(values))
         grad = None
         hess = None
         if gradient:
-            grad = np.concatenate(
-                [X.T @ grads[:, j] for j, X in enumerate(m.designs)]
-            )
+            grad = np.concatenate([X.T @ grads[:, j] for j, X in enumerate(designs)])
         if hessian:
-            dims = m.group_dims
-            hess_a = np.zeros((m.dim, m.dim))
-            offs = np.concatenate([[0], np.cumsum(dims)])
-            for j, Xj in enumerate(m.designs):
-                for jp in range(j, m.n_groups):
-                    block = Xj.T @ (hessians[:, j, jp][:, None] * m.designs[jp])
+            hess_a = np.zeros((self.dim, self.dim))
+            for j, Xj in enumerate(designs):
+                for jp in range(j, len(designs)):
+                    block = Xj.T @ (hessians[:, j, jp][:, None] * designs[jp])
                     hess_a[offs[jp] : offs[jp + 1], offs[j] : offs[j + 1]] = block if jp == j else block.T
             # a diagonal block's product need not be exactly symmetric: fill
             # the blocks on and below the diagonal, and mirror the lower triangle

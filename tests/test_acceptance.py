@@ -28,7 +28,6 @@ from tangentmh.targets import (
     BernoulliBase,
     ConcaveQuadraticBase,
     GaussianPriorTarget,
-    LinearProjectionModel,
     LinearProjectionTarget,
     LogisticTarget,
     poisson_lograte_target,
@@ -188,16 +187,16 @@ def _derivative_case(rng, family):
     if rng.random() < 0.5:
         n, k = int(rng.integers(10, 25)), int(rng.integers(2, 5))
         y = (rng.random(n) < 0.5).astype(float)
-        m = LinearProjectionModel(BernoulliBase(y), [rng.standard_normal((n, k))])
+        t = LinearProjectionTarget(BernoulliBase(y), [rng.standard_normal((n, k))])
     else:
         n = int(rng.integers(8, 20))
         raw = rng.standard_normal((n, 2, 2))
         quad = np.einsum("ijk,ilk->ijl", raw, raw) + 0.2 * np.eye(2)
-        m = LinearProjectionModel(
+        t = LinearProjectionTarget(
             ConcaveQuadraticBase(quad, rng.standard_normal((n, 2))),
             [rng.standard_normal((n, 2)), rng.standard_normal((n, 2))],
         )
-    return LinearProjectionTarget(m), rng.standard_normal(m.dim)
+    return t, rng.standard_normal(t.dim)
 
 
 def test_c05_derivative_integrity():

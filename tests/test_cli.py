@@ -208,7 +208,7 @@ class TestMixingIndexFromDivergentStart:
         out = tmp_path / "o"
         return run_cli("chain", "--config", str(cfg), "--seed", "7", "--quick", "--out", str(out)), out
 
-    def test_slice_chain_reports_the_mode_from_its_median(self, tmp_path):
+    def test_slice_chain_from_minus_20_reports_mode_index(self, tmp_path):
         status, out = self.run(tmp_path, "sampler = slice\nx0 = -20\n")
         assert status == 0
         # 1/sqrt(2) at the single-count mode log 2
@@ -229,14 +229,14 @@ class TestMixingIndexFromDivergentStart:
         assert run_cli("chain", "--config", str(cfg), "--seed", "7", "--out", str(out)) == 0
         assert read_json(out / "summary.json")["mixing_index"] == pytest.approx(2**-0.5, rel=1e-9)
 
-    def test_quick_slice_chain_from_a_flat_tail_fails_in_one_line(self, tmp_path):
+    def test_quick_flat_tail_chain_reports_mode_index(self, tmp_path):
         # a quick chain has not left the tail; it exited 2 when the index
         # was searched for from there
         status, out = self.run(tmp_path, "sampler = slice\nx0 = -800\n")
         assert status == 0
         assert read_json(out / "summary.json")["mixing_index"] == pytest.approx(2**-0.5, rel=1e-15)
 
-    def test_empty_slice_chain_has_no_median_to_retry_from(self, tmp_path):
+    def test_empty_slice_chain_reports_mode_index(self, tmp_path):
         # no samples, and none are needed: it exited 2 when the index was
         # searched for from x0
         cfg = tmp_path / "c.cfg"

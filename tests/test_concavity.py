@@ -5,7 +5,7 @@ import pytest
 
 from tangentmh.concavity import (
     ConcavityInstance,
-    build_model,
+    build_target,
     random_instances,
     run_campaign,
     run_instance,
@@ -29,12 +29,12 @@ class TestInstance:
         assert full.expects_certificate
         assert not mixed.expects_certificate
 
-    def test_build_model_respects_rank_plan(self):
+    def test_build_target_respects_rank_plan(self):
         rng = np.random.default_rng(0)
         inst = ConcavityInstance(2, (4, 3), 15, "quadratic", (2, 0), 7)
-        m = build_model(inst, rng)
-        assert m.ranks == (2, 3)
-        assert m.full_rank_flags == (False, True)
+        t = build_target(inst, rng)
+        assert t.ranks == (2, 3)
+        assert t.full_rank_flags == (False, True)
 
 
 class TestRunInstance:

@@ -169,7 +169,7 @@ class TestRunBlockChain:
             t, BlockPartition([[0], [1]]), np.zeros(2), cfg, np.random.default_rng(9)
         )
         tr_full = run_block_chain(
-            t, BlockPartition.single(2), np.zeros(2), cfg, np.random.default_rng(10)
+            t, BlockPartition([np.arange(2)]), np.zeros(2), cfg, np.random.default_rng(10)
         )
         cov = np.linalg.inv(prec)
         for j in range(2):
@@ -395,7 +395,7 @@ class TestCarriedEvaluation:
         # a single block carries the parent's evaluation as run_chain
         # carries its fitted record: the same chain, counters included
         cfg = ChainConfig(10, 200, n_newton=4)
-        got = run_block_chain(posterior(42), BlockPartition.single(6), np.zeros(6), cfg, np.random.default_rng(43))
+        got = run_block_chain(posterior(42), BlockPartition([np.arange(6)]), np.zeros(6), cfg, np.random.default_rng(43))
         ref = run_chain(posterior(42), np.zeros(6), cfg, np.random.default_rng(43))
         assert trace_sha256(got) == trace_sha256(ref)
         assert got.total_cost() == ref.total_cost()

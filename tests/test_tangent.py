@@ -406,7 +406,7 @@ class TestRunChain:
         cfg = ChainConfig(200, 0, n_newton=0)
         single = run_chain(Quartic(), [0.0], cfg, np.random.default_rng(0))
         blocked = run_block_chain(
-            Quartic(), BlockPartition.single(1), [0.0], cfg, np.random.default_rng(0)
+            Quartic(), BlockPartition([np.arange(1)]), [0.0], cfg, np.random.default_rng(0)
         )
         assert blocked.meta["hessian_failures"] > 0
         assert single.meta["hessian_failures"] == blocked.meta["hessian_failures"]

@@ -19,7 +19,6 @@ from tangentmh.targets import (
     EvalCost,
     EvalResult,
     GaussianPriorTarget,
-    LinearProjectionModel,
     LinearProjectionTarget,
     LogisticTarget,
     PoissonLogRateTarget,
@@ -523,10 +522,9 @@ class TestAdditive:
         X, y = random_logistic(rng, n=20, k=3)
         prior = GaussianPriorTarget(np.zeros(3), random_spd(3, rng))
         post = AdditiveTarget([LogisticTarget(X, y), prior])
-        model = LinearProjectionModel(BernoulliBase(y), [X])
+        composed = LinearProjectionTarget(BernoulliBase(y), [X])
         block, full = np.array([0, 2]), rng.standard_normal(3)
-        for t in (post, post.restrict(block, full), LinearProjectionTarget(model),
-                  LinearProjectionTarget(model).restrict(block, full),
+        for t in (post, post.restrict(block, full), composed, composed.restrict(block, full),
                   poisson_lograte_target([2])):
             h = t.evaluate(np.zeros(t.dim), hessian=True).hessian
             assert type(h) is np.ndarray and h.shape == (t.dim, t.dim)
@@ -798,7 +796,7 @@ def line_contract_targets():
     return {
         "poisson": (poisson_lograte_target([3, 0, 2, 5]), True),
         "dense-prior": (GaussianPriorTarget(rng.standard_normal(4), random_spd(4, rng)), True),
-        "linear-projection": (LinearProjectionTarget(LinearProjectionModel(BernoulliBase(y), [X])), True),
+        "linear-projection": (LinearProjectionTarget(BernoulliBase(y), [X]), True),
         "logistic": (LogisticTarget(X, y), False),
         "diagonal-prior": (diagonal, False),
         "additive": (AdditiveTarget([LogisticTarget(X, y), diagonal]), False),
@@ -950,12 +948,23 @@ class TestLinearProjection:
         with pytest.raises(ValueError, match="symmetric"):
             ConcaveQuadraticBase(np.array([[[1.0, 5.0], [0.0, 1.0]]]), np.zeros((1, 2)))
 
+    def test_refuses_a_design_count_other_than_the_base_arguments(self):
+        base = ConcaveQuadraticBase(np.ones((4, 2, 2)) + np.eye(2), np.zeros((4, 2)))
+        for designs in ([np.eye(4)], [np.eye(4)] * 3):
+            with pytest.raises(ValueError, match="one design per base-family argument"):
+                LinearProjectionTarget(base, designs)
+
+    def test_refuses_a_design_without_one_row_per_observation(self):
+        base = BernoulliBase([0.0, 1.0, 1.0])
+        for X in (np.ones((4, 2)), np.ones((2, 2)), np.ones(3)):
+            with pytest.raises(ValueError, match="one row per observation"):
+                LinearProjectionTarget(base, [X])
+
     def test_identity_design_quadratic_base_is_standard_gaussian(self):
         n = 4
         base = ConcaveQuadraticBase(np.ones((n, 1, 1)), np.zeros((n, 1)))
         # X = I means each coordinate feeds one observation: H = -I
-        m = LinearProjectionModel(base, [np.eye(n)])
-        t = LinearProjectionTarget(m)
+        t = LinearProjectionTarget(base, [np.eye(n)])
         res = t.evaluate(np.zeros(n), gradient=True, hessian=True)
         np.testing.assert_array_equal(res.hessian, -np.eye(n))
         assert res.value == 0.0
@@ -965,9 +974,7 @@ class TestLinearProjection:
         for _ in range(100):
             X, y = random_logistic(rng, n=25, k=4)
             direct = LogisticTarget(X, y)
-            composed = LinearProjectionTarget(
-                LinearProjectionModel(BernoulliBase(y), [X])
-            )
+            composed = LinearProjectionTarget(BernoulliBase(y), [X])
             x = rng.standard_normal(4)
             a = direct.evaluate(x, gradient=True, hessian=True)
             b = composed.evaluate(x, gradient=True, hessian=True)
@@ -981,10 +988,9 @@ class TestLinearProjection:
         raw = rng.standard_normal((n, 2, 2))
         quad = np.einsum("ijk,ilk->ijl", raw, raw) + 0.5 * np.eye(2)
         base = ConcaveQuadraticBase(quad, rng.standard_normal((n, 2)))
-        m = LinearProjectionModel(
+        t = LinearProjectionTarget(
             base, [rng.standard_normal((n, 1)), rng.standard_normal((n, 1))]
         )
-        t = LinearProjectionTarget(m)
         x = rng.standard_normal(2)
         H = t.evaluate(x, hessian=True).hessian
         H_fd = fd_hessian_of_value(lambda v: t.evaluate(v).value, x)
@@ -1008,8 +1014,8 @@ class TestLinearProjection:
         raw = rng.standard_normal((n, 2, 2))
         quad = np.einsum("ijk,ilk->ijl", raw, raw) + 0.1 * np.eye(2)
         base = ConcaveQuadraticBase(quad, rng.standard_normal((n, 2)))
-        m = LinearProjectionModel(base, [X1, X2])
-        assert m.full_rank_flags == (True, False)
-        H = LinearProjectionTarget(m).evaluate(rng.standard_normal(5), hessian=True).hessian
+        t = LinearProjectionTarget(base, [X1, X2])
+        assert t.full_rank_flags == (True, False)
+        H = t.evaluate(rng.standard_normal(5), hessian=True).hessian
         with pytest.raises(NotPositiveDefinite):
             cholesky(-H)
