@@ -2,8 +2,11 @@
 
 Mirrors the study design of the efficiency comparison: simulated binary
 data (1000 observations, 10 covariates by default), matched nominal sample
-counts, the tangent-proposal kernel in 5-dimensional blocks against a
-tuned univariate slice baseline, averaged over replicate runs.
+counts, the tangent-proposal kernel stepping all coefficients as one block
+(``run_chain``) against a tuned univariate slice baseline, averaged over
+replicate runs.  ``run_benchmark``'s ``block_size`` runs the tangent
+chains through the block layer instead (``run_block_chain`` on contiguous
+blocks); only perfbench's blocks-of-5 workload passes it.
 
 Two cost views are produced.  Counter-based figures (evaluations per
 nominal/effective sample) are deterministic given the seed and are what
@@ -21,7 +24,7 @@ import numpy as np
 from .diagnostics import CalibrationProfile, calibrate, ess_per_dim, fee
 from .gibbs import BlockPartition, run_block_chain
 from .slicer import SliceConfig, slice_gibbs_chain
-from .tangent import ChainConfig
+from .tangent import ChainConfig, run_chain
 from .targets import LogisticTarget
 from .trace import ChainTrace
 
@@ -164,7 +167,7 @@ def run_benchmark(
     n_coeffs: int = 10,
     n_burnin: int = 200,
     n_samples: int = 500,
-    block_size: int = 5,
+    block_size: int | None = None,
     widths=DEFAULT_WIDTHS,
     calibration_reps: int = 300,
 ) -> BenchmarkResult:
@@ -172,7 +175,9 @@ def run_benchmark(
 
     Every run draws fresh data and fresh chains from independent child
     streams of the root seed, so replicates are independent yet the whole
-    procedure is reproducible.
+    procedure is reproducible.  The tangent chains step all coefficients
+    as one block with ``run_chain``; an integer ``block_size`` runs them
+    with ``run_block_chain`` on contiguous blocks of that size instead.
     """
     root = np.random.SeedSequence(seed)
     data_seeds = root.spawn(n_runs)
@@ -192,10 +197,12 @@ def run_benchmark(
             )
 
         cfg = ChainConfig(n_burnin=n_burnin, n_samples=n_samples)
-        partition = BlockPartition.contiguous(n_coeffs, block_size)
-        trace_t = run_block_chain(
-            target, partition, x0, cfg, np.random.default_rng(streams[2])
-        )
+        rng_t = np.random.default_rng(streams[2])
+        if block_size is None:
+            trace_t = run_chain(target, x0, cfg, rng_t)
+        else:
+            partition = BlockPartition.contiguous(n_coeffs, block_size)
+            trace_t = run_block_chain(target, partition, x0, cfg, rng_t)
         result.tangent_runs.append(_stats(trace_t, calib, "tangent"))
 
         trace_s = slice_gibbs_chain(

@@ -381,7 +381,6 @@ BENCHMARK_SETTINGS = {
     "n_coeffs": Key("count", 10, low=1),
     "n_burnin": Key("count", 200, low=0, quick=100),
     "n_samples": Key("count", 500, low=10, quick=200),  # ESS needs 10 samples
-    "block_size": Key("count", 5, low=1),
     "widths": Key("number list", list(DEFAULT_WIDTHS), low=0, echo=False),
 }
 
@@ -532,8 +531,9 @@ THEOREM_SETTINGS = {
 
 
 def cmd_theorem(args, cfg: dict, s) -> int:
-    out = _Output(args, cfg)
     report = run_campaign(random_instances(s.n_instances, s.seed), trials=s.trials)
+    # as for chain, the output directory is made only once the campaign is done
+    out = _Output(args, cfg)
     report.write_jsonl(out.dir / "campaign.jsonl")
     summary = report.summary()
     out.summary(summary)
@@ -612,6 +612,11 @@ def main(argv=None) -> int:
         return command(args, *_settings(args, table))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        # a count within int64 can still ask for more memory than there is;
+        # every verb allocates its arrays before it makes the output directory
+        print(f"error: the run's arrays do not fit in memory: {err}", file=sys.stderr)
         return 2
 
 

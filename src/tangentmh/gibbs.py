@@ -12,9 +12,12 @@ one.  So an MH block step costs one full evaluation of the parent,
 whatever the block size, and a chain pays one more at its first MH step.
 On the logistic targets of the benchmark and the hierarchical demo
 (400-1000 rows, 10 coefficients) a step's time is mostly that
-evaluation.  The hierarchical demo steps each group's coefficients as
-one block (``HbConfig``), measured on non-acceptance seeds; the
-``benchmark`` verb keeps blocks of 5, which are not a measured optimum.
+evaluation.  No CLI verb runs this module: the hierarchical demo steps
+each group's coefficients as one block (``HbConfig``), and the
+``benchmark`` verb steps all coefficients as one block through
+``run_chain``, both chosen on non-acceptance seeds.  It stays for
+perfbench's W2, which steps blocks of 5 (not a measured optimum), and
+for ``run_benchmark``'s ``block_size``, which only perfbench passes.
 """
 
 from __future__ import annotations

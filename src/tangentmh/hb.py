@@ -83,6 +83,9 @@ class HbModelSpec:
         upper = np.asarray(self.upper_design, dtype=float)
         if len(designs) != len(responses) or len(designs) < 1:
             raise ValueError("need matching designs and responses, one per group")
+        for j, X in enumerate(designs):
+            if X.ndim != 2:
+                raise ValueError(f"designs must be matrices: group {j}'s design has shape {X.shape}")
         k = designs[0].shape[1]
         for j, (X, y) in enumerate(zip(designs, responses)):
             if X.shape[1] != k:
@@ -91,7 +94,7 @@ class HbModelSpec:
                 raise ValueError("responses must be binary, one per design row")
             if not np.isfinite(X).all():
                 raise ValueError(f"designs must be finite: group {j}'s design has a non-finite entry")
-        if upper.shape[0] != len(designs) or upper.ndim != 2:
+        if upper.ndim != 2 or upper.shape[0] != len(designs):
             raise ValueError("upper design needs one row per group")
         if upper.shape[1] < 1:
             raise ValueError("upper design needs at least one column")

@@ -729,15 +729,15 @@ class LinearProjectionTarget(DifferentiableTarget):
         return self._offsets[-1]
 
     def projections(self, beta: np.ndarray) -> np.ndarray:
-        """The N x J matrix of per-observation linear projections."""
-        beta = np.asarray(beta, dtype=float)
+        """The N x J matrix of per-observation linear projections; a
+        ``beta`` of any length but ``dim`` raises ``ValueError``."""
+        beta = self._check_point(beta)
         offs = self._offsets
         return np.column_stack([X @ beta[offs[j] : offs[j + 1]] for j, X in enumerate(self.designs)])
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
-        beta = self._check_point(x)
         designs, offs = self.designs, self._offsets
-        U = self.projections(beta)
+        U = self.projections(x)
         values, grads, hessians = self.base.evaluate(U, gradient=gradient, hessian=hessian)
         value = float(np.sum(values))
         grad = None

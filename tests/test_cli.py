@@ -393,6 +393,17 @@ class TestTheoremBadInput:
     def test_rejected_before_output(self, tmp_path, capsys, key, value):
         assert key in assert_rejected("theorem", tmp_path, capsys, f"{key} = {value}\n")
 
+    def test_failed_campaign_makes_no_output_directory(self, tmp_path, capsys, monkeypatch):
+        # the directory used to be made before the campaign ran
+        import tangentmh.cli as cli
+
+        def fail(*args, **kwargs):
+            raise MemoryError("campaign too large")
+
+        monkeypatch.setattr(cli, "run_campaign", fail)
+        err = assert_rejected("theorem", tmp_path, capsys, "", ("--seed", "7", "--quick"))
+        assert "campaign too large" in err
+
 
 class TestMixingScanBadInput:
     @pytest.mark.parametrize("key", ["obs", "n_list"])
@@ -421,6 +432,15 @@ def test_count_past_int64_is_refused(verb, config_text, tmp_path, capsys):
     assert f"{key} must be an integer >= " in err and "<= 9223372036854775807" in err
 
 
+# a count within int64 whose arrays cannot be allocated (7-71 PiB here)
+# ended in numpy's _ArrayMemoryError traceback with exit 1; no --quick, which
+# would replace chain's n_samples and hb's group_size
+@pytest.mark.parametrize("verb, key", [("benchmark", "n_obs"), ("chain", "n_samples"), ("hb", "group_size")])
+def test_count_too_large_to_allocate_is_refused(verb, key, tmp_path, capsys):
+    err = assert_rejected(verb, tmp_path, capsys, f"{key} = {10**15}\n", ("--seed", "7"))
+    assert "do not fit in memory" in err
+
+
 def test_count_at_int64_max_is_accepted(tmp_path):
     # the bound itself is a count; the scan's chains start at the mode
     cfg = tmp_path / "c.cfg"
@@ -431,11 +451,13 @@ def test_count_at_int64_max_is_accepted(tmp_path):
 
 
 class TestBenchmarkBadInput:
+    # block_size is no benchmark key: the tangent chains step all coefficients as one block
     @pytest.mark.parametrize(
         "key, value", [("n_runs", 0), ("n_samples", 5), ("block_size", 0), ("n_obs", 3)]
     )
     def test_rejected_before_output(self, tmp_path, capsys, key, value):
-        assert key in assert_rejected("benchmark", tmp_path, capsys, f"{key} = {value}\n")
+        err = assert_rejected("benchmark", tmp_path, capsys, f"{key} = {value}\n")
+        assert (f"unknown key {key!r}" if key == "block_size" else f"{key} must be") in err
 
     def test_bad_slice_widths(self, tmp_path, capsys):
         assert "widths" in assert_rejected("benchmark", tmp_path, capsys, "widths = 0.5, 0.0\n")
@@ -444,12 +466,11 @@ class TestBenchmarkBadInput:
         # used to run as width 1
         assert "widths" in assert_rejected("benchmark", tmp_path, capsys, "widths = true\n")
 
-    @pytest.mark.parametrize("block_size", [5, 10])
-    def test_separable_data_reported_before_output(self, tmp_path, capsys, block_size):
+    def test_separable_data_reported_before_output(self, tmp_path, capsys):
         # one row per coefficient: the simulated data separate, the posterior
         # has no mode, and the Newton burn-in meets a Hessian that is not
-        # negative definite; a 10-dim block's point still prints on one line
-        config = f"n_obs = 10\nn_coeffs = 10\nblock_size = {block_size}\n"
+        # negative definite; the 10-entry point still prints on one line
+        config = "n_obs = 10\nn_coeffs = 10\n"
         err = assert_rejected("benchmark", tmp_path, capsys, config, ("--seed", "7", "--quick"))
         assert "Hessian not negative definite" in err
 
@@ -472,9 +493,9 @@ PINNED_SHA256 = {
         "summary.json": "3c2dad6e2fad9e64fc96d6e0f285b43afa61cf8be5814c8e85e179ff03a70899",
     },
     "benchmark": {
-        "runs.csv": "03112c9d3b353cb59b51aa755b98853896216e9ebd7eba557bf020c6b372670e",
-        "summary.json": "33c66c306c887df3b28f1b67fc3e64f19f9526a15107777c9f554f1bf38744e5",
-        "table.csv": "705977aa938b90e4493c89eea158f93b97b3d915545ab0bc7097e0aa8480f4e6",
+        "runs.csv": "bcb93516ddd9c3f58a7d4828d3cdfe1e0ea83a9cf30da132c967e4851629027d",
+        "summary.json": "43eac514127c23791e707cf44851578a6d63fdd94e42bdb780e2d0c1c95d87ff",
+        "table.csv": "a06e5405bee9a01acf11febe5e42401d4dd01a1aec4eacea4bb5f0bba99432e7",
     },
     "hb": {
         "coefficients.csv": "d0a0f8b6c98cf1b4accadcc45e70c76c2cb9912fce389ed9cf9b55e6be758cd5",

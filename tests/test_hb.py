@@ -55,6 +55,17 @@ class TestSpec:
         with pytest.raises(ValueError):
             HbModelSpec([np.zeros((2, 1))], [np.zeros(2)], np.ones((1, 0)))
 
+    @pytest.mark.parametrize("upper", [1.0, np.ones(1)], ids=["scalar", "1-D"])
+    def test_rejects_upper_design_that_is_no_matrix(self, upper):
+        # a scalar used to raise IndexError
+        with pytest.raises(ValueError, match="upper design needs one row per group"):
+            HbModelSpec([np.zeros((2, 1))], [np.zeros(2)], upper)
+
+    def test_rejects_group_design_that_is_no_matrix(self):
+        # used to raise IndexError
+        with pytest.raises(ValueError, match=r"group 1's design has shape \(2,\)"):
+            HbModelSpec([np.zeros((2, 1)), np.zeros(2)], [np.zeros(2)] * 2, np.ones((2, 1)))
+
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             HbModelSpec([np.zeros((2, 1))], [np.array([0.0, 2.0])], np.ones((1, 1)))

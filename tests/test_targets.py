@@ -960,6 +960,15 @@ class TestLinearProjection:
             with pytest.raises(ValueError, match="one row per observation"):
                 LinearProjectionTarget(base, [X])
 
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_projections_refuse_a_point_of_another_length(self, length):
+        # a longer vector's tail used to be dropped without a word
+        base = BernoulliBase([0.0, 1.0, 1.0])
+        t = LinearProjectionTarget(base, [np.ones((3, 2))])
+        with pytest.raises(ValueError, match=f"point has length {length}, expected 2"):
+            t.projections(np.ones(length))
+        np.testing.assert_array_equal(t.projections([1.0, 2.0]), np.full((3, 1), 3.0))
+
     def test_identity_design_quadratic_base_is_standard_gaussian(self):
         n = 4
         base = ConcaveQuadraticBase(np.ones((n, 1, 1)), np.zeros((n, 1)))
