@@ -8,9 +8,9 @@ Hessian only semi-definite.  This module makes the claim executable: each
 instance assembles the Hessian two independent ways, verifies the
 observation-wise decomposition of the quadratic form, and then either
 factors the negated Hessian (certificate) or produces an explicit flat
-direction from the design null spaces (witness).  ``build_target`` makes
-each instance's ``LinearProjectionTarget(base, designs)``, whose design
-ranks decide which of the two is expected.
+direction from the design null spaces (witness).  Those null spaces alone
+decide rank: a singular value at or below ``RANK_RTOL`` times a design's
+largest counts as zero, so full column rank is an empty null space.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from scipy.linalg import null_space
 
 from .fdiff import fd_hessian_of_value
 from .linalg import NotPositiveDefinite, cholesky
-from .targets import (
-    RANK_RTOL,
-    BernoulliBase,
-    ConcaveQuadraticBase,
-    LinearProjectionTarget,
-)
+from .targets import BernoulliBase, ConcaveQuadraticBase, LinearProjectionTarget
 
 __all__ = [
     "ConcavityInstance",
@@ -40,6 +35,7 @@ __all__ = [
     "random_instances",
 ]
 
+RANK_RTOL = 1e-10
 HESSIAN_FD_RTOL = 1e-4
 WITNESS_RTOL = 1e-8
 IDENTITY_TOL = 1e-10
@@ -164,11 +160,11 @@ class CampaignReport:
 
 def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     """Exercise one instance: Hessian cross-check, decomposition identity,
-    then certificate or witness according to the design ranks.
+    then certificate or witness according to the design null spaces.
 
-    With every design of full column rank the negated Hessian is factored
-    outright (certificate).  Otherwise the witness stacks one null-space
-    vector per rank-deficient design (zeros on the full-rank blocks), which
+    With every null space empty the negated Hessian is factored outright
+    (certificate).  Otherwise the witness stacks one null-space vector per
+    rank-deficient design (zeros on the full-rank blocks), which
     annihilates every per-observation term of the quadratic form: a single
     full-rank design does NOT rescue definiteness, because directions
     supported on the deficient blocks alone stay exactly flat.  Each of the
@@ -197,7 +193,8 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     expected = "certificate" if inst.expects_certificate else "witness"
     witness_rel = float("nan")
     detail = ""
-    if target.all_full_rank:
+    null_spaces = [null_space(X, rcond=RANK_RTOL) for X in target.designs]
+    if not any(N.size for N in null_spaces):
         try:
             cholesky(-H)
         except NotPositiveDefinite as err:
@@ -208,10 +205,7 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     else:
         outcome = "witness"
         if not inst.expects_certificate:
-            w = np.concatenate([
-                np.zeros(X.shape[1]) if full else null_space(X, rcond=RANK_RTOL)[:, 0]
-                for X, full in zip(target.designs, target.full_rank_flags)
-            ])
+            w = np.concatenate([N[:, 0] if N.size else np.zeros(len(N)) for N in null_spaces])
             witness_rel = abs(float(w @ H @ w)) / max(h_norm * float(w @ w), 1e-300)
 
     if inst.expects_certificate:

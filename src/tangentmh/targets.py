@@ -14,8 +14,7 @@ one twice.
 Counters are returned per call, never accumulated in shared state.  A
 ``LogisticTarget`` keeps ``1 - y`` with its responses.
 ``LinearProjectionTarget(base, designs)`` composes a per-observation
-``BaseFamily`` with one design matrix per argument, and holds the
-designs' column ranks for the concavity campaigns.  An evaluation
+base family with one finite design matrix per argument.  An evaluation
 writes only the arrays it creates, never one a target holds.
 """
 
@@ -29,7 +28,6 @@ from operator import add
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.special import expit
 
 from .linalg import SymMatrix, cholesky
@@ -45,14 +43,11 @@ __all__ = [
     "replicated_poisson_target",
     "GaussianPriorTarget",
     "AdditiveTarget",
-    "BaseFamily",
     "BernoulliBase",
     "ConcaveQuadraticBase",
     "LinearProjectionTarget",
-    "column_rank",
 ]
 
-RANK_RTOL = 1e-10
 _FLOAT = np.dtype(float)
 
 
@@ -478,19 +473,21 @@ def poisson_lograte_target(y) -> PoissonLogRateTarget:
 
 def replicated_poisson_target(obs: int, n_copies: int) -> PoissonLogRateTarget:
     """Poisson target whose data is one count value repeated ``n_copies`` times."""
-    return PoissonLogRateTarget(np.full(n_copies, obs, dtype=int))
+    return PoissonLogRateTarget(np.full(n_copies, obs))
 
 
 class GaussianPriorTarget(DifferentiableTarget):
     """Gaussian log-density ``-(1/2)(x - m)^T P (x - m)`` in precision form.
 
-    The normalizing constant is dropped.  The mean must be finite; the
-    precision is validated as a ``SymMatrix`` and checked to be positive
-    definite at construction.
+    The normalizing constant is dropped.  The mean must be a finite scalar
+    or 1-D array; the precision is validated as a ``SymMatrix`` and checked
+    to be positive definite at construction.
     """
 
     def __init__(self, mean, precision):
         self._mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        if self._mean.ndim != 1:
+            raise ValueError(f"mean must be a scalar or a 1-D array, got shape {self._mean.shape}")
         if not np.isfinite(self._mean).all():
             raise ValueError("mean must be finite")
         prec = precision if isinstance(precision, SymMatrix) else SymMatrix(precision)
@@ -600,31 +597,13 @@ class AdditiveTarget(DifferentiableTarget):
         return line, reduce(add, values), reduce(add, costs)
 
 
-class BaseFamily(ABC):
-    """Per-observation density family f^i(u_1, ..., u_J) of scalar arguments."""
-
-    @property
-    @abstractmethod
-    def n_args(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def n_obs(self) -> int: ...
-
-    @abstractmethod
-    def evaluate(self, U: np.ndarray, *, gradient: bool = False, hessian: bool = False):
-        """Evaluate all observations at the N x J argument matrix ``U``.
-
-        Returns ``(values, grads, hessians)`` with shapes (N,), (N, J) and
-        (N, J, J); the derivative slots are None unless requested.
-        """
-
-
-class BernoulliBase(BaseFamily):
-    """Bernoulli-logit observations as a single-argument base family."""
+class BernoulliBase:
+    """Bernoulli-logit observations (a 1-D array of 0s and 1s), one argument."""
 
     def __init__(self, y):
         y = np.asarray(y, dtype=float)
+        if y.ndim != 1:
+            raise ValueError(f"responses must be a 1-D array, got shape {y.shape}")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("responses must be 0 or 1")
         self._y = y
@@ -651,7 +630,7 @@ class BernoulliBase(BaseFamily):
         return values, grads, hessians
 
 
-class ConcaveQuadraticBase(BaseFamily):
+class ConcaveQuadraticBase:
     """Strictly concave quadratics f^i(u) = -(1/2)(u - c_i)^T A_i (u - c_i)."""
 
     def __init__(self, quad, centers):
@@ -661,6 +640,8 @@ class ConcaveQuadraticBase(BaseFamily):
             raise ValueError("quad must be N x J x J")
         if centers.shape != quad.shape[:2]:
             raise ValueError("centers must be N x J")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must be finite")
         # values read the full A_i and Hessians its lower triangle: they agree
         # only for an exactly symmetric A_i
         if not np.array_equal(quad, quad.transpose(0, 2, 1), equal_nan=True):
@@ -687,40 +668,25 @@ class ConcaveQuadraticBase(BaseFamily):
         return values, grads, hessians
 
 
-def column_rank(X: np.ndarray) -> int:
-    """Numerical column rank via column-pivoted QR.
-
-    A diagonal entry of R counts toward the rank when its magnitude exceeds
-    ``RANK_RTOL`` times the spectral norm of X.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
-        return 0
-    _, R, _ = qr(X, mode="economic", pivoting=True)
-    tol = RANK_RTOL * np.linalg.norm(X, 2)
-    return int(np.sum(np.abs(np.diag(R)) > tol))
-
-
 class LinearProjectionTarget(DifferentiableTarget):
     """Composed log-density ``sum_i f^i(<x_1^i, b_1>, ..., <x_J^i, b_J>)``
-    of a base family and one design matrix per argument, over the stacked
-    coefficient vector ``(b_1, ..., b_J)``, assembling block gradients and
-    Hessians by the chain rule.  Column ranks of the designs are computed at
-    construction; ``all_full_rank`` is the hypothesis under which the
-    composed Hessian stays negative definite."""
+    of a base family and one finite design matrix per argument, over the
+    stacked coefficient vector ``(b_1, ..., b_J)``, assembling block
+    gradients and Hessians by the chain rule.  The base's ``evaluate(U,
+    gradient=, hessian=)`` maps the N x J projections to per-observation
+    values, gradients and Hessians of shapes (N,), (N, J) and (N, J, J)."""
 
-    def __init__(self, base: BaseFamily, designs):
+    def __init__(self, base, designs):
         designs = tuple(np.asarray(X, dtype=float) for X in designs)
         if len(designs) != base.n_args:
             raise ValueError("need one design per base-family argument")
         for X in designs:
             if X.ndim != 2 or X.shape[0] != base.n_obs:
                 raise ValueError("each design needs one row per observation")
+            if not np.all(np.isfinite(X)):
+                raise ValueError("design entries must be finite")
         self.base = base
         self.designs = designs
-        self.ranks = tuple(column_rank(X) for X in designs)
-        self.full_rank_flags = tuple(r == X.shape[1] for r, X in zip(self.ranks, designs))
-        self.all_full_rank = all(self.full_rank_flags)
         # block j of the stacked coefficients is offsets[j]:offsets[j + 1]
         self._offsets = list(accumulate((X.shape[1] for X in designs), initial=0))
 

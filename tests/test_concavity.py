@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
+import tangentmh.concavity as concavity
 from tangentmh.concavity import (
+    RANK_RTOL,
     ConcavityInstance,
     build_target,
     random_instances,
@@ -33,11 +36,30 @@ class TestInstance:
         rng = np.random.default_rng(0)
         inst = ConcavityInstance(2, (4, 3), 15, "quadratic", (2, 0), 7)
         t = build_target(inst, rng)
-        assert t.ranks == (2, 3)
-        assert t.full_rank_flags == (False, True)
+        assert [null_space(X, rcond=RANK_RTOL).shape[1] for X in t.designs] == [2, 0]
 
 
 class TestRunInstance:
+    @pytest.mark.parametrize("scale, outcome", [(1e-13, "witness"), (1e-6, "certificate")])
+    def test_rank_verdict_at_its_tolerance(self, monkeypatch, scale, outcome):
+        # the last column is a combination of the others, moved off it by
+        # `scale` times the design's norm; the pivot rule may refuse a
+        # factor this close to singular, so the factorization is stubbed
+        # out and the outcome reads the null-space verdict alone
+        plain = concavity._design
+
+        def perturbed(n_obs, k, deficiency, rng):
+            X = plain(n_obs, k, deficiency, rng)
+            u = np.random.default_rng(5).standard_normal(n_obs)
+            X[:, -1] += scale * np.linalg.norm(X, 2) * u / np.linalg.norm(u)
+            return X
+
+        monkeypatch.setattr(concavity, "_design", perturbed)
+        monkeypatch.setattr(concavity, "cholesky", lambda a: None)
+        rec = run_instance(ConcavityInstance(1, (3,), 12, "quadratic", (1,), 4))
+        assert rec.outcome == outcome
+        assert rec.ok == (outcome == "witness")
+
     def test_identity_design_unit_quadratic(self):
         # X = I with unit concave quadratic base: H = -I, certificate
         inst = ConcavityInstance(1, (4,), 4, "quadratic", (0,), 3)

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from functools import reduce
@@ -22,7 +23,6 @@ from tangentmh.targets import (
     LinearProjectionTarget,
     LogisticTarget,
     PoissonLogRateTarget,
-    column_rank,
     poisson_lograte_target,
     replicated_poisson_target,
 )
@@ -262,6 +262,12 @@ class TestPoissonLogRate:
         assert t.mode() == 0.0
         assert t.evaluate([0.0], hessian=True).hessian[0, 0] == pytest.approx(-7.0)
 
+    def test_replicated_fractional_count_refused(self):
+        # an integer cast used to truncate 2.5 to counts [2, 2, 2]
+        with pytest.raises(ValueError, match="non-negative integers"):
+            replicated_poisson_target(2.5, 3)
+        assert replicated_poisson_target(2, 3).total_count == 6.0
+
     def test_all_zero_counts_mode_rejected(self):
         t = poisson_lograte_target([0, 0])
         assert np.isfinite(t.evaluate([0.0]).value)
@@ -353,6 +359,13 @@ class TestGaussianPrior:
         # used to evaluate to a NaN or infinite value and gradient
         with pytest.raises(ValueError, match="mean must be finite"):
             GaussianPriorTarget([bad, 0.0], np.eye(2))
+
+    def test_mean_of_two_dimensions_refused(self):
+        # a (2, 1) mean built a dim-2 target whose evaluate raised TypeError
+        with pytest.raises(ValueError, match=r"mean must be a scalar or a 1-D array, got shape \(2, 1\)"):
+            GaussianPriorTarget([[0.0], [0.0]], np.eye(2))
+        t = GaussianPriorTarget(0.5, np.array([[4.0]]))
+        assert t.dim == 1 and t.evaluate([1.5]).value == pytest.approx(-2.0)
 
     def test_indefinite_precision_rejected_at_construction(self):
         with pytest.raises(NotPositiveDefinite):
@@ -948,6 +961,27 @@ class TestLinearProjection:
         with pytest.raises(ValueError, match="symmetric"):
             ConcaveQuadraticBase(np.array([[[1.0, 5.0], [0.0, 1.0]]]), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("y", [[[0.0], [1.0], [1.0]], 1.0])
+    def test_bernoulli_base_refuses_responses_that_are_not_1d(self, y):
+        # a column vector used to evaluate to a wrong value with a (1, 3)
+        # gradient, and a scalar to raise IndexError from n_obs
+        shape = np.shape(y)
+        with pytest.raises(ValueError, match=re.escape(f"responses must be a 1-D array, got shape {shape}")):
+            BernoulliBase(y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_quadratic_base_refuses_non_finite_centers(self, bad):
+        # a NaN center used to make every value NaN
+        with pytest.raises(ValueError, match="centers must be finite"):
+            ConcaveQuadraticBase(np.ones((2, 1, 1)), np.array([[0.0], [bad]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_a_non_finite_design_entry(self, bad):
+        X = np.ones((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="design entries must be finite"):
+            LinearProjectionTarget(BernoulliBase([0.0, 1.0, 1.0]), [X])
+
     def test_refuses_a_design_count_other_than_the_base_arguments(self):
         base = ConcaveQuadraticBase(np.ones((4, 2, 2)) + np.eye(2), np.zeros((4, 2)))
         for designs in ([np.eye(4)], [np.eye(4)] * 3):
@@ -1005,13 +1039,6 @@ class TestLinearProjection:
         H_fd = fd_hessian_of_value(lambda v: t.evaluate(v).value, x)
         assert np.linalg.norm(H - H_fd, "fro") / np.linalg.norm(H, "fro") < 1e-5
 
-    def test_column_rank(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((10, 4))
-        assert column_rank(X) == 4
-        X_def = np.hstack([X[:, :3], X[:, :1] * 2.0])
-        assert column_rank(X_def) == 3
-
     def test_mixed_rank_hessian_has_no_cholesky_factor(self):
         # one full-rank design does not rescue definiteness: directions
         # supported on the deficient block alone stay exactly flat
@@ -1024,7 +1051,6 @@ class TestLinearProjection:
         quad = np.einsum("ijk,ilk->ijl", raw, raw) + 0.1 * np.eye(2)
         base = ConcaveQuadraticBase(quad, rng.standard_normal((n, 2)))
         t = LinearProjectionTarget(base, [X1, X2])
-        assert t.full_rank_flags == (True, False)
         H = t.evaluate(rng.standard_normal(5), hessian=True).hessian
         with pytest.raises(NotPositiveDefinite):
             cholesky(-H)
