@@ -10,7 +10,10 @@ observation-wise decomposition of the quadratic form, and then either
 factors the negated Hessian (certificate) or produces an explicit flat
 direction from the design null spaces (witness).  Those null spaces alone
 decide rank: a singular value at or below ``RANK_RTOL`` times a design's
-largest counts as zero, so full column rank is an empty null space.
+largest counts as zero, so full column rank is an empty null space.  A
+singular-value ratio between ``RANK_RTOL`` and about 1e-6 passes that
+rule, but ``cholesky``'s pivot rule can refuse the Hessian: the record
+then fails, naming the pivot.  ``random_instances`` draws no such design.
 """
 
 from __future__ import annotations
@@ -163,14 +166,15 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     then certificate or witness according to the design null spaces.
 
     With every null space empty the negated Hessian is factored outright
-    (certificate).  Otherwise the witness stacks one null-space vector per
-    rank-deficient design (zeros on the full-rank blocks), which
-    annihilates every per-observation term of the quadratic form: a single
-    full-rank design does NOT rescue definiteness, because directions
-    supported on the deficient blocks alone stay exactly flat.  Each of the
-    ``trials`` random directions p checks that p^T H p matches its
-    observation-wise decomposition sum_i q_i^T H_i q_i, where q_i are the
-    per-observation projections of p.
+    (certificate; a failed factorization is one more failed check).
+    Otherwise the witness stacks one null-space vector per rank-deficient
+    design (zeros on the full-rank blocks), which annihilates every
+    per-observation term of the quadratic form: a single full-rank design
+    does NOT rescue definiteness, because directions supported on the
+    deficient blocks alone stay exactly flat.  Each of the ``trials``
+    random directions p checks that p^T H p matches its observation-wise
+    decomposition sum_i q_i^T H_i q_i, where q_i are the per-observation
+    projections of p.
     """
     rng = np.random.default_rng(inst.seed)
     target = build_target(inst, rng)
@@ -193,15 +197,14 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     expected = "certificate" if inst.expects_certificate else "witness"
     witness_rel = float("nan")
     detail = ""
+    failed_pivot = None
     null_spaces = [null_space(X, rcond=RANK_RTOL) for X in target.designs]
     if not any(N.size for N in null_spaces):
+        outcome = "certificate"
         try:
             cholesky(-H)
         except NotPositiveDefinite as err:
-            nan = float("nan")
-            return InstanceRecord(inst, "witness", expected, False, fd_err, nan, nan,
-                                  f"certificate factorization failed at pivot {err.pivot}")
-        outcome = "certificate"
+            failed_pivot = err.pivot
     else:
         outcome = "witness"
         if not inst.expects_certificate:
@@ -216,6 +219,8 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
         ok = witness_rel <= WITNESS_RTOL  # nan when the designs certified
         if not ok:
             detail = f"witness quadratic form too large: {witness_rel:.3e}"
+    if failed_pivot is not None:
+        ok, detail = False, f"certificate factorization failed at pivot {failed_pivot}"
     if fd_err >= HESSIAN_FD_RTOL:
         ok = False
         detail = f"Hessian finite-difference mismatch: {fd_err:.3e}"

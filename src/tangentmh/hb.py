@@ -16,7 +16,8 @@ target evaluated in ``(J, N, K)`` form.  The likelihood does not depend
 on gamma and tau, so its value, gradient and Hessian at a cycle's final
 beta are carried to the next, and an MH cycle evaluates the likelihood
 only at the proposals.  The tangent fit itself is not carried: the next
-cycle's priors move with gamma and tau, so it is refitted every cycle.
+cycle's priors move with gamma and tau, so each cycle adds them to the
+carried terms and fits its current points once, for either move.
 The slice baseline takes one ``slice_sweep`` per group in turn on the
 ``AdditiveTarget`` of its ``LogisticTarget`` and diagonal
 ``GaussianPriorTarget``.  The group conditionals are log-concave by
@@ -35,7 +36,7 @@ from scipy.special import expit
 
 from .linalg import NotPositiveDefinite, _cholesky_lowers, _inv_kernel
 from .slicer import SliceConfig, slice_sweep
-from .tangent import build_proposal, tangent_step
+from .tangent import _StackedProposal, tangent_step
 from .targets import (AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, GaussianPriorTarget,
                       LogisticTarget, _built, _row_losses)
 from .trace import ChainConfig, run_sweeps
@@ -191,23 +192,14 @@ class _GroupConditionals(DifferentiableTarget):
     """The J groups' conditionals as one stacked target (see
     ``tangent_step``) on their ``(J, K)`` coefficients: each a logistic
     likelihood plus a diagonal Gaussian prior, means ``mean`` (J, K) and
-    shared precisions ``tau`` (K,).  With ``d = x - mean`` the prior adds
-    ``-0.5 d . tau d`` to the value and ``-tau d`` to the gradient, and
-    ``tau`` is subtracted on a copy of the likelihood Hessian's diagonal
-    (the off-diagonal ``-0.0`` would change no bit).  The prior counts J
-    evaluations of each requested kind, the likelihood J more.
+    shared precisions ``tau`` (K,).  ``evaluate`` holds the likelihood's
+    terms at ``x`` as ``last`` and adds the priors, counting 2J of each
+    requested kind."""
 
-    ``known`` is the likelihood's value, gradient and Hessian at the stack
-    ``at``, or None.  An evaluation at that very array reuses them,
-    counting the prior's alone; one there that computes all three sets
-    ``known``.  ``last`` holds the three at the last stack evaluated."""
-
-    def __init__(self, groups: _StackedGroups, mean: np.ndarray, tau: np.ndarray, at: np.ndarray, known):
+    def __init__(self, groups: _StackedGroups, mean: np.ndarray, tau: np.ndarray):
         self._groups = groups
         self._mean = mean
         self._tau = tau
-        self._at = at
-        self.known = known
         self.last = None
 
     @property
@@ -215,15 +207,16 @@ class _GroupConditionals(DifferentiableTarget):
         return self._tau.shape[0]
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
-        n_groups = n_evals = x.shape[0]
-        if x is self._at and self.known is not None:
-            values, grads, hessians = self.known
-        else:
-            values, grads, hessians = self._groups.likelihood(x, gradient, hessian)
-            n_evals += n_groups
-            if x is self._at and gradient and hessian:
-                self.known = (values, grads, hessians)
-        self.last = (values, grads, hessians)
+        self.last = self._groups.likelihood(x, gradient, hessian)
+        return self.add_priors(x, self.last, gradient, hessian, 2 * x.shape[0])
+
+    def add_priors(self, x, likelihood: tuple, gradient: bool, hessian: bool, n_evals: int) -> EvalResult:
+        """The conditionals at ``x`` from the likelihood's value, gradient
+        and Hessian there, counting ``n_evals`` of each requested kind.
+        With ``d = x - mean`` the prior adds ``-0.5 d . tau d`` to the value
+        and ``-tau d`` to the gradient; ``tau`` is subtracted on a copy of
+        the Hessian's diagonal (an off-diagonal ``-0.0`` changes no bit)."""
+        values, grads, hessians = likelihood
         d = x - self._mean
         pd = self._tau * d
         value = values + -0.5 * np.einsum("ij,ij->i", d, pd)
@@ -231,7 +224,7 @@ class _GroupConditionals(DifferentiableTarget):
         hess = None
         if hessian:
             hess = hessians.copy()
-            hess.reshape(n_groups, -1)[:, :: self.dim + 1] -= self._tau
+            hess.reshape(x.shape[0], -1)[:, :: self.dim + 1] -= self._tau
         return EvalResult(value, grad, hess, EvalCost(n_evals, n_evals * gradient, n_evals * hessian))
 
 
@@ -388,18 +381,19 @@ def hb_cycle(
     positive, which makes ``diag(tau)`` a valid prior precision; otherwise
     ``NotPositiveDefinite`` names the first bad coordinate.
 
-    On the tangent path beta takes one ``tangent_step`` on the ``(J, K)``
-    stack of the groups' coefficients, whose target is their stacked
-    conditionals, likelihood plus prior, passed as the one part of an
-    ``AdditiveTarget`` (``newton=True``: the Newton move, which draws
-    nothing).  The likelihood's value, gradient and Hessian at the current
-    point are evaluated only when the state carries none: after a Newton
-    move, and at a state built by hand or for another spec.  An MH cycle
-    from a carrying state therefore counts 3J of each kind: J for the
-    priors at the current points and 2J for the likelihoods and priors at
-    the proposals.  On the slice path (``newton`` ignored) each group takes
+    On the tangent path the likelihood's terms at the current beta come
+    from the state's carry, or from one evaluation when it carries none
+    (after a Newton move, at a state built by hand or for another spec);
+    the priors are added and the ``(J, K)`` stack is fitted there once.
+    The Newton move (``newton=True``, no draws) takes the fit's means; an
+    MH cycle passes the fit to one ``tangent_step`` on the groups' stacked
+    conditionals, the one part of an ``AdditiveTarget``.  An MH cycle from
+    a carrying state therefore counts 3J of each kind: J for the priors at
+    the current points and 2J for the likelihoods and priors at the
+    proposals.  On the slice path (``newton`` ignored) each group takes
     one ``slice_sweep`` on the ``AdditiveTarget`` of its ``LogisticTarget``
-    and its diagonal prior, built unfactored.
+    and its diagonal prior, built unfactored.  Either path steps a beta of
+    another dtype as its ``float64`` values.
 
     The checks run on whole arrays and build nothing when they pass: tau
     is checked as a Python list and the conjugate draws by one finiteness
@@ -408,36 +402,38 @@ def hb_cycle(
     for k, t in enumerate(state.tau.tolist()):
         if not (math.isfinite(t) and t > 0.0):
             raise NotPositiveDefinite(k, f"prior precision tau[{k}] = {state.tau[k]} is not finite and positive")
-    tau = state.tau
+    tau, current = state.tau, np.asarray(state.beta, dtype=float)
     prior_means = spec.upper_design @ state.gamma.T
     carry = None
     if cfg.beta_sampler == "slice":
         # tau is checked above, so diag(tau) needs no factoring
-        precision, beta, cost = np.diag(tau), np.empty_like(state.beta), EvalCost()
+        precision, beta, cost = np.diag(tau), np.empty_like(current), EvalCost()
         for j, likelihood in enumerate(spec._stacked.targets):
             prior = _built(GaussianPriorTarget, _mean=prior_means[j], _precision=precision, _diagonal=True)
             target = AdditiveTarget([likelihood, prior])
-            beta[j], _, used, _ = slice_sweep(target, state.beta[j], cfg.slice_cfg, rng)
+            beta[j], _, used, _ = slice_sweep(target, current[j], cfg.slice_cfg, rng)
             cost = cost + used
         n_accepted, failures = 1, 0
     else:
-        known = state._carry[1] if state._carry is not None and state._carry[0] is spec else None
-        target = _GroupConditionals(spec._stacked, prior_means, tau, state.beta, known)
-        # a one-part AdditiveTarget passes the result on bit for bit, and
-        # perfbench's tracer sees the evaluations of public target classes only
-        traced = AdditiveTarget([target])
+        J, carried = spec.n_groups, state._carry is not None and state._carry[0] is spec
+        held = state._carry[1] if carried else spec._stacked.likelihood(current, True, True)
+        target = _GroupConditionals(spec._stacked, prior_means, tau)
+        fit = _StackedProposal(current, target.add_priors(current, held, True, True, J if carried else 2 * J))
         if newton:
-            fit = build_proposal(traced, state.beta)
-            beta, n_accepted, cost, failures = fit.mean, spec.n_groups, fit.cost, 0
+            fit.raise_failure()
+            beta, n_accepted, cost, failures = fit.mean, J, fit.cost, 0
         else:
-            beta, record, _ = tangent_step(traced, state.beta, None, rng)
+            # a one-part AdditiveTarget passes the result on bit for bit, and
+            # perfbench's tracer sees the evaluations of public target classes only
+            beta, record, _ = tangent_step(AdditiveTarget([target]), current, fit, rng)
             accepted = record.accepted
             # each group's proposal where it accepted, its current point elsewhere
             carry = tuple(
                 np.where(accepted.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
-                for new, old in zip(target.last, target.known)
+                for new, old in zip(target.last, held)
             )
-            n_accepted, cost, failures = int(accepted.sum()), record.cost, int(record.hessian_failure.sum())
+            n_accepted, failures = int(accepted.sum()), int(record.hessian_failure.sum())
+            cost = fit.cost + record.cost
     gamma = draw_upper_coeffs(spec, beta, tau, rng)
     tau = draw_precisions(spec, beta, gamma, rng)
     if not (np.isfinite(gamma).all() and np.isfinite(tau).all()):

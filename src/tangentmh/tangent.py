@@ -242,14 +242,10 @@ def _stacked_tangent_step(target, x, cached, rng):
 
 
 def build_proposal(target: DifferentiableTarget, x) -> _Proposal | _ScalarProposal:
-    """Evaluate the target at ``x`` and fit its record there: the tangent
-    Gaussian (``mean`` the Newton step from ``x``, precision the negated
-    Hessian as its lower factor ``lower``, ``propose``, ``log_q``) with the
-    point's log-density ``value`` and evaluation ``cost``.
-
-    At a ``(J, m)`` stack of points (see ``tangent_step``) the record
-    holds one tangent Gaussian per group, and the first group that fails
-    raises.
+    """Evaluate the target at one point ``x`` and fit its record there:
+    the tangent Gaussian (``mean`` the Newton step from ``x``, precision the
+    negated Hessian as its lower factor ``lower``, ``propose``, ``log_q``)
+    with the point's log-density ``value`` and evaluation ``cost``.
 
     Raises
     ------
@@ -257,14 +253,14 @@ def build_proposal(target: DifferentiableTarget, x) -> _Proposal | _ScalarPropos
         If the negated Hessian at ``x`` has no Cholesky factor, i.e. the
         target is not verifiably log-concave there.
     ValueError
-        If the Newton step is not finite, e.g. at an infinite gradient.
+        If the Newton step is not finite, e.g. at an infinite gradient, or
+        if ``x`` is a stack of points (a target that refuses a stack raises
+        its own, from ``evaluate``).
     """
     x = _as_points(x)
     res = target.evaluate(x, gradient=True, hessian=True)
-    if x.ndim == 2:
-        fit = _StackedProposal(x, res)
-        fit.raise_failure()
-        return fit
+    if x.ndim != 1:
+        raise ValueError(f"build_proposal fits one point, got an array of shape {x.shape}")
     return _fit_proposal(x, res)
 
 
@@ -305,10 +301,11 @@ def tangent_step(
     group j accepts when its log ratio is >= 0 or its uniform is below
     ``exp`` of it.  A failure at a proposed point rejects and flags that
     group alone; one at a current point is fatal, as above.  A stacked
-    step takes a ``cached_old`` fitted by ``build_proposal`` but returns
-    None for ``fitted``: its one caller, the hierarchical model's Gibbs
-    cycle, moves each group's prior between steps and so refits every
-    cycle.
+    step takes as ``cached_old`` a ``_StackedProposal`` fitted at
+    ``x_old`` but returns None for ``fitted``: its one caller, the
+    hierarchical model's Gibbs cycle, moves each group's prior between
+    steps, so it fits its current points every cycle from the likelihood
+    it carries.
     """
     x_old = _as_points(x_old)
     if x_old.ndim == 2:

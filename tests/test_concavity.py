@@ -39,26 +39,45 @@ class TestInstance:
         assert [null_space(X, rcond=RANK_RTOL).shape[1] for X in t.designs] == [2, 0]
 
 
+def plant_near_singular(monkeypatch, scale):
+    """Make every design's last column a combination of the others, moved
+    off it by ``scale`` times the design's spectral norm."""
+    plain = concavity._design
+
+    def perturbed(n_obs, k, deficiency, rng):
+        X = plain(n_obs, k, deficiency, rng)
+        u = np.random.default_rng(5).standard_normal(n_obs)
+        X[:, -1] += scale * np.linalg.norm(X, 2) * u / np.linalg.norm(u)
+        return X
+
+    monkeypatch.setattr(concavity, "_design", perturbed)
+
+
 class TestRunInstance:
     @pytest.mark.parametrize("scale, outcome", [(1e-13, "witness"), (1e-6, "certificate")])
     def test_rank_verdict_at_its_tolerance(self, monkeypatch, scale, outcome):
-        # the last column is a combination of the others, moved off it by
-        # `scale` times the design's norm; the pivot rule may refuse a
-        # factor this close to singular, so the factorization is stubbed
-        # out and the outcome reads the null-space verdict alone
-        plain = concavity._design
-
-        def perturbed(n_obs, k, deficiency, rng):
-            X = plain(n_obs, k, deficiency, rng)
-            u = np.random.default_rng(5).standard_normal(n_obs)
-            X[:, -1] += scale * np.linalg.norm(X, 2) * u / np.linalg.norm(u)
-            return X
-
-        monkeypatch.setattr(concavity, "_design", perturbed)
+        # the pivot rule may refuse a factor this close to singular, so the
+        # factorization is stubbed out and the outcome reads the null-space
+        # verdict alone
+        plant_near_singular(monkeypatch, scale)
         monkeypatch.setattr(concavity, "cholesky", lambda a: None)
         rec = run_instance(ConcavityInstance(1, (3,), 12, "quadratic", (1,), 4))
         assert rec.outcome == outcome
         assert rec.ok == (outcome == "witness")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_failed_factorization_is_one_more_check(self, monkeypatch, seed):
+        # 1e-8 is inside the band that passes the rank rule but not the
+        # pivot rule: the outcome follows the null spaces, the record fails
+        # and names the pivot, and every other check still runs and records
+        # its residual
+        plant_near_singular(monkeypatch, 1e-8)
+        rec = run_instance(ConcavityInstance(1, (3,), 12, "quadratic", (1,), seed))
+        assert rec.outcome == "certificate" and not rec.ok
+        assert rec.detail == "certificate factorization failed at pivot 2"
+        assert 0.0 < rec.identity_max_err <= concavity.IDENTITY_TOL
+        assert rec.hessian_fd_rel_err < concavity.HESSIAN_FD_RTOL
+        assert np.isnan(rec.witness_quad_rel)
 
     def test_identity_design_unit_quadratic(self):
         # X = I with unit concave quadratic base: H = -I, certificate

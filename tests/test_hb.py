@@ -3,6 +3,7 @@ import pytest
 from scipy.special import expit
 
 import tangentmh.hb as hb
+import tangentmh.tangent as tangent
 import tangentmh.targets as targets
 from tangentmh.diagnostics import effective_size
 from tangentmh.hb import (
@@ -270,15 +271,22 @@ class TestGibbs:
             AdditiveTarget([LogisticTarget(np.eye(2), np.ones(2)), GaussianPriorTarget(np.zeros(2), np.eye(2))])
         return calls
 
-    def test_tangent_path_builds_no_group_target(self, small_instance, no_group_target):
+    def test_tangent_path_builds_no_group_target(self, small_instance, no_group_target, monkeypatch):
         # the target is the J groups' stacked conditionals, the one part of
         # an AdditiveTarget: no per-group target is built, restricted or
         # evaluated, and every evaluation is at the (J, K) stack
+        shapes = []
+        likelihood = hb._StackedGroups.likelihood
+        monkeypatch.setattr(hb._StackedGroups, "likelihood",
+                            lambda self, b, *args: shapes.append(b.shape) or likelihood(self, b, *args))
         spec, _ = small_instance
         trace = hb_gibbs(spec, HbConfig(n_burnin=4, n_samples=4, seed=9))
         assert trace.n_samples == 4
-        # 2 Newton cycles evaluate once, 6 MH cycles twice
-        assert no_group_target == [((4, 6), [hb._GroupConditionals])] * (2 + 2 * 6)
+        # each of the 6 MH cycles evaluates its proposals through the target
+        assert no_group_target == [((4, 6), [hb._GroupConditionals])] * 6
+        # the likelihood is evaluated there and at the current points of the
+        # 2 Newton cycles and the first MH cycle, which nothing carries into
+        assert shapes == [(4, 6)] * (2 + 1 + 6)
 
     def test_slice_path_is_one_slice_sweep_per_group(self, small_instance, monkeypatch):
         # each cycle calls slice_sweep, through hb's module global, once per
@@ -389,7 +397,7 @@ class TestStackedConditionals:
             beta = scale * rng.standard_normal((4, n_coeffs))
             prior_means = rng.standard_normal((4, n_coeffs))
             tau = rng.gamma(2.0, 1.0, size=n_coeffs)
-            got = hb._GroupConditionals(spec._stacked, prior_means, tau, beta, None).evaluate(
+            got = hb._GroupConditionals(spec._stacked, prior_means, tau).evaluate(
                 beta, gradient=True, hessian=True
             )
             assert got.cost == EvalCost(8, 8, 8)
@@ -414,12 +422,18 @@ class TestStackedConditionals:
             pd = tau * d
             prior_hessian = np.full((4, n_coeffs, n_coeffs), -0.0)
             prior_hessian[:, np.arange(n_coeffs), np.arange(n_coeffs)] = -tau
-            got = hb._GroupConditionals(spec._stacked, prior_means, tau, None, None).evaluate(
-                beta, gradient=True, hessian=True
-            )
-            assert got.value.tobytes() == (values + -0.5 * np.einsum("ij,ij->i", d, pd)).tobytes()
-            assert got.gradient.tobytes() == (grads + -pd).tobytes()
-            assert got.hessian.tobytes() == (hessians + prior_hessian).tobytes()
+            target = hb._GroupConditionals(spec._stacked, prior_means, tau)
+            got = target.evaluate(beta, gradient=True, hessian=True)
+            # the likelihood's terms are held as last, and the priors added to
+            # the terms held give the same bytes at the count asked for
+            for held, want in zip(target.last, (values, grads, hessians)):
+                assert held.tobytes() == want.tobytes()
+            added = target.add_priors(beta, target.last, True, True, 4)
+            assert got.cost == EvalCost(8, 8, 8) and added.cost == EvalCost(4, 4, 4)
+            for res in (got, added):
+                assert res.value.tobytes() == (values + -0.5 * np.einsum("ij,ij->i", d, pd)).tobytes()
+                assert res.gradient.tobytes() == (grads + -pd).tobytes()
+                assert res.hessian.tobytes() == (hessians + prior_hessian).tobytes()
 
 
 def cycle_cost(spec, cfg, state, newton=False):
@@ -531,14 +545,16 @@ class TestCarry:
     @pytest.mark.parametrize("rejected", [[], [0, 1, 2, 3], [1, 3], [0]])
     def test_carry_is_where_of_last_and_known_whatever_accepts(self, small_instance, monkeypatch, rejected):
         # every group accepting, none, and a mix: the carried arrays are
-        # np.where's choice between the proposals' and the current points'
-        # likelihood terms, byte for byte, and a fresh evaluation at beta
+        # np.where's choice between the proposals' likelihood terms and the
+        # ones the state carried in, byte for byte, and a fresh evaluation
+        # at beta
         spec, _ = small_instance
         J = spec.n_groups
         state = HbState(np.zeros((J, 6)), np.zeros((6, 2)), np.ones(6))
         rng = np.random.default_rng(9)
         for _ in range(3):
             state, *_ = hb_cycle(spec, HbConfig(), state, rng)
+        known = state._carry[1]
         steps = []
 
         def watched(target, x, cached, rng):
@@ -553,10 +569,50 @@ class TestCarry:
         assert (n_accepted, failures) == (J - len(rejected), len(rejected))
         assert type(n_accepted) is int and type(failures) is int
         want = [np.where(record.accepted.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
-                for a, b in zip(conditionals.last, conditionals.known)]
+                for a, b in zip(conditionals.last, known)]
         fresh = spec._stacked.likelihood(new.beta.copy(), True, True)
         for got, where, evaluated in zip(new._carry[1], want, fresh):
             assert got.tobytes() == where.tobytes() == evaluated.tobytes()
+
+    @pytest.mark.parametrize("dtype", [int, np.float32])
+    @pytest.mark.parametrize("sampler, newton, n_evals", [
+        ("tangent", False, 4), ("tangent", True, 2), ("slice", False, None),
+    ])
+    def test_beta_of_another_dtype_steps_as_float64(self, small_instance, dtype, sampler, newton, n_evals):
+        # a hand-built state whose beta is int or float32 takes the cycle of
+        # the float64 state of the same values, bit for bit and at the same
+        # cost: 4J evaluations of each kind for an MH cycle, 2J for a Newton
+        # one (the tangent MH cycle used to raise a TypeError, and the slice
+        # path to write its sweeps back into the state's dtype)
+        spec, _ = small_instance
+        J, cfg = spec.n_groups, HbConfig(beta_sampler=sampler)
+        beta = np.random.default_rng(6).integers(-2, 3, size=(J, 6)).astype(dtype)
+        if dtype is np.float32:
+            beta = beta + np.float32(0.375)
+        want = hb_cycle(spec, cfg, HbState(beta.astype(float), np.zeros((6, 2)), np.ones(6)),
+                        np.random.default_rng(5), newton=newton)
+        got = hb_cycle(spec, cfg, HbState(beta, np.zeros((6, 2)), np.ones(6)), np.random.default_rng(5), newton=newton)
+        for field in ("beta", "gamma", "tau"):
+            assert getattr(got[0], field).dtype == np.float64
+            assert getattr(got[0], field).tobytes() == getattr(want[0], field).tobytes()
+        assert got[1:] == want[1:]
+        if n_evals is not None:
+            assert got[2] == EvalCost(n_evals * J, n_evals * J, n_evals * J)
+
+    def test_samples_do_not_depend_on_point_identity(self, monkeypatch):
+        # the carry and the current points' fit are handed on, not found by
+        # the identity of the arrays the targets and the step convert: with
+        # every conversion a copy, the run keeps its samples and counters
+        spec, _ = simulate_hb(4, 5, 2, np.random.default_rng(3), group_size=120)
+        cfg = HbConfig(n_burnin=6, n_samples=10, seed=4)
+        want = hb_gibbs(spec, cfg)
+        copy = lambda x: np.array(x, dtype=float, ndmin=1)  # noqa: E731
+        for module in (targets, tangent):
+            monkeypatch.setattr(module, "_as_points", copy)
+        got = hb_gibbs(spec, cfg)
+        for field in ("beta", "gamma", "tau"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.meta == want.meta
 
     def test_one_block_samples_do_not_depend_on_the_carry(self, small_instance):
         # MH cycles from a state carrying the likelihood's fit and from the

@@ -533,7 +533,8 @@ class TestStackedStep:
         assert rec.cost == EvalCost(8, 8, 8)
         # a stacked step returns no fitted record, but takes one
         assert fitted is None
-        _, rec, fitted = tangent_step(target, x, build_proposal(target, x), rng)
+        fit = _StackedProposal(x, target.evaluate(x, gradient=True, hessian=True))
+        _, rec, fitted = tangent_step(target, x, fit, rng)
         assert rec.cost == EvalCost(4, 4, 4)
         assert fitted is None
 
@@ -582,7 +583,8 @@ class TestStackedStep:
         # the fit's factors and inverses are numpy's wrappers' bytes, group by group
         rng = np.random.default_rng(5)
         target = GaussianStack(6, 4, rng)
-        fit = build_proposal(target, rng.standard_normal((6, 4)))
+        x = rng.standard_normal((6, 4))
+        fit = _StackedProposal(x, target.evaluate(x, gradient=True, hessian=True))
         for precision, lower, inverse in zip(target.precision, fit.lower, fit.inverse):
             assert lower.tobytes() == np.linalg.cholesky(precision).tobytes()
             assert inverse.tobytes() == np.linalg.inv(lower).tobytes()
@@ -609,7 +611,7 @@ class TestStackedStep:
             assert np.array_equal(x_new[1:4], x[1:4])
             for j, (_, pivot) in bad.items():
                 with pytest.raises(HessianNotNegativeDefinite) as exc:
-                    build_proposal(GaussianStack(5, 3, rng, planted([j])), x)
+                    tangent_step(GaussianStack(5, 3, rng, planted([j])), x, None, rng)
                 assert exc.value.pivot == pivot
                 assert np.array_equal(exc.value.point, x[j])
 
@@ -648,6 +650,13 @@ class TestStackedStep:
                 fit.raise_failure()
             assert str(exc.value) == str(first)
 
+    @pytest.mark.parametrize("n_groups, dim", [(4, 3), (1, 1)])
+    def test_build_proposal_fits_one_point(self, n_groups, dim):
+        # a stack that its target evaluates is refused after the evaluation
+        target = GaussianStack(n_groups, dim, np.random.default_rng(10))
+        with pytest.raises(ValueError, match=rf"fits one point, got an array of shape \({n_groups}, {dim}\)"):
+            build_proposal(target, np.zeros((n_groups, dim)))
+
     def test_failure_at_current_point_is_fatal(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 2))
@@ -660,8 +669,12 @@ class TestStackedStep:
             tangent_step(target, x, None, rng)
         assert exc.value.pivot == 0
         assert np.array_equal(exc.value.point, x[1])
-        with pytest.raises(HessianNotNegativeDefinite):
-            build_proposal(target, x)
+        # also when the current points' fit is passed in
+        fit = _StackedProposal(x, target.evaluate(x, gradient=True, hessian=True))
+        with pytest.raises(HessianNotNegativeDefinite) as exc:
+            tangent_step(target, x, fit, rng)
+        assert exc.value.pivot == 0
+        assert np.array_equal(exc.value.point, x[1])
 
         def infinite_gradient(values, grads, hessians):
             grads[2, 1] = np.inf

@@ -9,8 +9,10 @@ Run from the repository root:
 The workloads are perfbench's, at its default seeds and sizes: W1
 (poisson-1d) is c04's Poisson count of 2 from log 2, tangent seed 42 and
 slice seed 41 with width 1; W2 (logistic-blocks) is c07's first
-replicate, tangent blocks of 5 and the slice width tuned as c07 tunes it;
-W3 (hb-groups) is c09's data with tangent seed 101 and slice seed 202.
+replicate, with the slice width tuned as c07 tunes it, and its tangent
+chain is perfbench's ``run_block_chain`` on blocks of 5, not the one-block
+``run_chain`` that ``run_benchmark`` and the ``benchmark`` verb run; W3
+(hb-groups) is c09's data with tangent seed 101 and slice seed 202.
 ``--tiny`` shrinks W2 to 200 rows and W3 to 3 groups of 4 coefficients
 and 40 rows, for a quick run.
 
