@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .benchmark import DEFAULT_WIDTHS, _NoEffectiveSamples, run_benchmark
-from .concavity import random_instances, run_campaign
+from .concavity import flat_direction, random_instances, run_campaign
 from .diagnostics import ModeFindingError, ess_per_dim, mixing_index
 from .hb import HbConfig, hb_gibbs, simulate_hb
 from .linalg import NotPositiveDefinite
@@ -116,28 +116,6 @@ def _fmt(v):
     return v
 
 
-def read_csv_checked(path, schema: str):
-    """Read one of our CSVs, refusing on schema mismatch."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first != f"# schema: {schema}":
-            raise ConfigError(f"{path}: schema mismatch: {first!r} != {schema!r}")
-        for line in fh:
-            if not line.startswith("#"):
-                rows = [next(csv.reader([line]))]
-                rows.extend(csv.reader(fh))
-                return rows
-        return []
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON serializable: {type(v)}")
-
-
 class _Output:
     """A run's output directory, bound to the verb, the config echo and the
     run hash that every file written there carries."""
@@ -162,9 +140,10 @@ class _Output:
             "content_hash": self.run_hash,
             **body,
         }
+        # encoded first: a value JSON cannot encode raises before the file opens
+        text = json.dumps(doc, indent=2, sort_keys=True)
         with open(self.dir / "summary.json", "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 # ------------------------------------------------------------- settings
@@ -258,7 +237,10 @@ def _check(key: str, spec: Key, value):
 
 
 def _build_target(s):
-    """The chain's target and the data files its run hash covers."""
+    """The chain's target and the data files its run hash covers.  A
+    logistic design without full column rank (``flat_direction``'s rule) is
+    refused: under the chain's flat prior the posterior is flat along the
+    direction the error names, and improper."""
     try:
         if s.target == "poisson":
             target = PoissonLogRateTarget(np.asarray(s.counts, dtype=int))
@@ -269,7 +251,13 @@ def _build_target(s):
         elif not s.data:
             raise ConfigError("logistic target needs 'data = <csv file>'")
         else:
-            target = LogisticTarget(*_load_logistic_csv(s.data))
+            X, y = _load_logistic_csv(s.data)
+            target = LogisticTarget(X, y)
+            flat = flat_direction([X])
+            if flat is not None:
+                direction = np.array2string(np.round(flat, 3) + 0.0, max_line_width=sys.maxsize)
+                raise ConfigError(f"{s.data}: the design is not of full column rank: the likelihood is "
+                                  f"flat along {direction}, so the posterior is improper")
     except (ValueError, NotPositiveDefinite) as err:
         raise ConfigError(f"target {s.target!r}: {err}") from err
     if s.target == "poisson" and target.total_count == 0:

@@ -10,7 +10,9 @@ observation-wise decomposition of the quadratic form, and then either
 factors the negated Hessian (certificate) or produces an explicit flat
 direction from the design null spaces (witness).  Those null spaces alone
 decide rank: a singular value at or below ``RANK_RTOL`` times a design's
-largest counts as zero, so full column rank is an empty null space.  A
+largest counts as zero, so full column rank is an empty null space
+(``flat_direction``, which the ``chain`` verb also applies to a logistic
+design before it runs).  A
 singular-value ratio between ``RANK_RTOL`` and about 1e-6 passes that
 rule, but ``cholesky``'s pivot rule can refuse the Hessian: the record
 then fails, naming the pivot.  ``random_instances`` draws no such design.
@@ -24,7 +26,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .fdiff import fd_hessian_of_value
 from .linalg import NotPositiveDefinite, cholesky
 from .targets import BernoulliBase, ConcaveQuadraticBase, LinearProjectionTarget
 
@@ -33,6 +34,7 @@ __all__ = [
     "InstanceRecord",
     "CampaignReport",
     "build_target",
+    "flat_direction",
     "run_instance",
     "run_campaign",
     "random_instances",
@@ -76,6 +78,29 @@ class ConcavityInstance:
         # definiteness needs every design at full column rank: any deficient
         # block contributes an exactly flat direction regardless of the others
         return all(d == 0 for d in self.deficiencies)
+
+
+def _fd_hessian_of_value(f, x, scale: float = 5e-4) -> np.ndarray:
+    """Hessian of ``f`` at ``x`` from second central differences of its
+    value alone, the step of coordinate i ``scale * (1 + |x_i|)``:
+    independent of the analytic derivative code it checks."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = scale * (1.0 + np.abs(x))
+    H = np.empty((n, n))
+    f0 = f(x)
+    for i in range(n):
+        ei = np.zeros_like(x)
+        ei[i] = h[i]
+        H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros_like(x)
+            ej[j] = h[j]
+            H[i, j] = (
+                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+            H[j, i] = H[i, j]
+    return H
 
 
 def _design(n_obs: int, k: int, deficiency: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,6 +186,19 @@ class CampaignReport:
         }
 
 
+def flat_direction(designs) -> np.ndarray | None:
+    """The rank rule's verdict on the designs of a linear projection: None
+    when every ``null_space(X, rcond=RANK_RTOL)`` is empty (full column
+    rank), else a witness over the stacked coefficients that every design
+    maps to zero, so the composed log-density is flat along it: the first
+    null-space vector of each rank-deficient design, zeros on the
+    full-rank blocks."""
+    null_spaces = [null_space(X, rcond=RANK_RTOL) for X in designs]
+    if not any(N.size for N in null_spaces):
+        return None
+    return np.concatenate([N[:, 0] if N.size else np.zeros(len(N)) for N in null_spaces])
+
+
 def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     """Exercise one instance: Hessian cross-check, decomposition identity,
     then certificate or witness according to the design null spaces.
@@ -182,7 +220,7 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
 
     H = target.evaluate(beta, hessian=True).hessian
     h_norm = float(np.linalg.norm(H, "fro"))
-    H_fd = fd_hessian_of_value(lambda b: target.evaluate(b).value, beta)
+    H_fd = _fd_hessian_of_value(lambda b: target.evaluate(b).value, beta)
     fd_err = float(np.linalg.norm(H - H_fd, "fro") / max(h_norm, 1e-30))
 
     _, _, hessians = target.base.evaluate(target.projections(beta), hessian=True)
@@ -198,8 +236,8 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     witness_rel = float("nan")
     detail = ""
     failed_pivot = None
-    null_spaces = [null_space(X, rcond=RANK_RTOL) for X in target.designs]
-    if not any(N.size for N in null_spaces):
+    w = flat_direction(target.designs)
+    if w is None:
         outcome = "certificate"
         try:
             cholesky(-H)
@@ -208,7 +246,6 @@ def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:
     else:
         outcome = "witness"
         if not inst.expects_certificate:
-            w = np.concatenate([N[:, 0] if N.size else np.zeros(len(N)) for N in null_spaces])
             witness_rel = abs(float(w @ H @ w)) / max(h_norm * float(w @ w), 1e-300)
 
     if inst.expects_certificate:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .linalg import (
     _LOG_2PI,
-    PIVOT_RTOL,
     NotPositiveDefinite,
     _cholesky_stack,
     _factor_lower,
@@ -120,13 +119,11 @@ class _ScalarProposal:
 
     def __init__(self, x: np.ndarray, res: EvalResult):
         a = -res.hessian.item()
-        # cholesky's pivot rule: a non-finite entry, a failed factorization
-        # or l*l at or below the relative tolerance
+        # cholesky's pivot rule: a non-finite entry or a failed factorization;
+        # l * l > PIVOT_RTOL * a then holds for every finite a > 0
         if not (math.isfinite(a) and a > 0.0):
             raise HessianNotNegativeDefinite(x, 0)
         l = math.sqrt(a)
-        if not l * l > PIVOT_RTOL * a:
-            raise HessianNotNegativeDefinite(x, 0)
         m = x.item() + (res.gradient.item() / l) / l
         if not math.isfinite(m):
             raise _NonFiniteNewtonMean(f"Newton step from {x} is not finite")

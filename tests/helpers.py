@@ -1,8 +1,11 @@
 """Shared independent oracles for the test suite."""
 
+import csv
 import hashlib
 
 import numpy as np
+
+from tangentmh.cli import ConfigError
 
 
 def poisson_quadrature(counts, lo=-10.0, hi=5.0, n=60001):
@@ -69,3 +72,44 @@ def hb_trace_sha256(trace):
     cost = trace.meta["final_cost"]
     h.update(np.array([cost["n_value"], cost["n_gradient"], cost["n_hessian"]], dtype=np.int64).tobytes())
     return h.hexdigest()
+
+
+def fd_gradient(f, x, scale=1e-5):
+    """Central-difference gradient of a scalar function, the step of
+    coordinate i ``scale * (1 + |x_i|)``."""
+    x = np.asarray(x, dtype=float)
+    h = scale * (1.0 + np.abs(x))
+    g = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h[i]
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
+    return g
+
+
+def fd_hessian_of_gradient(grad, x, scale=1e-6):
+    """Hessian as central differences of a gradient function (symmetrized),
+    the step of coordinate i ``scale * (1 + |x_i|)``."""
+    x = np.asarray(x, dtype=float)
+    h = scale * (1.0 + np.abs(x))
+    H = np.empty((x.size, x.size))
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h[i]
+        H[i] = (grad(x + e) - grad(x - e)) / (2.0 * h[i])
+    return 0.5 * (H + H.T)
+
+
+def read_csv_checked(path, schema):
+    """The rows of a CLI output CSV after its ``#`` lines, header first;
+    a first line naming another schema raises ``ConfigError``."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+        if first != f"# schema: {schema}":
+            raise ConfigError(f"{path}: schema mismatch: {first!r} != {schema!r}")
+        for line in fh:
+            if not line.startswith("#"):
+                rows = [next(csv.reader([line]))]
+                rows.extend(csv.reader(fh))
+                return rows
+        return []

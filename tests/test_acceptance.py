@@ -17,7 +17,6 @@ import pytest
 from tangentmh.benchmark import run_benchmark, simulate_logistic
 from tangentmh.concavity import ConcavityInstance, run_campaign
 from tangentmh.diagnostics import effective_size, mixing_index
-from tangentmh.fdiff import fd_gradient, fd_hessian_of_gradient, fd_hessian_of_value
 from tangentmh.gibbs import BlockPartition
 from tangentmh.hb import HbConfig, hb_gibbs, simulate_hb
 from tangentmh.linalg import SymMatrix, cholesky
@@ -35,7 +34,7 @@ from tangentmh.targets import (
 )
 from tangentmh.cli import main as cli_main
 
-from helpers import ar1_series, ks_statistic, poisson_quadrature, random_spd
+from helpers import ar1_series, fd_gradient, fd_hessian_of_gradient, ks_statistic, poisson_quadrature, random_spd
 
 
 def report(criterion, ok, detail):

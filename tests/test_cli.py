@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import tangentmh
 from tangentmh.cli import (
@@ -16,8 +18,9 @@ from tangentmh.cli import (
     ConfigError,
     main,
     parse_config_text,
-    read_csv_checked,
 )
+
+from helpers import read_csv_checked
 
 
 def run_cli(*argv):
@@ -186,6 +189,32 @@ class TestChainBadInput:
         # each of these used to run, truncated to 2
         err = self.rejects(tmp_path, capsys, f"{context}{key} = 2.5\n")
         assert f"{key} must be an integer" in err
+
+    @pytest.mark.parametrize("config_text, data_text, message", [
+        ("= 3\n", None, "c.cfg:1: empty key"),
+        ("counts = ,\n", None, "counts needs at least one value"),
+        ("target = logistic\ndata = {tmp}\n", None, "Is a directory"),
+        ("", "y,x1\n1,0.5\n0,abc\n", ":3: non-numeric cell"),
+    ], ids=["empty key", "empty list", "data path a directory", "non-numeric cell"])
+    def test_unreadable_input(self, tmp_path, capsys, config_text, data_text, message):
+        assert message in self.rejects(tmp_path, capsys, config_text.format(tmp=tmp_path), data_text)
+
+    @pytest.mark.parametrize("sampler", ["tangent", "slice"])
+    def test_rank_deficient_logistic_design(self, tmp_path, capsys, sampler):
+        # x4 = x1 + x2 leaves the likelihood flat along (1, 1, 0, -1): the
+        # slice chain used to exit 0 after a random walk along it, and the
+        # tangent chain failed at a pivot without naming the design
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((200, 4))
+        X[:, 3] = X[:, 0] + X[:, 1]
+        y = (rng.random(200) < expit(X[:, 0] - X[:, 2])).astype(int)
+        data_text = "y,x1,x2,x3,x4\n" + "".join(
+            f"{y[i]}," + ",".join(repr(float(v)) for v in X[i]) + "\n" for i in range(200)
+        )
+        err = self.rejects(tmp_path, capsys, f"sampler = {sampler}\n", data_text)
+        assert "the design is not of full column rank" in err and "posterior is improper" in err
+        flat = np.array(re.search(r"flat along \[([^]]*)\]", err).group(1).split(), dtype=float)
+        np.testing.assert_array_equal(np.abs(flat), [0.577, 0.577, 0.0, 0.577])
 
     @pytest.mark.parametrize(
         "config_text",
@@ -625,6 +654,24 @@ class TestTheoremVerb:
         assert len(lines) == 20
         summary = read_json(out / "summary.json")
         assert summary["n_violations"] == 0
+
+    @pytest.mark.parametrize("constant, value, detail", [
+        ("RANK_RTOL", 1.0, "full-rank plan failed to certify"),
+        ("HESSIAN_FD_RTOL", 0.0, "Hessian finite-difference mismatch"),
+        ("IDENTITY_TOL", -1.0, "decomposition identity residual"),
+    ])
+    def test_violation_is_a_finding(self, tmp_path, capsys, monkeypatch, constant, value, detail):
+        # each constant is read when an instance runs; planted, it makes every
+        # instance a violation, which the campaign writes out and exits 1 on
+        import tangentmh.concavity as concavity
+
+        monkeypatch.setattr(concavity, constant, value)
+        out = tmp_path / "o"
+        assert run_cli("theorem", "--seed", "7", "--out", str(out), "--quick") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("REPRODUCER: instance=") and detail in err[0], err
+        assert len((out / "campaign.jsonl").read_text().splitlines()) == 20
+        assert read_json(out / "summary.json")["n_violations"] > 0
 
 
 class TestHbVerb:

@@ -26,6 +26,14 @@ class TestInstance:
         with pytest.raises(ValueError):
             ConcavityInstance(1, (3,), 10, "bernoulli", (3,), 1)  # deficiency too big
 
+    @pytest.mark.parametrize("args, message", [
+        ((2, (3, 3), 10, "quadratic", (0,), 1), "need one rank plan per group"),
+        ((1, (3,), 10, "poisson", (0,), 1), "unknown base family 'poisson'"),
+    ], ids=["rank plans", "base"])
+    def test_refuses(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ConcavityInstance(*args)
+
     def test_expectation_requires_every_design_full_rank(self):
         full = ConcavityInstance(2, (3, 2), 10, "quadratic", (0, 0), 1)
         mixed = ConcavityInstance(2, (3, 2), 10, "quadratic", (0, 1), 1)

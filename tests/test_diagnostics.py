@@ -55,6 +55,14 @@ class TestEffectiveSize:
         with pytest.raises(ValueError):
             effective_size(np.arange(5.0))
 
+    @pytest.mark.parametrize("series, message", [
+        (np.ones((20, 2)), "expected a 1-D series"),
+        (np.append(np.arange(19.0), np.nan), "series must be finite"),
+    ], ids=["2-D", "non-finite"])
+    def test_refuses_a_series_it_cannot_read(self, series, message):
+        with pytest.raises(ValueError, match=message):
+            effective_size(series)
+
     def test_per_dim(self):
         rng = np.random.default_rng(4)
         s = rng.standard_normal((2000, 3))
@@ -72,6 +80,11 @@ class TestFee:
         _, trace = self._trace()
         with pytest.raises(ValueError):
             fee(trace, None)
+
+    def test_requires_recorded_samples(self):
+        _, trace = self._trace(n=0)
+        with pytest.raises(ValueError, match="no recorded samples"):
+            fee(trace, CalibrationProfile(1e-6, 100))
 
     def test_consistency_of_units(self):
         t, _ = self._trace()

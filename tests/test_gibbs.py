@@ -4,7 +4,6 @@ from scipy.special import expit
 
 from tangentmh.diagnostics import effective_size
 from tangentmh.gibbs import BlockPartition, block_sweep, run_block_chain
-from tangentmh.fdiff import fd_gradient
 from tangentmh.slicer import SliceConfig, slice_gibbs_chain, slice_sweep
 from tangentmh.tangent import ChainConfig, build_proposal, run_chain, tangent_step
 from tangentmh.trace import run_sweeps
@@ -16,7 +15,7 @@ from tangentmh.targets import (
     LogisticTarget,
 )
 
-from helpers import gaussian_cdf, random_spd, trace_sha256
+from helpers import fd_gradient, gaussian_cdf, random_spd, trace_sha256
 
 
 class TestBlockPartition:

@@ -67,6 +67,10 @@ class TestSpec:
         with pytest.raises(ValueError, match=r"group 1's design has shape \(2,\)"):
             HbModelSpec([np.zeros((2, 1)), np.zeros(2)], [np.zeros(2)] * 2, np.ones((2, 1)))
 
+    def test_rejects_groups_of_different_coefficient_counts(self):
+        with pytest.raises(ValueError, match="all groups must share the coefficient dimension"):
+            HbModelSpec([np.zeros((2, 1)), np.zeros((2, 2))], [np.zeros(2)] * 2, np.ones((2, 1)))
+
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             HbModelSpec([np.zeros((2, 1))], [np.array([0.0, 2.0])], np.ones((1, 1)))

@@ -102,6 +102,11 @@ class TestCholesky:
         f = cholesky(np.array([[4.0, np.nan], [2.0, 3.0]]))
         np.testing.assert_allclose(f.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], rtol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+    def test_refuses_a_matrix_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match=r"expected a non-empty square matrix, got shape"):
+            cholesky(np.ones(shape))
+
     def test_accepts_symmatrix(self):
         m = SymMatrix([[4.0, 99.0], [2.0, 3.0]])
         np.testing.assert_array_equal(cholesky(m).lower, cholesky(m.a).lower)

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import expit
 
 import tangentmh.targets as targets_module
-from tangentmh.fdiff import fd_gradient, fd_hessian_of_gradient, fd_hessian_of_value
+from tangentmh.concavity import _fd_hessian_of_value
 from tangentmh.linalg import NotPositiveDefinite, cholesky
 from tangentmh.slicer import SliceConfig, slice_sweep
 from tangentmh.tangent import build_proposal, newton_step, tangent_step
@@ -27,7 +27,7 @@ from tangentmh.targets import (
     replicated_poisson_target,
 )
 
-from helpers import random_spd
+from helpers import fd_gradient, fd_hessian_of_gradient, random_spd
 
 
 def random_logistic(rng, n=50, k=5):
@@ -955,6 +955,32 @@ class TestCoordinateLines:
                 assert logf(u) == target.evaluate(np.array([u])).value == -np.inf
 
 
+# constructions refused at once, each with the message that names its fault
+REFUSED = {
+    "logistic 1-D design": (lambda: LogisticTarget(np.ones(3), np.ones(3)), "design must be a 2-D array"),
+    "logistic responses of another row count": (
+        lambda: LogisticTarget(np.ones((3, 2)), np.ones(2)), "responses must be one per design row"),
+    "logistic non-finite design": (
+        lambda: LogisticTarget(np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2)), "design entries must be finite"),
+    "poisson without counts": (lambda: PoissonLogRateTarget([]), "need at least one observation"),
+    "prior precision of another dimension": (
+        lambda: GaussianPriorTarget(np.zeros(2), np.eye(3)), "precision dimension must match mean length"),
+    "additive without parts": (lambda: AdditiveTarget([]), "need at least one part"),
+    "bernoulli non-binary responses": (lambda: BernoulliBase([0.0, 0.5]), "responses must be 0 or 1"),
+    "quadratic matrices not square": (
+        lambda: ConcaveQuadraticBase(np.ones((2, 1, 2)), np.zeros((2, 1))), "quad must be N x J x J"),
+    "quadratic centers of another shape": (
+        lambda: ConcaveQuadraticBase(np.ones((2, 1, 1)), np.zeros((2, 2))), "centers must be N x J"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED.values(), ids=list(REFUSED))
+def test_construction_refused(case):
+    build, message = case
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestLinearProjection:
     def test_rejects_asymmetric_quadratic(self):
         # values would read the full matrix and Hessians its lower triangle
@@ -1036,7 +1062,7 @@ class TestLinearProjection:
         )
         x = rng.standard_normal(2)
         H = t.evaluate(x, hessian=True).hessian
-        H_fd = fd_hessian_of_value(lambda v: t.evaluate(v).value, x)
+        H_fd = _fd_hessian_of_value(lambda v: t.evaluate(v).value, x)
         assert np.linalg.norm(H - H_fd, "fro") / np.linalg.norm(H, "fro") < 1e-5
 
     def test_mixed_rank_hessian_has_no_cholesky_factor(self):

@@ -48,6 +48,11 @@ def test_meta_holds_only_the_run_totals(name):
     assert set(run().meta) == keys
 
 
+def test_empty_trace_has_no_acceptance_rate():
+    trace = run_chain(_target(), np.zeros(4), ChainConfig(2, 0), np.random.default_rng(1))
+    assert trace.n_steps == 0 and np.isnan(trace.acceptance_rate())
+
+
 # (n_burnin, n_samples, n_newton) plans that are not integer counts
 NOT_COUNTS = {
     "fractional burn-in": (2.5, 3, None),  # used to fail inside run_sweeps with a TypeError
