@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .benchmark import DEFAULT_WIDTHS, _NoEffectiveSamples, run_benchmark
-from .concavity import flat_direction, random_instances, run_campaign
+from .concavity import flat_direction, random_instances, run_campaign, separating_direction
 from .diagnostics import ModeFindingError, ess_per_dim, mixing_index
 from .hb import HbConfig, hb_gibbs, simulate_hb
 from .linalg import NotPositiveDefinite
@@ -238,9 +238,10 @@ def _check(key: str, spec: Key, value):
 
 def _build_target(s):
     """The chain's target and the data files its run hash covers.  A
-    logistic design without full column rank (``flat_direction``'s rule) is
-    refused: under the chain's flat prior the posterior is flat along the
-    direction the error names, and improper."""
+    logistic design without full column rank (``flat_direction``'s rule),
+    or separated responses (``separating_direction``'s), is refused: under
+    the chain's flat prior the posterior is then improper, since the
+    likelihood does not decrease along the direction the error names."""
     try:
         if s.target == "poisson":
             target = PoissonLogRateTarget(np.asarray(s.counts, dtype=int))
@@ -253,11 +254,13 @@ def _build_target(s):
         else:
             X, y = _load_logistic_csv(s.data)
             target = LogisticTarget(X, y)
-            flat = flat_direction([X])
-            if flat is not None:
-                direction = np.array2string(np.round(flat, 3) + 0.0, max_line_width=sys.maxsize)
-                raise ConfigError(f"{s.data}: the design is not of full column rank: the likelihood is "
-                                  f"flat along {direction}, so the posterior is improper")
+            direction, why = flat_direction([X]), "the design is not of full column rank: the likelihood is flat"
+            if direction is None:
+                direction = separating_direction(X, y)
+                why = "the responses are separated: the likelihood does not decrease"
+            if direction is not None:
+                rounded = np.array2string(np.round(direction, 3) + 0.0, max_line_width=sys.maxsize)
+                raise ConfigError(f"{s.data}: {why} along {rounded}, so the posterior is improper")
     except (ValueError, NotPositiveDefinite) as err:
         raise ConfigError(f"target {s.target!r}: {err}") from err
     if s.target == "poisson" and target.total_count == 0:

@@ -35,6 +35,7 @@ __all__ = [
     "CampaignReport",
     "build_target",
     "flat_direction",
+    "separating_direction",
     "run_instance",
     "run_campaign",
     "random_instances",
@@ -197,6 +198,24 @@ def flat_direction(designs) -> np.ndarray | None:
     if not any(N.size for N in null_spaces):
         return None
     return np.concatenate([N[:, 0] if N.size else np.zeros(len(N)) for N in null_spaces])
+
+
+def separating_direction(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """A unit v along which a logistic likelihood on a full-rank design
+    ``X`` with binary responses ``y`` never decreases, or None: one HiGHS
+    feasibility problem for ``(2 y_i - 1) x_i . v >= 0`` on every row with
+    the rows' sum ``>= 1``, so v is not 0.  Such a v exists exactly under
+    complete or quasi-complete separation, when the maximum likelihood
+    estimate does not exist (Albert & Anderson 1984, Biometrika 71(1))."""
+    # imported here: scipy.optimize adds about 155 ms to the package's import
+    from scipy.optimize import linprog
+
+    rows = (2.0 * y - 1.0)[:, None] * X
+    # one positive scale changes no sign, and the rows' sum cannot overflow
+    rows /= np.abs(rows).max()
+    a_ub, b_ub = -np.vstack([rows, rows.sum(axis=0)]), np.append(np.zeros(len(rows)), -1.0)
+    res = linprog(np.zeros(X.shape[1]), A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    return res.x / np.linalg.norm(res.x) if res.status == 0 else None
 
 
 def run_instance(inst: ConcavityInstance, trials: int = 10) -> InstanceRecord:

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .linalg import NotPositiveDefinite, _cholesky_lowers, _inv_kernel
+from .linalg import NotPositiveDefinite, _cholesky_stack, _inv_kernel
 from .slicer import SliceConfig, slice_sweep
 from .tangent import _StackedProposal, tangent_step
 from .targets import (AdditiveTarget, DifferentiableTarget, EvalCost, EvalResult, GaussianPriorTarget,
@@ -153,8 +153,8 @@ class _StackedGroups:
     summed per group by ``np.add.reduceat``.
 
     ``likelihood`` gives each group's log-likelihood (J,) at ``t = X b``,
-    in ``LogisticTarget``'s stable row form, and, when asked, its gradient
-    (J, K) and Hessian (J, K, K), else None.  The slice path sweeps
+    in ``LogisticTarget``'s stable row form, its gradient (J, K) and its
+    Hessian (J, K, K).  The slice path sweeps
     ``targets[j]``, group j's ``LogisticTarget`` over its own rows, plus
     the group's prior, so it does no padding work."""
 
@@ -172,19 +172,17 @@ class _StackedGroups:
         if np.any(sizes < n):
             self._weight = (np.arange(n) < sizes[:, None]).astype(float)
 
-    def likelihood(self, b: np.ndarray, gradient: bool, hessian: bool) -> tuple:
+    def likelihood(self, b: np.ndarray) -> tuple:
         t = np.matmul(b[:, None, :], self.xt)[:, 0]
         e = _row_losses(t, self.not_y)
         if self._weight is not None:
             e *= self._weight
-        p = expit(t) if gradient or hessian else None
-        grads = np.matmul(self.xt, (self.y - p)[:, :, None])[:, :, 0] if gradient else None
-        hessians = None
-        if hessian:
-            w = 1.0 - p
-            w *= p
-            np.negative(w, out=w)
-            hessians = np.matmul(self.xt * w[:, None, :], self.xt.transpose(0, 2, 1))
+        p = expit(t)
+        grads = np.matmul(self.xt, (self.y - p)[:, :, None])[:, :, 0]
+        w = 1.0 - p
+        w *= p
+        np.negative(w, out=w)
+        hessians = np.matmul(self.xt * w[:, None, :], self.xt.transpose(0, 2, 1))
         return -e.sum(axis=1), grads, hessians
 
 
@@ -192,9 +190,11 @@ class _GroupConditionals(DifferentiableTarget):
     """The J groups' conditionals as one stacked target (see
     ``tangent_step``) on their ``(J, K)`` coefficients: each a logistic
     likelihood plus a diagonal Gaussian prior, means ``mean`` (J, K) and
-    shared precisions ``tau`` (K,).  ``evaluate`` holds the likelihood's
+    shared precisions ``tau`` (K,).  Its one caller, the stacked tangent
+    step, asks for value, gradient and Hessian together, so ``evaluate``
+    computes all three whatever it is asked: it holds the likelihood's
     terms at ``x`` as ``last`` and adds the priors, counting 2J of each
-    requested kind."""
+    kind."""
 
     def __init__(self, groups: _StackedGroups, mean: np.ndarray, tau: np.ndarray):
         self._groups = groups
@@ -207,12 +207,12 @@ class _GroupConditionals(DifferentiableTarget):
         return self._tau.shape[0]
 
     def evaluate(self, x, *, gradient=False, hessian=False) -> EvalResult:
-        self.last = self._groups.likelihood(x, gradient, hessian)
-        return self.add_priors(x, self.last, gradient, hessian, 2 * x.shape[0])
+        self.last = self._groups.likelihood(x)
+        return self.add_priors(x, self.last, 2 * x.shape[0])
 
-    def add_priors(self, x, likelihood: tuple, gradient: bool, hessian: bool, n_evals: int) -> EvalResult:
+    def add_priors(self, x, likelihood: tuple, n_evals: int) -> EvalResult:
         """The conditionals at ``x`` from the likelihood's value, gradient
-        and Hessian there, counting ``n_evals`` of each requested kind.
+        and Hessian there, counting ``n_evals`` of each kind.
         With ``d = x - mean`` the prior adds ``-0.5 d . tau d`` to the value
         and ``-tau d`` to the gradient; ``tau`` is subtracted on a copy of
         the Hessian's diagonal (an off-diagonal ``-0.0`` changes no bit)."""
@@ -220,12 +220,9 @@ class _GroupConditionals(DifferentiableTarget):
         d = x - self._mean
         pd = self._tau * d
         value = values + -0.5 * np.einsum("ij,ij->i", d, pd)
-        grad = grads - pd if gradient else None
-        hess = None
-        if hessian:
-            hess = hessians.copy()
-            hess.reshape(x.shape[0], -1)[:, :: self.dim + 1] -= self._tau
-        return EvalResult(value, grad, hess, EvalCost(n_evals, n_evals * gradient, n_evals * hessian))
+        hess = hessians.copy()
+        hess.reshape(x.shape[0], -1)[:, :: self.dim + 1] -= self._tau
+        return EvalResult(value, grads - pd, hess, EvalCost(n_evals, n_evals, n_evals))
 
 
 @dataclass(frozen=True)
@@ -319,7 +316,7 @@ def draw_upper_coeffs(
     ``(K, L, L)`` stack by numpy's stacked Cholesky kernel and the factors
     inverted by its stacked inverse kernel (``linalg``'s, each bit for bit
     what ``np.linalg.cholesky`` and ``np.linalg.inv`` return), under
-    ``cholesky``'s pivot rule (a failing precision raises its
+    ``cholesky``'s pivot rule (the first failing precision raises its
     ``NotPositiveDefinite`` before any draw), and every normal comes from
     one ``(K, L)`` draw.  With ``L_k`` the factor, right-hand side ``h_k``
     and normal ``z_k``, the draw is ``L_k^-T (L_k^-1 h_k + z_k)`` through
@@ -330,7 +327,10 @@ def draw_upper_coeffs(
     gram, ridge = spec._upper_gram
     precisions = tau[:, None, None] * gram + ridge
     with np.errstate(all="ignore"):
-        inverses = _inv_kernel(_cholesky_lowers(precisions))
+        lowers, errors = _cholesky_stack(precisions)
+        if errors:
+            raise next(iter(errors.values()))
+        inverses = _inv_kernel(lowers)
     rhs = tau[:, None] * (beta.T @ spec.upper_design)
     z = rng.standard_normal((spec.n_coeffs, spec.n_upper))
     w = np.matmul(inverses, rhs[:, :, None])[:, :, 0]
@@ -416,9 +416,9 @@ def hb_cycle(
         n_accepted, failures = 1, 0
     else:
         J, carried = spec.n_groups, state._carry is not None and state._carry[0] is spec
-        held = state._carry[1] if carried else spec._stacked.likelihood(current, True, True)
+        held = state._carry[1] if carried else spec._stacked.likelihood(current)
         target = _GroupConditionals(spec._stacked, prior_means, tau)
-        fit = _StackedProposal(current, target.add_priors(current, held, True, True, J if carried else 2 * J))
+        fit = _StackedProposal(current, target.add_priors(current, held, J if carried else 2 * J))
         if newton:
             fit.raise_failure()
             beta, n_accepted, cost, failures = fit.mean, J, fit.cost, 0

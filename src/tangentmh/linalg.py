@@ -230,16 +230,6 @@ def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, dict]:
     return lowers, errors
 
 
-def _cholesky_lowers(stack: np.ndarray) -> np.ndarray:
-    """``_cholesky_stack``'s factors, under the same error state; the first
-    matrix that fails ``cholesky``'s pivot rule raises its
-    ``NotPositiveDefinite``."""
-    lowers, errors = _cholesky_stack(stack)
-    if errors:
-        raise next(iter(errors.values()))
-    return lowers
-
-
 @dataclass(frozen=True)
 class MvnDistribution:
     """Multivariate Gaussian stored as mean plus precision Cholesky factor."""

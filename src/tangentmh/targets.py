@@ -564,9 +564,7 @@ class AdditiveTarget(DifferentiableTarget):
         if x.shape[-1] != self._dim:
             raise ValueError(f"point has length {x.shape[-1]}, expected {self._dim}")
         parts = iter(self._parts)
-        value, grad, hess, (n_value, n_gradient, n_hessian) = next(parts).evaluate(
-            x, gradient=gradient, hessian=hessian
-        )
+        value, grad, hess, cost = next(parts).evaluate(x, gradient=gradient, hessian=hessian)
         for p in parts:
             res = p.evaluate(x, gradient=gradient, hessian=hessian)
             value += res.value
@@ -574,9 +572,8 @@ class AdditiveTarget(DifferentiableTarget):
                 grad = grad + res.gradient
             if hessian:
                 hess = hess + res.hessian
-            dv, dg, dh = res.cost
-            n_value, n_gradient, n_hessian = n_value + dv, n_gradient + dg, n_hessian + dh
-        return EvalResult(value, grad, hess, EvalCost(n_value, n_gradient, n_hessian))
+            cost = cost + res.cost
+        return EvalResult(value, grad, hess, cost)
 
     def coordinate_lines(self, x):
         """The parts' lines, start values and counters, each summed in part

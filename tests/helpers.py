@@ -113,3 +113,30 @@ def read_csv_checked(path, schema):
                 rows.extend(csv.reader(fh))
                 return rows
         return []
+
+
+def logistic_data(kind):
+    """A 100-row logistic design and its binary responses from
+    ``default_rng(5)``: ``"full-rank"`` (x1, x2, responses drawn from the
+    model), ``"rank-deficient"`` (a third covariate x1 + x2),
+    ``"separated"`` (y = [x1 > 0], separated along (1, 0)) or
+    ``"quasi-separated"`` (that plus two rows on x1 = 0 with both labels)."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((100, 2))
+    y = (rng.random(100) < 1.0 / (1.0 + np.exp(X[:, 1] - X[:, 0]))).astype(int)
+    if kind == "rank-deficient":
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])
+    elif kind != "full-rank":
+        y = (X[:, 0] > 0).astype(int)
+        if kind == "quasi-separated":
+            X, y = np.vstack([X, [[0.0, 1.0], [0.0, 1.0]]]), np.append(y, [1, 0])
+    return X, y
+
+
+def logistic_csv(X, y):
+    """The ``chain`` verb's headered CSV text (columns y, x1..xK) of a
+    design and its responses."""
+    header = ",".join(["y"] + [f"x{k + 1}" for k in range(X.shape[1])])
+    return header + "\n" + "".join(
+        f"{int(y[i])}," + ",".join(repr(float(v)) for v in X[i]) + "\n" for i in range(len(y))
+    )

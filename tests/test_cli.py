@@ -20,7 +20,7 @@ from tangentmh.cli import (
     parse_config_text,
 )
 
-from helpers import read_csv_checked
+from helpers import logistic_csv, logistic_data, read_csv_checked
 
 
 def run_cli(*argv):
@@ -215,6 +215,18 @@ class TestChainBadInput:
         assert "the design is not of full column rank" in err and "posterior is improper" in err
         flat = np.array(re.search(r"flat along \[([^]]*)\]", err).group(1).split(), dtype=float)
         np.testing.assert_array_equal(np.abs(flat), [0.577, 0.577, 0.0, 0.577])
+
+    @pytest.mark.parametrize("sampler", ["tangent", "slice"])
+    @pytest.mark.parametrize("kind", ["separated", "quasi-separated"])
+    def test_separated_logistic_responses(self, tmp_path, capsys, sampler, kind):
+        # y = [x1 > 0] separates along (1, 0), and two rows on x1 = 0 with
+        # both labels leave it quasi-complete.  At --quick --seed 7 both
+        # samplers used to exit 0: slice with x1 still climbing, tangent
+        # after a Newton burn-in that walked x1 to about 2,000, rejecting
+        # nearly every step
+        err = self.rejects(tmp_path, capsys, f"sampler = {sampler}\n", logistic_csv(*logistic_data(kind)))
+        assert "the responses are separated" in err and "posterior is improper" in err
+        assert "along [1. 0.]," in err
 
     @pytest.mark.parametrize(
         "config_text",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,10 @@ from tangentmh.concavity import (
     random_instances,
     run_campaign,
     run_instance,
+    separating_direction,
 )
+
+from helpers import logistic_data
 
 
 class TestInstance:
@@ -128,6 +135,39 @@ class TestRunInstance:
         doc = json.loads(rec.to_json())
         assert doc["outcome"] == "witness"
         assert doc["instance"]["seed"] == 17
+
+
+class TestSeparatingDirection:
+    @pytest.mark.parametrize("kind", ["separated", "quasi-separated"])
+    def test_likelihood_never_decreases_along_it(self, kind):
+        X, y = logistic_data(kind)
+        v = separating_direction(X, y)
+        margins = (2 * y - 1) * (X @ v)
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert margins.min() >= -1e-9 and margins.sum() > 0.0
+        # the two rows on x1 = 0 pin the quasi-complete direction to (1, 0)
+        assert kind == "separated" or np.allclose(v, [1.0, 0.0], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient"])
+    def test_none_without_separation(self, kind):
+        assert separating_direction(*logistic_data(kind)) is None
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e307])
+    @pytest.mark.parametrize("kind", ["full-rank", "separated"])
+    def test_scale_free(self, kind, scale):
+        # at 1e307 the rows' sum overflows unless the rows are scaled first
+        X, y = logistic_data(kind)
+        want = separating_direction(X, y)
+        got = separating_direction(scale * X, y)
+        assert got is None if want is None else np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_package_import_leaves_scipy_optimize_out(self):
+        # linprog is imported at the first call: scipy.optimize would add
+        # about 155 ms to every import of the package
+        code = "import sys, tangentmh.cli; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(concavity.__file__).parent.parent)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestCampaign:

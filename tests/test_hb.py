@@ -421,7 +421,7 @@ class TestStackedConditionals:
             beta = scale * rng.standard_normal((4, n_coeffs))
             prior_means = rng.standard_normal((4, n_coeffs))
             tau = rng.gamma(2.0, 1.0, size=n_coeffs) * 10.0 ** rng.uniform(-3, 3, n_coeffs)
-            values, grads, hessians = spec._stacked.likelihood(beta, True, True)
+            values, grads, hessians = spec._stacked.likelihood(beta)
             d = beta - prior_means
             pd = tau * d
             prior_hessian = np.full((4, n_coeffs, n_coeffs), -0.0)
@@ -432,7 +432,7 @@ class TestStackedConditionals:
             # the terms held give the same bytes at the count asked for
             for held, want in zip(target.last, (values, grads, hessians)):
                 assert held.tobytes() == want.tobytes()
-            added = target.add_priors(beta, target.last, True, True, 4)
+            added = target.add_priors(beta, target.last, 4)
             assert got.cost == EvalCost(8, 8, 8) and added.cost == EvalCost(4, 4, 4)
             for res in (got, added):
                 assert res.value.tobytes() == (values + -0.5 * np.einsum("ij,ij->i", d, pd)).tobytes()
@@ -477,6 +477,19 @@ class TestCarry:
         # W3's chains (c09's data and chain seeds), short: beta, gamma, tau
         # and the final counters keep their bits
         spec, _ = simulate_hb(5, 10, 2, np.random.default_rng(2026), group_size=400)
+        trace = hb_gibbs(spec, HbConfig(n_burnin=20, n_samples=30, beta_sampler=sampler, seed=seed))
+        assert hb_trace_sha256(trace) == digest
+
+    @pytest.mark.parametrize("sampler, seed, digest", [
+        ("tangent", 3702, "c1d595d2c359919f15ac630b2dbced5104487e7328fcfa96aef2538668d3ca50"),
+        ("slice", 3703, "b7dea7936e5ba2d9652b74618a08ba8411d281d65579bb790bd54854b1605d26"),
+    ])
+    def test_log_uniform_chain_pinned(self, sampler, seed, digest):
+        # W3's shape with log-uniform group sizes (167 to 819 rows), so the
+        # stacked likelihood pads the smaller groups with zero-weight rows;
+        # seeds of their own, none of c09's
+        spec, _ = simulate_hb(5, 10, 2, np.random.default_rng(3701))
+        assert spec.group_sizes == (167, 257, 157, 124, 819)
         trace = hb_gibbs(spec, HbConfig(n_burnin=20, n_samples=30, beta_sampler=sampler, seed=seed))
         assert hb_trace_sha256(trace) == digest
 
@@ -539,7 +552,7 @@ class TestCarry:
                 )
                 for got, expected in zip(carry, want[:3]):
                     assert_close(got[j], expected)
-            fresh = spec._stacked.likelihood(state.beta.copy(), True, True)
+            fresh = spec._stacked.likelihood(state.beta.copy())
             for got, want in zip(carry, fresh):
                 assert got.tobytes() == want.tobytes()
             n_rejected += 4 - accepted
@@ -574,7 +587,7 @@ class TestCarry:
         assert type(n_accepted) is int and type(failures) is int
         want = [np.where(record.accepted.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
                 for a, b in zip(conditionals.last, known)]
-        fresh = spec._stacked.likelihood(new.beta.copy(), True, True)
+        fresh = spec._stacked.likelihood(new.beta.copy())
         for got, where, evaluated in zip(new._carry[1], want, fresh):
             assert got.tobytes() == where.tobytes() == evaluated.tobytes()
 

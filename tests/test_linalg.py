@@ -12,7 +12,6 @@ from tangentmh.linalg import (
     NotPositiveDefinite,
     SymMatrix,
     _cholesky_kernel,
-    _cholesky_lowers,
     _cholesky_stack,
     _factor_by_columns,
     _inv_kernel,
@@ -187,6 +186,13 @@ def _stack_outcome(stack):
         return _cholesky_stack(stack)
 
 
+def _passing_lowers(stack):
+    """``_cholesky_stack``'s factors of a stack that every matrix passes."""
+    lowers, errors = _stack_outcome(stack)
+    assert errors == {}
+    return lowers
+
+
 class TestStackedCholesky:
     """The stacked factors and inverses from numpy's kernels, against
     numpy's public wrappers and ``cholesky``'s verdicts, matrix by matrix."""
@@ -204,7 +210,7 @@ class TestStackedCholesky:
         rng = np.random.default_rng(12)
         for dim in range(1, 11):
             stack = np.array([random_spd(dim, rng) * s for s in (1e-3, 1.0, 1e3, 2.0) for _ in range(5)])
-            self.assert_numpy_bytes(stack, _cholesky_lowers(stack))
+            self.assert_numpy_bytes(stack, _passing_lowers(stack))
 
     def test_gamma_precision_stack_equals_numpy(self):
         # the hierarchical demo's (K, L, L) = (10, 2, 2) gamma precisions
@@ -213,7 +219,7 @@ class TestStackedCholesky:
         gram, ridge = spec._upper_gram
         stack = tau[:, None, None] * gram + ridge
         assert stack.shape == (10, 2, 2)
-        self.assert_numpy_bytes(stack, _cholesky_lowers(stack))
+        self.assert_numpy_bytes(stack, _passing_lowers(stack))
 
     def test_failure_keeps_numpy_factors(self):
         # at 10x10 numpy's factor and cholesky's LAPACK one differ in the
@@ -231,10 +237,10 @@ class TestStackedCholesky:
         (np.array([[4.0, 0.0], [np.nan, 4.0]]), 1),  # non-finite lower entry
     ])
     def test_first_failing_matrix_raises_its_pivot(self, bad, pivot):
+        # the errors come in stack order, and draw_upper_coeffs raises the first
         stack = np.array([np.eye(2), bad, -np.eye(2)])
-        with pytest.raises(NotPositiveDefinite) as exc, np.errstate(all="ignore"):
-            _cholesky_lowers(stack)
-        assert exc.value.pivot == pivot
+        _, errors = _stack_outcome(stack)
+        assert list(errors) == [1, 2] and errors[1].pivot == pivot
 
     @pytest.mark.parametrize("bad, pivot", [
         (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),
@@ -282,7 +288,7 @@ class TestStackedCholesky:
         stack = np.array([random_spd(3, np.random.default_rng(14)), np.eye(3)])
         lowers, errors = _cholesky_stack(stack)
         assert errors == {}
-        assert lowers.tobytes() == _cholesky_lowers(stack).tobytes()
+        self.assert_numpy_bytes(stack, lowers)
 
 
 @st.composite

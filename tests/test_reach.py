@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from tangentmh.cli import VERBS, parse_config_text
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "reach.py"
 _spec = importlib.util.spec_from_file_location("reach", _PATH)
 reach = importlib.util.module_from_spec(_spec)
@@ -52,6 +54,15 @@ EXPECTED = {
     "targets.DifferentiableTarget.evaluate",
     "tangent._ScalarProposal.lower",
 }
+
+
+def test_quick_runs_set_no_key_quick_replaces():
+    # --quick would replace such a key, so the run would not be the one its
+    # config names (the log-uniform hb run once ran at group_size = 150)
+    for verb, config, _, quick in reach.RUNS:
+        table = VERBS[verb][1]
+        replaced = [key for key in parse_config_text("\n".join(config)) if table[key].quick is not None]
+        assert not (quick and replaced), (verb, config)
 
 
 @pytest.fixture(scope="module")

@@ -6,15 +6,17 @@ Run from the repository root (no flags):
     python3 tools/reach.py
 
 Every run of ``RUNS`` goes in-process through ``tangentmh.cli.main`` at
-``--quick --seed 7`` under ``sys.settrace``, with its outputs in a
-temporary directory and its console lines discarded.  The runs are each
-``chain`` target with each sampler (the logistic runs read a data file
-written from ``DATA_SEED``), ``chain`` on a 1-D Gaussian, ``hb`` at its
-defaults and with log-uniform group sizes, ``benchmark``, ``theorem`` and
+``--seed 7`` under ``sys.settrace``, with its outputs in a temporary
+directory and its console lines discarded.  The runs are each ``chain``
+target with each sampler (the logistic runs read a data file written
+from ``DATA_SEED``), ``chain`` on a 1-D Gaussian, ``hb`` at its defaults
+and with log-uniform group sizes, ``benchmark``, ``theorem`` and
 ``mixing-scan``, and one bad-input run per failure family: a Newton
 burn-in that leaves the log-concave region (``HessianNotNegativeDefinite``)
 and a prior precision with no Cholesky factor (``NotPositiveDefinite``).
-A run that exits with another status than its listed one stops the tool.
+Each runs at ``--quick``, except the log-uniform ``hb`` run: ``--quick``
+would replace its ``group_size = 0``, so it sets small sizes itself.  A
+run that exits with another status than its listed one stops the tool.
 
 Executable lines are the lines of function bodies, lambdas and
 comprehensions included, as their code objects list them; module and
@@ -51,18 +53,20 @@ TRUE_BETA = (0.5, -1.0, 0.8)
 # the code-object flag that functions have and class bodies lack
 CO_NEWLOCALS = 0x2
 
-# (verb, config lines, expected exit status); "{data}" is the data file
+# (verb, config lines, expected exit status, run at --quick); "{data}" is
+# the data file.  A --quick run sets no key that --quick replaces
 RUNS = [
-    *(("chain", [f"target = {target}", f"sampler = {sampler}", "data = {data}" if target == "logistic" else ""], 0)
+    *(("chain", [f"target = {target}", f"sampler = {sampler}", "data = {data}" if target == "logistic" else ""],
+       0, True)
       for target in ("poisson", "replicated-poisson", "gaussian", "logistic") for sampler in ("tangent", "slice")),
-    ("chain", ["target = gaussian", "dim = 1"], 0),
-    ("hb", [], 0),
-    ("hb", ["group_size = 0"], 0),
-    ("benchmark", [], 0),
-    ("theorem", [], 0),
-    ("mixing-scan", [], 0),
-    ("chain", ["x0 = -20"], 2),
-    ("chain", ["target = gaussian", "precision = -1"], 2),
+    ("chain", ["target = gaussian", "dim = 1"], 0, True),
+    ("hb", [], 0, True),
+    ("hb", ["group_size = 0", "n_groups = 3", "n_coeffs = 3", "n_burnin = 20", "n_samples = 20"], 0, False),
+    ("benchmark", [], 0, True),
+    ("theorem", [], 0, True),
+    ("mixing-scan", [], 0, True),
+    ("chain", ["x0 = -20"], 2, True),
+    ("chain", ["target = gaussian", "precision = -1"], 2, True),
 ]
 
 
@@ -132,10 +136,10 @@ def traced_runs(files: set) -> tuple[set, set]:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         write_data(tmp / "data.csv")
-        for i, (verb, config, expected) in enumerate(RUNS):
+        for i, (verb, config, expected, quick) in enumerate(RUNS):
             cfg = tmp / f"run{i}.cfg"
             cfg.write_text("".join(line.format(data=tmp / "data.csv") + "\n" for line in config))
-            argv = [verb, "--config", str(cfg), "--quick", "--seed", "7", "--out", str(tmp / f"out{i}")]
+            argv = [verb, "--config", str(cfg), "--seed", "7", "--out", str(tmp / f"out{i}")] + ["--quick"] * quick
             before = sys.gettrace()
             sys.settrace(tracer)
             try:
